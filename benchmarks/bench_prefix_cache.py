@@ -109,7 +109,7 @@ def run_workload(kind, depth=DEPTH, npoints=NPOINTS, pool_size=POOL,
     check_cache = QueryResultCache(grid)
     for box in boxes:
         got = cached_range_matches(check_cache, tree, grid, box)
-        want = tree.range_query(box, use_fast=True).matches
+        want = tree.range_query(box).matches
         assert got == want, f"cache diverged on {box}"
 
     def timed(fn, repeats=3):
@@ -118,7 +118,7 @@ def run_workload(kind, depth=DEPTH, npoints=NPOINTS, pool_size=POOL,
     def uncached_pass():
         t0 = time.perf_counter()
         for box in boxes:
-            tree.range_query(box, use_fast=True)
+            tree.range_query(box)
         return time.perf_counter() - t0
 
     stats_holder = {}

@@ -6,6 +6,7 @@ Run:  python examples/quickstart.py
 import random
 
 from repro import Box, Grid, ZkdTree, decompose_box, interleave
+from repro.core.rangesearch import range_search_bigmin
 from repro.core.zvalue import ZValue
 
 # ----------------------------------------------------------------------
@@ -45,8 +46,10 @@ print(f"  matches:        {result.nmatches}")
 print(f"  pages accessed: {result.pages_accessed}")
 print(f"  efficiency:     {result.efficiency:.2f}")
 
-# The same search through BIGMIN jumps instead of box decomposition:
-assert tree.range_query(query, use_bigmin=True).matches == result.matches
+# The same search through BIGMIN jumps instead of box decomposition
+# (the reference variant, run directly on a cursor over the leaf chain):
+jumped = range_search_bigmin(tree.cursor(), big_grid, query)
+assert tuple(jumped) == result.matches
 
 # Partial-match query: fix x, leave y unrestricted (Section 5.3.1).
 pm = tree.partial_match_query((128, None))

@@ -55,6 +55,7 @@ from typing import (
 
 from repro.cache.trie import ZPrefixTrie
 from repro.core.decompose import Element
+from repro.core.fastz import interleave_many
 from repro.core.geometry import Box, Grid
 from repro.obs.trace import current as _trace_current
 
@@ -439,16 +440,6 @@ class QueryResultCache:
             return before - len(self._entries)
 
 
-def _run_zcodes(
-    grid: Grid, run: Tuple[Point, ...], use_fast: bool
-) -> Tuple[int, ...]:
-    if use_fast:
-        from repro.core.fastz import interleave_many
-
-        return tuple(interleave_many(list(run), grid.depth, grid.ndims))
-    return tuple(grid.zvalue(p).bits for p in run)
-
-
 def _assemble(
     look: CacheLookup,
     elements: Tuple[Element, ...],
@@ -481,12 +472,13 @@ def cached_range_matches(
     grid: Grid,
     box: Box,
     epoch: Optional[int] = None,
-    use_fast: bool = True,
 ) -> Tuple[Point, ...]:
     """Answer ``box`` through the cache, falling through to ``target``.
 
-    ``target`` is anything with ``range_query(box, use_fast=...)`` and
-    ``interval_query(intervals)`` — a live :class:`~repro.storage.
+    ``target`` is anything with ``range_query(box)``,
+    ``interval_query(intervals)`` and a ``decompose_cache`` (the box is
+    decomposed through it, so the miss path's ``range_query`` finds the
+    decomposition already materialised) — a live :class:`~repro.storage.
     prefix_btree.ZkdTree`, a :class:`~repro.shard.store.
     ShardedSpatialStore`, or their snapshot views — so the same cache
     front-end serves plain databases, sharded indexes and pinned
@@ -499,12 +491,7 @@ def cached_range_matches(
     clipped = box.clipped_to(grid.whole_space())
     if clipped is None:
         return ()
-    from repro.core.fastz import default_decompose_cache
-
-    decompose_cache = getattr(target, "decompose_cache", None)
-    if decompose_cache is None:
-        decompose_cache = default_decompose_cache(grid)
-    elements, _ = decompose_cache.box_elements(grid, clipped, None)
+    elements, _ = target.decompose_cache.box_elements(grid, clipped)
     if not elements:
         return ()
 
@@ -520,26 +507,19 @@ def cached_range_matches(
         served[id(look.exact)] = len(matches)
     elif look.outcome == "hit":
         matches = _assemble(look, elements, (), served)
-    elif look.outcome == "partial":
-        intervals = [(e.zlo, e.zhi) for e in look.residual]
-        residual_runs = target.interval_query(intervals)
-        matches = _assemble(look, elements, residual_runs, served)
-        if pinned or cache.current_epoch == read_epoch:
-            admitted = cache.admit(
-                clipped,
-                elements,
-                matches,
-                _run_zcodes(grid, matches, use_fast),
-                read_epoch,
-            )
     else:
-        matches = tuple(target.range_query(box, use_fast=use_fast).matches)
+        if look.outcome == "partial":
+            intervals = [(e.zlo, e.zhi) for e in look.residual]
+            residual_runs = target.interval_query(intervals)
+            matches = _assemble(look, elements, residual_runs, served)
+        else:
+            matches = tuple(target.range_query(box).matches)
         if pinned or cache.current_epoch == read_epoch:
             admitted = cache.admit(
                 clipped,
                 elements,
                 matches,
-                _run_zcodes(grid, matches, use_fast),
+                tuple(interleave_many(list(matches), grid.depth, grid.ndims)),
                 read_epoch,
             )
 

@@ -23,6 +23,7 @@ from contextlib import ExitStack
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.geometry import Box
+from repro.db.readpath import SpatialReads, visible_rows
 from repro.db.relation import Relation, VersionedRelation
 
 __all__ = ["Session"]
@@ -31,32 +32,7 @@ Point = Tuple[int, ...]
 Row = Tuple[Any, ...]
 
 
-class _RowStore:
-    """A snapshot's visible coordinate set as a minimal point store —
-    just enough surface (``points`` / ``range_query`` / ``__len__``) for
-    the k-NN operator when no snapshot-visible index exists."""
-
-    class _Result:
-        def __init__(self, matches: List[Point]) -> None:
-            self.matches = matches
-
-    def __init__(self, grid: "Any", points: List[Point]) -> None:
-        self._grid = grid
-        self._points = points
-
-    def __len__(self) -> int:
-        return len(self._points)
-
-    def points(self) -> List[Point]:
-        return list(self._points)
-
-    def range_query(self, box: Box) -> "_RowStore._Result":
-        return self._Result(
-            [p for p in self._points if box.contains_point(p)]
-        )
-
-
-class Session:
+class Session(SpatialReads):
     """One client's consistent view of a :class:`~repro.db.database.
     SpatialDatabase` built with ``concurrency=True``.
 
@@ -117,240 +93,49 @@ class Session:
         if self._closed:
             raise RuntimeError("session is closed")
 
-    # -- plumbing --------------------------------------------------------
+    # -- reads: pinned rows, snapshot views, pinned epoch -----------------
+    # (proximity_query, knn_query, epsilon_join and range_query_stats
+    # are SpatialReads' — the same code the database runs live.)
 
-    def _visible_rows(self, relation: Relation) -> List[Row]:
-        if isinstance(relation, VersionedRelation):
-            return relation.rows_at(self._epoch)
-        return relation.rows
+    def _reading(self) -> Tuple[Any, Optional[int]]:
+        self._check_open()
+        return self._db, self._epoch
 
-    def _view(self, entry: "Any") -> Optional[Any]:
-        """The snapshot view for an index entry, or ``None`` when the
-        index was created after this snapshot was pinned (no capture
-        exists for our epoch — fall back to a row scan)."""
-        if entry.born_epoch > self._epoch:
-            return None
+    def _answering(
+        self, table: str, cols: Sequence[str]
+    ) -> Tuple[Any, Any]:
+        """The snapshot view (and result cache) of a matching index;
+        ``(None, None)`` when there is none or it was created after this
+        snapshot was pinned (no capture exists for our epoch — the
+        visible rows answer instead)."""
+        entry = self._db._index_for(table, cols)
+        if entry is None or entry.born_epoch > self._epoch:
+            return None, None
         view = self._views.get(entry.index_name)
         if view is None:
             view = entry.tree.snapshot_view(self._epoch)
             self._views[entry.index_name] = view
-        return view
-
-    def _index_view(
-        self, table: str, cols: Tuple[str, ...]
-    ) -> Optional[Any]:
-        entry = self._db._index_for(table, cols)
-        if entry is None:
-            return None
-        return self._view(entry)
-
-    # -- reads -----------------------------------------------------------
+        return view, entry.cache
 
     def table(self, name: str) -> Relation:
         """The relation's visible rows as an immutable plain relation."""
         self._check_open()
         relation = self._db.catalog.relation(name)
-        return Relation(name, relation.schema, self._visible_rows(relation))
+        return Relation(
+            name, relation.schema, visible_rows(relation, self._epoch)
+        )
 
     def range_query(
         self,
         table: str,
         coord_cols: Sequence[str],
         box: Box,
-        use_fast: bool = True,
     ) -> Relation:
         """Rows inside ``box`` as of the snapshot — index-backed when a
         matching index predates the pin, row scan otherwise."""
         self._check_open()
-        db = self._db
-        relation = db.catalog.relation(table)
-        cols = tuple(coord_cols)
-        rows = self._visible_rows(relation)
-        out = Relation(f"range({table})", relation.schema)
-        entry = db._index_for(table, cols)
-        view = self._view(entry) if entry is not None else None
-        if view is not None:
-            if entry.cache is not None:
-                # The cache consults only entries valid at the pinned
-                # epoch, and residual/full scans run against the
-                # snapshot view — results equal the uncached snapshot
-                # read by construction.
-                from repro.cache import cached_range_matches
-
-                matched = set(
-                    cached_range_matches(
-                        entry.cache,
-                        view,
-                        db.grid,
-                        box,
-                        epoch=self._epoch,
-                        use_fast=use_fast,
-                    )
-                )
-            else:
-                matched = set(
-                    view.range_query(box, use_fast=use_fast).matches
-                )
-            for row in rows:
-                if db._coords(relation, row, cols) in matched:
-                    out.insert(row)
-        else:
-            for row in rows:
-                if box.contains_point(db._coords(relation, row, cols)):
-                    out.insert(row)
-        return out
-
-    def range_query_stats(
-        self,
-        table: str,
-        coord_cols: Sequence[str],
-        box: Box,
-        use_fast: bool = True,
-    ) -> "Any":
-        """Index-only range query with the paper's cost measures
-        (requires an index that predates the snapshot)."""
-        self._check_open()
-        view = self._index_view(table, tuple(coord_cols))
-        if view is None:
-            raise ValueError(
-                f"no snapshot-visible index on "
-                f"{table}({', '.join(coord_cols)})"
-            )
-        return view.range_query(box, use_fast=use_fast)
-
-    def proximity_query(
-        self,
-        table: str,
-        coord_cols: Sequence[str],
-        center: Sequence[int],
-        radius: float,
-    ) -> Relation:
-        """Rows within Euclidean ``radius`` of ``center`` at the
-        snapshot."""
-        self._check_open()
-        db = self._db
-        relation = db.catalog.relation(table)
-        cols = tuple(coord_cols)
-        rows = self._visible_rows(relation)
-        out = Relation(f"near({table})", relation.schema)
-        view = self._index_view(table, cols)
-        if view is not None:
-            matched = set(view.within_distance(tuple(center), radius).matches)
-            for row in rows:
-                if db._coords(relation, row, cols) in matched:
-                    out.insert(row)
-            return out
-        if radius < 0:
-            raise ValueError("radius must be non-negative")
-        limit = radius * radius
-        center_t = tuple(center)
-        for row in rows:
-            point = db._coords(relation, row, cols)
-            if (
-                sum((a - b) ** 2 for a, b in zip(point, center_t))
-                <= limit
-            ):
-                out.insert(row)
-        return out
-
-    def knn_query(
-        self,
-        table: str,
-        coord_cols: Sequence[str],
-        center: Sequence[int],
-        k: int = 1,
-        mode: str = "exact",
-    ) -> Relation:
-        """The ``k`` visible rows nearest ``center`` at the snapshot.
-
-        Runs the shifted-ordering k-NN operator of
-        :mod:`repro.proximity` over the frozen snapshot view when a
-        matching index predates the pin; otherwise over the visible row
-        set directly (same operator, same answer — the candidates and
-        the refinement box query just come from different stores).
-        """
-        self._check_open()
-        from repro.proximity import knn as knn_points
-
-        db = self._db
-        relation = db.catalog.relation(table)
-        cols = tuple(coord_cols)
-        rows = self._visible_rows(relation)
-        view = self._index_view(table, cols)
-        if view is None:
-            # Index missing or younger than the snapshot: wrap the
-            # visible coordinate multiset in a minimal point store.
-            view = _RowStore(
-                db.grid,
-                sorted(
-                    {db._coords(relation, row, cols) for row in rows},
-                    key=lambda p: db.grid.zvalue(p).bits,
-                ),
-            )
-        ranked = knn_points(view, db.grid, center, k, mode=mode)
-        rank = {point: i for i, point in enumerate(ranked)}
-        out = sorted(
-            (
-                row
-                for row in rows
-                if db._coords(relation, row, cols) in rank
-            ),
-            key=lambda row: rank[db._coords(relation, row, cols)],
-        )[:k]
-        return Relation(f"knn({table})", relation.schema, out)
-
-    def epsilon_join(
-        self,
-        table_a: str,
-        cols_a: Sequence[str],
-        table_b: str,
-        cols_b: Sequence[str],
-        eps: float,
-        strategy: Optional[str] = None,
-    ) -> Relation:
-        """All visible row pairs within Euclidean ``eps`` at the
-        snapshot — same contract (and byte-identical rows) as
-        :meth:`~repro.db.database.SpatialDatabase.epsilon_join`, over
-        this session's pinned row versions."""
-        self._check_open()
-        from repro.db.planner import choose_epsilon_strategy
-        from repro.proximity import (
-            nested_epsilon_join,
-            zmerge_epsilon_join,
-            zones_epsilon_join,
-        )
-
-        db = self._db
-        relation_a = db.catalog.relation(table_a)
-        relation_b = db.catalog.relation(table_b)
-        rows_a = self._visible_rows(relation_a)
-        rows_b = self._visible_rows(relation_b)
-        pts_a = [
-            db._coords(relation_a, row, tuple(cols_a)) for row in rows_a
-        ]
-        pts_b = [
-            db._coords(relation_b, row, tuple(cols_b)) for row in rows_b
-        ]
-        if strategy is None:
-            strategy, _ = choose_epsilon_strategy(
-                len(pts_a), len(pts_b), eps, db.grid
-            )
-        if strategy == "zones":
-            pairs = zones_epsilon_join(pts_a, pts_b, eps)
-        elif strategy == "z-merge":
-            pairs = zmerge_epsilon_join(db.grid, pts_a, pts_b, eps)
-        elif strategy == "nested-loop":
-            pairs = nested_epsilon_join(pts_a, pts_b, eps)
-        else:
-            raise ValueError(f"unknown epsilon-join strategy {strategy!r}")
-        schema = relation_a.schema.concat(
-            relation_b.schema, f"{table_a}_", f"{table_b}_"
-        )
-        return Relation(
-            f"epsjoin({table_a},{table_b})",
-            schema,
-            (rows_a[i] + rows_b[j] for i, j in pairs),
-        )
+        view, cache = self._answering(table, coord_cols)
+        return self._range_rows(table, coord_cols, box, view, cache)
 
     def join_points(
         self,
@@ -365,8 +150,8 @@ class Session:
         cursors *seek*, skipping whole subtrees between matches), a
         z-sorted set intersection otherwise."""
         self._check_open()
-        va = self._index_view(table_a, tuple(cols_a))
-        vb = self._index_view(table_b, tuple(cols_b))
+        va, _ = self._answering(table_a, cols_a)
+        vb, _ = self._answering(table_b, cols_b)
         # Sharded snapshot views have no single leaf chain to merge
         # over; fall through to the set intersection for those.
         if (
@@ -376,18 +161,11 @@ class Session:
             and hasattr(vb, "cursor")
         ):
             return self._merge_join(va, vb)
-        db = self._db
         points: List[set] = []
         for table, cols in ((table_a, cols_a), (table_b, cols_b)):
-            relation = db.catalog.relation(table)
-            cols_t = tuple(cols)
-            points.append(
-                {
-                    db._coords(relation, row, cols_t)
-                    for row in self._visible_rows(relation)
-                }
-            )
-        grid = db.grid
+            _, rows, coords = self._visible(table, cols)
+            points.append(set(map(coords, rows)))
+        grid = self._db.grid
         return sorted(
             points[0] & points[1], key=lambda p: grid.zvalue(p).bits
         )

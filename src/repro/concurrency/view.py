@@ -8,8 +8,8 @@ version, or the live base when the page was not dirtied since).
 The crucial trick is that :class:`~repro.storage.btree.BTreeCursor`
 only ever calls ``tree._leftmost_leaf_for`` and ``tree._load_leaf`` on
 the tree it wraps — so a tiny adapter over the frozen graph lets the
-*unmodified* merge algorithms (``range_search``, ``range_search_bigmin``,
-``object_search``) run against a historical state.  Query results are
+*unmodified* merge algorithms (``range_search``, ``object_search``,
+``scan_intervals``) run against a historical state.  Query results are
 :class:`~repro.storage.prefix_btree.QueryResult` objects with the same
 cost accounting as live queries, so plans, traces and tests treat both
 identically.
@@ -18,21 +18,19 @@ identically.
 from __future__ import annotations
 
 import bisect
-import math
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.core.geometry import Box, ClassifyFn, circle_classifier
-from repro.core.rangesearch import (
-    MergeStats,
-    object_search,
-    range_search,
-    range_search_bigmin,
-    scan_intervals,
-)
+from repro.core.geometry import Box, ClassifyFn
+from repro.core.rangesearch import MergeStats
 from repro.obs.trace import current as _trace_current
 from repro.storage.btree import BTreeCursor, _InnerNode
 from repro.storage.page import Page
-from repro.storage.prefix_btree import QueryResult
+from repro.storage.prefix_btree import (
+    LeafChainReads,
+    ProximityReads,
+    QueryResult,
+    Search,
+)
 
 __all__ = ["FrozenIndex", "SnapshotTreeView", "ShardedSnapshotView"]
 
@@ -84,7 +82,7 @@ class _FrozenIndexReader:
         return page
 
 
-class SnapshotTreeView:
+class SnapshotTreeView(LeafChainReads):
     """Queries against one ZkdTree as of a pinned epoch.
 
     Entirely lock-free: the index graph was captured at pin time and
@@ -124,30 +122,26 @@ class SnapshotTreeView:
 
         return _FrozenIndexReader(self._frozen.root, read_leaf)
 
-    def cursor(
-        self, cow_stats: Optional[Dict[str, int]] = None
-    ) -> BTreeCursor:
+    def cursor(self) -> BTreeCursor:
         """A z-ordered cursor over the snapshot's leaf chain (the raw
         material for merge joins between two snapshot views)."""
-        reader = self._reader(cow_stats if cow_stats is not None else {})
-        return BTreeCursor(reader)  # type: ignore[arg-type]
+        return BTreeCursor(self._reader({}))  # type: ignore[arg-type]
 
-    def _finish(
-        self,
-        name: str,
-        attrs: Dict[str, Any],
-        matches: Tuple[Point, ...],
-        stats: MergeStats,
-        reader: _FrozenIndexReader,
-        cow_stats: Dict[str, int],
+    def _scan(
+        self, name: str, box: Optional[Box], search: Search
     ) -> QueryResult:
+        cow_stats: Dict[str, int] = {"cow.page_version_reads": 0}
+        reader = self._reader(cow_stats)
+        stats = MergeStats()
+        cursor = BTreeCursor(reader)  # type: ignore[arg-type]
+        matches = tuple(search(cursor, stats))
         touched = sorted(set(reader.leaf_accesses))
         records = sum(reader.record_counts[page_id] for page_id in touched)
         trace = _trace_current()
         if trace is not None:
-            with trace.span(name) as span:
-                for key, value in attrs.items():
-                    span.set(key, value)
+            with trace.span(f"snapshot.{name}") as span:
+                if box is not None:
+                    span.set("box", repr(box))
                 span.set("snapshot.epoch", self.epoch)
                 counters = {
                     "pages_accessed": len(touched),
@@ -170,111 +164,8 @@ class SnapshotTreeView:
             buffer_stats={},
         )
 
-    # -- queries ---------------------------------------------------------
 
-    def range_query(
-        self, box: Box, use_bigmin: bool = False, use_fast: bool = False
-    ) -> QueryResult:
-        cow_stats: Dict[str, int] = {"cow.page_version_reads": 0}
-        reader = self._reader(cow_stats)
-        stats = MergeStats()
-        cursor = BTreeCursor(reader)  # type: ignore[arg-type]
-        if use_bigmin:
-            matches = tuple(
-                range_search_bigmin(
-                    cursor, self.grid, box, stats, use_fast=use_fast
-                )
-            )
-        else:
-            matches = tuple(
-                range_search(
-                    cursor,
-                    self.grid,
-                    box,
-                    stats,
-                    use_fast=use_fast,
-                    decompose_cache=self._tree._decompose_cache,
-                )
-            )
-        return self._finish(
-            "snapshot.range_query",
-            {"box": repr(box)},
-            matches,
-            stats,
-            reader,
-            cow_stats,
-        )
-
-    def object_query(
-        self, classify: ClassifyFn, max_depth: Optional[int] = None
-    ) -> QueryResult:
-        cow_stats: Dict[str, int] = {"cow.page_version_reads": 0}
-        reader = self._reader(cow_stats)
-        stats = MergeStats()
-        cursor = BTreeCursor(reader)  # type: ignore[arg-type]
-        matches = tuple(
-            object_search(cursor, self.grid, classify, stats, max_depth)
-        )
-        return self._finish(
-            "snapshot.object_query", {}, matches, stats, reader, cow_stats
-        )
-
-    def within_distance(
-        self, center: Sequence[int], radius: float
-    ) -> QueryResult:
-        if radius < 0:
-            raise ValueError("radius must be non-negative")
-        return self.object_query(circle_classifier(tuple(center), radius))
-
-    def nearest_neighbours(
-        self, center: Sequence[int], k: int = 1
-    ) -> List[Point]:
-        """Snapshot-stable k-NN via the same doubling-radius reduction
-        as the live tree."""
-        if k < 1:
-            raise ValueError("k must be positive")
-        if len(self) == 0:
-            return []
-        center = tuple(center)
-        self.grid.validate_point(center)
-        k = min(k, len(self))
-        radius = 1.0
-        max_radius = self.grid.side * math.sqrt(self.grid.ndims)
-        candidates: List[Point] = []
-        while True:
-            candidates = list(self.within_distance(center, radius).matches)
-            if len(candidates) >= k or radius > max_radius:
-                break
-            radius *= 2
-
-        def distance2(p: Point) -> float:
-            return sum((a - b) ** 2 for a, b in zip(p, center))
-
-        candidates.sort(
-            key=lambda p: (distance2(p), self.grid.zvalue(p).bits)
-        )
-        return candidates[:k]
-
-    def interval_query(
-        self, intervals: Sequence[Tuple[int, int]]
-    ) -> Tuple[Tuple[Point, ...], ...]:
-        """Snapshot-stable residual scan: visible points in each
-        inclusive z interval (ascending, disjoint), one tuple per
-        interval.  Untraced — the cache front-end owns the span."""
-        return scan_intervals(self.cursor(), intervals)
-
-    def points(self) -> List[Point]:
-        """All points visible at the snapshot, in z order."""
-        out: List[Point] = []
-        cursor = self.cursor()
-        record = cursor.current
-        while record is not None:
-            out.append(record.payload)
-            record = cursor.step()
-        return out
-
-
-class ShardedSnapshotView:
+class ShardedSnapshotView(ProximityReads):
     """Snapshot view over a :class:`~repro.shard.store.ShardedSpatialStore`.
 
     Queries fan out serially over the per-shard snapshot views (shard
@@ -304,92 +195,38 @@ class ShardedSnapshotView:
     ) -> Tuple[Tuple[Point, ...], ...]:
         """Residual scan over the snapshot: same shard clipping as the
         live store, serial over the per-shard views."""
-        store = self._store
-        parts: List[List[Point]] = [[] for _ in intervals]
-        for shard_id, view in enumerate(self._views):
-            slo, shi = store.partitioner.interval(shard_id)
-            shard_intervals: List[Tuple[int, int]] = []
-            indices: List[int] = []
-            for index, (zlo, zhi) in enumerate(intervals):
-                if zhi < slo or zlo > shi:
-                    continue
-                shard_intervals.append((max(zlo, slo), min(zhi, shi)))
-                indices.append(index)
-            if not shard_intervals:
-                continue
-            for index, run in zip(
-                indices, view.interval_query(shard_intervals)
-            ):
-                parts[index].extend(run)
-        return tuple(tuple(part) for part in parts)
+        from repro.shard.store import scatter_intervals
 
-    def range_query(
-        self, box: Box, use_bigmin: bool = False, use_fast: bool = False
-    ) -> "Any":
-        from repro.shard.store import (
-            ShardedQueryResult,
-            _sum_merge_stats,
-            gather_in_z_order,
+        return scatter_intervals(
+            self._store.partitioner,
+            intervals,
+            lambda order, lists: [
+                self._views[shard_id].interval_query(shard_intervals)
+                for shard_id, shard_intervals in zip(order, lists)
+            ],
         )
+
+    def range_query(self, box: Box) -> "Any":
+        from repro.shard.store import gather_shard_results
 
         store = self._store
         hit = store.partitioner.prune(store._query_intervals(box))
-        results = [
-            self._views[shard_id].range_query(
-                box, use_bigmin=use_bigmin, use_fast=use_fast
-            )
-            for shard_id in hit
-        ]
-        matches = gather_in_z_order(
-            [store.partitioner.interval(sid)[0] for sid in hit],
-            [result.matches for result in results],
-        )
-        return ShardedQueryResult(
-            matches=matches,
-            pages_accessed=sum(r.pages_accessed for r in results),
-            records_on_pages=sum(r.records_on_pages for r in results),
-            merge=_sum_merge_stats(r.merge for r in results),
-            buffer_stats={},
-            shards_hit=tuple(hit),
-            shards_pruned=store.nshards - len(hit),
-            shard_results=tuple(results),
+        return gather_shard_results(
+            store.partitioner,
+            hit,
+            [self._views[shard_id].range_query(box) for shard_id in hit],
         )
 
     def object_query(
         self, classify: ClassifyFn, max_depth: Optional[int] = None
     ) -> "Any":
-        from repro.shard.store import (
-            ShardedQueryResult,
-            _sum_merge_stats,
-            gather_in_z_order,
-        )
+        from repro.shard.store import gather_shard_results
 
-        store = self._store
-        hit = list(range(store.nshards))
-        results = [
-            view.object_query(classify, max_depth) for view in self._views
-        ]
-        matches = gather_in_z_order(
-            [store.partitioner.interval(sid)[0] for sid in hit],
-            [result.matches for result in results],
+        return gather_shard_results(
+            self._store.partitioner,
+            list(range(len(self._views))),
+            [view.object_query(classify, max_depth) for view in self._views],
         )
-        return ShardedQueryResult(
-            matches=matches,
-            pages_accessed=sum(r.pages_accessed for r in results),
-            records_on_pages=sum(r.records_on_pages for r in results),
-            merge=_sum_merge_stats(r.merge for r in results),
-            buffer_stats={},
-            shards_hit=tuple(hit),
-            shards_pruned=0,
-            shard_results=tuple(results),
-        )
-
-    def within_distance(
-        self, center: Sequence[int], radius: float
-    ) -> "Any":
-        if radius < 0:
-            raise ValueError("radius must be non-negative")
-        return self.object_query(circle_classifier(tuple(center), radius))
 
     def points(self) -> List[Point]:
         """All visible points in global z order (shards are disjoint

@@ -24,10 +24,11 @@ tight scalar loop that is still several times faster than the
 reference because it makes no per-bit function calls.
 
 Both paths are verified bit-for-bit against the reference
-implementation by ``tests/test_fastz_differential.py``; the consumers
-that switched to this module keep the reference path reachable behind
-their ``use_fast`` flags so the differential harness can always compare
-the two.
+implementation by ``tests/test_fastz_differential.py``, so they are the
+only shuffle production code runs; the scalar
+:mod:`repro.core.interleave` and :meth:`Grid.zvalue` stay as the
+oracles that suite (and ``tests/test_fastz_oracle.py``) compares
+against.
 
 On top of the kernels sit two front-ends for the other hot spot, box
 decomposition:
@@ -37,8 +38,11 @@ decomposition:
   values, so the cache is exact);
 * :class:`CachedBoxElementCursor` — a seekable element cursor over the
   cached, fully materialised decomposition, API-compatible with
-  :class:`repro.core.decompose.BoxElementCursor` so the range-search
-  merge can run against either.
+  :class:`repro.core.decompose.BoxElementCursor`.  The range-search
+  merge takes it only for a box its store's :class:`DecomposeCache`
+  already holds; an unseen box keeps the lazy cursor, because
+  materialising a fresh decomposition costs about as much as the whole
+  query it would serve.
 """
 
 from __future__ import annotations
@@ -608,6 +612,15 @@ class DecomposeCache:
         value = (elements, tuple(e.zhi for e in elements))
         self._put(key, value)
         return value
+
+    def peek(
+        self, grid: Grid, box: Box
+    ) -> Optional[Tuple[Tuple[Element, ...], Tuple[int, ...]]]:
+        """What :meth:`box_elements` would return for ``box`` if an
+        earlier caller already materialised it, else ``None`` — never
+        decomposes, inserts or counts."""
+        with self._lock:
+            return self._data.get(("e", grid, box, None))
 
     def clear(self) -> None:
         """Drop every entry and reset the hit/miss counters."""

@@ -41,6 +41,7 @@ from typing import (
 
 from repro.core.deadline import check_deadline
 from repro.core.decompose import BoxElementCursor, Element
+from repro.core.fastz import CachedBoxElementCursor, interleave_many
 from repro.core.geometry import Box, ClassifyFn, Grid
 from repro.core.zorder import bigmin, box_zbounds, zcode_in_box
 from repro.obs.trace import current as _trace_current
@@ -165,26 +166,17 @@ def _publish_merge(span_name: str, counters: dict) -> None:
 def build_point_sequence(
     grid: Grid,
     points: Iterable[Sequence[int]],
-    use_fast: bool = True,
 ) -> List[PointRecord[Tuple[int, ...]]]:
     """Step 1 of the algorithm: shuffle every point and sort by z.
 
     The payload is the point's coordinate tuple (standing in for "a
-    description of the point (e.g. the identifier)").  ``use_fast``
-    shuffles the whole batch through the table kernels of
-    :mod:`repro.core.fastz`; the result is bit-identical to the scalar
-    path, which stays available for the differential tests.
+    description of the point (e.g. the identifier)").  The whole batch
+    goes through the table kernels of :mod:`repro.core.fastz`, which
+    are bit-identical to the scalar :meth:`Grid.zvalue`.
     """
-    if use_fast:
-        from repro.core.fastz import interleave_many
-
-        pts = [tuple(p) for p in points]
-        codes = interleave_many(pts, grid.depth, grid.ndims)
-        records = [PointRecord(z, p) for z, p in zip(codes, pts)]
-    else:
-        records = [
-            PointRecord(grid.zvalue(p).bits, tuple(p)) for p in points
-        ]
+    pts = [tuple(p) for p in points]
+    codes = interleave_many(pts, grid.depth, grid.ndims)
+    records = [PointRecord(z, p) for z, p in zip(codes, pts)]
     records.sort(key=lambda r: r.z)
     return records
 
@@ -249,26 +241,29 @@ def range_search(
     grid: Grid,
     box: Box,
     stats: Optional[MergeStats] = None,
-    use_fast: bool = False,
     decompose_cache: Optional[Any] = None,
 ) -> Iterator[T]:
     """Optimized merge for a box query: lazy box decomposition +
     bidirectional skipping.  Yields all points inside ``box`` in z order.
 
-    With ``use_fast`` the box's decomposition comes from the LRU-cached
-    front-end of :mod:`repro.core.fastz` and element seeks are binary
-    searches over the materialised sequence; repeated queries with the
-    same box skip decomposition entirely.  Results are identical; only
-    ``stats.elements_generated`` differs (a cache hit expands nothing).
-    ``decompose_cache`` selects the store-owned
-    :class:`~repro.core.fastz.DecomposeCache` serving those hits (the
-    per-grid default when ``None``).
+    The element stream is lazy by default: a box nobody has decomposed
+    yet costs only the elements the merge actually reaches, and the
+    full decomposition of a fresh box is most of a whole query.  When
+    ``decompose_cache`` (the store's
+    :class:`~repro.core.fastz.DecomposeCache`) already holds the box —
+    a result cache, batcher or shard coordinator decomposed it before
+    scanning — element seeks are binary searches over that materialised
+    sequence instead.  Results are identical; only
+    ``stats.elements_generated`` differs (a held box expands nothing).
     """
-    if use_fast:
-        from repro.core.fastz import CachedBoxElementCursor
-
+    clipped = box.clipped_to(grid.whole_space())
+    if (
+        decompose_cache is not None
+        and clipped is not None
+        and decompose_cache.peek(grid, clipped) is not None
+    ):
         cursor: ElementCursorLike = CachedBoxElementCursor(
-            grid, box, cache=decompose_cache
+            grid, clipped, cache=decompose_cache
         )
     else:
         cursor = BoxElementCursor(grid, box)
@@ -377,14 +372,9 @@ def range_search_bigmin(
     grid: Grid,
     box: Box,
     stats: Optional[MergeStats] = None,
-    use_fast: bool = True,
 ) -> Iterator[T]:
     """Decomposition-free variant: test each candidate point directly
-    against the box and jump with BIGMIN on a miss.
-
-    The seek loop unshuffles one candidate per examined point;
-    ``use_fast`` routes that through the magic-number kernel
-    (bit-identical — same matches, same seeks, same stats)."""
+    against the box and jump with BIGMIN on a miss."""
     clipped = box.clipped_to(grid.whole_space())
     if clipped is None:
         return
@@ -397,7 +387,7 @@ def range_search_bigmin(
             if stats:
                 stats.points_examined += 1
                 stats.records_scanned += 1
-            if zcode_in_box(p.z, clipped, grid.depth, use_fast=use_fast):
+            if zcode_in_box(p.z, clipped, grid.depth):
                 if stats:
                     stats.matches += 1
                 yield p.payload

@@ -15,8 +15,9 @@ generalized to any number of dimensions.
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Tuple
 
+from repro.core.fastz import deinterleave_fast, deinterleave_many
 from repro.core.geometry import Box, Grid
 from repro.core.interleave import interleave
 
@@ -35,8 +36,6 @@ def curve_points(grid: Grid) -> List[Tuple[int, ...]]:
 
     Exponential in the grid size; intended for figures and tests.
     """
-    from repro.core.fastz import deinterleave_many
-
     return deinterleave_many(
         range(grid.npixels), grid.ndims, grid.depth
     )
@@ -61,24 +60,9 @@ def box_zbounds(box: Box, depth: int) -> Tuple[int, int]:
     )
 
 
-def zcode_in_box(
-    code: int, box: Box, depth: int, use_fast: bool = False
-) -> bool:
-    """Does the pixel with z code ``code`` lie inside ``box``?
-
-    With ``use_fast`` the coordinates are recovered by the magic-number
-    unshuffle of :mod:`repro.core.fastz` (bit-identical to the
-    reference; kept switchable for the differential harness).
-    """
-    if use_fast:
-        from repro.core.fastz import deinterleave_fast
-
-        coords: Sequence[int] = deinterleave_fast(code, box.ndims, depth)
-    else:
-        from repro.core.interleave import deinterleave
-
-        coords = deinterleave(code, box.ndims, depth)
-    return box.contains_point(coords)
+def zcode_in_box(code: int, box: Box, depth: int) -> bool:
+    """Does the pixel with z code ``code`` lie inside ``box``?"""
+    return box.contains_point(deinterleave_fast(code, box.ndims, depth))
 
 
 def _dim_mask(position: int, ndims: int, total: int) -> Tuple[int, int]:

@@ -18,16 +18,17 @@ from typing import Any, Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.geometry import Box, Grid
 from repro.db.catalog import Catalog, IndexEntry
+from repro.db.readpath import SpatialReads
 from repro.db.relation import Relation, VersionedRelation
 from repro.db.schema import Schema
 from repro.db.spatial import overlap_query, range_search_plan
 from repro.storage.buffer import ReplacementPolicy
-from repro.storage.prefix_btree import QueryResult, ZkdTree
+from repro.storage.prefix_btree import ZkdTree
 
 __all__ = ["SpatialDatabase"]
 
 
-class SpatialDatabase:
+class SpatialDatabase(SpatialReads):
     """A small object-oriented DBMS with built-in approximate geometry.
 
     >>> from repro.db.types import OID, INTEGER
@@ -371,15 +372,26 @@ class SpatialDatabase:
         return None
 
     # ------------------------------------------------------------------
-    # Queries
+    # Queries: live rows, live index trees, no epoch.  proximity_query,
+    # knn_query, epsilon_join and range_query_stats are SpatialReads'.
     # ------------------------------------------------------------------
+
+    def _reading(self) -> Tuple[Any, Optional[int]]:
+        return self, None
+
+    def _answering(
+        self, table: str, cols: Sequence[str]
+    ) -> Tuple[Any, Any]:
+        entry = self._index_for(table, cols)
+        if entry is None:
+            raise ValueError(f"no index on {table}({', '.join(cols)})")
+        return entry.tree, entry.cache
 
     def range_query(
         self,
         table: str,
         coord_cols: Sequence[str],
         box: Box,
-        use_fast: bool = True,
     ) -> Relation:
         """Rows of ``table`` whose coordinates fall inside ``box``.
 
@@ -388,14 +400,10 @@ class SpatialDatabase:
         is estimated cheaper, a scan otherwise; without an index the
         relational spatial-join plan of Section 4 evaluates the query.
         Use :meth:`explain_range_query` to see the decision.
-        ``use_fast`` runs the chosen plan on the batch z-kernels of
-        :mod:`repro.core.fastz`; rows are identical either way.
         """
         from repro.db.planner import plan_range_query
 
-        return plan_range_query(
-            self, table, coord_cols, box, use_fast=use_fast
-        ).execute()
+        return plan_range_query(self, table, coord_cols, box).execute()
 
     def explain_range_query(
         self,
@@ -408,106 +416,21 @@ class SpatialDatabase:
 
         return plan_range_query(self, table, coord_cols, box).explain()
 
-    # -- execution methods used by the planner ---------------------------
-
-    def _filter_rows(
-        self, table: str, cols: Tuple[str, ...], matched: set, name: str
-    ) -> Relation:
-        relation = self.catalog.relation(table)
-        out = Relation(name, relation.schema)
-        for row in relation:
-            if self._coords(relation, row, cols) in matched:
-                out.insert(row)
-        return out
-
-    def _range_query_via_index(
-        self, entry: IndexEntry, table: str, box: Box, use_fast: bool = True
-    ) -> Relation:
-        if entry.cache is not None:
-            from repro.cache import cached_range_matches
-
-            matched = set(
-                cached_range_matches(
-                    entry.cache,
-                    entry.tree,
-                    self.grid,
-                    box,
-                    use_fast=use_fast,
-                )
-            )
-        else:
-            matched = set(
-                entry.tree.range_query(box, use_fast=use_fast).matches
-            )
-        return self._filter_rows(
-            table, entry.coord_cols, matched, f"range({table})"
-        )
-
-    def _range_query_via_scan(
-        self, table: str, coord_cols: Sequence[str], box: Box
-    ) -> Relation:
-        relation = self.catalog.relation(table)
-        cols = tuple(coord_cols)
-        out = Relation(f"range({table})", relation.schema)
-        for row in relation:
-            if box.contains_point(self._coords(relation, row, cols)):
-                out.insert(row)
-        return out
+    # -- the planner's no-index fallback (index and scan plans run
+    # -- SpatialReads._range_rows directly) ------------------------------
 
     def _range_query_via_plan(
         self,
         table: str,
         coord_cols: Sequence[str],
         box: Box,
-        use_fast: bool = True,
     ) -> Relation:
-        relation = self.catalog.relation(table)
         plan = range_search_plan(
-            relation, list(coord_cols), box, self.grid, use_fast=use_fast
+            self.catalog.relation(table), list(coord_cols), box, self.grid
         )
-        return self._filter_rows(
-            table, tuple(coord_cols), set(plan.rows), f"range({table})"
+        return self._matched_relation(
+            f"range({table})", table, coord_cols, plan.rows
         )
-
-    def range_query_stats(
-        self,
-        table: str,
-        coord_cols: Sequence[str],
-        box: Box,
-    ) -> QueryResult:
-        """Index-only range query returning the paper's cost measures.
-
-        Requires an index on ``coord_cols``.
-        """
-        entry = self._index_for(table, coord_cols)
-        if entry is None:
-            raise ValueError(
-                f"no index on {table}({', '.join(coord_cols)})"
-            )
-        return entry.tree.range_query(box)
-
-    def proximity_query(
-        self,
-        table: str,
-        coord_cols: Sequence[str],
-        center: Sequence[int],
-        radius: float,
-    ) -> Relation:
-        """Rows within Euclidean ``radius`` of ``center`` — Section 6's
-        proximity queries, translated into an overlap query against a
-        ball.  Requires a matching index."""
-        entry = self._index_for(table, coord_cols)
-        if entry is None:
-            raise ValueError(
-                f"no index on {table}({', '.join(coord_cols)})"
-            )
-        relation = self.catalog.relation(table)
-        matched = set(entry.tree.within_distance(center, radius).matches)
-        out = Relation(f"near({table})", relation.schema)
-        for row in relation:
-            if self._coords(relation, row, entry.coord_cols) in matched:
-                out.insert(row)
-        return out
 
     def nearest_neighbours(
         self,
@@ -517,128 +440,11 @@ class SpatialDatabase:
         k: int = 1,
     ) -> Relation:
         """The ``k`` rows nearest to ``center``.  Requires an index."""
-        entry = self._index_for(table, coord_cols)
-        if entry is None:
-            raise ValueError(
-                f"no index on {table}({', '.join(coord_cols)})"
-            )
-        relation = self.catalog.relation(table)
-        ranked = entry.tree.nearest_neighbours(center, k)
-        rank = {point: i for i, point in enumerate(ranked)}
-        rows = sorted(
-            (
-                row
-                for row in relation
-                if self._coords(relation, row, entry.coord_cols) in rank
-            ),
-            key=lambda row: rank[
-                self._coords(relation, row, entry.coord_cols)
-            ],
-        )[:k]
-        return Relation(f"knn({table})", relation.schema, rows)
-
-    def knn_query(
-        self,
-        table: str,
-        coord_cols: Sequence[str],
-        center: Sequence[int],
-        k: int = 1,
-        mode: str = "exact",
-    ) -> Relation:
-        """The ``k`` rows nearest ``center`` via the shifted-ordering
-        k-NN operator of :mod:`repro.proximity` (requires an index).
-
-        Distinct nearest points are fetched first, then their rows are
-        gathered in point rank order (relation order within a point), so
-        the result is byte-identical to stable-sorting every row by
-        ``(distance^2, z code)`` and truncating — whatever store backs
-        the index.  ``mode="approx"`` skips the refinement box query and
-        is only guaranteed within the proven approximation factor.
-        """
-        from repro.proximity import knn as knn_points
-
-        entry = self._index_for(table, coord_cols)
-        if entry is None:
-            raise ValueError(
-                f"no index on {table}({', '.join(coord_cols)})"
-            )
-        relation = self.catalog.relation(table)
-        ranked = knn_points(entry.tree, self.grid, center, k, mode=mode)
-        rank = {point: i for i, point in enumerate(ranked)}
-        rows = sorted(
-            (
-                row
-                for row in relation
-                if self._coords(relation, row, entry.coord_cols) in rank
-            ),
-            key=lambda row: rank[
-                self._coords(relation, row, entry.coord_cols)
-            ],
-        )[:k]
-        return Relation(f"knn({table})", relation.schema, rows)
-
-    def epsilon_join(
-        self,
-        table_a: str,
-        cols_a: Sequence[str],
-        table_b: str,
-        cols_b: Sequence[str],
-        eps: float,
-        strategy: Optional[str] = None,
-    ) -> Relation:
-        """All row pairs of ``table_a`` x ``table_b`` whose coordinate
-        points lie within Euclidean ``eps`` — the cross-match join.
-
-        ``strategy`` forces ``"zones"``, ``"z-merge"`` or
-        ``"nested-loop"``; by default the planner's
-        :func:`~repro.db.planner.choose_epsilon_strategy` cost model
-        picks (all three produce identical rows).  Output columns are
-        qualified ``{table}_{column}``; rows are sorted canonically by
-        ``(point_a, point_b, ordinal_a, ordinal_b)``.
-        """
-        from repro.db.planner import choose_epsilon_strategy
-        from repro.proximity import (
-            nested_epsilon_join,
-            zmerge_epsilon_join,
-            zones_epsilon_join,
-        )
-
-        relation_a = self.catalog.relation(table_a)
-        relation_b = self.catalog.relation(table_b)
-        pts_a = [
-            self._coords(relation_a, row, tuple(cols_a))
-            for row in relation_a
-        ]
-        pts_b = [
-            self._coords(relation_b, row, tuple(cols_b))
-            for row in relation_b
-        ]
-        if strategy is None:
-            strategy, _ = choose_epsilon_strategy(
-                len(pts_a), len(pts_b), eps, self.grid
-            )
-        if strategy == "zones":
-            pairs = zones_epsilon_join(pts_a, pts_b, eps)
-        elif strategy == "z-merge":
-            pairs = zmerge_epsilon_join(self.grid, pts_a, pts_b, eps)
-        elif strategy == "nested-loop":
-            pairs = nested_epsilon_join(pts_a, pts_b, eps)
-        else:
-            raise ValueError(f"unknown epsilon-join strategy {strategy!r}")
-        self.planner_stats["planner.eps_joins"] = (
-            self.planner_stats.get("planner.eps_joins", 0) + 1
-        )
-        key = f"planner.eps_strategy[{strategy}]"
-        self.planner_stats[key] = self.planner_stats.get(key, 0) + 1
-        rows_a = list(relation_a)
-        rows_b = list(relation_b)
-        schema = relation_a.schema.concat(
-            relation_b.schema, f"{table_a}_", f"{table_b}_"
-        )
-        return Relation(
-            f"epsjoin({table_a},{table_b})",
-            schema,
-            (rows_a[i] + rows_b[j] for i, j in pairs),
+        return self._ranked_rows(
+            table,
+            coord_cols,
+            k,
+            lambda tree: tree.nearest_neighbours(center, k),
         )
 
     def overlap_query(

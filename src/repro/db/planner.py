@@ -110,14 +110,11 @@ def plan_range_query(
     table: str,
     coord_cols: Sequence[str],
     box: Box,
-    use_fast: bool = True,
 ) -> Plan:
     """Choose between the zkd index and a full scan by predicted pages.
 
     Falls back to the relational plan (counted as a scan) when no index
-    matches.  ``use_fast`` threads the batch z-kernels of
-    :mod:`repro.core.fastz` through the chosen plan's shuffle and
-    decomposition steps (identical rows either way).
+    matches.
     """
     relation = database.catalog.relation(table)
     grid = database.grid
@@ -137,7 +134,7 @@ def plan_range_query(
             alternative_pages=float("inf"),
             estimated_rows=selectivity * len(relation),
             _execute=lambda: database._range_query_via_plan(
-                table, coord_cols, box, use_fast=use_fast
+                table, coord_cols, box
             ),
         )
 
@@ -171,8 +168,8 @@ def plan_range_query(
             alternative_pages=scan_pages,
             estimated_rows=estimated_rows,
             cached=entry.cache is not None,
-            _execute=lambda: database._range_query_via_index(
-                entry, table, box, use_fast=use_fast
+            _execute=lambda: database._range_rows(
+                table, entry.coord_cols, box, entry.tree, entry.cache
             ),
         )
     return Plan(
@@ -183,9 +180,7 @@ def plan_range_query(
         estimated_pages=scan_pages,
         alternative_pages=index_pages,
         estimated_rows=estimated_rows,
-        _execute=lambda: database._range_query_via_scan(
-            table, coord_cols, box
-        ),
+        _execute=lambda: database._range_rows(table, coord_cols, box),
     )
 
 
@@ -306,6 +301,18 @@ def order_conjuncts(
     return window, filters, moved
 
 
+def bump_planner_stat(stats: Optional[dict], key: str, n: float = 1) -> None:
+    """Add ``n`` to a ``planner.*`` tally — in ``stats`` (a database's
+    ``planner_stats``, when it keeps one) and on the active trace."""
+    if not n:
+        return
+    if stats is not None:
+        stats[key] = stats.get(key, 0) + n
+    trace = _trace_current()
+    if trace is not None:
+        trace.add(key, n)
+
+
 @dataclass
 class SelectPlan:
     """An ordered multi-predicate plan: one access path plus a chain of
@@ -325,12 +332,7 @@ class SelectPlan:
     _stats: Any = None  # database.planner_stats, when present
 
     def _bump(self, key: str, n: float = 1) -> None:
-        if n and self._stats is not None:
-            self._stats[key] = self._stats.get(key, 0) + n
-        if n:
-            trace = _trace_current()
-            if trace is not None:
-                trace.add(key, n)
+        bump_planner_stat(self._stats, key, n)
 
     def execute(self) -> Relation:
         trace = _trace_current()
@@ -433,7 +435,6 @@ def plan_select(
     conjuncts: Sequence[Conjunct],
     reorder: bool = True,
     target: Any = None,
-    use_fast: bool = True,
 ) -> SelectPlan:
     """Build a :class:`SelectPlan` over ``conjuncts``.
 
@@ -479,8 +480,7 @@ def plan_select(
         window_rows = None
         if target is database:
             access = plan_range_query(
-                database, table, window.coord_cols, window.box,
-                use_fast=use_fast,
+                database, table, window.coord_cols, window.box
             )
             plan.access = access
             plan.access_label = access.method

@@ -1,0 +1,368 @@
+"""How a z-scan's matches become result rows at an epoch.
+
+Every spatial read of the database, of a snapshot session and of the
+server is the same two steps — a point store answers with matching
+*coordinates*, and those are joined back to the rows visible to the
+reader (Gray et al.: every spatial predicate is a range lookup joined
+back through the clustered key).  The readers differ only in *which
+rows are visible, which store answers, at which epoch*:
+:class:`SpatialReads` writes each read once over those three things,
+and the primitives under it — the coordinate→rows rejoin, the rank→rows
+gather of the k-NN operators, the row-scan fallback, the eps-join over
+two row sets — exist here and nowhere else.
+"""
+
+from __future__ import annotations
+
+from operator import itemgetter
+from types import SimpleNamespace
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
+
+from repro.cache import cached_range_matches
+from repro.core.deadline import check_deadline
+from repro.core.geometry import Box, Grid
+from repro.db.planner import bump_planner_stat, choose_epsilon_strategy
+from repro.db.relation import Relation, VersionedRelation
+from repro.db.schema import Schema
+from repro.obs.trace import span as _span
+from repro.proximity import epsilon_join_pairs
+from repro.proximity import knn as knn_points
+
+__all__ = [
+    "RowStore",
+    "SpatialReads",
+    "coordinate_map",
+    "coords_getter",
+    "epsilon_join_rows",
+    "gather_ranked",
+    "rejoin",
+    "scan_rows",
+    "visible_rows",
+]
+
+Point = Tuple[int, ...]
+Row = Tuple[Any, ...]
+CoordsOf = Callable[[Row], Point]
+#: coords -> [(row position, row)], see :func:`coordinate_map`.
+RowMap = Dict[Point, List[Tuple[int, Row]]]
+
+
+def coords_getter(schema: Schema, cols: Sequence[str]) -> CoordsOf:
+    """``row -> coordinate tuple`` over the named columns."""
+    indices = [schema.index_of(c) for c in cols]
+    return lambda row: tuple(row[i] for i in indices)
+
+
+def visible_rows(relation: Relation, epoch: Optional[int] = None) -> List[Row]:
+    """The relation's rows as of ``epoch`` (``None``: the live state)."""
+    if epoch is not None and isinstance(relation, VersionedRelation):
+        return relation.rows_at(epoch)
+    return relation.rows
+
+
+def coordinate_map(rows: Iterable[Row], coords: CoordsOf) -> RowMap:
+    """The rejoin's index: built once over an immutable row set (a
+    pinned epoch's), it makes every later :func:`rejoin` O(matches)."""
+    mapping: RowMap = {}
+    for position, row in enumerate(rows):
+        mapping.setdefault(coords(row), []).append((position, row))
+    return mapping
+
+
+def rejoin(
+    rows: Iterable[Row],
+    coords: CoordsOf,
+    matched: Iterable[Point],
+    row_map: Optional[RowMap] = None,
+) -> List[Row]:
+    """The rows whose coordinates a store reported in ``matched``, in
+    relation order.  Scans ``rows`` unless their :func:`coordinate_map`
+    is supplied (then ``rows`` is not read)."""
+    wanted = set(matched)
+    if row_map is None:
+        return [row for row in rows if coords(row) in wanted]
+    hits: List[Tuple[int, Row]] = []
+    for point in wanted:
+        hits.extend(row_map.get(point, ()))
+    hits.sort(key=itemgetter(0))
+    return [row for _, row in hits]
+
+
+def gather_ranked(
+    rows: Iterable[Row], coords: CoordsOf, ranked: Sequence[Point], k: int
+) -> List[Row]:
+    """The first ``k`` rows in point-rank order (relation order within
+    a point) — byte-identical to stable-sorting every row by its
+    point's rank and truncating."""
+    rank = {point: i for i, point in enumerate(ranked)}
+    return sorted(
+        (row for row in rows if coords(row) in rank),
+        key=lambda row: rank[coords(row)],
+    )[:k]
+
+
+def scan_rows(rows: Iterable[Row], coords: CoordsOf, box: Box) -> List[Row]:
+    """No store answers: test every visible row against ``box``."""
+    out: List[Row] = []
+    for position, row in enumerate(rows):
+        if not position & 1023:
+            check_deadline("db.scan_rows")
+        if box.contains_point(coords(row)):
+            out.append(row)
+    return out
+
+
+def epsilon_join_rows(
+    database: Any,
+    rows_a: Sequence[Row],
+    coords_a: CoordsOf,
+    rows_b: Sequence[Row],
+    coords_b: CoordsOf,
+    eps: float,
+    strategy: Optional[str] = None,
+) -> List[Row]:
+    """Concatenated row pairs whose points lie within ``eps``, sorted
+    canonically by ``(point_a, point_b, ordinal_a, ordinal_b)``.
+    ``strategy=None`` lets the planner's cost model pick; either way
+    the join is tallied in ``database.planner_stats`` (and on the
+    active trace) exactly once."""
+    pts_a = [coords_a(row) for row in rows_a]
+    pts_b = [coords_b(row) for row in rows_b]
+    if strategy is None:
+        strategy, _ = choose_epsilon_strategy(
+            len(pts_a), len(pts_b), eps, database.grid
+        )
+    with _span(f"join[eps-{strategy}]") as span:
+        if span is not None:
+            span.set("eps", eps)
+            span.add("rows_in", len(rows_a) + len(rows_b))
+        pairs = epsilon_join_pairs(database.grid, pts_a, pts_b, eps, strategy)
+        rows = [rows_a[i] + rows_b[j] for i, j in pairs]
+        if span is not None:
+            span.add("rows_out", len(rows))
+    stats = getattr(database, "planner_stats", None)
+    bump_planner_stat(stats, "planner.eps_joins")
+    bump_planner_stat(stats, f"planner.eps_strategy[{strategy}]")
+    return rows
+
+
+class RowStore:
+    """A row set's distinct coordinates as a minimal point store — what
+    answers a session's proximity and k-NN reads when no index is
+    visible at its snapshot."""
+
+    def __init__(self, grid: Grid, points: Iterable[Point]) -> None:
+        self._grid = grid
+        self._points = set(points)
+
+    def __len__(self) -> int:
+        return len(self._points)
+
+    def points(self) -> List[Point]:
+        return sorted(self._points, key=lambda p: self._grid.zvalue(p).bits)
+
+    def _matching(self, keep: Callable[[Point], bool]) -> SimpleNamespace:
+        return SimpleNamespace(matches=[p for p in self._points if keep(p)])
+
+    def range_query(self, box: Box) -> SimpleNamespace:
+        return self._matching(box.contains_point)
+
+    def within_distance(
+        self, center: Sequence[int], radius: float
+    ) -> SimpleNamespace:
+        if radius < 0:
+            raise ValueError("radius must be non-negative")
+        limit = radius * radius
+        return self._matching(
+            lambda p: sum((a - b) ** 2 for a, b in zip(p, center)) <= limit
+        )
+
+
+class SpatialReads:
+    """The spatial reads of a database and of a snapshot session,
+    written once.
+
+    A reader supplies two hooks: :meth:`_reading` — the database and
+    the epoch whose rows it sees — and :meth:`_answering` — the point
+    store (with its result cache) that answers for an index.
+    """
+
+    def _reading(self) -> Tuple[Any, Optional[int]]:
+        """``(database, epoch)``; ``epoch=None`` reads the live rows."""
+        raise NotImplementedError
+
+    def _answering(
+        self, table: str, cols: Sequence[str]
+    ) -> Tuple[Any, Any]:
+        """``(store, result cache)`` of the index on ``table(cols)``;
+        ``(None, None)`` when the reader may fall back to its rows."""
+        raise NotImplementedError
+
+    def _visible(
+        self, table: str, cols: Sequence[str]
+    ) -> Tuple[Schema, List[Row], CoordsOf]:
+        database, epoch = self._reading()
+        relation = database.catalog.relation(table)
+        return (
+            relation.schema,
+            visible_rows(relation, epoch),
+            coords_getter(relation.schema, cols),
+        )
+
+    def _matched_relation(
+        self,
+        name: str,
+        table: str,
+        cols: Sequence[str],
+        matched: Iterable[Point],
+    ) -> Relation:
+        schema, rows, coords = self._visible(table, cols)
+        return Relation(name, schema, rejoin(rows, coords, matched))
+
+    def _range_rows(
+        self,
+        table: str,
+        cols: Sequence[str],
+        box: Box,
+        store: Any = None,
+        cache: Any = None,
+    ) -> Relation:
+        """Rows inside ``box``: a z-scan of ``store`` plus rejoin, or a
+        row scan without one.  A store carrying a semantic result
+        ``cache`` is read through it: the cache consults only entries
+        valid at the reader's epoch and scans the same store, so rows
+        equal the uncached read by construction."""
+        if store is None:
+            schema, rows, coords = self._visible(table, cols)
+            return Relation(
+                f"range({table})", schema, scan_rows(rows, coords, box)
+            )
+        if cache is not None:
+            database, epoch = self._reading()
+            matched = cached_range_matches(
+                cache, store, database.grid, box, epoch=epoch
+            )
+        else:
+            matched = store.range_query(box).matches
+        return self._matched_relation(f"range({table})", table, cols, matched)
+
+    def _ranked_rows(
+        self,
+        table: str,
+        cols: Sequence[str],
+        k: int,
+        rank: Callable[[Any], Sequence[Point]],
+    ) -> Relation:
+        """The first ``k`` rows by the nearest-first distinct points
+        ``rank(store)`` reports."""
+        database, _ = self._reading()
+        store, _ = self._answering(table, cols)
+        schema, rows, coords = self._visible(table, cols)
+        if store is None:
+            store = RowStore(database.grid, map(coords, rows))
+        return Relation(
+            f"knn({table})",
+            schema,
+            gather_ranked(rows, coords, rank(store), k),
+        )
+
+    def range_query_stats(
+        self, table: str, coord_cols: Sequence[str], box: Box
+    ) -> Any:
+        """Index-only range query returning the paper's cost measures
+        (requires an index the reader can see)."""
+        self._reading()  # a closed session raises here
+        store, _ = self._answering(table, coord_cols)
+        if store is None:
+            raise ValueError(
+                f"no snapshot-visible index on "
+                f"{table}({', '.join(coord_cols)})"
+            )
+        return store.range_query(box)
+
+    def proximity_query(
+        self,
+        table: str,
+        coord_cols: Sequence[str],
+        center: Sequence[int],
+        radius: float,
+    ) -> Relation:
+        """Rows within Euclidean ``radius`` of ``center`` — Section 6's
+        proximity queries, translated into an overlap query against a
+        ball."""
+        database, _ = self._reading()
+        store, _ = self._answering(table, coord_cols)
+        schema, rows, coords = self._visible(table, coord_cols)
+        if store is None:
+            store = RowStore(database.grid, map(coords, rows))
+        matched = store.within_distance(tuple(center), radius).matches
+        return Relation(
+            f"near({table})", schema, rejoin(rows, coords, matched)
+        )
+
+    def knn_query(
+        self,
+        table: str,
+        coord_cols: Sequence[str],
+        center: Sequence[int],
+        k: int = 1,
+        mode: str = "exact",
+    ) -> Relation:
+        """The ``k`` rows nearest ``center`` via the shifted-ordering
+        k-NN operator of :mod:`repro.proximity`.
+
+        Distinct nearest points are fetched first, then their rows are
+        gathered in point rank order (relation order within a point), so
+        the result is byte-identical to stable-sorting every row by
+        ``(distance^2, z code)`` and truncating — whatever store
+        answers: a live index, a frozen snapshot view, or (a session
+        with no index visible at its pin) the visible row set itself.
+        ``mode="approx"`` skips the refinement box query and is only
+        guaranteed within the proven approximation factor.
+        """
+        grid = self._reading()[0].grid
+        return self._ranked_rows(
+            table,
+            coord_cols,
+            k,
+            lambda store: knn_points(store, grid, center, k, mode=mode),
+        )
+
+    def epsilon_join(
+        self,
+        table_a: str,
+        cols_a: Sequence[str],
+        table_b: str,
+        cols_b: Sequence[str],
+        eps: float,
+        strategy: Optional[str] = None,
+    ) -> Relation:
+        """All row pairs of ``table_a`` x ``table_b`` whose coordinate
+        points lie within Euclidean ``eps`` — the cross-match join.
+
+        ``strategy`` forces ``"zones"``, ``"z-merge"`` or
+        ``"nested-loop"``; by default the planner's
+        :func:`~repro.db.planner.choose_epsilon_strategy` cost model
+        picks (all three produce identical rows).  Output columns are
+        qualified ``{table}_{column}``; rows are sorted canonically by
+        ``(point_a, point_b, ordinal_a, ordinal_b)``.
+        """
+        database, _ = self._reading()
+        schema_a, rows_a, coords_a = self._visible(table_a, cols_a)
+        schema_b, rows_b, coords_b = self._visible(table_b, cols_b)
+        return Relation(
+            f"epsjoin({table_a},{table_b})",
+            schema_a.concat(schema_b, f"{table_a}_", f"{table_b}_"),
+            epsilon_join_rows(
+                database, rows_a, coords_a, rows_b, coords_b, eps, strategy
+            ),
+        )

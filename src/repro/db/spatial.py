@@ -18,7 +18,12 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from repro.core.decompose import Element, decompose, decompose_box
+from repro.core.decompose import decompose
+from repro.core.fastz import (
+    decompose_box_cached,
+    elements_many,
+    interleave_many,
+)
 from repro.core.geometry import Box, Grid
 from repro.core.spatialjoin import spatial_join as _join_kernel
 from repro.core.zvalue import ZValue
@@ -85,14 +90,10 @@ def shuffle_points(
     grid: Grid,
     element_col: str = "zp",
     name: str = "",
-    use_fast: bool = True,
 ) -> Relation:
     """Add a full-resolution element column computed by shuffling the
     coordinate columns — the plan step
-    ``P := Points[p@, shuffle([x:x, y:y]), x, y]``.
-
-    ``use_fast`` shuffles the whole column batch through the table
-    kernels of :mod:`repro.core.fastz` (bit-identical z values)."""
+    ``P := Points[p@, shuffle([x:x, y:y]), x, y]``."""
     if len(coord_cols) != grid.ndims:
         raise ValueError(
             f"need {grid.ndims} coordinate columns, got {len(coord_cols)}"
@@ -104,22 +105,15 @@ def shuffle_points(
 
     def build() -> Relation:
         out = Relation(name or f"shuffle({relation.name})", schema)
-        if use_fast:
-            from repro.core.fastz import interleave_many
-
-            rows = list(relation)
-            codes = interleave_many(
-                [tuple(row[i] for i in indices) for row in rows],
-                grid.depth,
-                grid.ndims,
-            )
-            total = grid.total_bits
-            for row, code in zip(rows, codes):
-                out.insert(row + (ZValue(code, total),))
-            return out
-        for row in relation:
-            coords = tuple(row[i] for i in indices)
-            out.insert(row + (grid.zvalue(coords),))
+        rows = list(relation)
+        codes = interleave_many(
+            [tuple(row[i] for i in indices) for row in rows],
+            grid.depth,
+            grid.ndims,
+        )
+        total = grid.total_bits
+        for row, code in zip(rows, codes):
+            out.insert(row + (ZValue(code, total),))
         return out
 
     return _traced_build("op.shuffle", len(relation), build)
@@ -130,22 +124,15 @@ def decompose_box_relation(
     grid: Grid,
     element_col: str = "zb",
     name: str = "B",
-    use_fast: bool = True,
 ) -> Relation:
-    """``B(zb) := Decompose(Box)`` — the query region as a relation.
-
-    ``use_fast`` serves the decomposition from the LRU cache of
-    :mod:`repro.core.fastz` (identical elements; repeated query boxes
+    """``B(zb) := Decompose(Box)`` — the query region as a relation,
+    served from the per-grid decomposition cache (repeated query boxes
     skip the splitting recursion)."""
     def build() -> Relation:
-        if use_fast:
-            from repro.core.fastz import decompose_box_cached
-
-            zvalues: Sequence[ZValue] = decompose_box_cached(grid, box)
-        else:
-            zvalues = decompose_box(grid, box)
         schema = Schema([Column(element_col, ELEMENT)])
-        return Relation(name, schema, ((z,) for z in zvalues))
+        return Relation(
+            name, schema, ((z,) for z in decompose_box_cached(grid, box))
+        )
 
     return _traced_build("op.decompose_box", 0, build)
 
@@ -157,7 +144,6 @@ def spatial_join(
     right_element_col: str,
     grid: Grid,
     name: str = "",
-    use_fast: bool = True,
     partitioner=None,
     executor=None,
 ) -> Relation:
@@ -167,8 +153,6 @@ def spatial_join(
     The output schema is the concatenation of both inputs' schemas (the
     right side's colliding names prefixed), exactly like a natural-join
     implementation "looking for containment ... instead of equality".
-    ``use_fast`` computes both sides' z-intervals in one batch loop
-    (:func:`repro.core.fastz.elements_many`) before the sweep.
 
     With a :class:`~repro.shard.partition.ZRangePartitioner` the sweep
     runs shard-parallel (:func:`repro.shard.join.sharded_spatial_join`)
@@ -178,22 +162,9 @@ def spatial_join(
     lidx = left.schema.index_of(left_element_col)
     ridx = right.schema.index_of(right_element_col)
 
-    if use_fast:
-        from repro.core.fastz import elements_many
-
-        def tagged(relation: Relation, index: int):
-            rows = list(relation)
-            elements = elements_many(
-                grid, (row[index] for row in rows)
-            )
-            return zip(elements, rows)
-
-    else:
-
-        def tagged(relation: Relation, index: int):
-            for row in relation:
-                zvalue: ZValue = row[index]
-                yield Element.of(zvalue, grid), row
+    def tagged(relation: Relation, index: int):
+        rows = list(relation)
+        return zip(elements_many(grid, (row[index] for row in rows)), rows)
 
     collisions = set(left.schema.names) & set(right.schema.names)
     right_schema = (
@@ -271,18 +242,11 @@ def range_search_plan(
     coord_cols: Sequence[str],
     box: Box,
     grid: Grid,
-    use_fast: bool = True,
 ) -> Relation:
     """Range search expressed as a spatial join (end of Section 4):
     shuffle the points, decompose the box, join, project the
-    coordinates.  ``use_fast`` threads the batch kernels through every
-    step (identical result relation)."""
-    p = shuffle_points(
-        points, coord_cols, grid, element_col="zp", name="P",
-        use_fast=use_fast,
-    )
-    b = decompose_box_relation(
-        box, grid, element_col="zb", name="B", use_fast=use_fast
-    )
-    joined = spatial_join(p, b, "zp", "zb", grid, name="PB", use_fast=use_fast)
+    coordinates."""
+    p = shuffle_points(points, coord_cols, grid, element_col="zp", name="P")
+    b = decompose_box_relation(box, grid, element_col="zb", name="B")
+    joined = spatial_join(p, b, "zp", "zb", grid, name="PB")
     return project(joined, list(coord_cols), name="Result")

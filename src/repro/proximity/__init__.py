@@ -18,6 +18,7 @@ same substrate:
 
 from repro.proximity.epsjoin import (
     ball_cover_depth,
+    epsilon_join_pairs,
     nested_epsilon_join,
     zmerge_epsilon_join,
 )
@@ -46,6 +47,7 @@ __all__ = [
     "ZonesIndex",
     "zone_height_for",
     "zones_epsilon_join",
+    "epsilon_join_pairs",
     "nested_epsilon_join",
     "zmerge_epsilon_join",
     "ball_cover_depth",

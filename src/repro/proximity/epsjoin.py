@@ -27,8 +27,10 @@ from typing import List, Sequence, Tuple
 from repro.core.decompose import Element, decompose_box
 from repro.core.geometry import Box, Grid
 from repro.obs.trace import current as _trace_current
+from repro.proximity.zones import zones_epsilon_join
 
 __all__ = [
+    "epsilon_join_pairs",
     "nested_epsilon_join",
     "zmerge_epsilon_join",
     "ball_cover_depth",
@@ -106,3 +108,22 @@ def zmerge_epsilon_join(
         trace.add("zones.zmerge_elements", elements_total)
         trace.add("zones.zmerge_candidates", examined)
     return [(i, j) for _, _, i, j in out]
+
+
+def epsilon_join_pairs(
+    grid: Grid,
+    catalog_a: Sequence[Sequence[int]],
+    catalog_b: Sequence[Sequence[int]],
+    eps: float,
+    strategy: str,
+) -> List[Tuple[int, int]]:
+    """The eps-join by the named ``strategy`` — ``"zones"``,
+    ``"z-merge"`` or ``"nested-loop"``; every caller that lets the
+    planner (or the user) pick dispatches here."""
+    if strategy == "zones":
+        return zones_epsilon_join(catalog_a, catalog_b, eps)
+    if strategy == "z-merge":
+        return zmerge_epsilon_join(grid, catalog_a, catalog_b, eps)
+    if strategy == "nested-loop":
+        return nested_epsilon_join(catalog_a, catalog_b, eps)
+    raise ValueError(f"unknown epsilon-join strategy {strategy!r}")

@@ -49,6 +49,7 @@ from typing import (
 )
 
 from repro.core.deadline import Deadline, deadline_scope
+from repro.core.fastz import interleave_many
 from repro.core.geometry import Box, Grid
 
 __all__ = [
@@ -97,18 +98,6 @@ def merge_intervals(intervals: Sequence[Interval]) -> List[Interval]:
     return [(lo, hi) for lo, hi in out]
 
 
-def _run_zcodes(
-    grid: Grid, run: Sequence[Point], use_fast: bool
-) -> List[int]:
-    if not run:
-        return []
-    if use_fast:
-        from repro.core.fastz import interleave_many
-
-        return list(interleave_many(list(run), grid.depth, grid.ndims))
-    return [grid.zvalue(p).bits for p in run]
-
-
 class _BoxPlan:
     """One request's decomposition + cache-lookup state inside a batch."""
 
@@ -129,11 +118,11 @@ def batched_range_matches(
     boxes: Sequence[Box],
     cache: Optional[Any] = None,
     epoch: Optional[int] = None,
-    use_fast: bool = True,
 ) -> List[Tuple[Point, ...]]:
     """Answer every box in one shared pass over ``target``.
 
-    ``target`` is anything with ``interval_query(intervals)`` — a live
+    ``target`` is anything with ``interval_query(intervals)`` and a
+    ``decompose_cache`` — a live
     :class:`~repro.storage.prefix_btree.ZkdTree`, a sharded store, or
     their snapshot views.  ``cache`` (a :class:`~repro.cache.
     QueryResultCache`) is consulted per box before the scan and fed
@@ -142,13 +131,8 @@ def batched_range_matches(
     for snapshot targets.
 
     Returns one match tuple per input box, each byte-identical to
-    ``target.range_query(box, use_fast=...).matches``.
+    ``target.range_query(box).matches``.
     """
-    from repro.core.fastz import default_decompose_cache
-
-    decompose_cache = getattr(target, "decompose_cache", None)
-    if decompose_cache is None:
-        decompose_cache = default_decompose_cache(grid)
     whole = grid.whole_space()
 
     plans: List[Optional[_BoxPlan]] = []
@@ -158,7 +142,7 @@ def batched_range_matches(
         if clipped is None:
             plans.append(None)
             continue
-        elements, _ = decompose_cache.box_elements(grid, clipped, None)
+        elements, _ = target.decompose_cache.box_elements(grid, clipped)
         if not elements:
             plans.append(None)
             continue
@@ -181,7 +165,9 @@ def batched_range_matches(
 
     merged = merge_intervals(shared)
     runs = target.interval_query(merged) if merged else ()
-    runs_z = [_run_zcodes(grid, run, use_fast) for run in runs]
+    runs_z = [
+        interleave_many(list(run), grid.depth, grid.ndims) for run in runs
+    ]
     merged_los = [lo for lo, _ in merged]
 
     def scan_slice(zlo: int, zhi: int) -> Tuple[Point, ...]:
@@ -226,7 +212,7 @@ def batched_range_matches(
                 plan.clipped,
                 plan.elements,
                 matches,
-                tuple(_run_zcodes(grid, matches, use_fast)),
+                tuple(interleave_many(out, grid.depth, grid.ndims)),
                 plan.read_epoch,
             )
         results.append(matches)

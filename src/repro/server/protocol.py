@@ -119,9 +119,11 @@ def parse_deadline(request: Dict[str, Any]) -> Optional[float]:
         return None
     if isinstance(spec, bool) or not isinstance(spec, (int, float)):
         raise ProtocolError("deadline_ms must be a positive number")
-    if not spec > 0 or spec != spec or spec == float("inf"):
+    seconds = float(spec) / 1000.0
+    # ``seconds > 0``, not ``spec > 0``: a denormal underflows to 0.0.
+    if not seconds > 0 or spec == float("inf"):
         raise ProtocolError("deadline_ms must be a positive finite number")
-    return float(spec) / 1000.0
+    return seconds
 
 
 def parse_box(spec: Any, ndims: int) -> Box:

@@ -32,13 +32,16 @@ import threading
 import time
 from typing import Any, Callable, Dict, Hashable, List, Optional, Tuple
 
-from repro.core.deadline import (
-    Deadline,
-    DeadlineExceeded,
-    check_deadline,
-    deadline_scope,
-)
+from repro.core.deadline import Deadline, DeadlineExceeded, deadline_scope
 from repro.core.geometry import Box
+from repro.db.readpath import (
+    RowMap,
+    coordinate_map,
+    coords_getter,
+    rejoin,
+    scan_rows,
+    visible_rows,
+)
 from repro.db.relation import VersionedRelation
 from repro.faults import CrashPoint, FaultInjector, register_site
 from repro.obs.trace import QueryTrace
@@ -100,7 +103,6 @@ class QueryService:
         max_batch: int = 64,
         request_timeout: float = 5.0,
         policy: Optional[ResiliencePolicy] = None,
-        use_fast: bool = True,
         breaker: bool = True,
         breaker_options: Optional[Dict[str, Any]] = None,
         faults: Optional[FaultInjector] = None,
@@ -118,7 +120,6 @@ class QueryService:
             self._execute_batch, max_batch=max_batch if batching else 1
         )
         self.request_timeout = request_timeout
-        self.use_fast = use_fast
         self.faults = faults
         self._clock = clock
         self.overload: Optional[OverloadController] = None
@@ -135,13 +136,10 @@ class QueryService:
         #: (index name, epoch) -> shared snapshot view.  Guarded by a
         #: lock: built lazily from either the loop or the worker thread.
         self._views: Dict[Tuple[str, int], Any] = {}
-        #: (table, cols, epoch) -> coords -> [(row position, row)].
-        #: Built once per pinned epoch so the per-request visible-row
-        #: filter is O(matches), not O(table).
-        self._row_maps: Dict[
-            Tuple[str, Tuple[str, ...], int],
-            Dict[Point, List[Tuple[int, Tuple[Any, ...]]]],
-        ] = {}
+        #: (table, cols, epoch) -> the rejoin's coordinate map.  Built
+        #: once per pinned epoch so the per-request visible-row filter
+        #: is O(matches), not O(table).
+        self._row_maps: Dict[Tuple[str, Tuple[str, ...], int], RowMap] = {}
         self._views_lock = threading.Lock()
         self.stats: Dict[str, int] = {
             "server.connections": 0,
@@ -228,10 +226,9 @@ class QueryService:
             [box for box, _, _ in requests],
             cache=entry.cache,
             epoch=epoch,
-            use_fast=self.use_fast,
         )
         return [
-            self._filter_rows(table, cols, set(matched), epoch)
+            self._filter_rows(table, cols, matched, epoch)
             for (_, table, cols), matched in zip(requests, matches)
         ]
 
@@ -243,20 +240,12 @@ class QueryService:
         epoch: Optional[int],
     ) -> List[Tuple[Any, ...]]:
         """Unindexed fallback: row scan at the client's epoch."""
-        db = self.db
-        relation = db.catalog.relation(table)
-        rows = (
-            relation.rows_at(epoch)
-            if isinstance(relation, VersionedRelation) and epoch is not None
-            else relation.rows
+        relation = self.db.catalog.relation(table)
+        return scan_rows(
+            visible_rows(relation, epoch),
+            coords_getter(relation.schema, cols),
+            box,
         )
-        out: List[Tuple[Any, ...]] = []
-        for position, row in enumerate(rows):
-            if not position & 1023:
-                check_deadline("server.scan_rows")
-            if box.contains_point(db._coords(relation, row, cols)):
-                out.append(row)
-        return out
 
     def _scoped(
         self, fn: Callable[..., Any], deadline: Optional[Deadline], *args: Any
@@ -268,21 +257,19 @@ class QueryService:
 
     def _row_map(
         self, table: str, cols: Tuple[str, ...], epoch: int
-    ) -> Dict[Point, List[Tuple[int, Tuple[Any, ...]]]]:
-        """coords -> [(row position, row)] at a pinned epoch, built
-        once and reused until the epoch is unpinned.  Pinned versions
-        are immutable, so the map never goes stale."""
+    ) -> RowMap:
+        """The rejoin's coordinate map at a pinned epoch, built once
+        and reused until the epoch is unpinned.  Pinned versions are
+        immutable, so the map never goes stale."""
         key = (table, cols, epoch)
         with self._views_lock:
             mapping = self._row_maps.get(key)
         if mapping is not None:
             return mapping
-        db = self.db
-        relation = db.catalog.relation(table)
-        mapping = {}
-        for pos, row in enumerate(relation.rows_at(epoch)):
-            coords = db._coords(relation, row, cols)
-            mapping.setdefault(coords, []).append((pos, row))
+        relation = self.db.catalog.relation(table)
+        mapping = coordinate_map(
+            relation.rows_at(epoch), coords_getter(relation.schema, cols)
+        )
         with self._views_lock:
             return self._row_maps.setdefault(key, mapping)
 
@@ -290,25 +277,17 @@ class QueryService:
         self,
         table: str,
         cols: Tuple[str, ...],
-        matched: set,
+        matched: Tuple[Point, ...],
         epoch: Optional[int],
     ) -> List[Tuple[Any, ...]]:
-        db = self.db
-        relation = db.catalog.relation(table)
+        relation = self.db.catalog.relation(table)
+        coords = coords_getter(relation.schema, cols)
         if isinstance(relation, VersionedRelation) and epoch is not None:
-            # O(matches) through the per-epoch coordinate map; sorting
-            # by row position reproduces relation order byte for byte.
-            mapping = self._row_map(table, cols, epoch)
-            hits: List[Tuple[int, Tuple[Any, ...]]] = []
-            for point in matched:
-                hits.extend(mapping.get(point, ()))
-            hits.sort(key=lambda item: item[0])
-            return [row for _, row in hits]
-        return [
-            row
-            for row in relation.rows
-            if db._coords(relation, row, cols) in matched
-        ]
+            # O(matches) through the per-epoch coordinate map.
+            return rejoin(
+                (), coords, matched, self._row_map(table, cols, epoch)
+            )
+        return rejoin(relation.rows, coords, matched)
 
     # -- request handling (event loop) -----------------------------------
 

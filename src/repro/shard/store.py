@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import heapq
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import (
     Any,
     Callable,
@@ -44,14 +44,13 @@ from typing import (
 )
 
 from repro.core.deadline import check_deadline
-from repro.core.fastz import DecomposeCache
+from repro.core.fastz import DecomposeCache, interleave_many
 from repro.core.geometry import Box, ClassifyFn, Grid
 from repro.core.rangesearch import MergeStats
 from repro.obs.trace import current as _trace_current
 from repro.obs.trace import suppress as _trace_suppress
 from repro.shard.executor import (
     ResiliencePolicy,
-    ScatterStats,
     SerialExecutor,
     ShardCall,
     ShardExecutor,
@@ -59,9 +58,15 @@ from repro.shard.executor import (
 )
 from repro.shard.partition import ZRangePartitioner
 from repro.storage.buffer import ReplacementPolicy
-from repro.storage.prefix_btree import QueryResult, ZkdTree
+from repro.storage.prefix_btree import ProximityReads, QueryResult, ZkdTree
 
-__all__ = ["ShardedQueryResult", "ShardedSpatialStore", "gather_in_z_order"]
+__all__ = [
+    "ShardedQueryResult",
+    "ShardedSpatialStore",
+    "gather_in_z_order",
+    "gather_shard_results",
+    "scatter_intervals",
+]
 
 Point = Tuple[int, ...]
 
@@ -95,34 +100,14 @@ def gather_in_z_order(
 
 
 @dataclass(frozen=True)
-class ShardedQueryResult:
+class ShardedQueryResult(QueryResult):
     """A :class:`~repro.storage.prefix_btree.QueryResult` aggregated
-    over the dispatched shards, plus the scatter's own accounting.
+    over the dispatched shards, plus the scatter's own accounting — the
+    planner and database layers consume either transparently."""
 
-    Duck-compatible with ``QueryResult`` (``matches`` /
-    ``pages_accessed`` / ``records_on_pages`` / ``merge`` /
-    ``buffer_stats`` / ``nmatches`` / ``efficiency``), so the planner
-    and database layers consume either transparently.
-    """
-
-    matches: Tuple[Point, ...]
-    pages_accessed: int
-    records_on_pages: int
-    merge: MergeStats
-    buffer_stats: Dict[str, float] = field(default_factory=dict)
     shards_hit: Tuple[int, ...] = ()
     shards_pruned: int = 0
     shard_results: Tuple[QueryResult, ...] = ()
-
-    @property
-    def nmatches(self) -> int:
-        return len(self.matches)
-
-    @property
-    def efficiency(self) -> float:
-        if self.records_on_pages == 0:
-            return 0.0
-        return len(self.matches) / self.records_on_pages
 
 
 def _sum_merge_stats(parts: Iterable[MergeStats]) -> MergeStats:
@@ -148,7 +133,59 @@ def _sum_buffer_stats(parts: Sequence[Dict[str, float]]) -> Dict[str, float]:
     }
 
 
-class ShardedSpatialStore:
+def gather_shard_results(
+    partitioner: ZRangePartitioner,
+    hit: Sequence[int],
+    results: Sequence[QueryResult],
+) -> ShardedQueryResult:
+    """The gather step: per-shard results of the dispatched shards
+    ``hit`` (ascending) folded into one global-z-order result."""
+    return ShardedQueryResult(
+        matches=gather_in_z_order(
+            [partitioner.interval(sid)[0] for sid in hit],
+            [r.matches for r in results],
+        ),
+        pages_accessed=sum(r.pages_accessed for r in results),
+        records_on_pages=sum(r.records_on_pages for r in results),
+        merge=_sum_merge_stats(r.merge for r in results),
+        buffer_stats=_sum_buffer_stats([r.buffer_stats for r in results]),
+        shards_hit=tuple(hit),
+        shards_pruned=partitioner.nshards - len(hit),
+        shard_results=tuple(results),
+    )
+
+
+def scatter_intervals(
+    partitioner: ZRangePartitioner,
+    intervals: Sequence[Tuple[int, int]],
+    scan: Callable[[List[int], List[List[Tuple[int, int]]]], Sequence[Any]],
+) -> Tuple[Tuple[Point, ...], ...]:
+    """Points in each inclusive z interval, one tuple per interval.
+
+    Each interval is clipped to the overlapping shards' owned ranges
+    (an element can straddle a shard cut), ``scan(shard_ids,
+    interval_lists)`` returns every listed shard's runs, and the
+    sub-runs reassemble per original interval in ascending shard order
+    — which, the shard ranges being disjoint and ascending, is z order.
+    """
+    per_shard: Dict[int, List[Tuple[int, Tuple[int, int]]]] = {}
+    for index, (zlo, zhi) in enumerate(intervals):
+        for shard_id in partitioner.prune([(zlo, zhi)]):
+            slo, shi = partitioner.interval(shard_id)
+            clipped = (max(zlo, slo), min(zhi, shi))
+            per_shard.setdefault(shard_id, []).append((index, clipped))
+    order = sorted(per_shard)
+    results = scan(
+        order, [[iv for _, iv in per_shard[sid]] for sid in order]
+    )
+    parts: List[List[Point]] = [[] for _ in intervals]
+    for shard_id, runs in zip(order, results):
+        for (index, _), run in zip(per_shard[shard_id], runs):
+            parts[index].extend(run)
+    return tuple(tuple(part) for part in parts)
+
+
+class ShardedSpatialStore(ProximityReads):
     """N z-range shards behind the single-store query interface.
 
     >>> from repro.core.geometry import Grid, Box
@@ -235,7 +272,6 @@ class ShardedSpatialStore:
         partition: str = "equi",
         align_bits: int = 0,
         fill_factor: float = 1.0,
-        use_fast: bool = True,
         **kwargs: Any,
     ) -> "ShardedSpatialStore":
         """Partition + bulk-load in one step.
@@ -251,8 +287,6 @@ class ShardedSpatialStore:
                 grid.total_bits, nshards
             )
         elif partition == "balanced":
-            from repro.core.fastz import interleave_many
-
             codes = interleave_many(pts, grid.depth, grid.ndims)
             partitioner = ZRangePartitioner.from_codes(
                 codes, grid.total_bits, nshards, align_bits
@@ -263,7 +297,7 @@ class ShardedSpatialStore:
                 "expected 'equi' or 'balanced'"
             )
         store = cls(grid, partitioner, **kwargs)
-        store.bulk_load(pts, fill_factor=fill_factor, use_fast=use_fast)
+        store.bulk_load(pts, fill_factor=fill_factor)
         return store
 
     # ------------------------------------------------------------------
@@ -366,15 +400,10 @@ class ShardedSpatialStore:
         return self.partitioner.route(self._zcode(point))
 
     def _group_by_shard(
-        self, points: Iterable[Sequence[int]], use_fast: bool
+        self, points: Iterable[Sequence[int]]
     ) -> List[List[Point]]:
         pts = [tuple(p) for p in points]
-        if use_fast:
-            from repro.core.fastz import interleave_many
-
-            codes = interleave_many(pts, self.grid.depth, self.grid.ndims)
-        else:
-            codes = [self._zcode(p) for p in pts]
+        codes = interleave_many(pts, self.grid.depth, self.grid.ndims)
         groups: List[List[Point]] = [[] for _ in range(self.nshards)]
         for point, shard in zip(
             pts, self.partitioner.route_many(codes)
@@ -386,28 +415,21 @@ class ShardedSpatialStore:
         self,
         points: Iterable[Sequence[int]],
         fill_factor: float = 1.0,
-        use_fast: bool = True,
     ) -> None:
         """Route the batch and bottom-up load each shard's tree."""
-        for shard, group in zip(
-            self.shards, self._group_by_shard(points, use_fast)
-        ):
+        for shard, group in zip(self.shards, self._group_by_shard(points)):
             if group:
-                shard.bulk_load(group, fill_factor, use_fast=use_fast)
+                shard.bulk_load(group, fill_factor)
         self._epoch += 1
 
     def insert(self, point: Sequence[int]) -> None:
         self.shards[self.route_point(point)].insert(point)
         self._epoch += 1
 
-    def insert_many(
-        self, points: Iterable[Sequence[int]], use_fast: bool = True
-    ) -> None:
-        for shard, group in zip(
-            self.shards, self._group_by_shard(points, use_fast)
-        ):
+    def insert_many(self, points: Iterable[Sequence[int]]) -> None:
+        for shard, group in zip(self.shards, self._group_by_shard(points)):
             if group:
-                shard.insert_many(group, use_fast=use_fast)
+                shard.insert_many(group)
         self._epoch += 1
 
     def delete(self, point: Sequence[int]) -> bool:
@@ -443,52 +465,19 @@ class ShardedSpatialStore:
         elements, _ = self._decompose_cache.box_elements(self.grid, clipped)
         return [(element.zlo, element.zhi) for element in elements]
 
-    def range_query(
-        self, box: Box, use_bigmin: bool = False, use_fast: bool = False
-    ) -> ShardedQueryResult:
+    def range_query(self, box: Box) -> ShardedQueryResult:
         """Scatter the range query to overlapping shards, gather in z
         order.  Matches are byte-identical to a single store's."""
         hit = self.partitioner.prune(self._query_intervals(box))
         calls: List[ShardCall] = [
-            (
-                shard_id,
-                "range_query",
-                (box,),
-                {"use_bigmin": use_bigmin, "use_fast": use_fast},
-            )
-            for shard_id in hit
+            (shard_id, "range_query", (box,), {}) for shard_id in hit
         ]
         with _trace_suppress():
             results: List[QueryResult]
             results, stats = self._executor.map_shards_resilient(
                 self, calls, self.resilience
             )
-        return self._gather(box, hit, results, stats)
-
-    def _gather(
-        self,
-        box: Box,
-        hit: List[int],
-        results: List[QueryResult],
-        stats: Optional[ScatterStats] = None,
-    ) -> ShardedQueryResult:
-        matches = gather_in_z_order(
-            [self.partitioner.interval(sid)[0] for sid in hit],
-            [r.matches for r in results],
-        )
-        pruned = self.nshards - len(hit)
-        out = ShardedQueryResult(
-            matches=matches,
-            pages_accessed=sum(r.pages_accessed for r in results),
-            records_on_pages=sum(r.records_on_pages for r in results),
-            merge=_sum_merge_stats(r.merge for r in results),
-            buffer_stats=_sum_buffer_stats(
-                [r.buffer_stats for r in results]
-            ),
-            shards_hit=tuple(hit),
-            shards_pruned=pruned,
-            shard_results=tuple(results),
-        )
+        out = gather_shard_results(self.partitioner, hit, results)
         trace = _trace_current()
         if trace is not None:
             span = trace.active_span.child("shard.scatter_gather")
@@ -498,16 +487,16 @@ class ShardedSpatialStore:
             span.add_counters(
                 {
                     "shards_hit": len(hit),
-                    "shards_pruned": pruned,
-                    "rows_gathered": len(matches),
+                    "shards_pruned": out.shards_pruned,
+                    "rows_gathered": len(out.matches),
                 }
             )
             # Resilience counters only appear when faults actually
             # fired, so fault-free traces (and the CI trace-counter
             # baseline) are unchanged.
-            if stats is not None and stats.retries:
+            if stats.retries:
                 span.add_counters({"shard.retries": stats.retries})
-            if stats is not None and stats.degraded:
+            if stats.degraded:
                 span.add_counters({"shard.degraded": stats.degraded})
             for shard_id, result in zip(hit, results):
                 zlo, zhi = self.partitioner.interval(shard_id)
@@ -531,41 +520,21 @@ class ShardedSpatialStore:
         self, intervals: Sequence[Tuple[int, int]]
     ) -> Tuple[Tuple[Point, ...], ...]:
         """Points in each inclusive z interval, one tuple per interval
-        — the residual scatter of the semantic result cache.
+        — the residual scatter of the semantic result cache, through
+        the configured executor.  Untraced like the per-shard merges:
+        the cache front-end owns the span."""
 
-        Each interval is clipped to the overlapping shards' owned
-        ranges (an element can straddle a shard cut), the per-shard
-        interval lists scatter through the configured executor, and
-        the sub-runs reassemble per original interval in ascending
-        shard order — which, the shard ranges being disjoint and
-        ascending, is z order.  Untraced like the per-shard merges:
-        the cache front-end owns the span.
-        """
-        per_shard: Dict[int, List[Tuple[int, Tuple[int, int]]]] = {}
-        for index, (zlo, zhi) in enumerate(intervals):
-            for shard_id in self.partitioner.prune([(zlo, zhi)]):
-                slo, shi = self.partitioner.interval(shard_id)
-                clipped = (max(zlo, slo), min(zhi, shi))
-                per_shard.setdefault(shard_id, []).append((index, clipped))
-        order = sorted(per_shard)
-        calls: List[ShardCall] = [
-            (
-                shard_id,
-                "interval_query",
-                ([iv for _, iv in per_shard[shard_id]],),
-                {},
-            )
-            for shard_id in order
-        ]
-        with _trace_suppress():
-            results, _ = self._executor.map_shards_resilient(
-                self, calls, self.resilience
-            )
-        parts: List[List[Point]] = [[] for _ in intervals]
-        for shard_id, runs in zip(order, results):
-            for (index, _), run in zip(per_shard[shard_id], runs):
-                parts[index].extend(run)
-        return tuple(tuple(part) for part in parts)
+        def scan(order: List[int], lists: List[Any]) -> Sequence[Any]:
+            calls: List[ShardCall] = [
+                (shard_id, "interval_query", (shard_intervals,), {})
+                for shard_id, shard_intervals in zip(order, lists)
+            ]
+            with _trace_suppress():
+                return self._executor.map_shards_resilient(
+                    self, calls, self.resilience
+                )[0]
+
+        return scatter_intervals(self.partitioner, intervals, scan)
 
     def object_query(
         self, classify: ClassifyFn, max_depth: Optional[int] = None
@@ -576,70 +545,14 @@ class ShardedSpatialStore:
         boundaries); every shard is dispatched — an arbitrary region
         has no precomputed z intervals to prune against.
         """
-        hit = list(range(self.nshards))
         with _trace_suppress():
             results = [
                 shard.object_query(classify, max_depth)
                 for shard in self.shards
             ]
-        matches = gather_in_z_order(
-            [self.partitioner.interval(sid)[0] for sid in hit],
-            [r.matches for r in results],
+        return gather_shard_results(
+            self.partitioner, list(range(self.nshards)), results
         )
-        return ShardedQueryResult(
-            matches=matches,
-            pages_accessed=sum(r.pages_accessed for r in results),
-            records_on_pages=sum(r.records_on_pages for r in results),
-            merge=_sum_merge_stats(r.merge for r in results),
-            buffer_stats=_sum_buffer_stats(
-                [r.buffer_stats for r in results]
-            ),
-            shards_hit=tuple(hit),
-            shards_pruned=0,
-            shard_results=tuple(results),
-        )
-
-    def within_distance(
-        self, center: Sequence[int], radius: float
-    ) -> ShardedQueryResult:
-        if radius < 0:
-            raise ValueError("radius must be non-negative")
-        from repro.core.geometry import circle_classifier
-
-        return self.object_query(circle_classifier(tuple(center), radius))
-
-    def nearest_neighbours(
-        self, center: Sequence[int], k: int = 1
-    ) -> List[Point]:
-        """Same growing-radius search as the single store, over the
-        union of shards."""
-        import math
-
-        if k < 1:
-            raise ValueError("k must be positive")
-        if len(self) == 0:
-            return []
-        center_t = tuple(center)
-        self.grid.validate_point(center_t)
-        k = min(k, len(self))
-        radius = 1.0
-        max_radius = self.grid.side * math.sqrt(self.grid.ndims)
-        candidates: List[Point] = []
-        while True:
-            candidates = list(
-                self.within_distance(center_t, radius).matches
-            )
-            if len(candidates) >= k or radius > max_radius:
-                break
-            radius *= 2
-
-        def distance2(p: Point) -> float:
-            return sum((a - b) ** 2 for a, b in zip(p, center_t))
-
-        candidates.sort(
-            key=lambda p: (distance2(p), self.grid.zvalue(p).bits)
-        )
-        return candidates[:k]
 
     # ------------------------------------------------------------------
     # Lifecycle

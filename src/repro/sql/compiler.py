@@ -30,6 +30,7 @@ from repro.db.planner import (
     choose_join_strategy,
     plan_select,
 )
+from repro.db.readpath import coords_getter, epsilon_join_rows
 from repro.db.relation import Relation
 from repro.db.schema import Schema
 from repro.db.types import SpatialObject
@@ -243,9 +244,11 @@ class CompiledQuery:
         target: Any,
         plan: SelectPlan,
         table: str,
-        geom: str,
         pushed: List[Conjunct],
-    ) -> Tuple[Relation, str]:
+    ) -> Relation:
+        """One join input: the table's visible rows, filtered by the
+        conjuncts pushed below the join, columns qualified
+        ``{table}_{column}``."""
         base = target.table(table)
         relation = Relation(f"scan({table})", base.schema, base.rows)
         if pushed:
@@ -259,7 +262,7 @@ class CompiledQuery:
             )
             relation = side_plan.apply_filters(relation)
         mapping = {n: f"{table}_{n}" for n in relation.schema.names}
-        return rename(relation, mapping), f"{table}_{geom}"
+        return rename(relation, mapping)
 
     def _join_fetch(
         self,
@@ -273,12 +276,10 @@ class CompiledQuery:
     ) -> Relation:
         bound = self.bound
         grid = self.db.grid
-        left, lgeom = self._side(
-            target, plan, bound.table, bound.left_geom, left_push
-        )
-        right, rgeom = self._side(
-            target, plan, bound.join_table, bound.right_geom, right_push
-        )
+        left = self._side(target, plan, bound.table, left_push)
+        right = self._side(target, plan, bound.join_table, right_push)
+        lgeom = f"{bound.table}_{bound.left_geom}"
+        rgeom = f"{bound.join_table}_{bound.right_geom}"
 
         ldec = self._decompositions(left, lgeom)
         rdec = self._decompositions(right, rgeom)
@@ -429,28 +430,6 @@ class CompiledQuery:
                 )
         return plan
 
-    def _eps_side(
-        self,
-        target: Any,
-        plan: SelectPlan,
-        table: str,
-        pushed: List[Conjunct],
-    ) -> Relation:
-        base = target.table(table)
-        relation = Relation(f"scan({table})", base.schema, base.rows)
-        if pushed:
-            side_plan = SelectPlan(
-                table=table,
-                window=None,
-                filters=pushed,
-                reorder=self.reorder,
-                moved=0,
-                _stats=plan._stats,
-            )
-            relation = side_plan.apply_filters(relation)
-        mapping = {n: f"{table}_{n}" for n in relation.schema.names}
-        return rename(relation, mapping)
-
     def _eps_join_fetch(
         self,
         target: Any,
@@ -459,45 +438,24 @@ class CompiledQuery:
         right_push: List[Conjunct],
         strategy: str,
     ) -> Relation:
-        from repro.proximity import (
-            nested_epsilon_join,
-            zmerge_epsilon_join,
-            zones_epsilon_join,
-        )
-
         bound = self.bound
-        grid = self.db.grid
-        left = self._eps_side(target, plan, bound.table, left_push)
-        right = self._eps_side(
-            target, plan, bound.join_table, right_push
+        left = self._side(target, plan, bound.table, left_push)
+        right = self._side(target, plan, bound.join_table, right_push)
+        rows = epsilon_join_rows(
+            self.db,
+            list(left),
+            coords_getter(
+                left.schema,
+                [f"{bound.table}_{name}" for name in bound.left_coords],
+            ),
+            list(right),
+            coords_getter(
+                right.schema,
+                [f"{bound.join_table}_{name}" for name in bound.right_coords],
+            ),
+            bound.eps,
+            strategy,
         )
-        lidx = [
-            left.schema.index_of(f"{bound.table}_{name}")
-            for name in bound.left_coords
-        ]
-        ridx = [
-            right.schema.index_of(f"{bound.join_table}_{name}")
-            for name in bound.right_coords
-        ]
-        lrows = list(left)
-        rrows = list(right)
-        pts_a = [tuple(row[i] for i in lidx) for row in lrows]
-        pts_b = [tuple(row[i] for i in ridx) for row in rrows]
-        plan._bump("planner.eps_joins")
-        plan._bump(f"planner.eps_strategy[{strategy}]")
-        with _span(f"join[eps-{strategy}]") as span:
-            if span is not None:
-                span.set("eps", bound.eps)
-                span.add("rows_in", len(lrows) + len(rrows))
-            if strategy == "zones":
-                pairs = zones_epsilon_join(pts_a, pts_b, bound.eps)
-            elif strategy == "z-merge":
-                pairs = zmerge_epsilon_join(grid, pts_a, pts_b, bound.eps)
-            else:
-                pairs = nested_epsilon_join(pts_a, pts_b, bound.eps)
-            rows = [lrows[i] + rrows[j] for i, j in pairs]
-            if span is not None:
-                span.add("rows_out", len(rows))
         schema = Schema(
             list(left.schema.columns) + list(right.schema.columns)
         )

@@ -19,23 +19,33 @@ from __future__ import annotations
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.core.geometry import Box, ClassifyFn, Grid, circle_classifier
+from repro.core.fastz import default_decompose_cache, interleave_many
 from repro.core.rangesearch import (
     MergeStats,
+    ZCursor,
     object_search,
     range_search,
-    range_search_bigmin,
     scan_intervals,
 )
-from repro.obs.trace import Span
-from repro.obs.trace import current as _trace_current
+from repro.obs.trace import span as _trace_span
 from repro.storage.btree import BPlusTree, BTreeCursor
 from repro.storage.buffer import BufferManager, ReplacementPolicy
 from repro.storage.page import PageStore
 
-__all__ = ["QueryResult", "ZkdTree"]
+__all__ = ["QueryResult", "ProximityReads", "LeafChainReads", "ZkdTree"]
 
 Point = Tuple[int, ...]
 
@@ -69,7 +79,135 @@ class QueryResult:
         return len(self.matches) / self.records_on_pages
 
 
-class ZkdTree:
+class ProximityReads:
+    """Section 6's proximity queries for any point store with ``grid``,
+    ``__len__`` and ``object_query``: a ball is just another query
+    region for the merge."""
+
+    grid: Grid
+
+    def __len__(self) -> int:
+        raise NotImplementedError
+
+    def object_query(
+        self, classify: ClassifyFn, max_depth: Optional[int] = None
+    ) -> Any:
+        raise NotImplementedError
+
+    def within_distance(self, center: Sequence[int], radius: float) -> Any:
+        """Proximity query: all points within Euclidean ``radius`` of
+        ``center`` — translated into an overlap query against a ball,
+        exactly as Section 6 prescribes."""
+        if radius < 0:
+            raise ValueError("radius must be non-negative")
+        return self.object_query(circle_classifier(tuple(center), radius))
+
+    def nearest_neighbours(
+        self, center: Sequence[int], k: int = 1
+    ) -> List[Point]:
+        """The ``k`` stored points nearest to ``center`` (Euclidean),
+        found by growing proximity queries (doubling radius) and a final
+        exact cut.  Ties broken by z order."""
+        if k < 1:
+            raise ValueError("k must be positive")
+        if len(self) == 0:
+            return []
+        center = tuple(center)
+        self.grid.validate_point(center)
+        k = min(k, len(self))
+        radius = 1.0
+        max_radius = self.grid.side * math.sqrt(self.grid.ndims)
+        candidates: List[Point] = []
+        while True:
+            candidates = list(self.within_distance(center, radius).matches)
+            if len(candidates) >= k or radius > max_radius:
+                break
+            radius *= 2
+        # With >= k candidates inside radius r, the k-th nearest point
+        # lies within r, so every true answer is among the candidates.
+        def distance2(p: Point) -> float:
+            return sum((a - b) ** 2 for a, b in zip(p, center))
+
+        candidates.sort(
+            key=lambda p: (distance2(p), self.grid.zvalue(p).bits)
+        )
+        return candidates[:k]
+
+
+#: One merge over a fresh cursor, filling the stats it is handed.
+Search = Callable[[ZCursor[Point], MergeStats], Iterator[Point]]
+
+
+class LeafChainReads(ProximityReads):
+    """Every read over one z-ordered leaf chain, written once.
+
+    A provider — the live :class:`ZkdTree`, a frozen
+    :class:`~repro.concurrency.view.SnapshotTreeView` — supplies
+    ``grid``, ``decompose_cache``, :meth:`cursor` and :meth:`_scan`
+    (run one merge against a fresh cursor and return its
+    :class:`QueryResult` with the provider's own cost accounting and
+    trace span, which names the query ``box`` when there is one).
+    """
+
+    @property
+    def decompose_cache(self) -> Any:
+        raise NotImplementedError
+
+    def cursor(self) -> ZCursor[Point]:
+        """A fresh z-ordered cursor at the start of the leaf chain."""
+        raise NotImplementedError
+
+    def _scan(
+        self, name: str, box: Optional[Box], search: Search
+    ) -> QueryResult:
+        raise NotImplementedError
+
+    def range_query(self, box: Box) -> QueryResult:
+        """All points inside ``box`` plus the paper's cost measures."""
+        return self._scan(
+            "range_query",
+            box,
+            lambda cursor, stats: range_search(
+                cursor, self.grid, box, stats, self.decompose_cache
+            ),
+        )
+
+    def object_query(
+        self, classify: ClassifyFn, max_depth: Optional[int] = None
+    ) -> QueryResult:
+        """Range search against an arbitrary query region given by its
+        inside/outside/boundary oracle (Section 6: containment and
+        proximity queries reduce to the same merge)."""
+        return self._scan(
+            "object_query",
+            None,
+            lambda cursor, stats: object_search(
+                cursor, self.grid, classify, stats, max_depth
+            ),
+        )
+
+    def interval_query(
+        self, intervals: Sequence[Tuple[int, int]]
+    ) -> Tuple[Tuple[Point, ...], ...]:
+        """Points whose z codes fall in each ``[zlo, zhi]`` interval,
+        one tuple per interval — the residual-scan primitive of the
+        semantic result cache.  Intervals must be ascending and
+        disjoint.  Deliberately untraced: the cache front-end owns the
+        span so counters stay invariant across executors."""
+        return scan_intervals(self.cursor(), intervals)
+
+    def points(self) -> List[Point]:
+        """All stored points in z order (counts page accesses)."""
+        out: List[Point] = []
+        cursor = self.cursor()
+        record = cursor.current
+        while record is not None:
+            out.append(record.payload)
+            record = cursor.step()
+        return out
+
+
+class ZkdTree(LeafChainReads):
     """Points of a :class:`~repro.core.geometry.Grid` stored in z order.
 
     Parameters mirror the experiment setup: ``page_capacity`` is the
@@ -207,17 +345,8 @@ class ZkdTree:
         with self.transaction():
             self.tree.insert(self.grid.zvalue(point).bits, point)
 
-    def insert_many(
-        self, points: Iterable[Sequence[int]], use_fast: bool = True
-    ) -> None:
+    def insert_many(self, points: Iterable[Sequence[int]]) -> None:
         self._mutation_epoch += 1
-        if not use_fast:
-            with self.transaction():
-                for point in points:
-                    self.insert(point)
-            return
-        from repro.core.fastz import interleave_many
-
         pts = [tuple(p) for p in points]
         codes = interleave_many(pts, self.grid.depth, self.grid.ndims)
         with self.transaction():
@@ -228,31 +357,14 @@ class ZkdTree:
         self,
         points: Iterable[Sequence[int]],
         fill_factor: float = 1.0,
-        use_fast: bool = True,
     ) -> None:
         """Sort the points by z value and pack them bottom-up — the
-        fast load path for an initially empty tree.  ``use_fast``
-        shuffles the whole batch through the table kernels of
-        :mod:`repro.core.fastz` (bit-identical keys)."""
-
+        fast load path for an initially empty tree."""
         self._mutation_epoch += 1
-        if use_fast:
-            from repro.core.fastz import interleave_many
-
-            pts = [tuple(p) for p in points]
-            codes = interleave_many(pts, self.grid.depth, self.grid.ndims)
-            with self.transaction():
-                self.tree.bulk_load(zip(codes, pts), fill_factor)
-            return
-
-        def records():
-            for point in points:
-                point_t = tuple(point)
-                self.grid.validate_point(point_t)
-                yield self.grid.zvalue(point_t).bits, point_t
-
+        pts = [tuple(p) for p in points]
+        codes = interleave_many(pts, self.grid.depth, self.grid.ndims)
         with self.transaction():
-            self.tree.bulk_load(records(), fill_factor)
+            self.tree.bulk_load(zip(codes, pts), fill_factor)
 
     def delete(self, point: Sequence[int]) -> bool:
         point = tuple(point)
@@ -281,120 +393,64 @@ class ZkdTree:
         instances; database- and shard-owned trees are isolated)."""
         if self._decompose_cache is not None:
             return self._decompose_cache
-        from repro.core.fastz import default_decompose_cache
-
         return default_decompose_cache(self.grid)
 
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
 
-    def _begin_query(self) -> int:
-        """Per-query counter hygiene: clear the access log and descent
-        counters and snapshot the buffer's hit/miss counters so measured
-        rates describe *this* query only.  Deltas, not resets: zeroing
-        the shared counters mid-flight would corrupt a concurrent
-        query's accounting.  Returns the store's read counter for the
-        same delta treatment."""
+    def cursor(self) -> BTreeCursor:
+        return BTreeCursor(self.tree)
+
+    def _scan(
+        self, name: str, box: Optional[Box], search: Search
+    ) -> QueryResult:
+        # Per-query counter hygiene: clear the access log and descent
+        # counters and snapshot the buffer's and the store's counters so
+        # measured rates describe *this* query only.  Deltas, not
+        # resets: zeroing the shared counters mid-flight would corrupt
+        # a concurrent query's accounting.
         self.tree.reset_counters()
         buffer = self.buffer
-        self._buffer_baseline = (buffer.hits, buffer.misses, buffer.evictions)
-        return self.store.reads
-
-    def _finish_query(
-        self,
-        matches: Tuple[Point, ...],
-        stats: MergeStats,
-        reads_before: int,
-        span: Optional[Span],
-    ) -> QueryResult:
-        """Assemble the :class:`QueryResult` and publish the storage
-        counters into the active trace span (when tracing)."""
-        touched = sorted(set(self.tree.leaf_accesses))
-        records = sum(
-            self.buffer.peek(page_id).nrecords for page_id in touched
-        )
-        hits0, misses0, evictions0 = getattr(
-            self, "_buffer_baseline", (0, 0, 0)
-        )
-        hits = self.buffer.hits - hits0
-        misses = self.buffer.misses - misses0
-        total = hits + misses
-        buffer_stats: Dict[str, float] = {
-            "hits": hits,
-            "misses": misses,
-            "evictions": self.buffer.evictions - evictions0,
-            "hit_rate": hits / total if total else 0.0,
-        }
-        if span is not None:
-            span.set("npages", self.npages)
-            span.add_counters(
-                {
-                    "pages_accessed": len(touched),
-                    "records_on_pages": records,
-                    "leaf_loads": len(self.tree.leaf_accesses),
-                    "node_visits": self.tree.node_visits,
-                    "descents": self.tree.descents,
-                    "buffer_hits": int(buffer_stats["hits"]),
-                    "buffer_misses": int(buffer_stats["misses"]),
-                    "store_reads": self.store.reads - reads_before,
-                }
+        hits0, misses0 = buffer.hits, buffer.misses
+        evictions0, reads0 = buffer.evictions, self.store.reads
+        stats = MergeStats()
+        with _trace_span(f"zkd.{name}") as span:
+            if span is not None and box is not None:
+                span.set("box", repr(box))
+            matches = tuple(search(self.cursor(), stats))
+            touched = sorted(set(self.tree.leaf_accesses))
+            records = sum(
+                buffer.peek(page_id).nrecords for page_id in touched
             )
+            hits = buffer.hits - hits0
+            misses = buffer.misses - misses0
+            if span is not None:
+                span.set("npages", self.npages)
+                span.add_counters(
+                    {
+                        "pages_accessed": len(touched),
+                        "records_on_pages": records,
+                        "leaf_loads": len(self.tree.leaf_accesses),
+                        "node_visits": self.tree.node_visits,
+                        "descents": self.tree.descents,
+                        "buffer_hits": hits,
+                        "buffer_misses": misses,
+                        "store_reads": self.store.reads - reads0,
+                    }
+                )
         return QueryResult(
             matches=matches,
             pages_accessed=len(touched),
             records_on_pages=records,
             merge=stats,
-            buffer_stats=buffer_stats,
+            buffer_stats={
+                "hits": hits,
+                "misses": misses,
+                "evictions": buffer.evictions - evictions0,
+                "hit_rate": hits / (hits + misses) if hits + misses else 0.0,
+            },
         )
-
-    def range_query(
-        self, box: Box, use_bigmin: bool = False, use_fast: bool = False
-    ) -> QueryResult:
-        """All points inside ``box`` plus the paper's cost measures.
-
-        ``use_fast`` routes the merge through the cached decomposition
-        (or, with ``use_bigmin``, the magic-number unshuffle) of
-        :mod:`repro.core.fastz`; matches and page counts are identical.
-        """
-        trace = _trace_current()
-        reads_before = self._begin_query()
-        stats = MergeStats()
-
-        def run() -> Tuple[Point, ...]:
-            cursor = BTreeCursor(self.tree)
-            if use_bigmin:
-                return tuple(
-                    range_search_bigmin(
-                        cursor, self.grid, box, stats, use_fast=use_fast
-                    )
-                )
-            return tuple(
-                range_search(
-                    cursor,
-                    self.grid,
-                    box,
-                    stats,
-                    use_fast=use_fast,
-                    decompose_cache=self._decompose_cache,
-                )
-            )
-
-        if trace is None:
-            return self._finish_query(run(), stats, reads_before, None)
-        with trace.span("zkd.range_query") as span:
-            span.set("box", repr(box))
-            return self._finish_query(run(), stats, reads_before, span)
-
-    def interval_query(
-        self, intervals: Sequence[Tuple[int, int]]
-    ) -> Tuple[Tuple[Point, ...], ...]:
-        """Points whose z codes fall in each ``[zlo, zhi]`` interval,
-        one tuple per interval — the residual-scan primitive of the
-        semantic result cache.  Intervals must be ascending and
-        disjoint.  Deliberately untraced: the cache front-end owns the
-        span so counters stay invariant across executors."""
-        return scan_intervals(BTreeCursor(self.tree), intervals)
 
     def partial_match_query(
         self, fixed: Sequence[Optional[int]]
@@ -413,72 +469,6 @@ class ZkdTree:
                     raise ValueError(f"axis {j} value {value} outside grid")
                 ranges.append((value, value))
         return self.range_query(Box(tuple(ranges)))
-
-    def object_query(
-        self, classify: ClassifyFn, max_depth: Optional[int] = None
-    ) -> QueryResult:
-        """Range search against an arbitrary query region given by its
-        inside/outside/boundary oracle (Section 6: containment and
-        proximity queries reduce to the same merge)."""
-        trace = _trace_current()
-        reads_before = self._begin_query()
-        stats = MergeStats()
-
-        def run() -> Tuple[Point, ...]:
-            cursor = BTreeCursor(self.tree)
-            return tuple(
-                object_search(cursor, self.grid, classify, stats, max_depth)
-            )
-
-        if trace is None:
-            return self._finish_query(run(), stats, reads_before, None)
-        with trace.span("zkd.object_query") as span:
-            return self._finish_query(run(), stats, reads_before, span)
-
-    def within_distance(
-        self, center: Sequence[int], radius: float
-    ) -> QueryResult:
-        """Proximity query: all points within Euclidean ``radius`` of
-        ``center`` — translated into an overlap query against a ball,
-        exactly as Section 6 prescribes."""
-        if radius < 0:
-            raise ValueError("radius must be non-negative")
-        return self.object_query(circle_classifier(tuple(center), radius))
-
-    def nearest_neighbours(
-        self, center: Sequence[int], k: int = 1
-    ) -> List[Point]:
-        """The ``k`` stored points nearest to ``center`` (Euclidean),
-        found by growing proximity queries (doubling radius) and a final
-        exact cut.  Ties broken by z order."""
-        if k < 1:
-            raise ValueError("k must be positive")
-        if len(self.tree) == 0:
-            return []
-        center = tuple(center)
-        self.grid.validate_point(center)
-        k = min(k, len(self.tree))
-        radius = 1.0
-        max_radius = self.grid.side * math.sqrt(self.grid.ndims)
-        candidates: List[Point] = []
-        while True:
-            candidates = list(self.within_distance(center, radius).matches)
-            if len(candidates) >= k or radius > max_radius:
-                break
-            radius *= 2
-        # With >= k candidates inside radius r, the k-th nearest point
-        # lies within r, so every true answer is among the candidates.
-        def distance2(p: Point) -> float:
-            return sum((a - b) ** 2 for a, b in zip(p, center))
-
-        candidates.sort(
-            key=lambda p: (distance2(p), self.grid.zvalue(p).bits)
-        )
-        return candidates[:k]
-
-    def points(self) -> List[Point]:
-        """All stored points in z order (counts page accesses)."""
-        return [payload for _, payload in self.tree.items()]
 
     # ------------------------------------------------------------------
     # Snapshots

@@ -218,7 +218,10 @@ class TestDecomposeCacheRegression:
         from repro.db.schema import Schema
         from repro.db.types import INTEGER, OID
 
-        db = SpatialDatabase(GRID)
+        # cache=True: the result cache decomposes every box through the
+        # index's own DecomposeCache before it scans (an uncached read
+        # of a fresh box stays lazy and materialises nothing).
+        db = SpatialDatabase(GRID, cache=True)
         db.create_table(
             "t", Schema.of(("id@", OID), ("x", INTEGER), ("y", INTEGER))
         )
@@ -266,7 +269,7 @@ class TestDecomposeCacheRegression:
             shard.decompose_cache is store.decompose_cache
             for shard in store.shards
         )
-        store.range_query(Box(((0, 7), (0, 7))), use_fast=True)
+        store.range_query(Box(((0, 7), (0, 7))))
         # One decomposition, computed once, visible to every shard.
         assert store.decompose_cache.info().currsize > 0
 
@@ -321,7 +324,7 @@ class TestCachedRangeMatches:
             Box(((15, 15), (0, 15))),
         ):
             got = cached_range_matches(cache, tree, GRID, sub)
-            assert got == tree.range_query(sub, use_fast=True).matches
+            assert got == tree.range_query(sub).matches
         assert cache.stats["cache.hit"] == 3
         assert cache.stats["cache.partial"] == 0
 
@@ -335,7 +338,7 @@ class TestCachedRangeMatches:
         cached_range_matches(cache, tree, GRID, Box(((0, 7), (0, 7))))
         overlapping = Box(((0, 11), (0, 7)))
         got = cached_range_matches(cache, tree, GRID, overlapping)
-        assert got == tree.range_query(overlapping, use_fast=True).matches
+        assert got == tree.range_query(overlapping).matches
         assert cache.stats["cache.partial"] == 1
 
     def test_empty_box_is_trivial(self):

@@ -187,3 +187,102 @@ def test_zvalue_sort_is_spatial_containment_consistent(seed):
                 # Everything between them is also inside a.
                 for k in range(i + 1, j):
                     assert a.contains(zvalues[k])
+
+
+def test_no_public_callable_takes_a_kernel_flag():
+    """One read path: nothing in ``repro`` lets a caller pick the
+    shuffle kernel or the element stream (the scalar kernels and the
+    BIGMIN variant are reference functions tests call directly)."""
+    import importlib
+    import inspect
+    import pkgutil
+
+    import repro
+
+    def callables(module):
+        for name, obj in vars(module).items():
+            if name.startswith("_") or getattr(obj, "__module__", None) != (
+                module.__name__
+            ):
+                continue
+            if inspect.isclass(obj):
+                for attr, member in vars(obj).items():
+                    if attr.startswith("_") and attr != "__init__":
+                        continue
+                    member = getattr(member, "__func__", member)
+                    if inspect.isfunction(member):
+                        yield f"{name}.{attr}", member
+            elif inspect.isfunction(obj):
+                yield name, obj
+
+    seen = 0
+    for info in pkgutil.walk_packages(repro.__path__, "repro."):
+        if info.name.endswith("__main__"):
+            continue
+        module = importlib.import_module(info.name)
+        for name, fn in callables(module):
+            seen += 1
+            flags = {"use_fast", "use_bigmin"} & set(
+                inspect.signature(fn).parameters
+            )
+            assert not flags, f"{info.name}.{name} takes {sorted(flags)}"
+    assert seen > 500  # the sweep really walked the package
+
+
+def test_element_stream_follows_the_stores_decompose_cache():
+    """``range_query`` decides its element stream from what it can
+    observe: a box the store's ``DecomposeCache`` already holds is
+    sought through the materialised sequence (nothing generated), a
+    fresh one is decomposed lazily (and nothing is cached) — identical
+    matches either way, on a tree, a snapshot view and a sharded store.
+    """
+    from repro.concurrency import SnapshotManager
+    from repro.core.fastz import DecomposeCache
+    from repro.shard import ShardedSpatialStore
+
+    grid = Grid(2, 6)
+    rng = random.Random(16)
+    points = sorted(set(random_points(rng, grid, 400)))
+    manager = SnapshotManager()
+    tree = ZkdTree(
+        grid, page_capacity=8, snapshots=manager,
+        decompose_cache=DecomposeCache(),
+    )
+    tree.insert_many(points)
+    store = ShardedSpatialStore.build(grid, points, nshards=4, page_capacity=8)
+    epoch = manager.pin()
+    try:
+        view = tree.snapshot_view(epoch)
+        for _ in range(8):
+            box = random_box(rng, grid)
+            truth = tuple(brute_force_search(grid, points, box))
+            clipped = box.clipped_to(grid.whole_space())
+            for target in (tree, view):
+                cache = target.decompose_cache
+                cache.clear()
+                fresh = target.range_query(box)
+                assert fresh.matches == truth
+                assert fresh.merge.elements_generated > 0
+                assert len(cache) == 0  # the lazy cursor caches nothing
+                # What a result cache or batcher does before it scans.
+                cache.box_elements(grid, clipped)
+                held = target.range_query(box)
+                assert held.matches == truth
+                assert held.merge.elements_generated == 0
+                assert held.pages_accessed == fresh.pages_accessed
+            # The shard coordinator decomposes every box itself to prune
+            # shards, so its trees always find the box already held.
+            store.decompose_cache.clear()
+            for _ in range(2):
+                sharded = store.range_query(box)
+                assert sharded.matches == truth
+                assert sharded.merge.elements_generated == 0
+            # A shard tree asked directly for a box nobody decomposed
+            # still takes the lazy stream.
+            store.decompose_cache.clear()
+            alone = store.shards[0].range_query(box)
+            assert alone.merge.elements_generated > 0
+            assert len(store.decompose_cache) == 0
+    finally:
+        manager.unpin(epoch)
+        store.close()

@@ -1,12 +1,15 @@
-"""End-to-end oracle tests: every search variant, fast path on and off.
+"""End-to-end oracle tests: every search variant, production vs reference.
 
 ``brute_force_search`` is the ground truth; the three range-search
 variants must agree with it — and with each other — whether they run on
-the scalar reference kernels (``use_fast=False``) or the batched
-bit-twiddling kernels and cached decomposer (``use_fast=True``).
+the scalar reference pieces (``Grid.zvalue`` sequence, lazy
+``BoxElementCursor``, ``Element.of(decompose_box)``) or on what
+production runs (batched ``build_point_sequence``, the materialised
+element cursor a store's ``DecomposeCache`` serves, ``elements_many``).
 Datasets cover uniform random points and tight Gaussian-ish clusters
 (the z-order worst case for skipping), and a stateful insert/search
-round-trip exercises the cached decomposer against a mutating tree.
+round-trip exercises the element-stream selection against a mutating
+tree.
 """
 
 import random
@@ -16,10 +19,11 @@ import pytest
 from conftest import random_box, random_points
 
 from repro.core import fastz
-from repro.core.decompose import decompose_box
+from repro.core.decompose import Element, decompose_box
 from repro.core.geometry import Box, Grid
 from repro.core.rangesearch import (
     MergeStats,
+    PointRecord,
     SortedPointCursor,
     brute_force_search,
     build_point_sequence,
@@ -31,6 +35,7 @@ from repro.db.database import SpatialDatabase
 from repro.db.schema import Schema
 from repro.db.spatial import range_search_plan
 from repro.db.types import INTEGER, OID
+from repro.storage.btree import BTreeCursor
 from repro.storage.prefix_btree import ZkdTree
 
 
@@ -54,30 +59,45 @@ def clustered_points(rng: random.Random, grid: Grid, n: int):
     return points
 
 
-def all_variants(grid, points, box, use_fast):
+def scalar_point_sequence(grid, points):
+    """``build_point_sequence`` on the scalar reference shuffle."""
+    return sorted(
+        (PointRecord(grid.zvalue(p).bits, tuple(p)) for p in points),
+        key=lambda r: r.z,
+    )
+
+
+def primed_cache(grid, box):
+    """A store-style cache already holding ``box`` (what a result
+    cache, batcher or shard coordinator leaves behind)."""
+    cache = fastz.DecomposeCache()
+    clipped = box.clipped_to(grid.whole_space())
+    if clipped is not None:
+        cache.box_elements(grid, clipped)
+    return cache
+
+
+def all_variants(grid, points, box, reference):
     """Run every search variant and return the sorted result sets."""
-    records = build_point_sequence(grid, points, use_fast=use_fast)
-    results = {}
-    results["optimized"] = sorted(
-        range_search(
-            SortedPointCursor(records), grid, box, use_fast=use_fast
-        )
-    )
-    results["bigmin"] = sorted(
-        range_search_bigmin(
-            SortedPointCursor(records), grid, box, use_fast=use_fast
-        )
-    )
-    if use_fast:
+    if reference:
+        records = scalar_point_sequence(grid, points)
+        cache = None  # fresh box: the lazy BoxElementCursor
+        elements = [Element.of(z, grid) for z in decompose_box(grid, box)]
+    else:
+        records = build_point_sequence(grid, points)
+        cache = primed_cache(grid, box)  # held box: the bisect cursor
         elements = fastz.elements_many(
             grid, fastz.decompose_box_cached(grid, box)
         )
-    else:
-        from repro.core.decompose import Element
-
-        elements = [
-            Element.of(z, grid) for z in decompose_box(grid, box)
-        ]
+    results = {}
+    results["optimized"] = sorted(
+        range_search(
+            SortedPointCursor(records), grid, box, decompose_cache=cache
+        )
+    )
+    results["bigmin"] = sorted(
+        range_search_bigmin(SortedPointCursor(records), grid, box)
+    )
     results["simple"] = sorted(range_search_simple(records, elements))
     return results
 
@@ -95,28 +115,31 @@ def test_variants_agree_with_brute_force(dataset, ndims, depth):
         box = random_box(rng, grid)
         truth = sorted(set(brute_force_search(grid, points, box)))
         deduped_truth = sorted(set(truth))
-        for use_fast in (False, True):
-            results = all_variants(grid, sorted(set(points)), box, use_fast)
+        for reference in (True, False):
+            results = all_variants(grid, sorted(set(points)), box, reference)
             for variant, matched in results.items():
                 assert sorted(set(matched)) == deduped_truth, (
                     variant,
-                    use_fast,
+                    reference,
                     box,
                 )
 
 
-def test_fast_and_slow_paths_identical_including_duplicates(grid64, rng):
+def test_production_and_reference_identical_including_duplicates(
+    grid64, rng
+):
     points = random_points(rng, grid64, 400) * 2  # duplicates included
     for _ in range(10):
         box = random_box(rng, grid64)
-        slow = all_variants(grid64, sorted(points), box, use_fast=False)
-        fast = all_variants(grid64, sorted(points), box, use_fast=True)
+        slow = all_variants(grid64, sorted(points), box, reference=True)
+        fast = all_variants(grid64, sorted(points), box, reference=False)
         assert slow == fast
 
 
 def test_out_of_space_and_degenerate_boxes(grid64, rng):
     points = random_points(rng, grid64, 100)
     records = build_point_sequence(grid64, points)
+    assert records == scalar_point_sequence(grid64, points)
     boxes = [
         Box(((200, 300), (200, 300))),          # fully outside
         Box(((0, 200), (0, 200))),              # overhanging the space
@@ -125,40 +148,47 @@ def test_out_of_space_and_degenerate_boxes(grid64, rng):
     ]
     for box in boxes:
         truth = sorted(set(brute_force_search(grid64, points, box)))
-        for use_fast in (False, True):
+        for cache in (None, fastz.DecomposeCache(), primed_cache(grid64, box)):
             got = sorted(
                 set(
                     range_search(
                         SortedPointCursor(records),
                         grid64,
                         box,
-                        use_fast=use_fast,
+                        decompose_cache=cache,
                     )
                 )
             )
             assert got == truth
 
 
-def test_merge_stats_match_between_paths(grid64, rng):
-    """The bigmin fast path must take the *same* seeks, not just return
-    the same points."""
+def test_bigmin_seeks_match_scalar_unshuffle(grid64, rng, monkeypatch):
+    """BIGMIN on the production unshuffle must take the *same* seeks as
+    on the scalar reference ``deinterleave``, not just return the same
+    points."""
+    from repro.core import rangesearch
+    from repro.core.interleave import deinterleave
+
+    def scalar_zcode_in_box(code, box, depth):
+        return box.contains_point(deinterleave(code, box.ndims, depth))
+
     points = sorted(set(random_points(rng, grid64, 300)))
     records = build_point_sequence(grid64, points)
     for _ in range(10):
         box = random_box(rng, grid64)
         slow_stats, fast_stats = MergeStats(), MergeStats()
-        slow = list(
-            range_search_bigmin(
-                SortedPointCursor(records), grid64, box, slow_stats,
-                use_fast=False,
-            )
-        )
         fast = list(
             range_search_bigmin(
-                SortedPointCursor(records), grid64, box, fast_stats,
-                use_fast=True,
+                SortedPointCursor(records), grid64, box, fast_stats
             )
         )
+        with monkeypatch.context() as patch:
+            patch.setattr(rangesearch, "zcode_in_box", scalar_zcode_in_box)
+            slow = list(
+                range_search_bigmin(
+                    SortedPointCursor(records), grid64, box, slow_stats
+                )
+            )
         assert slow == fast
         assert slow_stats == fast_stats
 
@@ -170,12 +200,17 @@ def test_merge_stats_match_between_paths(grid64, rng):
 
 def test_stateful_insert_search_roundtrip(grid64):
     rng = random.Random(0xBEEF)
-    tree = ZkdTree(grid64, page_capacity=8, buffer_frames=4)
+    tree = ZkdTree(
+        grid64,
+        page_capacity=8,
+        buffer_frames=4,
+        decompose_cache=fastz.DecomposeCache(),
+    )
     live = set()
     for step in range(12):
         batch = random_points(rng, grid64, 40)
         if step % 2:
-            tree.insert_many(batch, use_fast=True)
+            tree.insert_many(batch)
         else:
             for point in batch:
                 tree.insert(point)
@@ -185,26 +220,32 @@ def test_stateful_insert_search_roundtrip(grid64):
             truth = sorted(
                 set(brute_force_search(grid64, live, box))
             )
-            for use_bigmin in (False, True):
-                fast = tree.range_query(
-                    box, use_bigmin=use_bigmin, use_fast=True
-                )
-                slow = tree.range_query(
-                    box, use_bigmin=use_bigmin, use_fast=False
-                )
-                assert sorted(set(fast.matches)) == truth
-                assert fast.matches == slow.matches
-                assert fast.pages_accessed == slow.pages_accessed
-    # The cached decomposer actually served repeated boxes.
-    assert fastz.decompose_box_cache_info().hits > 0
+            tree.decompose_cache.clear()
+            lazy = tree.range_query(box)
+            # What a result cache or batcher does before it scans.
+            tree.decompose_cache.box_elements(
+                grid64, box.clipped_to(grid64.whole_space())
+            )
+            held = tree.range_query(box)
+            jumped = tuple(
+                range_search_bigmin(BTreeCursor(tree.tree), grid64, box)
+            )
+            assert sorted(set(lazy.matches)) == truth
+            assert lazy.matches == held.matches == jumped
+            assert lazy.pages_accessed == held.pages_accessed
+            # The materialised decomposition actually served the repeat.
+            assert lazy.merge.elements_generated > 0
+            assert held.merge.elements_generated == 0
 
 
-def test_bulk_load_fast_matches_slow(grid64, rng):
+def test_bulk_load_matches_scalar_keys(grid64, rng):
     points = random_points(rng, grid64, 500)
     fast_tree = ZkdTree(grid64, page_capacity=10)
-    fast_tree.bulk_load(points, use_fast=True)
+    fast_tree.bulk_load(points)
     slow_tree = ZkdTree(grid64, page_capacity=10)
-    slow_tree.bulk_load(points, use_fast=False)
+    slow_tree.tree.bulk_load(
+        (r.z, r.payload) for r in scalar_point_sequence(grid64, points)
+    )
     assert len(fast_tree) == len(slow_tree) == len(points)
     assert fast_tree.points() == slow_tree.points()
     assert fast_tree.npages == slow_tree.npages
@@ -215,23 +256,23 @@ def test_bulk_load_fast_matches_slow(grid64, rng):
     )
 
 
-def test_relational_plan_fast_matches_slow(grid64, rng):
+def test_relational_plan_matches_brute_force(grid64, rng):
     from repro.db.relation import Relation
 
     schema = Schema.of(("id", OID), ("x", INTEGER), ("y", INTEGER))
     rel = Relation("pts", schema)
-    for i, (x, y) in enumerate(random_points(rng, grid64, 200)):
+    points = random_points(rng, grid64, 200)
+    for i, (x, y) in enumerate(points):
         rel.insert((i, x, y))
     for _ in range(5):
         box = random_box(rng, grid64)
-        fast = range_search_plan(rel, ["x", "y"], box, grid64, use_fast=True)
-        slow = range_search_plan(
-            rel, ["x", "y"], box, grid64, use_fast=False
+        plan = range_search_plan(rel, ["x", "y"], box, grid64)
+        assert sorted(plan.rows) == sorted(
+            tuple(p) for p in points if box.contains_point(p)
         )
-        assert sorted(fast.rows) == sorted(slow.rows)
 
 
-def test_database_range_query_fast_matches_slow(grid64):
+def test_database_range_query_matches_brute_force(grid64):
     rng = random.Random(0xD6)
     db = SpatialDatabase(grid64, page_capacity=8)
     db.create_table(
@@ -243,12 +284,9 @@ def test_database_range_query_fast_matches_slow(grid64):
     db.create_index("cities_xy", "cities", ("x", "y"))
     for _ in range(8):
         box = random_box(rng, grid64)
-        fast = db.range_query("cities", ("x", "y"), box, use_fast=True)
-        slow = db.range_query("cities", ("x", "y"), box, use_fast=False)
-        assert sorted(fast.rows) == sorted(slow.rows)
-        truth = {
-            (x, y)
-            for x, y in points
+        rows = db.range_query("cities", ("x", "y"), box).rows
+        assert sorted(rows) == sorted(
+            (f"c{i}", x, y)
+            for i, (x, y) in enumerate(points)
             if box.contains_point((x, y))
-        }
-        assert {(r[1], r[2]) for r in fast.rows} == truth
+        )

@@ -74,14 +74,11 @@ class TestPlanChoice:
             Box(((0, 127), (0, 127))),
             Box(((30, 90), (40, 100))),
         ):
+            entry = db._index_for("t", ("x", "y"))
             via_index = sorted(
-                db._range_query_via_index(
-                    db._index_for("t", ("x", "y")), "t", box
-                ).rows
+                db._range_rows("t", ("x", "y"), box, entry.tree).rows
             )
-            via_scan = sorted(
-                db._range_query_via_scan("t", ("x", "y"), box).rows
-            )
+            via_scan = sorted(db._range_rows("t", ("x", "y"), box).rows)
             via_plan = sorted(
                 db._range_query_via_plan("t", ("x", "y"), box).rows
             )

@@ -20,6 +20,7 @@ import pytest
 
 from repro.cache import QueryResultCache
 from repro.core.geometry import Box, Grid
+from repro.core.rangesearch import brute_force_search
 from repro.db.database import SpatialDatabase
 from repro.db.schema import Schema
 from repro.db.types import INTEGER, OID
@@ -113,7 +114,7 @@ def _box_mix(grid, seed, count=12):
 def _assert_identity(target, grid, boxes, **kwargs):
     got = batched_range_matches(target, grid, boxes, **kwargs)
     want = [
-        target.range_query(box, use_fast=True).matches for box in boxes
+        target.range_query(box).matches for box in boxes
     ]
     assert got == want
 
@@ -173,7 +174,7 @@ def test_batched_with_cache_second_pass_hits_and_agrees():
     cache = QueryResultCache(GRID)
     boxes = _box_mix(GRID, 5)
     expected = [
-        tree.range_query(box, use_fast=True).matches for box in boxes
+        tree.range_query(box).matches for box in boxes
     ]
     first = batched_range_matches(tree, GRID, boxes, cache=cache)
     assert first == expected
@@ -183,12 +184,14 @@ def test_batched_with_cache_second_pass_hits_and_agrees():
     assert cache.stats.get("cache.hit", 0) > hits_before
 
 
-def test_batched_use_fast_false_agrees():
+def test_batched_agrees_with_brute_force():
+    points = make_dataset("C", GRID, 800, seed=4).points
     tree = _tree(npoints=800, seed=4)
     boxes = _box_mix(GRID, 6, count=6)
-    fast = batched_range_matches(tree, GRID, boxes, use_fast=True)
-    slow = batched_range_matches(tree, GRID, boxes, use_fast=False)
-    assert fast == slow
+    assert batched_range_matches(tree, GRID, boxes) == [
+        tuple(brute_force_search(GRID, points, box))
+        for box in boxes
+    ]
 
 
 # ----------------------------------------------------------------------

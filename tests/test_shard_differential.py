@@ -19,6 +19,7 @@ import pytest
 
 from repro.core.decompose import Element, decompose
 from repro.core.geometry import Box, Grid
+from repro.core.rangesearch import range_search_bigmin
 from repro.core.spatialjoin import spatial_join
 from repro.db.types import SpatialObject
 from repro.shard import (
@@ -26,6 +27,7 @@ from repro.shard import (
     ZRangePartitioner,
     sharded_spatial_join,
 )
+from repro.storage.btree import BTreeCursor
 from repro.storage.prefix_btree import ZkdTree
 from repro.workloads.datasets import make_dataset
 
@@ -69,9 +71,13 @@ def test_range_search_identity_quick(dataset, nshards):
         box = random_box(rng, grid)
         expected = single.range_query(box).matches
         assert store.range_query(box).matches == expected
-        assert (
-            store.range_query(box, use_bigmin=True, use_fast=True).matches
-            == expected
+        # Per-shard BIGMIN reference, concatenated in shard order.
+        assert expected == tuple(
+            point
+            for shard in store.shards
+            for point in range_search_bigmin(
+                BTreeCursor(shard.tree), grid, box
+            )
         )
 
 

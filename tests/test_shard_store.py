@@ -11,6 +11,7 @@ import random
 import pytest
 
 from repro.core.geometry import Box, Grid
+from repro.core.rangesearch import range_search_bigmin
 from repro.db import INTEGER, OID, Schema, SpatialDatabase
 from repro.db.statistics import estimate_matches, estimate_pages
 from repro.obs import format_trace, trace
@@ -22,6 +23,7 @@ from repro.shard import (
     ZRangePartitioner,
     make_executor,
 )
+from repro.storage.btree import BTreeCursor
 from repro.storage.diskstore import FilePageStore
 from repro.storage.prefix_btree import ZkdTree
 
@@ -132,16 +134,21 @@ def test_empty_box_dispatches_nothing(loaded, grid64):
     assert result.shards_pruned == store.nshards
 
 
-def test_bigmin_and_fast_flags(loaded, rng, grid64):
+def test_agrees_with_bigmin_reference(loaded, rng, grid64):
     _, single, store = loaded
     box = random_box(rng, grid64)
-    expected = single.range_query(box).matches
-    for use_bigmin in (False, True):
-        for use_fast in (False, True):
-            got = store.range_query(
-                box, use_bigmin=use_bigmin, use_fast=use_fast
-            )
-            assert got.matches == expected
+    expected = tuple(
+        range_search_bigmin(BTreeCursor(single.tree), grid64, box)
+    )
+    assert single.range_query(box).matches == expected
+    # Each shard's slice equals the decomposition-free reference on
+    # that shard's own leaf chain, and the gather concatenates them.
+    per_shard = [
+        tuple(range_search_bigmin(BTreeCursor(shard.tree), grid64, box))
+        for shard in store.shards
+    ]
+    assert store.range_query(box).matches == expected
+    assert tuple(p for part in per_shard for p in part) == expected
 
 
 def test_result_aggregates(loaded, rng, grid64):

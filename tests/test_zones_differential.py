@@ -16,7 +16,7 @@ import random
 
 import pytest
 
-from repro.core.geometry import Grid
+from repro.core.geometry import Box, Grid
 from repro.db.database import SpatialDatabase
 from repro.db.planner import choose_epsilon_strategy
 from repro.db.schema import Schema
@@ -178,7 +178,9 @@ class TestZonesIndex:
 # ---------------------------------------------------------------------
 
 
-def _build_join_db(rng, na=60, nb=45, concurrency=False, cache=False):
+def _build_join_db(
+    rng, na=60, nb=45, concurrency=False, cache=False, index=True
+):
     db = SpatialDatabase(
         GRID, page_capacity=8, concurrency=concurrency, cache=cache
     )
@@ -198,9 +200,27 @@ def _build_join_db(rng, na=60, nb=45, concurrency=False, cache=False):
     ]
     db.insert_many("stars", stars)
     db.insert_many("gals", gals)
+    if index:
+        _index_join_db(db)
+    return db, stars, gals
+
+
+def _index_join_db(db):
     db.create_index("stars_xy", "stars", ("x", "y"))
     db.create_index("gals_xy", "gals", ("x", "y"))
-    return db, stars, gals
+
+
+def _eps_tallies(db):
+    """(joins counted, sum over the per-strategy tallies)."""
+    stats = db.planner_stats
+    return (
+        stats.get("planner.eps_joins", 0),
+        sum(
+            count
+            for name, count in stats.items()
+            if name.startswith("planner.eps_strategy[")
+        ),
+    )
 
 
 def oracle_join_rows(stars, gals, eps):
@@ -281,6 +301,8 @@ class TestDatabaseJoin:
                 ).rows
             )
             assert got == want
+            # A session's join shows up in /stats like a database's.
+            assert _eps_tallies(db) == (1, 1)
             fresh = list(
                 db.epsilon_join(
                     "stars", ("x", "y"), "gals", ("x", "y"), eps
@@ -288,6 +310,53 @@ class TestDatabaseJoin:
             )
             assert fresh == oracle_join_rows(stars, gals + [extra], eps)
             assert len(fresh) > len(want)
+            assert _eps_tallies(db) == (2, 2)
+
+    @pytest.mark.parametrize("visible", [True, False])
+    def test_every_session_read_equals_its_database_twin(self, visible):
+        """Range, proximity, k-NN and eps-join through a session at a
+        fresh pin are byte-identical to the database's — through a
+        snapshot-visible index, and through the visible rows themselves
+        when the index was born after the pin."""
+        rng = random.Random(75)
+        db, stars, _ = _build_join_db(
+            rng, na=70, nb=40, concurrency=True, index=visible
+        )
+        cols = ("x", "y")
+        side = GRID.side
+        with db.session() as session:
+            if not visible:
+                _index_join_db(db)
+                with pytest.raises(ValueError):  # falls back to its rows
+                    session.range_query_stats("stars", cols, GRID.whole_space())
+            else:
+                session.range_query_stats("stars", cols, GRID.whole_space())
+            for _ in range(6):
+                x0, x1 = sorted(rng.randrange(side) for _ in range(2))
+                y0, y1 = sorted(rng.randrange(side) for _ in range(2))
+                box = Box(((x0, x1), (y0, y1)))
+                assert list(session.range_query("stars", cols, box).rows) == (
+                    list(db.range_query("stars", cols, box).rows)
+                )
+                center = (rng.randrange(side), rng.randrange(side))
+                radius = rng.choice((0, 3.5, 9))
+                assert list(
+                    session.proximity_query("stars", cols, center, radius).rows
+                ) == list(db.proximity_query("stars", cols, center, radius).rows)
+                for mode in ("exact", "approx"):
+                    assert list(
+                        session.knn_query("stars", cols, center, 6, mode).rows
+                    ) == list(db.knn_query("stars", cols, center, 6, mode).rows)
+            for strategy in (None,) + STRATEGIES:
+                assert list(
+                    session.epsilon_join(
+                        "stars", cols, "gals", cols, 3.0, strategy
+                    ).rows
+                ) == list(
+                    db.epsilon_join(
+                        "stars", cols, "gals", cols, 3.0, strategy
+                    ).rows
+                )
 
 
 # ---------------------------------------------------------------------
@@ -304,11 +373,13 @@ class TestSqlWithin:
     def test_join_rows_equal_database_join(self):
         rng = random.Random(81)
         db, stars, gals = _build_join_db(rng)
-        for eps in (0, 2, 4.5):
+        for done, eps in enumerate((0, 2, 4.5)):
             out = execute_sql(db, JOIN_QUERY.format(eps=eps))
+            assert _eps_tallies(db) == (2 * done + 1, 2 * done + 1)
             want = db.epsilon_join(
                 "stars", ("x", "y"), "gals", ("x", "y"), eps
             )
+            assert _eps_tallies(db) == (2 * done + 2, 2 * done + 2)
             assert out.rows == list(want.rows)
             assert out.columns == list(want.schema.names)
             assert out.rows == oracle_join_rows(stars, gals, eps)
