@@ -19,12 +19,11 @@ refresh time.
 
 from __future__ import annotations
 
-from contextlib import ExitStack
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.geometry import Box
 from repro.db.readpath import SpatialReads, visible_rows
-from repro.db.relation import Relation, VersionedRelation
+from repro.db.relation import Relation
 
 __all__ = ["Session"]
 
@@ -108,8 +107,8 @@ class Session(SpatialReads):
         ``(None, None)`` when there is none or it was created after this
         snapshot was pinned (no capture exists for our epoch — the
         visible rows answer instead)."""
-        entry = self._db._index_for(table, cols)
-        if entry is None or entry.born_epoch > self._epoch:
+        entry = self._entry(table, cols)
+        if entry is None:
             return None, None
         view = self._views.get(entry.index_name)
         if view is None:
@@ -121,7 +120,7 @@ class Session(SpatialReads):
         """The relation's visible rows as an immutable plain relation."""
         self._check_open()
         relation = self._db.catalog.relation(name)
-        return Relation(
+        return Relation._derived(
             name, relation.schema, visible_rows(relation, self._epoch)
         )
 
@@ -212,35 +211,17 @@ class Session(SpatialReads):
         was nothing to commit).  The session's snapshot does **not**
         advance — reads still serve the pinned epoch until
         :meth:`refresh`.  On failure the buffered ops are dropped and
-        all partial relation changes roll back.
+        the database's group commit rolls every partial change back.
         """
         self._check_open()
         ops, self._pending = self._pending, []
         if not ops:
             return None
         db = self._db
-        undo: List[Tuple[VersionedRelation, Any]] = []
-        try:
-            with self._manager.write_transaction() as handle:
-                for rel_name in db.catalog.relation_names():
-                    relation = db.catalog.relation(rel_name)
-                    if isinstance(relation, VersionedRelation):
-                        undo.append((relation, relation._undo_state()))
-                with ExitStack() as stack:
-                    for entry in db.catalog.indexes():
-                        stack.enter_context(entry.tree.transaction())
-                    for op, table, row in ops:
-                        if op == "insert":
-                            db._insert_unlocked(table, row)
-                        else:
-                            db._delete_unlocked(table, row)
-        except BaseException:
-            for relation, state in undo:
-                relation._restore(state)
-            db._dirty_codes.clear()
-            raise
-        # Publish the batch's dirty z codes to the result caches at the
-        # epoch the commit created (set at transaction exit) — session
-        # commits invalidate exactly like database-level commits.
-        db._flush_dirty(handle.epoch)
-        return handle.epoch
+        with db._group_commit() as txn:
+            for op, table, row in ops:
+                if op == "insert":
+                    db._insert_unlocked(table, row)
+                else:
+                    db._delete_unlocked(table, row)
+        return txn.epoch

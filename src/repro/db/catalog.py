@@ -2,17 +2,59 @@
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+import itertools
+from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.db.relation import Relation
 from repro.db.schema import Schema
 from repro.storage.prefix_btree import ZkdTree
 
-__all__ = ["Catalog", "IndexEntry"]
+__all__ = ["Catalog", "IndexEntry", "PositionMap", "coordinate_map"]
+
+
+Point = Tuple[int, ...]
+#: coordinate -> the position of the stored row there (a bare ``int``,
+#: the common case) or the ascending positions of the rows sharing it.
+PositionMap = Dict[Point, Union[int, List[int]]]
+
+
+def _record(mapping: PositionMap, point: Point, position: int) -> None:
+    """``point`` gains a row at ``position`` (above its earlier ones)."""
+    held = mapping.get(point)
+    if held is None:
+        mapping[point] = position
+    elif type(held) is list:
+        held.append(position)
+    else:
+        mapping[point] = [held, position]
+
+
+def coordinate_map(
+    points: Iterable[Point], positions: Optional[Iterable[int]] = None
+) -> PositionMap:
+    """The coordinate -> row positions map of ``points`` stored, in
+    order, at ``positions`` (default ``0, 1, 2, ...``)."""
+    mapping: PositionMap = {}
+    if positions is None:
+        positions = itertools.count()
+    for point, position in zip(points, positions):
+        _record(mapping, point, position)
+    return mapping
 
 
 class IndexEntry:
-    """A zkd B+-tree index over coordinate columns of a relation."""
+    """A zkd B+-tree index over coordinate columns of a relation, and
+    the map that joins its matches back to rows.
+
+    The tree stores bare coordinates (one entry per row); ``positions``
+    says where the rows with those coordinates are stored, so a read
+    touches O(matches) rows.  Stored positions never move (see
+    :class:`~repro.db.relation.Relation`) and a versioned relation
+    filters them by epoch on fetch, so the one map serves the live
+    state and every snapshot pinned since ``born_epoch``.  It is built
+    by ``create_index`` and changed only by the database's
+    insert/delete/rollback; readers take no lock.
+    """
 
     def __init__(
         self,
@@ -22,6 +64,7 @@ class IndexEntry:
         tree: ZkdTree,
         born_epoch: int = 0,
         cache=None,
+        positions: Optional[PositionMap] = None,
     ) -> None:
         self.index_name = index_name
         self.relation_name = relation_name
@@ -29,15 +72,51 @@ class IndexEntry:
         self.tree = tree
         # Commit epoch at which the index became visible.  Snapshots
         # pinned before this epoch must not consult the index (its
-        # frozen captures only exist from born_epoch onwards).
+        # frozen captures only exist from born_epoch onwards, and its
+        # map never saw rows that died before it).
         self.born_epoch = born_epoch
         # Optional semantic result cache (repro.cache.QueryResultCache)
         # attached when the database runs with cache= enabled.
         self.cache = cache
+        self.positions: PositionMap = {} if positions is None else positions
 
     def __repr__(self) -> str:
         cols = ", ".join(self.coord_cols)
         return f"IndexEntry({self.index_name!r} on {self.relation_name}({cols}))"
+
+    def visible_at(self, epoch: Optional[int]) -> bool:
+        """May a reader at ``epoch`` (``None``: live) use this index?"""
+        return epoch is None or self.born_epoch <= epoch
+
+    def add(self, point: Point, position: int) -> None:
+        """A row was stored at ``position`` (above every earlier one)."""
+        _record(self.positions, point, position)
+
+    def forget(self, point: Point, position: int) -> None:
+        """The row at ``position`` is gone for every reader."""
+        held = self.positions.get(point)
+        if type(held) is list:
+            held.remove(position)
+            if len(held) == 1:
+                self.positions[point] = held[0]
+        elif held == position:
+            del self.positions[point]
+
+    def positions_of(self, points: Iterable[Point]) -> List[int]:
+        """Ascending positions of the rows stored at any of the
+        (distinct) ``points`` — relation order."""
+        held_at = self.positions.get
+        hits: List[int] = []
+        for point in points:
+            held = held_at(point)
+            if held is None:
+                continue
+            if type(held) is list:
+                hits.extend(held)
+            else:
+                hits.append(held)
+        hits.sort()
+        return hits
 
 
 class Catalog:

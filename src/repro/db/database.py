@@ -16,9 +16,10 @@ from __future__ import annotations
 from contextlib import ExitStack, contextmanager
 from typing import Any, Iterator, List, Optional, Sequence, Tuple
 
+from repro.core.fastz import DecomposeCache
 from repro.core.geometry import Box, Grid
-from repro.db.catalog import Catalog, IndexEntry
-from repro.db.readpath import SpatialReads
+from repro.db.catalog import Catalog, IndexEntry, coordinate_map
+from repro.db.readpath import CoordsOf, SpatialReads, coords_getter
 from repro.db.relation import Relation, VersionedRelation
 from repro.db.schema import Schema
 from repro.db.spatial import overlap_query, range_search_plan
@@ -74,10 +75,14 @@ class SpatialDatabase(SpatialReads):
         # Pending dirty z codes of the open commit, keyed by index name;
         # flushed into each index's cache with the commit epoch.
         self._dirty_codes: dict = {}
+        # Index operations the open commit has applied, in order:
+        # (entry, coordinates, inserted position | None for a delete) —
+        # what an aborted batch undoes.
+        self._applied: List[Tuple[IndexEntry, Tuple[int, ...], Any]] = []
         # Multi-predicate planner bookkeeping: cumulative planner.*
         # stats (the server's /stats planner section reads these) and a
-        # cache of per-column equi-depth histograms, invalidated by
-        # cardinality change.
+        # cache of per-column equi-depth histograms, invalidated by the
+        # relation's mutation counter.
         self.planner_stats: dict = {}
         self._column_histograms: dict = {}
 
@@ -96,43 +101,76 @@ class SpatialDatabase(SpatialReads):
         return self.catalog.relation(name)
 
     @contextmanager
-    def _group_commit(self) -> Iterator[None]:
+    def _group_commit(self) -> Iterator[Any]:
         """One atomic commit spanning the catalog's relations and every
         index store: a single snapshot-manager write transaction holding
-        one storage transaction per index tree open, with relation undo
-        on failure (aborted rows stamped with the pending epoch would
-        otherwise surface once a later transaction commits).
+        one storage transaction per index tree open; yields the
+        transaction handle (its ``epoch`` is set at exit).
+
+        A failing batch is rolled back *here and nowhere else*:
+        relations return to their pre-transaction state (rows stamped
+        with the pending epoch would otherwise surface once a later
+        transaction commits), every index operation already applied is
+        undone in reverse — the tree entry and the coordinate map
+        position together — and the batch's dirty codes are discarded.
+        The trees' pages were rewritten under the pending epoch, so the
+        (now logically empty) transaction still commits: the epoch
+        advances over an unchanged state, and a later pin finds every
+        page image it needs.
 
         Result-cache coherence rides on the same boundary: the batch's
         dirty z codes flush into each index's cache *after* the commit
         epoch is assigned (the handle's epoch is set at the outermost
         transaction exit), so cache invalidation carries exactly the
-        epoch at which the writes became visible.  An aborted batch
-        discards its dirty codes — nothing became visible."""
+        epoch at which the writes became visible."""
         if self.snapshots is None:
             try:
-                yield
+                yield None
             except BaseException:
                 self._dirty_codes.clear()
                 raise
+            finally:
+                self._applied.clear()
             self._flush_dirty(None)
             return
-        undo: List[Tuple[VersionedRelation, Any]] = []
+        failure: Optional[Exception] = None
         try:
             with self.snapshots.write_transaction() as txn:
-                for rel_name in self.catalog.relation_names():
-                    relation = self.catalog.relation(rel_name)
-                    if isinstance(relation, VersionedRelation):
-                        undo.append((relation, relation._undo_state()))
+                undo = [
+                    (relation, relation._undo_state())
+                    for relation in map(
+                        self.catalog.relation, self.catalog.relation_names()
+                    )
+                    if isinstance(relation, VersionedRelation)
+                ]
                 with ExitStack() as stack:
                     for entry in self.catalog.indexes():
                         stack.enter_context(entry.tree.transaction())
-                    yield
-        except BaseException:
-            for relation, state in undo:
-                relation._restore(state)
-            self._dirty_codes.clear()
-            raise
+                    try:
+                        yield txn
+                    except BaseException as exc:
+                        for relation, state in undo:
+                            relation._restore(state)
+                        for entry, coords, position in self._applied:
+                            if position is not None:
+                                entry.forget(coords, position)
+                        self._dirty_codes.clear()
+                        # A CrashPoint is a dead process: its trees are
+                        # abandoned, not repaired.
+                        if not isinstance(exc, Exception):
+                            raise
+                        for entry, coords, position in reversed(
+                            self._applied
+                        ):
+                            if position is None:
+                                entry.tree.insert(coords)
+                            else:
+                                entry.tree.delete(coords)
+                        failure = exc
+        finally:
+            self._applied.clear()
+        if failure is not None:
+            raise failure
         self._flush_dirty(txn.epoch)
 
     def _log_dirty(self, entry: IndexEntry, coords: Tuple[int, ...]) -> None:
@@ -160,47 +198,66 @@ class SpatialDatabase(SpatialReads):
         with self._group_commit():
             self._insert_unlocked(table, row)
 
+    def _maintained(
+        self, relation: Relation
+    ) -> List[Tuple[IndexEntry, CoordsOf]]:
+        """The indexes a write to ``relation`` must keep up, each with
+        its ``row -> coordinates`` getter."""
+        return [
+            (entry, coords_getter(relation.schema, entry.coord_cols))
+            for entry in self.catalog.indexes_on(relation.name)
+        ]
+
     def _insert_unlocked(self, table: str, row: Sequence[Any]) -> None:
         relation = self.catalog.relation(table)
-        relation.insert(row)
-        for entry in self.catalog.indexes_on(table):
-            coords = self._coords(relation, row, entry.coord_cols)
+        self._store_row(relation, self._maintained(relation), row)
+
+    def _store_row(
+        self,
+        relation: Relation,
+        maintained: List[Tuple[IndexEntry, CoordsOf]],
+        row: Sequence[Any],
+    ) -> None:
+        position = relation.insert(row)
+        for entry, coords_of in maintained:
+            coords = coords_of(row)
             entry.tree.insert(coords)
+            entry.add(coords, position)
+            self._applied.append((entry, coords, position))
             self._log_dirty(entry, coords)
 
     def insert_many(self, table: str, rows: Sequence[Sequence[Any]]) -> None:
         with self._group_commit():
+            relation = self.catalog.relation(table)
+            maintained = self._maintained(relation)
+            if not maintained:
+                relation.insert_many(rows)
+                return
             for row in rows:
-                self._insert_unlocked(table, row)
+                self._store_row(relation, maintained, row)
 
     def delete(self, table: str, row: Sequence[Any]) -> bool:
-        """Delete the first row equal to ``row`` (and its index entries
-        when no duplicate row still needs them)."""
+        """Delete the first row equal to ``row`` and its entry in every
+        index (the trees hold one entry per row)."""
         with self._group_commit():
             return self._delete_unlocked(table, row)
 
     def _delete_unlocked(self, table: str, row: Sequence[Any]) -> bool:
         relation = self.catalog.relation(table)
-        if not relation.delete(row):
+        position = relation._delete(row)
+        if position is None:
             return False
-        for entry in self.catalog.indexes_on(table):
-            coords = self._coords(relation, row, entry.coord_cols)
-            # Bag semantics: the index stores one entry per distinct
-            # point, so only remove it when no surviving row maps there.
-            if not any(
-                self._coords(relation, other, entry.coord_cols) == coords
-                for other in relation
-            ):
-                entry.tree.delete(coords)
-            # Conservatively dirty the point either way: over-
-            # invalidating a cache entry is always safe.
+        for entry, coords_of in self._maintained(relation):
+            coords = coords_of(row)
+            entry.tree.delete(coords)
+            if self.snapshots is None:
+                # No snapshot can still read the freed slot.  (A
+                # versioned relation keeps the row, stamped dead, and
+                # the map keeps its position for the epochs before.)
+                entry.forget(coords, position)
+            self._applied.append((entry, coords, None))
             self._log_dirty(entry, coords)
         return True
-
-    def _coords(
-        self, relation: Relation, row: Sequence[Any], cols: Tuple[str, ...]
-    ) -> Tuple[int, ...]:
-        return tuple(row[relation.schema.index_of(c)] for c in cols)
 
     # ------------------------------------------------------------------
     # Indexing
@@ -241,6 +298,16 @@ class SpatialDatabase(SpatialReads):
                 f"index needs {self.grid.ndims} coordinate columns"
             )
         born_epoch = 0
+        # One pass over the stored rows extracts the coordinates that
+        # feed the tree build and the positions map, unchanged in order.
+        positions, rows = relation._stored()
+        points = list(map(coords_getter(relation.schema, cols), rows))
+        # Per-index decomposition cache: dropping the index frees it, and
+        # no state leaks across databases through the process-wide
+        # default registry.  Sized for the boxes a workload *repeats*:
+        # an entry costs ~10 KB for a 40x40 box, so the default 4096
+        # lets a stream of one-off boxes outgrow the table it indexes.
+        decompose_cache = DecomposeCache(maxsize=512)
         with ExitStack() as stack:
             if self.snapshots is not None:
                 # Building an index is itself a group commit: page
@@ -252,7 +319,7 @@ class SpatialDatabase(SpatialReads):
 
                 tree = ShardedSpatialStore.build(
                     self.grid,
-                    [self._coords(relation, row, cols) for row in relation],
+                    points,
                     nshards=shards,
                     partition=partition,
                     page_capacity=self.page_capacity,
@@ -261,20 +328,16 @@ class SpatialDatabase(SpatialReads):
                     executor=executor,
                     resilience=resilience,
                     snapshots=self.snapshots,
+                    decompose_cache=decompose_cache,
                 )
             else:
-                from repro.core.fastz import DecomposeCache
-
                 tree = ZkdTree(
                     self.grid,
                     page_capacity=self.page_capacity,
                     buffer_frames=buffer_frames,
                     policy=policy,
                     snapshots=self.snapshots,
-                    # Per-store decomposition cache: dropping the index
-                    # frees it, and no state leaks across databases
-                    # through the process-wide default registry.
-                    decompose_cache=DecomposeCache(),
+                    decompose_cache=decompose_cache,
                 )
                 # Batch-shuffle the whole column set through the fast
                 # kernels; the insert sequence (and hence the tree shape)
@@ -282,9 +345,7 @@ class SpatialDatabase(SpatialReads):
                 with ExitStack() as load:
                     if self.snapshots is not None:
                         load.enter_context(tree.transaction())
-                    tree.insert_many(
-                        self._coords(relation, row, cols) for row in relation
-                    )
+                    tree.insert_many(points)
         if self.snapshots is not None:
             born_epoch = txn.epoch
         result_cache = None
@@ -295,7 +356,13 @@ class SpatialDatabase(SpatialReads):
                 self.grid, snapshots=self.snapshots, **self._cache_opts
             )
         entry = IndexEntry(
-            index_name, table, cols, tree, born_epoch, cache=result_cache
+            index_name,
+            table,
+            cols,
+            tree,
+            born_epoch,
+            cache=result_cache,
+            positions=coordinate_map(points, positions),
         )
         self.catalog.register_index(entry)
         return entry
@@ -339,28 +406,23 @@ class SpatialDatabase(SpatialReads):
 
     def column_histogram(self, table: str, column: str) -> "Any":
         """The equi-depth histogram of one numeric column (None when the
-        column holds no numeric values), cached until the table's
-        cardinality changes — the attribute-selectivity source of the
+        column holds no numeric values), cached until the table next
+        mutates — the attribute-selectivity source of the
         multi-predicate planner."""
         from repro.db.statistics import ColumnHistogram
 
         relation = self.catalog.relation(table)
-        key = (table, column, len(relation))
-        cached = self._column_histograms.get(key)
-        if cached is None:
+        stamp = (relation, relation.mutations)
+        cached = self._column_histograms.get((table, column))
+        if cached is None or cached[0] != stamp:
             index = relation.schema.index_of(column)
-            cached = ColumnHistogram.of_values(
-                row[index] for row in relation
+            cached = (
+                stamp,
+                ColumnHistogram.of_values(row[index] for row in relation),
             )
-            # Drop stale cardinalities for this column before caching.
-            for old in [
-                k
-                for k in self._column_histograms
-                if k[0] == table and k[1] == column
-            ]:
-                del self._column_histograms[old]
-            self._column_histograms[key] = cached
-        return cached if cached.nrecords else None
+            self._column_histograms[(table, column)] = cached
+        histogram = cached[1]
+        return histogram if histogram.nrecords else None
 
     def _index_for(
         self, table: str, coord_cols: Sequence[str]

@@ -50,10 +50,10 @@ def select(relation: Relation, predicate: Expr, name: str = "") -> Relation:
     return _traced_build(
         "op.select",
         len(relation),
-        lambda: Relation(
+        lambda: Relation._derived(
             name or f"select({relation.name})",
             relation.schema,
-            (row for row in relation if bound(row)),
+            [row for row in relation if bound(row)],
         ),
     )
 
@@ -67,10 +67,10 @@ def project(
     return _traced_build(
         "op.project",
         len(relation),
-        lambda: Relation(
+        lambda: Relation._derived(
             name or f"project({relation.name})",
             relation.schema.project(names),
-            (tuple(row[i] for i in indices) for row in relation),
+            [tuple(row[i] for i in indices) for row in relation],
         ),
     )
 
@@ -86,7 +86,7 @@ def distinct(relation: Relation, name: str = "") -> Relation:
             if row not in seen:
                 seen.add(row)
                 rows.append(row)
-        return Relation(
+        return Relation._derived(
             name or f"distinct({relation.name})", relation.schema, rows
         )
 
@@ -94,7 +94,7 @@ def distinct(relation: Relation, name: str = "") -> Relation:
 
 
 def rename(relation: Relation, mapping: dict, name: str = "") -> Relation:
-    return Relation(
+    return Relation._derived(
         name or relation.name,
         relation.schema.rename(mapping),
         relation.rows,
@@ -114,7 +114,7 @@ def sort(
     return _traced_build(
         "op.sort",
         len(relation),
-        lambda: Relation(
+        lambda: Relation._derived(
             name or f"sort({relation.name})",
             relation.schema,
             sorted(
@@ -132,7 +132,7 @@ def limit(relation: Relation, count: int, name: str = "") -> Relation:
     return _traced_build(
         "op.limit",
         len(relation),
-        lambda: Relation(
+        lambda: Relation._derived(
             name or f"limit({relation.name})",
             relation.schema,
             relation.rows[:count],
@@ -145,10 +145,10 @@ def cross_product(left: Relation, right: Relation, name: str = "") -> Relation:
     return _traced_build(
         "op.cross_product",
         len(left) + len(right),
-        lambda: Relation(
+        lambda: Relation._derived(
             name or f"product({left.name},{right.name})",
             schema,
-            (lrow + rrow for lrow in left for rrow in right),
+            [lrow + rrow for lrow in left for rrow in right],
         ),
     )
 
@@ -177,12 +177,15 @@ def equi_join(
         table: dict = {}
         for row in left:
             table.setdefault(row[lidx], []).append(row)
-        schema = _join_schema(left, right)
-        out = Relation(name or f"join({left.name},{right.name})", schema)
-        for rrow in right:
-            for lrow in table.get(rrow[ridx], ()):
-                out.insert(lrow + rrow)
-        return out
+        return Relation._derived(
+            name or f"join({left.name},{right.name})",
+            _join_schema(left, right),
+            [
+                lrow + rrow
+                for rrow in right
+                for lrow in table.get(rrow[ridx], ())
+            ],
+        )
 
     return _traced_build("op.equi_join", len(left) + len(right), build)
 
@@ -209,12 +212,15 @@ def natural_join(left: Relation, right: Relation, name: str = "") -> Relation:
         for row in left:
             key = tuple(row[i] for i in lidx)
             table.setdefault(key, []).append(row)
-        out = Relation(name or f"njoin({left.name},{right.name})", schema)
-        for rrow in right:
-            key = tuple(rrow[i] for i in ridx)
-            for lrow in table.get(key, ()):
-                out.insert(lrow + tuple(rrow[i] for i in keep_right))
-        return out
+        return Relation._derived(
+            name or f"njoin({left.name},{right.name})",
+            schema,
+            [
+                lrow + tuple(rrow[i] for i in keep_right)
+                for rrow in right
+                for lrow in table.get(tuple(rrow[i] for i in ridx), ())
+            ],
+        )
 
     return _traced_build("op.natural_join", len(left) + len(right), build)
 
@@ -225,7 +231,7 @@ def union(left: Relation, right: Relation, name: str = "") -> Relation:
     return _traced_build(
         "op.union",
         len(left) + len(right),
-        lambda: Relation(
+        lambda: Relation._derived(
             name or f"union({left.name},{right.name})",
             left.schema,
             left.rows + right.rows,

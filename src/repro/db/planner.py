@@ -116,14 +116,12 @@ def plan_range_query(
     Falls back to the relational plan (counted as a scan) when no index
     matches.
     """
-    relation = database.catalog.relation(table)
+    nrows = len(database.catalog.relation(table))
     grid = database.grid
     entry = database._index_for(table, coord_cols)
     selectivity = estimate_selectivity(box, grid)
 
-    scan_pages = max(
-        1.0, math.ceil(len(relation) / database.page_capacity)
-    )
+    scan_pages = max(1.0, math.ceil(nrows / database.page_capacity))
     if entry is None:
         return Plan(
             method="table-scan",
@@ -132,7 +130,7 @@ def plan_range_query(
             selectivity=selectivity,
             estimated_pages=scan_pages,
             alternative_pages=float("inf"),
-            estimated_rows=selectivity * len(relation),
+            estimated_rows=selectivity * nrows,
             _execute=lambda: database._range_query_via_plan(
                 table, coord_cols, box
             ),
@@ -146,10 +144,10 @@ def plan_range_query(
         # Distribution-aware estimates: the index's own leaf ranges form
         # an equi-depth histogram (repro.db.statistics); far tighter
         # than the uniform O(vN) formula on skewed data.
-        from repro.db.statistics import estimate_matches, estimate_pages
+        from repro.db.statistics import estimate_scan
 
-        index_pages = float(estimate_pages(entry.tree, clipped))
-        estimated_rows = float(estimate_matches(entry.tree, clipped))
+        estimated_rows, pages = estimate_scan(entry.tree, clipped)
+        index_pages = float(pages)
     sharded = getattr(entry.tree, "shards", None) is not None
     if sharded:
         # Shard descents run in parallel; the tallest shard bounds the
@@ -390,10 +388,10 @@ class SelectPlan:
         # already carries the cardinalities, and nesting both would
         # double-count rows_in/rows_out in total_counters().
         bound = conjunct.predicate.bind(relation.schema)
-        return Relation(
+        return Relation._derived(
             f"filter({relation.name})",
             relation.schema,
-            (row for row in relation if bound(row)),
+            [row for row in relation if bound(row)],
         )
 
     def explain(self) -> str:
@@ -427,6 +425,55 @@ class SelectPlan:
         for note in self.notes:
             lines.append(f"  {note}")
         return "\n".join(lines)
+
+
+def _window_from_ranges(
+    database, table: str, conjuncts: Sequence[Conjunct]
+) -> Optional[Tuple[Conjunct, Plan, List[Conjunct]]]:
+    """Attribute ranges on an index's coordinate columns *are* a
+    z-window: the tightest integer bounds the ``attr-range`` conjuncts
+    put on each coordinate column form the access box, a dimension
+    nothing pins spanning the grid (the paper's partial-match query).
+    Returns ``(window, access plan, the conjuncts it summarises)`` for
+    the cheapest index :func:`plan_range_query` prefers to a scan, else
+    ``None``.  The box only has to *cover* the conjuncts — they stay in
+    the filter chain, so strict, one-sided and fractional bounds need
+    no care here."""
+    top = database.grid.side - 1
+    best: Optional[Tuple[Conjunct, Plan, List[Conjunct]]] = None
+    for entry in database.catalog.indexes_on(table):
+        ranges = []
+        used: List[Conjunct] = []
+        for column in entry.coord_cols:
+            low, high = 0, top
+            for conjunct in conjuncts:
+                if conjunct.kind != "attr-range" or conjunct.column != column:
+                    continue
+                if conjunct.low is not None:
+                    low = max(low, math.ceil(conjunct.low))
+                if conjunct.high is not None:
+                    high = min(high, math.floor(conjunct.high))
+                used.append(conjunct)
+            ranges.append((low, high))
+        if not used or any(low > high for low, high in ranges):
+            continue
+        box = Box(tuple(ranges))
+        access = plan_range_query(database, table, entry.coord_cols, box)
+        if not access.method.endswith("index-scan"):
+            continue
+        if best is None or access.estimated_pages < best[1].estimated_pages:
+            used.sort(key=lambda c: c.written_pos)
+            window = Conjunct(
+                kind="z-window",
+                text=" AND ".join(c.text for c in used),
+                predicate=None,  # never filters: the ranges themselves do
+                written_pos=used[0].written_pos,
+                selectivity=access.selectivity,
+                box=box,
+                coord_cols=entry.coord_cols,
+            )
+            best = (window, access, used)
+    return best
 
 
 def plan_select(
@@ -465,7 +512,14 @@ def plan_select(
             ),
         )
 
-    relation = database.catalog.relation(table)
+    access: Optional[Plan] = None
+    summarised: List[Conjunct] = []
+    if window is None:
+        ranged = _window_from_ranges(database, table, filters)
+        if ranged is not None:
+            window, access, summarised = ranged
+
+    nrows = len(database.catalog.relation(table))
     stats = getattr(database, "planner_stats", None)
     plan = SelectPlan(
         table=table,
@@ -479,9 +533,10 @@ def plan_select(
     if window is not None:
         window_rows = None
         if target is database:
-            access = plan_range_query(
-                database, table, window.coord_cols, window.box
-            )
+            if access is None:
+                access = plan_range_query(
+                    database, table, window.coord_cols, window.box
+                )
             plan.access = access
             plan.access_label = access.method
             plan._fetch = access.execute
@@ -493,21 +548,42 @@ def plan_select(
             cols, box = window.coord_cols, window.box
             plan._fetch = lambda: target.range_query(table, cols, box)
         if window_rows is None:
-            window_rows = (window.selectivity or 0.0) * len(relation)
+            window_rows = (window.selectivity or 0.0) * nrows
         window.estimated_rows = window_rows
         estimated = float(window_rows)
+        if summarised:
+            unpinned = [
+                column
+                for column, (low, high) in zip(
+                    window.coord_cols, window.box.ranges
+                )
+                if (low, high) == (0, database.grid.side - 1)
+            ]
+            plan.notes.append(
+                f"z-window from attribute ranges: {window.text}"
+                + (
+                    f"  [partial match: {', '.join(unpinned)} unpinned]"
+                    if unpinned
+                    else ""
+                )
+            )
     else:
         plan.access_label = "table-scan"
 
         def _scan() -> Relation:
             base = target.table(table)
-            return Relation(f"scan({table})", base.schema, base.rows)
+            return Relation._derived(
+                f"scan({table})", base.schema, base.rows
+            )
 
         plan._fetch = _scan
-        estimated = float(len(relation))
+        estimated = float(nrows)
 
     for conjunct in filters:
-        estimated *= conjunct.selectivity or 1.0
+        # The window's row estimate already accounts for the ranges it
+        # was synthesised from.
+        if not any(conjunct is held for held in summarised):
+            estimated *= conjunct.selectivity or 1.0
     plan.estimated_rows = estimated
     return plan
 

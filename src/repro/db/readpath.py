@@ -19,7 +19,6 @@ from types import SimpleNamespace
 from typing import (
     Any,
     Callable,
-    Dict,
     Iterable,
     List,
     Optional,
@@ -30,6 +29,7 @@ from typing import (
 from repro.cache import cached_range_matches
 from repro.core.deadline import check_deadline
 from repro.core.geometry import Box, Grid
+from repro.db.catalog import IndexEntry
 from repro.db.planner import bump_planner_stat, choose_epsilon_strategy
 from repro.db.relation import Relation, VersionedRelation
 from repro.db.schema import Schema
@@ -40,7 +40,6 @@ from repro.proximity import knn as knn_points
 __all__ = [
     "RowStore",
     "SpatialReads",
-    "coordinate_map",
     "coords_getter",
     "epsilon_join_rows",
     "gather_ranked",
@@ -52,14 +51,15 @@ __all__ = [
 Point = Tuple[int, ...]
 Row = Tuple[Any, ...]
 CoordsOf = Callable[[Row], Point]
-#: coords -> [(row position, row)], see :func:`coordinate_map`.
-RowMap = Dict[Point, List[Tuple[int, Row]]]
 
 
 def coords_getter(schema: Schema, cols: Sequence[str]) -> CoordsOf:
     """``row -> coordinate tuple`` over the named columns."""
     indices = [schema.index_of(c) for c in cols]
-    return lambda row: tuple(row[i] for i in indices)
+    if len(indices) == 1:
+        (only,) = indices
+        return lambda row: (row[only],)
+    return itemgetter(*indices)
 
 
 def visible_rows(relation: Relation, epoch: Optional[int] = None) -> List[Row]:
@@ -69,43 +69,53 @@ def visible_rows(relation: Relation, epoch: Optional[int] = None) -> List[Row]:
     return relation.rows
 
 
-def coordinate_map(rows: Iterable[Row], coords: CoordsOf) -> RowMap:
-    """The rejoin's index: built once over an immutable row set (a
-    pinned epoch's), it makes every later :func:`rejoin` O(matches)."""
-    mapping: RowMap = {}
-    for position, row in enumerate(rows):
-        mapping.setdefault(coords(row), []).append((position, row))
-    return mapping
-
-
 def rejoin(
-    rows: Iterable[Row],
-    coords: CoordsOf,
+    relation: Relation,
+    epoch: Optional[int],
     matched: Iterable[Point],
-    row_map: Optional[RowMap] = None,
+    entry: Optional[IndexEntry],
+    cols: Sequence[str],
 ) -> List[Row]:
-    """The rows whose coordinates a store reported in ``matched``, in
-    relation order.  Scans ``rows`` unless their :func:`coordinate_map`
-    is supplied (then ``rows`` is not read)."""
+    """The rows of ``relation`` visible at ``epoch`` whose coordinates
+    a store reported in ``matched``, in relation order: fetched through
+    the index ``entry``'s positions map — O(matches) — or, when no
+    index the reader may see covers ``cols``, by scanning the visible
+    rows."""
     wanted = set(matched)
-    if row_map is None:
-        return [row for row in rows if coords(row) in wanted]
-    hits: List[Tuple[int, Row]] = []
-    for point in wanted:
-        hits.extend(row_map.get(point, ()))
-    hits.sort(key=itemgetter(0))
-    return [row for _, row in hits]
+    if entry is not None:
+        return relation.fetch(entry.positions_of(wanted), epoch)
+    coords = coords_getter(relation.schema, cols)
+    return [
+        row for row in visible_rows(relation, epoch) if coords(row) in wanted
+    ]
 
 
 def gather_ranked(
-    rows: Iterable[Row], coords: CoordsOf, ranked: Sequence[Point], k: int
+    relation: Relation,
+    epoch: Optional[int],
+    ranked: Sequence[Point],
+    k: int,
+    entry: Optional[IndexEntry],
+    cols: Sequence[str],
 ) -> List[Row]:
-    """The first ``k`` rows in point-rank order (relation order within
-    a point) — byte-identical to stable-sorting every row by its
+    """The first ``k`` visible rows in point-rank order (relation order
+    within a point) — byte-identical to stable-sorting every row by its
     point's rank and truncating."""
+    if entry is not None:
+        out: List[Row] = []
+        for point in dict.fromkeys(ranked):
+            if len(out) >= k:
+                break
+            out.extend(relation.fetch(entry.positions_of((point,)), epoch))
+        return out[:k]
+    coords = coords_getter(relation.schema, cols)
     rank = {point: i for i, point in enumerate(ranked)}
     return sorted(
-        (row for row in rows if coords(row) in rank),
+        (
+            row
+            for row in visible_rows(relation, epoch)
+            if coords(row) in rank
+        ),
         key=lambda row: rank[coords(row)],
     )[:k]
 
@@ -135,8 +145,8 @@ def epsilon_join_rows(
     ``strategy=None`` lets the planner's cost model pick; either way
     the join is tallied in ``database.planner_stats`` (and on the
     active trace) exactly once."""
-    pts_a = [coords_a(row) for row in rows_a]
-    pts_b = [coords_b(row) for row in rows_b]
+    pts_a = list(map(coords_a, rows_a))
+    pts_b = list(map(coords_b, rows_b))
     if strategy is None:
         strategy, _ = choose_epsilon_strategy(
             len(pts_a), len(pts_b), eps, database.grid
@@ -207,6 +217,17 @@ class SpatialReads:
         ``(None, None)`` when the reader may fall back to its rows."""
         raise NotImplementedError
 
+    def _entry(
+        self, table: str, cols: Sequence[str]
+    ) -> Optional[IndexEntry]:
+        """The index on ``table(cols)`` this reader may use: it must
+        exist and have been born by the reader's epoch."""
+        database, epoch = self._reading()
+        entry = database._index_for(table, cols)
+        if entry is None or not entry.visible_at(epoch):
+            return None
+        return entry
+
     def _visible(
         self, table: str, cols: Sequence[str]
     ) -> Tuple[Schema, List[Row], CoordsOf]:
@@ -225,8 +246,13 @@ class SpatialReads:
         cols: Sequence[str],
         matched: Iterable[Point],
     ) -> Relation:
-        schema, rows, coords = self._visible(table, cols)
-        return Relation(name, schema, rejoin(rows, coords, matched))
+        database, epoch = self._reading()
+        relation = database.catalog.relation(table)
+        return Relation._derived(
+            name,
+            relation.schema,
+            rejoin(relation, epoch, matched, self._entry(table, cols), cols),
+        )
 
     def _range_rows(
         self,
@@ -243,7 +269,7 @@ class SpatialReads:
         equal the uncached read by construction."""
         if store is None:
             schema, rows, coords = self._visible(table, cols)
-            return Relation(
+            return Relation._derived(
                 f"range({table})", schema, scan_rows(rows, coords, box)
             )
         if cache is not None:
@@ -255,6 +281,17 @@ class SpatialReads:
             matched = store.range_query(box).matches
         return self._matched_relation(f"range({table})", table, cols, matched)
 
+    def _point_store(self, table: str, cols: Sequence[str]) -> Any:
+        """What answers a proximity read: the index store, or — a
+        session with no index visible at its pin — the visible rows'
+        own coordinates."""
+        database, _ = self._reading()  # a closed session raises here
+        store, _ = self._answering(table, cols)
+        if store is None:
+            _, rows, coords = self._visible(table, cols)
+            store = RowStore(database.grid, map(coords, rows))
+        return store
+
     def _ranked_rows(
         self,
         table: str,
@@ -262,17 +299,17 @@ class SpatialReads:
         k: int,
         rank: Callable[[Any], Sequence[Point]],
     ) -> Relation:
-        """The first ``k`` rows by the nearest-first distinct points
+        """The first ``k`` rows by the nearest-first points
         ``rank(store)`` reports."""
-        database, _ = self._reading()
-        store, _ = self._answering(table, cols)
-        schema, rows, coords = self._visible(table, cols)
-        if store is None:
-            store = RowStore(database.grid, map(coords, rows))
-        return Relation(
+        database, epoch = self._reading()
+        relation = database.catalog.relation(table)
+        ranked = rank(self._point_store(table, cols))
+        return Relation._derived(
             f"knn({table})",
-            schema,
-            gather_ranked(rows, coords, rank(store), k),
+            relation.schema,
+            gather_ranked(
+                relation, epoch, ranked, k, self._entry(table, cols), cols
+            ),
         )
 
     def range_query_stats(
@@ -299,14 +336,10 @@ class SpatialReads:
         """Rows within Euclidean ``radius`` of ``center`` — Section 6's
         proximity queries, translated into an overlap query against a
         ball."""
-        database, _ = self._reading()
-        store, _ = self._answering(table, coord_cols)
-        schema, rows, coords = self._visible(table, coord_cols)
-        if store is None:
-            store = RowStore(database.grid, map(coords, rows))
+        store = self._point_store(table, coord_cols)
         matched = store.within_distance(tuple(center), radius).matches
-        return Relation(
-            f"near({table})", schema, rejoin(rows, coords, matched)
+        return self._matched_relation(
+            f"near({table})", table, coord_cols, matched
         )
 
     def knn_query(
@@ -359,7 +392,7 @@ class SpatialReads:
         database, _ = self._reading()
         schema_a, rows_a, coords_a = self._visible(table_a, cols_a)
         schema_b, rows_b, coords_b = self._visible(table_b, cols_b)
-        return Relation(
+        return Relation._derived(
             f"epsjoin({table_a},{table_b})",
             schema_a.concat(schema_b, f"{table_a}_", f"{table_b}_"),
             epsilon_join_rows(

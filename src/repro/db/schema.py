@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Iterator, List, Sequence, Tuple
+from functools import cached_property
+from typing import Any, Callable, Iterator, List, Sequence, Tuple
 
 from repro.db.types import Domain
 
@@ -23,6 +24,40 @@ class Column:
 
     def __str__(self) -> str:
         return f"{self.name}: {self.domain.name}"
+
+
+def _compile_validator(
+    columns: Tuple[Column, ...]
+) -> Callable[[Sequence[Any]], Tuple[Any, ...]]:
+    """``row -> validated tuple`` for ``columns``, generated once per
+    schema with the per-column checks unrolled (the way ``namedtuple``
+    builds ``__new__``): loading validates every row exactly once, so
+    a row should cost one call per value — no per-row ``zip``, loop or
+    attribute walk.  A tuple no check had to normalize is returned
+    itself, not copied (rows are immutable; a loader that keeps its
+    input then shares it with the relation).  Raises what the domains
+    raise, and ``ValueError`` on an arity mismatch."""
+    n = len(columns)
+    values = "".join(f"v{i}, " for i in range(n))
+    checked = "".join(f"c{i}, " for i in range(n))
+    unchanged = "".join(f" and c{i} is v{i}" for i in range(n))
+    source = (
+        "def validate_row(row):\n"
+        f"    if len(row) != {n}:\n"
+        "        raise ValueError(\n"
+        f"            f'row arity {{len(row)}} != schema arity {n}')\n"
+        + (f"    {values}= row\n" if n else "")
+        + "".join(f"    c{i} = check{i}(v{i})\n" for i in range(n))
+        + f"    if type(row) is tuple{unchanged}:\n"
+        "        return row\n"
+        f"    return ({checked})\n"
+    )
+    namespace: dict = {
+        f"check{i}": column.domain.validate
+        for i, column in enumerate(columns)
+    }
+    exec(source, namespace)
+    return namespace["validate_row"]
 
 
 class Schema:
@@ -62,6 +97,17 @@ class Schema:
     def __hash__(self) -> int:
         return hash(self._columns)
 
+    def __reduce__(self):
+        # The compiled validator does not pickle; the columns do.
+        return (Schema, (self._columns,))
+
+    @cached_property
+    def validate_row(self) -> Callable[[Sequence[Any]], Tuple[Any, ...]]:
+        """``validate_row(row)``: the row as a tuple of validated
+        (possibly normalized) values.  Compiled on first use — the
+        schemas of derived relations never validate."""
+        return _compile_validator(self._columns)
+
     def __repr__(self) -> str:
         return f"Schema({', '.join(str(c) for c in self._columns)})"
 
@@ -78,16 +124,6 @@ class Schema:
 
     def has_column(self, name: str) -> bool:
         return name in self._index
-
-    def validate_row(self, row: Sequence[Any]) -> Tuple[Any, ...]:
-        if len(row) != len(self._columns):
-            raise ValueError(
-                f"row arity {len(row)} != schema arity {len(self._columns)}"
-            )
-        return tuple(
-            column.domain.validate(value)
-            for column, value in zip(self._columns, row)
-        )
 
     def project(self, names: Sequence[str]) -> "Schema":
         return Schema([self.column(name) for name in names])

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Any, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.decompose import Element, decompose_box
-from repro.core.geometry import Box, Grid
+from repro.core.geometry import Box
 from repro.storage.prefix_btree import ZkdTree
 
 __all__ = [
@@ -29,6 +29,8 @@ __all__ = [
     "ColumnHistogram",
     "estimate_matches",
     "estimate_pages",
+    "estimate_scan",
+    "histogram_of",
 ]
 
 
@@ -186,11 +188,32 @@ class ColumnHistogram:
         return 1.0 / self.ndistinct
 
 
-def _query_intervals(grid: Grid, box: Box) -> List[Tuple[int, int]]:
+def histogram_of(tree: ZkdTree) -> ZHistogram:
+    """``ZHistogram.of_tree(tree)``, memoised on the tree until it next
+    mutates (``mutation_epoch``) — a plan must cost less than the query
+    it plans, and the leaf chain only changes when the tree does."""
+    stamp = tree.mutation_epoch
+    cached = getattr(tree, "_zhistogram", None)
+    if cached is None or cached[0] != stamp:
+        cached = (stamp, ZHistogram.of_tree(tree))
+        tree._zhistogram = cached  # type: ignore[attr-defined]
+    return cached[1]
+
+
+def _query_intervals(tree, box: Box) -> List[Tuple[int, int]]:
+    """The z intervals of ``box`` on ``tree``'s grid: read from the
+    store's decomposition cache when an earlier query materialised the
+    box there, decomposed (and cached nowhere) otherwise."""
+    grid = tree.grid
     clipped = box.clipped_to(grid.whole_space())
     if clipped is None:
         return []
-    elements = (Element.of(z, grid) for z in decompose_box(grid, clipped))
+    held = tree.decompose_cache.peek(grid, clipped)
+    elements: Iterable[Element] = (
+        held[0]
+        if held is not None
+        else (Element.of(z, grid) for z in decompose_box(grid, clipped))
+    )
     return [(e.zlo, e.zhi) for e in elements]
 
 
@@ -205,57 +228,47 @@ def _clip_intervals(
     ]
 
 
-def estimate_matches(tree, box: Box) -> float:
-    """Expected number of points of ``tree`` inside ``box``.
+def estimate_scan(tree, box: Box) -> Tuple[float, int]:
+    """``(expected matches, expected data pages)`` of a range query for
+    ``box`` — one decomposition of the box feeding both estimates.
 
     ``tree`` may be a single :class:`~repro.storage.prefix_btree.
     ZkdTree` or a :class:`~repro.shard.store.ShardedSpatialStore`; for
     the latter the query's z intervals are clipped to each shard's
     owned range and the per-shard histogram estimates summed — each
     shard's leaf pages only describe its own slice of z space.
+
+    Pages are the distinct leaf ranges the query's z intervals
+    intersect: slightly approximate, in practice within a page or two
+    of the measured count.
     """
+    intervals = _query_intervals(tree, box)
     shards = getattr(tree, "shards", None)
-    if shards is not None:
-        intervals = _query_intervals(tree.grid, box)
-        expected = 0.0
-        for shard, (lo, hi) in zip(
-            shards, tree.partitioner.intervals()
-        ):
-            clipped = _clip_intervals(intervals, lo, hi)
-            if clipped and len(shard):
-                histogram = ZHistogram.of_tree(shard)
-                expected += histogram.overlap_stats(clipped)[0]
-        return expected
-    histogram = ZHistogram.of_tree(tree)
-    expected, _ = histogram.overlap_stats(
-        _query_intervals(tree.grid, box)
-    )
-    return expected
+    if shards is None:
+        parts = [(tree, intervals)]
+    else:
+        parts = [
+            (shard, clipped)
+            for shard, (lo, hi) in zip(shards, tree.partitioner.intervals())
+            if (clipped := _clip_intervals(intervals, lo, hi)) and len(shard)
+        ]
+    expected = 0.0
+    pages = 0
+    for part, clipped in parts:
+        histogram = histogram_of(part)
+        expected += histogram.overlap_stats(clipped)[0]
+        pages += _pages_for(histogram, clipped)
+    return expected, pages
+
+
+def estimate_matches(tree, box: Box) -> float:
+    """Expected number of points of ``tree`` inside ``box``."""
+    return estimate_scan(tree, box)[0]
 
 
 def estimate_pages(tree, box: Box) -> int:
-    """Expected data pages a range query would touch: distinct leaf
-    ranges intersected by the query's z intervals.
-
-    Slightly approximate (a bucket counted once per intersecting
-    interval is deduplicated by construction only within an interval),
-    but in practice within a page or two of the measured count.
-    Sharded stores sum the per-shard counts over clipped intervals.
-    """
-    shards = getattr(tree, "shards", None)
-    if shards is not None:
-        intervals = _query_intervals(tree.grid, box)
-        total = 0
-        for shard, (lo, hi) in zip(
-            shards, tree.partitioner.intervals()
-        ):
-            clipped = _clip_intervals(intervals, lo, hi)
-            if clipped and len(shard):
-                total += _pages_for(ZHistogram.of_tree(shard), clipped)
-        return total
-    return _pages_for(
-        ZHistogram.of_tree(tree), _query_intervals(tree.grid, box)
-    )
+    """Expected data pages a range query for ``box`` would touch."""
+    return estimate_scan(tree, box)[1]
 
 
 def _pages_for(

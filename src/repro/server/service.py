@@ -35,14 +35,11 @@ from typing import Any, Callable, Dict, Hashable, List, Optional, Tuple
 from repro.core.deadline import Deadline, DeadlineExceeded, deadline_scope
 from repro.core.geometry import Box
 from repro.db.readpath import (
-    RowMap,
-    coordinate_map,
     coords_getter,
     rejoin,
     scan_rows,
     visible_rows,
 )
-from repro.db.relation import VersionedRelation
 from repro.faults import CrashPoint, FaultInjector, register_site
 from repro.obs.trace import QueryTrace
 from repro.server.admission import AdmissionController, Rejection
@@ -136,10 +133,6 @@ class QueryService:
         #: (index name, epoch) -> shared snapshot view.  Guarded by a
         #: lock: built lazily from either the loop or the worker thread.
         self._views: Dict[Tuple[str, int], Any] = {}
-        #: (table, cols, epoch) -> the rejoin's coordinate map.  Built
-        #: once per pinned epoch so the per-request visible-row filter
-        #: is O(matches), not O(table).
-        self._row_maps: Dict[Tuple[str, Tuple[str, ...], int], RowMap] = {}
         self._views_lock = threading.Lock()
         self.stats: Dict[str, int] = {
             "server.connections": 0,
@@ -190,10 +183,6 @@ class QueryService:
         with self._views_lock:
             for key in [k for k in self._views if k[1] not in pinned]:
                 del self._views[key]
-            for key in [
-                k for k in self._row_maps if k[2] not in pinned
-            ]:
-                del self._row_maps[key]
 
     # -- batched execution (worker thread) -------------------------------
 
@@ -255,24 +244,6 @@ class QueryService:
         with deadline_scope(deadline):
             return fn(*args)
 
-    def _row_map(
-        self, table: str, cols: Tuple[str, ...], epoch: int
-    ) -> RowMap:
-        """The rejoin's coordinate map at a pinned epoch, built once
-        and reused until the epoch is unpinned.  Pinned versions are
-        immutable, so the map never goes stale."""
-        key = (table, cols, epoch)
-        with self._views_lock:
-            mapping = self._row_maps.get(key)
-        if mapping is not None:
-            return mapping
-        relation = self.db.catalog.relation(table)
-        mapping = coordinate_map(
-            relation.rows_at(epoch), coords_getter(relation.schema, cols)
-        )
-        with self._views_lock:
-            return self._row_maps.setdefault(key, mapping)
-
     def _filter_rows(
         self,
         table: str,
@@ -280,14 +251,14 @@ class QueryService:
         matched: Tuple[Point, ...],
         epoch: Optional[int],
     ) -> List[Tuple[Any, ...]]:
-        relation = self.db.catalog.relation(table)
-        coords = coords_getter(relation.schema, cols)
-        if isinstance(relation, VersionedRelation) and epoch is not None:
-            # O(matches) through the per-epoch coordinate map.
-            return rejoin(
-                (), coords, matched, self._row_map(table, cols, epoch)
-            )
-        return rejoin(relation.rows, coords, matched)
+        """The request's rows: the batch's matches joined back through
+        the index's positions map at the client's epoch — O(matches)."""
+        entry = self.db._index_for(table, cols)
+        if entry is not None and not entry.visible_at(epoch):
+            entry = None
+        return rejoin(
+            self.db.catalog.relation(table), epoch, matched, entry, cols
+        )
 
     # -- request handling (event loop) -----------------------------------
 

@@ -15,9 +15,12 @@ snapshot session (anything with ``table()`` and ``range_query()``).
 
 from __future__ import annotations
 
+import math
 from typing import Any, List, Optional, Tuple
 
 from repro.core.decompose import Element, decompose
+from repro.core.geometry import Box
+from repro.db.expr import box_contains_point
 from repro.db.operators import distinct as distinct_op
 from repro.db.operators import limit as limit_op
 from repro.db.operators import project, rename, sort
@@ -80,6 +83,8 @@ class CompiledQuery:
         self.bound = bound
         self.reorder = reorder
         self.canonical = render(statement.select)
+        #: The plan :meth:`batch_window` built, for :meth:`finish_rows`.
+        self._batch_plan: Optional[SelectPlan] = None
 
     # -- planning --------------------------------------------------------
 
@@ -161,35 +166,26 @@ class CompiledQuery:
         conjunct.selectivity = RESIDUAL_SELECTIVITY
 
     def _plan_join(self, target: Any = None) -> SelectPlan:
-        from repro.db.planner import _estimate_conjunct
-
         bound = self.bound
         target = self.db if target is None else target
-        for conjunct in bound.left_push:
-            _estimate_conjunct(self.db, bound.table, conjunct)
-        for conjunct in bound.right_push:
-            _estimate_conjunct(self.db, bound.join_table, conjunct)
         for conjunct in bound.conjuncts:
             self._estimate_post(conjunct)
-        left_push, lmoved = _ordered(bound.left_push, self.reorder)
-        right_push, rmoved = _ordered(bound.right_push, self.reorder)
         post, pmoved = _ordered(bound.conjuncts, self.reorder)
+        left = self._side_plan(bound.table, bound.left_push, target)
+        right = self._side_plan(bound.join_table, bound.right_push, target)
 
-        nleft, elements_left = self._join_estimate(
-            bound.table, bound.left_geom, left_push
-        )
-        nright, elements_right = self._join_estimate(
-            bound.join_table, bound.right_geom, right_push
-        )
         strategy, cost_zmerge, cost_nested = choose_join_strategy(
-            nleft, nright, elements_left, elements_right
+            left.estimated_rows,
+            right.estimated_rows,
+            self._elements_per_object(bound.table, bound.left_geom),
+            self._elements_per_object(bound.join_table, bound.right_geom),
         )
         plan = SelectPlan(
             table=f"{bound.table} JOIN {bound.join_table}",
             window=None,
             filters=post,
             reorder=self.reorder,
-            moved=lmoved + rmoved + pmoved,
+            moved=left.moved + right.moved + pmoved,
             access_label=f"spatial-join[{strategy}]",
             _stats=getattr(self.db, "planner_stats", None),
         )
@@ -198,27 +194,45 @@ class CompiledQuery:
             f"(z-merge ~{cost_zmerge:.0f}, nested-loop ~{cost_nested:.0f})"
         )
         plan._fetch = lambda: self._join_fetch(
-            target, plan, left_push, right_push, strategy,
-            cost_zmerge, cost_nested,
+            left, right, strategy, cost_zmerge, cost_nested
         )
-        for side, pushed in (
-            (bound.table, left_push),
-            (bound.join_table, right_push),
-        ):
-            for conjunct in pushed:
+        self._note_sides(plan, left, right)
+        return plan
+
+    def _side_plan(
+        self, table: str, pushed: List[Conjunct], target: Any
+    ) -> SelectPlan:
+        """One join input as its own select: the conjuncts pushed below
+        the join pick its access path (a pushed window reads the index)
+        and filter its rows, which stay a relation-ordered subset."""
+        return plan_select(
+            self.db, table, pushed, reorder=self.reorder, target=target
+        )
+
+    @staticmethod
+    def _note_sides(
+        plan: SelectPlan, left: SelectPlan, right: SelectPlan
+    ) -> None:
+        for side in (left, right):
+            # eps-refine is the window again, as a filter
+            for conjunct in ([side.window] if side.window else []) + [
+                c for c in side.filters if c.kind != "eps-refine"
+            ]:
                 plan.notes.append(
-                    f"pushed below join ({side}): {conjunct.text}"
+                    f"pushed below join ({side.table}): {conjunct.text}"
                     f"  [{conjunct.kind}]"
                     f"  sel={conjunct.selectivity:.4f}"
                 )
-        return plan
+        for side in (left, right):
+            if side.window is not None:
+                plan.notes.append(
+                    f"side access ({side.table}): {side.access_label}"
+                    f"  est. rows={side.window.estimated_rows:.1f}"
+                )
 
-    def _join_estimate(
-        self, table: str, geom: str, pushed: List[Conjunct]
-    ) -> Tuple[float, float]:
-        """(effective cardinality, avg elements/object) for one side:
-        cardinality scaled by the pushed filters' selectivities, element
-        count from a small deterministic sample of decompositions."""
+    def _elements_per_object(self, table: str, geom: str) -> float:
+        """Average elements per object on one join side, from a small
+        deterministic sample of decompositions."""
         relation = self.db.catalog.relation(table)
         index = relation.schema.index_of(geom)
         grid = self.db.grid
@@ -227,57 +241,30 @@ class CompiledQuery:
             for row in relation.rows[:8]
             if isinstance(row[index], SpatialObject)
         ]
-        elements = sum(sample) / len(sample) if sample else 1.0
-        effective = float(len(relation))
-        for conjunct in pushed:
-            effective *= (
-                conjunct.selectivity
-                if conjunct.selectivity is not None
-                else 1.0
-            )
-        return effective, elements
+        return sum(sample) / len(sample) if sample else 1.0
 
     # -- join execution --------------------------------------------------
 
-    def _side(
-        self,
-        target: Any,
-        plan: SelectPlan,
-        table: str,
-        pushed: List[Conjunct],
-    ) -> Relation:
-        """One join input: the table's visible rows, filtered by the
-        conjuncts pushed below the join, columns qualified
-        ``{table}_{column}``."""
-        base = target.table(table)
-        relation = Relation(f"scan({table})", base.schema, base.rows)
-        if pushed:
-            side_plan = SelectPlan(
-                table=table,
-                window=None,
-                filters=pushed,
-                reorder=self.reorder,
-                moved=0,
-                _stats=plan._stats,
-            )
-            relation = side_plan.apply_filters(relation)
-        mapping = {n: f"{table}_{n}" for n in relation.schema.names}
+    @staticmethod
+    def _side(side: SelectPlan) -> Relation:
+        """One join input: the rows its side plan fetches and filters,
+        columns qualified ``{table}_{column}``."""
+        relation = side.apply_filters(side._fetch())
+        mapping = {n: f"{side.table}_{n}" for n in relation.schema.names}
         return rename(relation, mapping)
 
     def _join_fetch(
         self,
-        target: Any,
-        plan: SelectPlan,
-        left_push: List[Conjunct],
-        right_push: List[Conjunct],
+        left_plan: SelectPlan,
+        right_plan: SelectPlan,
         strategy: str,
         cost_zmerge: float,
         cost_nested: float,
     ) -> Relation:
         bound = self.bound
         grid = self.db.grid
-        left = self._side(target, plan, bound.table, left_push)
-        right = self._side(target, plan, bound.join_table, right_push)
+        left = self._side(left_plan)
+        right = self._side(right_plan)
         lgeom = f"{bound.table}_{bound.left_geom}"
         rgeom = f"{bound.join_table}_{bound.right_geom}"
 
@@ -312,7 +299,7 @@ class CompiledQuery:
             rows.sort(key=lambda row: tuple(repr(v) for v in row))
             if span is not None:
                 span.add("rows_out", len(rows))
-        return Relation(
+        return Relation._derived(
             f"overlap({bound.table},{bound.join_table})", schema, rows
         )
 
@@ -365,27 +352,19 @@ class CompiledQuery:
     # -- epsilon join ----------------------------------------------------
 
     def _plan_eps_join(self, target: Any = None) -> SelectPlan:
-        from repro.db.planner import _estimate_conjunct
-
         bound = self.bound
         target = self.db if target is None else target
-        for conjunct in bound.left_push:
-            _estimate_conjunct(self.db, bound.table, conjunct)
-        for conjunct in bound.right_push:
-            _estimate_conjunct(self.db, bound.join_table, conjunct)
         for conjunct in bound.conjuncts:
             self._estimate_post(conjunct)
-        left_push, lmoved = _ordered(bound.left_push, self.reorder)
-        right_push, rmoved = _ordered(bound.right_push, self.reorder)
         post, pmoved = _ordered(bound.conjuncts, self.reorder)
+        left_push, right_push = self._with_implied_window(
+            bound.left_push, bound.right_push
+        )
+        left = self._side_plan(bound.table, left_push, target)
+        right = self._side_plan(bound.join_table, right_push, target)
 
         grid = self.db.grid
-        nleft = float(len(self.db.catalog.relation(bound.table)))
-        nright = float(len(self.db.catalog.relation(bound.join_table)))
-        for conjunct in left_push:
-            nleft *= conjunct.selectivity or 1.0
-        for conjunct in right_push:
-            nright *= conjunct.selectivity or 1.0
+        nleft, nright = left.estimated_rows, right.estimated_rows
         strategy, costs = choose_epsilon_strategy(
             int(nleft), int(nright), bound.eps, grid
         )
@@ -402,7 +381,7 @@ class CompiledQuery:
             window=None,
             filters=post,
             reorder=self.reorder,
-            moved=lmoved + rmoved + pmoved,
+            moved=left.moved + right.moved + pmoved,
             access_label=f"eps-join[{strategy}]",
             estimated_rows=est_pairs,
             _stats=getattr(self.db, "planner_stats", None),
@@ -415,32 +394,61 @@ class CompiledQuery:
             )
             + ")"
         )
-        plan._fetch = lambda: self._eps_join_fetch(
-            target, plan, left_push, right_push, strategy
-        )
-        for side_name, pushed in (
-            (bound.table, left_push),
-            (bound.join_table, right_push),
-        ):
-            for conjunct in pushed:
-                plan.notes.append(
-                    f"pushed below join ({side_name}): {conjunct.text}"
-                    f"  [{conjunct.kind}]"
-                    f"  sel={conjunct.selectivity:.4f}"
-                )
+        plan._fetch = lambda: self._eps_join_fetch(left, right, strategy)
+        self._note_sides(plan, left, right)
         return plan
 
+    def _with_implied_window(
+        self, left_push: List[Conjunct], right_push: List[Conjunct]
+    ) -> Tuple[List[Conjunct], List[Conjunct]]:
+        """A window ``B`` on one side's join point bounds the other's:
+        a partner within ``eps`` of a point in ``B`` lies in ``B``
+        dilated by ``ceil(eps)`` (Gray et al.'s zones restrict a
+        cross-match to what the probe window can reach).  When exactly
+        one written window exists and the other side has an index on
+        its join columns, that side gains the dilated box as a pushed
+        z-window — an index access instead of the whole table."""
+        bound = self.bound
+        sides = (
+            (bound.table, bound.left_coords, left_push),
+            (bound.join_table, bound.right_coords, right_push),
+        )
+        windows = [
+            (i, conjunct)
+            for i, (_, coords, pushed) in enumerate(sides)
+            for conjunct in pushed
+            if conjunct.kind == "z-window" and conjunct.coord_cols == coords
+        ]
+        if len(windows) != 1:
+            return left_push, right_push
+        at, window = windows[0]
+        table, coords, pushed = sides[1 - at]
+        if self.db._index_for(table, coords) is None:
+            return left_push, right_push
+        reach = math.ceil(bound.eps)
+        box = Box(
+            tuple((lo - reach, hi + reach) for lo, hi in window.box.ranges)
+        )
+        bounds = ", ".join(f"{lo}, {hi}" for lo, hi in box.ranges)
+        implied = Conjunct(
+            kind="z-window",
+            text=f"BOX({bounds}) CONTAINS POINT({', '.join(coords)})"
+            f"  <- {sides[at][0]} window dilated by {reach}",
+            predicate=box_contains_point(box, list(coords)),
+            written_pos=window.written_pos,
+            cost=window.cost,
+            box=box,
+            coord_cols=tuple(coords),
+        )
+        pushed = list(pushed) + [implied]
+        return (left_push, pushed) if at == 0 else (pushed, right_push)
+
     def _eps_join_fetch(
-        self,
-        target: Any,
-        plan: SelectPlan,
-        left_push: List[Conjunct],
-        right_push: List[Conjunct],
-        strategy: str,
+        self, left_plan: SelectPlan, right_plan: SelectPlan, strategy: str
     ) -> Relation:
         bound = self.bound
-        left = self._side(target, plan, bound.table, left_push)
-        right = self._side(target, plan, bound.join_table, right_push)
+        left = self._side(left_plan)
+        right = self._side(right_plan)
         rows = epsilon_join_rows(
             self.db,
             list(left),
@@ -459,7 +467,7 @@ class CompiledQuery:
         schema = Schema(
             list(left.schema.columns) + list(right.schema.columns)
         )
-        return Relation(
+        return Relation._derived(
             f"epsjoin({bound.table},{bound.join_table})", schema, rows
         )
 
@@ -488,7 +496,9 @@ class CompiledQuery:
             )
 
         rows = sorted(relation, key=key)[:k]
-        return Relation(f"nearest({relation.name})", relation.schema, rows)
+        return Relation._derived(
+            f"nearest({relation.name})", relation.schema, rows
+        )
 
     def _tail(self, out: Relation) -> Relation:
         bound = self.bound
@@ -520,7 +530,7 @@ class CompiledQuery:
         range scan the server's batcher can serve, else ``None``."""
         if self.bound.join_table is not None:
             return None
-        plan = self.plan()
+        plan = self._batch_plan = self.plan()
         if plan.window is None or plan.window.box is None:
             return None
         return (
@@ -532,8 +542,8 @@ class CompiledQuery:
     def finish_rows(self, rows: List[Tuple[Any, ...]]) -> Relation:
         """Finish a batched execution: the batcher fetched the window's
         rows; apply the ordered filters and the operator tail here."""
-        plan = self.plan()
-        relation = Relation(
+        plan = self._batch_plan or self.plan()
+        relation = Relation._derived(
             f"range({self.bound.table})",
             self.db.catalog.relation(self.bound.table).schema,
             rows,

@@ -15,10 +15,17 @@ that epoch.  Invariants:
   protocol marked every overlapping entry dead at commit time).
 * *Budget accounting*: the cache's point total equals the sum over its
   entries, and never exceeds the configured budget.
+* *Map coherence*: for the live state and every open session's epoch,
+  rows joined back through an index's coordinate -> positions map equal
+  the scan rejoin over ``rows_at(epoch)`` byte for byte — through
+  ``db.range_query``, ``Session.range_query`` and the server's
+  ``QueryService._filter_rows`` — with duplicate points, aborted
+  commits, refreshed sessions and an index born after a pin in play.
 """
 
 from __future__ import annotations
 
+import copy
 import itertools
 
 import hypothesis.strategies as st
@@ -33,10 +40,14 @@ from hypothesis.stateful import (
     rule,
 )
 
+import pytest
+
 from repro.core.geometry import Box, Grid
 from repro.db.database import SpatialDatabase
+from repro.db.readpath import rejoin
 from repro.db.schema import Schema
 from repro.db.types import INTEGER, OID
+from repro.server import QueryService
 
 GRID = Grid(ndims=2, depth=5)
 SIDE = GRID.side
@@ -53,6 +64,12 @@ BOXES = st.builds(
     COORD,
 )
 BUDGET = 200
+#: What the coherence invariant reads: everything, and one quadrant
+#: (small enough that the planner takes the index).
+PROBES = (
+    GRID.whole_space(),
+    Box(((0, SIDE // 2 - 1), (0, SIDE // 2 - 1))),
+)
 
 
 def _in_box(row, box) -> bool:
@@ -85,6 +102,7 @@ class CacheInvalidationMachine(RuleBasedStateMachine):
             (self.db.snapshots.current_epoch, frozenset(self.live))
         ]
         self.open_sessions: dict = {}
+        self.service = QueryService(self.db)
 
     def _record_commit(self):
         self.states.append(
@@ -107,6 +125,34 @@ class CacheInvalidationMachine(RuleBasedStateMachine):
         self.db.insert("a", row)
         self.live.add(row)
         self._record_commit()
+
+    @precondition(lambda self: self.live)
+    @rule(data=st.data())
+    def commit_duplicate_point(self, data):
+        _, x, y = data.draw(st.sampled_from(sorted(self.live)))
+        self.commit_insert(x, y)
+
+    @precondition(lambda self: self.live)
+    @rule(data=st.data(), x=COORD, y=COORD)
+    def aborted_commit(self, data, x, y):
+        """A batch that inserts, deletes and then fails on a row off
+        the grid: nothing of it may survive — rows, tree entries, map
+        positions, cache dirt."""
+        victim = data.draw(st.sampled_from(sorted(self.live)))
+        indexes = self.db.catalog.indexes_on("a")
+        before = [
+            (copy.deepcopy(entry.positions), len(entry.tree))
+            for entry in indexes
+        ]
+        with self.db.session() as writer:
+            writer.insert("a", (f"r{next(self.ids)}", x, y))
+            writer.delete("a", victim)
+            writer.insert("a", (f"r{next(self.ids)}", x, SIDE + 3))
+            with pytest.raises(ValueError):
+                writer.commit()
+        assert before == [
+            (entry.positions, len(entry.tree)) for entry in indexes
+        ]
 
     @precondition(lambda self: self.live)
     @rule(data=st.data())
@@ -140,6 +186,19 @@ class CacheInvalidationMachine(RuleBasedStateMachine):
         assert got == want, (
             f"pinned read at epoch {session.epoch} diverged for {box}"
         )
+
+    @rule(session=sessions)
+    def refresh_session(self, session):
+        assert session.refresh() == self.db.snapshots.current_epoch
+
+    @precondition(
+        lambda self: self.db._index_for("a", ("y", "x")) is None
+    )
+    @rule()
+    def late_index(self):
+        """An index born after the open sessions' pins: they must keep
+        answering from their rows, later pins through its map."""
+        self.db.create_index("a_yx", "a", ("y", "x"))
 
     @rule(session=consumes(sessions))
     def close_session(self, session):
@@ -179,7 +238,44 @@ class CacheInvalidationMachine(RuleBasedStateMachine):
         assert self.cache.points_cached <= BUDGET
         assert len(entries) <= 6
 
+    @invariant()
+    def map_coherence(self):
+        relation = self.db.table("a")
+        readers = [(None, self.db)] + [
+            (session.epoch, session)
+            for session in self.open_sessions.values()
+        ]
+        for entry in self.db.catalog.indexes_on("a"):
+            cols = entry.coord_cols
+            at = (1, 2) if cols == ("x", "y") else (2, 1)
+            for (epoch, reader), box in itertools.product(readers, PROBES):
+                model = {
+                    row
+                    for row in (
+                        self.live if epoch is None else self._rows_at(epoch)
+                    )
+                    if box.contains_point((row[at[0]], row[at[1]]))
+                }
+                got = reader.range_query("a", cols, box).rows
+                assert set(got) == model and len(got) == len(model)
+                if not entry.visible_at(epoch):
+                    continue  # born after this pin: its rows answered
+                store = (
+                    entry.tree
+                    if epoch is None
+                    else entry.tree.snapshot_view(epoch)
+                )
+                matched = store.range_query(box).matches
+                by_scan = rejoin(relation, epoch, matched, None, cols)
+                assert got == by_scan
+                assert rejoin(relation, epoch, matched, entry, cols) == by_scan
+                assert (
+                    self.service._filter_rows("a", cols, matched, epoch)
+                    == by_scan
+                )
+
     def teardown(self):
+        self.service.close()
         for session in list(self.open_sessions.values()):
             session.close()
         self.open_sessions.clear()

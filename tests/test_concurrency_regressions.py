@@ -23,6 +23,8 @@ import os
 import pickle
 import threading
 
+import pytest
+
 from repro.core.fastz import decompose_box_cached
 from repro.core.geometry import Box, Grid
 from repro.storage.buffer import BufferManager
@@ -270,3 +272,119 @@ class TestSnapshotPickling:
         assert clone._index_snapshots == {}
         assert clone.store._versions is None
         assert clone.points() == tree.points()
+
+
+class TestAbortedGroupCommit:
+    """``Session.commit`` used to re-implement the database's group
+    commit and neither rolled the *trees* back: a batch failing between
+    two indexes left the first tree with the aborted operations applied
+    and — its pages stamped with an epoch that never arrived — the next
+    pin dying with ``page N has no image at epoch E``.  One rollback
+    now exists (``SpatialDatabase._group_commit``) and covers
+    relations, trees, dirty codes and the coordinate map."""
+
+    @staticmethod
+    def _db():
+        from repro.db import INTEGER, Schema, SpatialDatabase
+
+        db = SpatialDatabase(
+            Grid(2, 4), page_capacity=4, concurrency=True, cache=True
+        )
+        db.create_table(
+            "t",
+            Schema.of(
+                ("a", INTEGER), ("b", INTEGER), ("c", INTEGER), ("d", INTEGER)
+            ),
+        )
+        db.insert_many(
+            "t",
+            [(i % 16, i * 3 % 16, i * 5 % 16, i * 7 % 16) for i in range(40)],
+        )
+        db.create_index("ab", "t", ("a", "b"))
+        db.create_index("cd", "t", ("c", "d"))
+        return db
+
+    @staticmethod
+    def _fresh_map(db, entry):
+        from repro.db.catalog import coordinate_map
+        from repro.db.readpath import coords_getter
+
+        relation = db.table(entry.relation_name)
+        positions, rows = relation._stored()
+        coords = coords_getter(relation.schema, entry.coord_cols)
+        return coordinate_map(map(coords, rows), positions)
+
+    def _assert_rolled_back(self, db, rows_before, trees_before):
+        everywhere = db.grid.whole_space()
+        assert db.table("t").rows == rows_before
+        for name, before in trees_before.items():
+            entry = db.catalog.index(name)
+            assert sorted(entry.tree.range_query(everywhere).matches) == before
+            assert entry.positions == self._fresh_map(db, entry)
+        assert db._dirty_codes == {} and db._applied == []
+        # a new session pins and reads through both indexes
+        with db.session() as reader:
+            for cols in (("a", "b"), ("c", "d")):
+                got = reader.range_query("t", cols, everywhere).rows
+                assert got == rows_before
+                assert got == db.range_query("t", cols, everywhere).rows
+
+    def _state(self, db):
+        everywhere = db.grid.whole_space()
+        return db.table("t").rows, {
+            name: sorted(
+                db.catalog.index(name).tree.range_query(everywhere).matches
+            )
+            for name in ("ab", "cd")
+        }
+
+    def test_batch_failing_between_two_indexes_rolls_back(self):
+        db = self._db()
+        rows_before, trees_before = self._state(db)
+        pinned = db.session()  # a reader across the abort keeps its view
+        writer = db.session()
+        writer.insert("t", (1, 1, 2, 2))
+        writer.delete("t", rows_before[3])
+        # valid for the schema and for index ab; (99, 1) is off cd's grid
+        writer.insert("t", (3, 3, 99, 1))
+        with pytest.raises(ValueError, match="outside"):
+            writer.commit()
+        writer.close()
+        self._assert_rolled_back(db, rows_before, trees_before)
+        assert (
+            pinned.range_query("t", ("a", "b"), db.grid.whole_space()).rows
+            == rows_before
+        )
+        pinned.close()
+        assert not any(db.snapshots.leak_stats().values())
+        # and the database keeps working: the same batch minus the bad row
+        with db.session() as retry:
+            retry.insert("t", (1, 1, 2, 2))
+            retry.delete("t", rows_before[3])
+            retry.commit()
+        want = rows_before[:3] + rows_before[4:] + [(1, 1, 2, 2)]
+        assert db.table("t").rows == want
+        for name in ("ab", "cd"):
+            entry = db.catalog.index(name)
+            # the committed delete keeps its position (for the epochs
+            # before it); fetched at the newest epoch it filters out
+            everything = entry.positions_of(entry.positions)
+            assert len(everything) == len(want) + 1
+            assert db.table("t").fetch(everything) == want
+            assert len(entry.tree) == len(want)
+
+    def test_injected_fault_in_the_second_tree_rolls_back(self, monkeypatch):
+        """The same abort from a fault injected into the second index's
+        tree, through the database's own (non-session) write path."""
+        db = self._db()
+        rows_before, trees_before = self._state(db)
+        second = db.catalog.index("cd").tree
+
+        def failing_insert(point):
+            raise OSError("injected: cd tree refuses the write")
+
+        monkeypatch.setattr(second, "insert", failing_insert)
+        with pytest.raises(OSError, match="injected"):
+            db.insert_many("t", [(5, 5, 5, 5), (6, 6, 6, 6)])
+        monkeypatch.undo()
+        self._assert_rolled_back(db, rows_before, trees_before)

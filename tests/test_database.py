@@ -117,6 +117,48 @@ class TestSpatialDatabase:
         result = db.range_query("cities", ("x", "y"), Box(((10, 10), (10, 10))))
         assert result.rows == [("late", 10, 10)]
 
+    @pytest.mark.parametrize("concurrency", [False, True])
+    def test_duplicate_point_deletes_remove_one_entry_each(self, concurrency):
+        """The tree holds one entry per *row*: deleting one of two rows
+        at a point removes one entry (not none), deleting the other
+        removes the last (no ghost keeps matching or taking a k-NN
+        rank), and the coordinate map follows."""
+        db = SpatialDatabase(Grid(2, 6), concurrency=concurrency)
+        db.create_table(
+            "cities", Schema.of(("city@", OID), ("x", INTEGER), ("y", INTEGER))
+        )
+        db.insert_many(
+            "cities",
+            [("a", 5, 5), ("b", 5, 5), ("c", 9, 9), ("d", 20, 20)],
+        )
+        entry = db.create_index("cities_xy", "cities", ("x", "y"))
+        cols, everywhere = ("x", "y"), db.grid.whole_space()
+        assert entry.positions[(5, 5)] == [0, 1]
+
+        assert db.delete("cities", ("a", 5, 5))
+        assert len(entry.tree) == 3
+        assert db.range_query("cities", cols, everywhere).rows == [
+            ("b", 5, 5), ("c", 9, 9), ("d", 20, 20)
+        ]
+        assert db.knn_query("cities", cols, (5, 5), k=2).rows == [
+            ("b", 5, 5), ("c", 9, 9)
+        ]
+
+        assert db.delete("cities", ("b", 5, 5))
+        assert len(entry.tree) == 2
+        assert (5, 5) not in entry.tree.range_query(everywhere).matches
+        assert db.knn_query("cities", cols, (5, 5), k=2).rows == [
+            ("c", 9, 9), ("d", 20, 20)
+        ]
+        assert not db.delete("cities", ("b", 5, 5))
+        if not concurrency:  # a plain relation frees the slots outright
+            assert (5, 5) not in entry.positions
+        # the freed slots are not reused: positions stay stable
+        db.insert("cities", ("e", 5, 5))
+        assert db.range_query("cities", cols, everywhere).rows == [
+            ("c", 9, 9), ("d", 20, 20), ("e", 5, 5)
+        ]
+
     def test_range_query_stats_requires_index(self):
         db = make_db()
         with pytest.raises(ValueError):

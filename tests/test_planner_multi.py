@@ -2,9 +2,12 @@
 estimates, conjunct ordering, plan_select access-path choice, the join
 strategy cost model, and the planner.* stats plumbing."""
 
+import math
 import random
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from repro.core.geometry import Box, Grid
 from repro.db import (
@@ -16,11 +19,13 @@ from repro.db import (
     choose_join_strategy,
     col,
     order_conjuncts,
+    plan_range_query,
     plan_select,
 )
 from repro.db.expr import box_contains_point
 from repro.db.planner import RESIDUAL_SELECTIVITY, Conjunct
 from repro.obs.trace import trace
+from repro.sql import compile_sql, execute_sql
 
 
 def window_conjunct(box, pos=0, selectivity=None):
@@ -245,3 +250,343 @@ class TestChooseJoinStrategy:
         _, z1, n1 = choose_join_strategy(10, 10, 1.0, 1.0)
         _, z2, n2 = choose_join_strategy(10, 10, 8.0, 8.0)
         assert z2 > z1 and n2 > n1
+
+
+# -- attribute ranges on indexed columns are a z-window -----------------
+
+RANGE_GRID = Grid(2, 6)
+
+
+def _points_db(nrows, grid=RANGE_GRID, seed=11, page_capacity=8):
+    """``points`` indexed on (x, y) and ``plain``, the same rows with
+    no index (its statements can only scan)."""
+    rng = random.Random(seed)
+    database = SpatialDatabase(grid, page_capacity=page_capacity)
+    rows = [
+        (f"p{i}", rng.randrange(grid.side), rng.randrange(grid.side), i % 7)
+        for i in range(nrows)
+    ]
+    for table in ("points", "plain"):
+        database.create_table(
+            table,
+            Schema.of(
+                ("id@", OID), ("x", INTEGER), ("y", INTEGER), ("v", INTEGER)
+            ),
+        )
+        database.insert_many(table, rows)
+    database.create_index("points_xy", "points", ("x", "y"))
+    return database, rows
+
+
+RANGE_DB, RANGE_ROWS = _points_db(600)
+
+_BOUND = st.one_of(
+    st.integers(-3, RANGE_GRID.side + 3),
+    st.integers(-6, 2 * RANGE_GRID.side + 6).map(lambda n: n / 2),
+)
+_TERM = st.one_of(
+    st.tuples(
+        st.sampled_from("xy"),
+        st.sampled_from(["<", "<=", ">", ">=", "="]),
+        _BOUND,
+    ),
+    st.tuples(st.sampled_from("xy"), st.just("BETWEEN"), _BOUND, _BOUND),
+)
+
+
+def _sql_term(term):
+    if term[1] == "BETWEEN":
+        return f"{term[0]} BETWEEN {term[2]} AND {term[3]}"
+    return f"{term[0]} {term[1]} {term[2]}"
+
+
+def _holds(term, value):
+    column, op = term[0], term[1]
+    if op == "BETWEEN":
+        return term[2] <= value <= term[3]
+    return {
+        "<": value < term[2],
+        "<=": value <= term[2],
+        ">": value > term[2],
+        ">=": value >= term[2],
+        "=": value == term[2],
+    }[op]
+
+
+def _covering_box(terms, grid):
+    """The tightest integer box covering the conjunction, computed here
+    from the terms alone; ``None`` when no integer satisfies it."""
+    ranges = []
+    for column in "xy":
+        low, high = 0, grid.side - 1
+        for term in terms:
+            if term[0] != column:
+                continue
+            op = term[1]
+            if op in (">", ">=", "=", "BETWEEN"):
+                low = max(low, math.ceil(term[2]))
+            if op in ("<", "<=", "="):
+                high = min(high, math.floor(term[2]))
+            if op == "BETWEEN":
+                high = min(high, math.floor(term[3]))
+        if low > high:
+            return None
+        ranges.append((low, high))
+    return Box(tuple(ranges))
+
+
+class TestAttributeRangesAreZWindows:
+    @settings(max_examples=120, deadline=None)
+    @given(terms=st.lists(_TERM, min_size=1, max_size=4), reorder=st.booleans())
+    def test_any_conjunction_plans_the_index_iff_it_is_cheaper(
+        self, terms, reorder
+    ):
+        """Comparisons and BETWEENs on the index's coordinate columns
+        read the index exactly when ``plan_range_query`` prefers it for
+        their covering box — a partial-match box when one column is
+        unpinned — and either way return the rows of a plain scan."""
+        where = " AND ".join(map(_sql_term, terms))
+        text = f"SELECT id@, x, y FROM points WHERE {where}"
+        plan = compile_sql(RANGE_DB, text, reorder=reorder).plan()
+        box = _covering_box(terms, RANGE_GRID)
+        prefers_index = box is not None and plan_range_query(
+            RANGE_DB, "points", ("x", "y"), box
+        ).method.endswith("index-scan")
+        if prefers_index:
+            assert plan.access_label == "index-scan"
+            assert plan.window.box == box
+            assert plan.window.coord_cols == ("x", "y")
+        else:
+            assert plan.window is None and plan.access_label == "table-scan"
+        # every written conjunct still filters: the box only covers them
+        assert len(plan.filters) == len(terms)
+        want = [
+            row[:3]
+            for row in RANGE_ROWS
+            if all(
+                _holds(term, row[1] if term[0] == "x" else row[2])
+                for term in terms
+            )
+        ]
+        assert execute_sql(RANGE_DB, text, reorder=reorder).rows == want
+        scanned = execute_sql(
+            RANGE_DB, text.replace("FROM points", "FROM plain"), reorder=False
+        )
+        assert scanned.rows == want
+
+    def test_partial_match_pins_one_column(self):
+        plan = compile_sql(
+            RANGE_DB, "SELECT id@ FROM points WHERE y >= 20 AND y < 22"
+        ).plan()
+        assert plan.window.box == Box(((0, 63), (20, 22)))
+        assert plan.access.method == "index-scan"
+        assert any("partial match: x unpinned" in note for note in plan.notes)
+
+    def test_other_columns_and_residuals_do_not_make_a_window(self):
+        for where in ("v = 3", "x + y < 10", "v BETWEEN 1 AND 2 AND x + 0 = 3"):
+            plan = compile_sql(
+                RANGE_DB, f"SELECT id@ FROM points WHERE {where}"
+            ).plan()
+            assert plan.window is None and plan.access_label == "table-scan"
+
+    def test_a_session_reads_the_synthesised_window_at_its_epoch(self):
+        grid = Grid(2, 6)
+        database = SpatialDatabase(grid, page_capacity=8, concurrency=True)
+        database.create_table(
+            "points", Schema.of(("id@", OID), ("x", INTEGER), ("y", INTEGER))
+        )
+        rng = random.Random(2)
+        rows = [
+            (f"p{i}", rng.randrange(64), rng.randrange(64)) for i in range(400)
+        ]
+        database.insert_many("points", rows)
+        database.create_index("points_xy", "points", ("x", "y"))
+        text = "SELECT id@, x, y FROM points WHERE x BETWEEN 10 AND 19 AND y <= 9"
+        want = [r for r in rows if 10 <= r[1] <= 19 and r[2] <= 9]
+        with database.session() as session:
+            database.insert("points", ("late", 12, 3))
+            plan = compile_sql(database, text).plan(session)
+            assert plan.access_label == "snapshot-range"
+            assert execute_sql(database, text, session=session).rows == want
+        assert execute_sql(database, text).rows == want + [("late", 12, 3)]
+
+
+class TestIndexReadCostsWhatItReturns:
+    """Exact counts on a 20k-row table — no timing: an index-path
+    SELECT validates nothing, fetches exactly the rows in the box,
+    rebuilds no histogram on a second plan and decomposes its box at
+    most once."""
+
+    def test_counts(self, monkeypatch):
+        from repro.core import fastz
+        from repro.db import ZHistogram, schema, statistics
+        from repro.db.relation import Relation
+
+        counts = {"validated": 0, "fetched": 0, "histograms": 0, "boxes": 0}
+
+        def counting(name, real):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return real(*args, **kwargs)
+
+            return wrapper
+
+        compile_validator = schema._compile_validator
+        monkeypatch.setattr(
+            schema,
+            "_compile_validator",
+            lambda columns: counting("validated", compile_validator(columns)),
+        )
+        database, rows = _points_db(20_000, Grid(2, 10), page_capacity=20)
+        assert counts["validated"] == 2 * len(rows)  # once per stored row
+
+        real_fetch = Relation.fetch
+
+        def fetch(self, positions, epoch=None):
+            out = real_fetch(self, positions, epoch)
+            counts["fetched"] += len(out)
+            return out
+
+        monkeypatch.setattr(Relation, "fetch", fetch)
+        monkeypatch.setattr(
+            ZHistogram, "of_tree", counting("histograms", ZHistogram.of_tree)
+        )
+        for module in (statistics, fastz):
+            monkeypatch.setattr(
+                module,
+                "decompose_box",
+                counting("boxes", module.decompose_box),
+            )
+
+        statements = [
+            "SELECT id@, x, y FROM points "
+            "WHERE BOX(100, 199, 300, 399) CONTAINS POINT(x, y)",
+            "SELECT id@, x, y FROM points "
+            "WHERE x BETWEEN 500 AND 599 AND y BETWEEN 40 AND 139",
+            "SELECT id@, x, y FROM points WHERE x BETWEEN 700 AND 703",
+        ]
+        boxes = [
+            (100, 199, 300, 399), (500, 599, 40, 139), (700, 703, 0, 1023)
+        ]
+        for n, (text, (x0, x1, y0, y1)) in enumerate(zip(statements, boxes)):
+            counts.update(validated=0, fetched=0, boxes=0)
+            compiled = compile_sql(database, text)
+            assert compiled.plan().access.method == "index-scan"
+            counts["boxes"] = 0  # that plan was this test's, not the run's
+            out = compiled.run()
+            want = [
+                r[:3] for r in rows if x0 <= r[1] <= x1 and y0 <= r[2] <= y1
+            ]
+            assert out.rows == want and want
+            assert counts["validated"] == 0
+            assert counts["fetched"] == len(want)
+            assert counts["boxes"] <= 1
+            # the first plan built the histogram; no later one does
+            assert counts["histograms"] == 1, (n, counts)
+        database.insert("points", ("late", 1, 1, 0))
+        compile_sql(database, statements[0]).plan()
+        assert counts["histograms"] == 2  # rebuilt once the tree mutated
+
+
+class TestWindowedEpsJoin:
+    """A window on one eps-join side reaches the other through the
+    planner; the rows stay those of the unwindowed join, filtered."""
+
+    EPS = 2
+    WINDOW = (10, 30, 20, 44)  # xlo, xhi, ylo, yhi
+
+    @staticmethod
+    def _catalogs(index_a=True, index_b=True):
+        rng = random.Random(4)
+        grid = Grid(2, 6)
+        database = SpatialDatabase(grid, page_capacity=8)
+        for table, count, indexed in (
+            ("stars", 500, index_a), ("gals", 350, index_b)
+        ):
+            database.create_table(
+                table, Schema.of(("id@", OID), ("x", INTEGER), ("y", INTEGER))
+            )
+            # a coarse lattice: many duplicate points, many pairs
+            database.insert_many(
+                table,
+                [
+                    (
+                        f"{table[0]}{i}",
+                        rng.randrange(0, 64, 2),
+                        rng.randrange(0, 64, 2),
+                    )
+                    for i in range(count)
+                ],
+            )
+            if indexed:
+                database.create_index(f"{table}_xy", table, ("x", "y"))
+        return database
+
+    def _sql(self, side, extra=""):
+        x0, x1, y0, y1 = self.WINDOW
+        return (
+            "SELECT * FROM stars JOIN gals "
+            "ON POINT(stars.x, stars.y) "
+            f"WITHIN {self.EPS} OF POINT(gals.x, gals.y) "
+            f"WHERE BOX({x0}, {x1}, {y0}, {y1}) "
+            f"CONTAINS POINT({side}.x, {side}.y){extra}"
+        )
+
+    @pytest.mark.parametrize("strategy", ["zones", "z-merge", "nested-loop"])
+    @pytest.mark.parametrize("side", ["stars", "gals"])
+    def test_rows_equal_the_filtered_full_join(
+        self, monkeypatch, strategy, side
+    ):
+        from repro.sql import compiler
+
+        database = self._catalogs()
+        choose = compiler.choose_epsilon_strategy
+        monkeypatch.setattr(
+            compiler,
+            "choose_epsilon_strategy",
+            lambda *args: (strategy, choose(*args)[1]),
+        )
+        full = database.epsilon_join(
+            "stars", ("x", "y"), "gals", ("x", "y"), self.EPS, strategy
+        ).rows
+        x0, x1, y0, y1 = self.WINDOW
+        at = 1 if side == "stars" else 4
+        want = [
+            row
+            for row in full
+            if x0 <= row[at] <= x1 and y0 <= row[at + 1] <= y1
+        ]
+        compiled = compile_sql(database, self._sql(side))
+        assert f"eps-join[{strategy}]" in compiled.explain()
+        assert compiled.run().rows == want and want
+
+    def test_the_other_side_gets_the_dilated_window(self):
+        database = self._catalogs()
+        text = compile_sql(database, self._sql("gals")).explain()
+        assert (
+            "pushed below join (stars): BOX(8, 32, 18, 46) CONTAINS "
+            "POINT(x, y)  <- gals window dilated by 2  [z-window]"
+        ) in text
+        assert "side access (stars): index-scan" in text
+        assert "side access (gals): index-scan" in text
+
+    def test_no_implied_window_without_an_index(self):
+        database = self._catalogs(index_a=False)
+        plan = compile_sql(database, self._sql("gals")).plan()
+        assert not any("dilated" in note for note in plan.notes)
+        assert not any("(stars)" in note for note in plan.notes)
+
+    def test_no_implied_window_with_two_windows(self):
+        database = self._catalogs()
+        extra = " AND BOX(0, 40, 0, 63) CONTAINS POINT(stars.x, stars.y)"
+        compiled = compile_sql(database, self._sql("gals", extra))
+        assert "dilated" not in compiled.explain()
+        full = database.epsilon_join(
+            "stars", ("x", "y"), "gals", ("x", "y"), self.EPS
+        ).rows
+        x0, x1, y0, y1 = self.WINDOW
+        assert compiled.run().rows == [
+            row
+            for row in full
+            if x0 <= row[4] <= x1 and y0 <= row[5] <= y1 and row[1] <= 40
+        ]

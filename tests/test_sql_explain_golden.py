@@ -206,3 +206,33 @@ class TestProximityExplainGolden:
             "ON POINT(dwarfs.x, dwarfs.y) WITHIN 6 OF POINT(gals.x, gals.y)",
         )
         check("sql_explain_epsjoin_nested.txt", compiled.explain())
+
+
+class TestAttributeRangeWindowGolden:
+    """Attribute ranges on indexed coordinate columns plan as a
+    z-window (ROADMAP item 1): a full box from two BETWEENs, the
+    paper's partial-match strip from one pinned column, and an
+    eps-join window reaching the other side dilated by ``ceil(eps)``."""
+
+    def test_two_betweens_are_a_box(self, sky):
+        compiled = compile_sql(
+            sky,
+            "SELECT id@, x, y FROM stars "
+            "WHERE x BETWEEN 4 AND 11 AND y BETWEEN 16 AND 23 AND x + y > 20",
+        )
+        check("sql_explain_between_box.txt", compiled.explain())
+
+    def test_one_pinned_column_is_a_partial_match(self, sky):
+        compiled = compile_sql(
+            sky, "SELECT id@, x, y FROM stars WHERE x >= 9 AND x < 10.5"
+        )
+        check("sql_explain_partial_match.txt", compiled.explain())
+
+    def test_epsjoin_window_reaches_the_other_side(self, sky):
+        compiled = compile_sql(
+            sky,
+            "SELECT * FROM stars JOIN gals "
+            "ON POINT(stars.x, stars.y) WITHIN 2 OF POINT(gals.x, gals.y) "
+            "WHERE BOX(8, 15, 8, 15) CONTAINS POINT(gals.x, gals.y)",
+        )
+        check("sql_explain_epsjoin_window.txt", compiled.explain())

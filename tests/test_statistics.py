@@ -102,3 +102,45 @@ class TestEstimatePages:
     def test_outside_is_zero(self, grid64, rng):
         tree = loaded(grid64, random_points(rng, grid64, 100))
         assert estimate_pages(tree, Box(((90, 99), (90, 99)))) == 0
+
+
+class TestMemoisedStatistics:
+    def test_histogram_of_follows_the_trees_mutation_epoch(
+        self, grid64, rng, monkeypatch
+    ):
+        from repro.db import statistics
+
+        tree = ZkdTree(grid64, page_capacity=8)
+        tree.insert_many(random_points(rng, grid64, 120))
+        builds = []
+        real = ZHistogram.of_tree
+        monkeypatch.setattr(
+            ZHistogram, "of_tree", lambda t: builds.append(t) or real(t)
+        )
+        first = statistics.histogram_of(tree)
+        assert statistics.histogram_of(tree) is first and len(builds) == 1
+        box = Box(((3, 40), (5, 33)))
+        assert estimate_matches(tree, box) == statistics.estimate_scan(tree, box)[0]
+        assert estimate_pages(tree, box) == statistics.estimate_scan(tree, box)[1]
+        assert len(builds) == 1  # four estimates, no rebuild
+        tree.insert((1, 1))
+        rebuilt = statistics.histogram_of(tree)
+        assert rebuilt == real(tree) and rebuilt.nrecords == 121
+        assert len(builds) == 2
+
+    def test_column_histogram_follows_mutations_not_cardinality(self):
+        """delete + insert keeps ``len(table)`` but changes the values:
+        the cached histogram must not survive it (it did, keyed on
+        cardinality — wrong selectivities, silently)."""
+        from repro.db import INTEGER, OID, Schema, SpatialDatabase
+
+        db = SpatialDatabase(Grid(2, 6))
+        db.create_table("t", Schema.of(("id@", OID), ("v", INTEGER)))
+        db.insert_many("t", [(i, i) for i in range(20)])
+        before = db.column_histogram("t", "v")
+        assert db.column_histogram("t", "v") is before
+        db.delete("t", (19, 19))
+        db.insert("t", (19, 1000))
+        after = db.column_histogram("t", "v")
+        assert after is not before
+        assert after.bounds[-1] == 1000.0 and before.bounds[-1] == 19.0
