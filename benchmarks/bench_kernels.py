@@ -1,10 +1,13 @@
 """Microbenchmark: scalar reference z kernels vs the batched fast path.
 
 Reports shuffle/unshuffle throughput (points per second) and box
-decomposition throughput (boxes per second, cold cache vs the LRU
-front-end) so the kernel speedup lands in the perf trajectory.  The
-acceptance floor for this bench is a >= 3x batched shuffle speedup on
-100k 2-d points.
+decomposition throughput (boxes per second: the integer box kernel vs
+the generic object machinery on the same boxes, and cold vs the LRU
+front-end) so the kernel speedups land in the perf trajectory.  The
+acceptance floors for this bench are a >= 3x batched shuffle speedup on
+100k 2-d points and a >= 3x box-kernel speedup over the generic
+``decompose(grid, box_classifier(box))`` — re-routing boxes through the
+generic machinery fails the gate.
 
 Runs two ways:
 
@@ -24,11 +27,16 @@ import sys
 import time
 
 from repro.core import fastz
-from repro.core.decompose import decompose_box
-from repro.core.geometry import Box, Grid
+from repro.core.decompose import decompose, decompose_box
+from repro.core.geometry import Box, Grid, box_classifier
 from repro.core.interleave import deinterleave, interleave
 
 DEPTH = 16
+
+#: Floor on box kernel vs generic decompose (measured 7-8x on these
+#: random boxes, 11x on 100x100 ones); it holds in smoke mode too, being
+#: a ratio of two loops over the same boxes.
+BOX_KERNEL_FLOOR = 3.0
 
 
 def _make_points(n, ndims, depth, seed=0xC0FFEE):
@@ -123,7 +131,27 @@ def bench_decompose(nboxes, grid):
     }
 
 
-def format_report(shuffles, unshuffles, decomposes):
+def bench_box_kernel(nboxes, grid):
+    """Cold ``decompose_box`` (the integer box kernel) vs the generic
+    ``decompose`` over ``box_classifier`` on the same in-grid boxes."""
+    boxes = _make_boxes(nboxes, grid)
+    t0 = time.perf_counter()
+    generic = [decompose(grid, box_classifier(box)) for box in boxes]
+    t1 = time.perf_counter()
+    kernel = [decompose_box(grid, box) for box in boxes]
+    t2 = time.perf_counter()
+    assert kernel == generic, "box kernel diverged from generic decompose"
+    generic_s, kernel_s = t1 - t0, t2 - t1
+    return {
+        "nboxes": nboxes,
+        "grid": f"{grid.ndims}d/depth{grid.depth}",
+        "generic_bps": _rate(nboxes, generic_s),
+        "kernel_bps": _rate(nboxes, kernel_s),
+        "speedup": generic_s / kernel_s if kernel_s else float("inf"),
+    }
+
+
+def format_report(shuffles, unshuffles, decomposes, kernels):
     lines = ["# Kernel throughput: scalar reference vs batched fast path", ""]
     lines.append("## shuffle (interleave)")
     for r in shuffles:
@@ -139,6 +167,14 @@ def format_report(shuffles, unshuffles, decomposes):
             f"  {r['npoints']:>7} pts {r['ndims']}d depth {r['depth']}: "
             f"scalar {r['scalar_pps']:>12,.0f} pts/s   "
             f"batch {r['batch_pps']:>12,.0f} pts/s   "
+            f"speedup {r['speedup']:.1f}x"
+        )
+    lines.append("## decompose_box: box kernel vs generic decompose (cold)")
+    for r in kernels:
+        lines.append(
+            f"  {r['nboxes']:>7} boxes on {r['grid']}: "
+            f"generic {r['generic_bps']:>10,.0f} boxes/s   "
+            f"kernel {r['kernel_bps']:>10,.0f} boxes/s   "
             f"speedup {r['speedup']:.1f}x"
         )
     lines.append("## decompose_box (repeating box workload, x3)")
@@ -160,10 +196,11 @@ def run(npoints=100_000, nboxes=150, verbose=True):
     ]
     unshuffles = [bench_unshuffle(max(1000, npoints // 2), 2)]
     decomposes = [bench_decompose(nboxes, Grid(ndims=2, depth=10))]
-    report = format_report(shuffles, unshuffles, decomposes)
+    kernels = [bench_box_kernel(nboxes, Grid(ndims=2, depth=10))]
+    report = format_report(shuffles, unshuffles, decomposes, kernels)
     if verbose:
         print(report)
-    return shuffles, unshuffles, decomposes, report
+    return shuffles, unshuffles, decomposes, kernels, report
 
 
 # ----------------------------------------------------------------------
@@ -174,13 +211,15 @@ def run(npoints=100_000, nboxes=150, verbose=True):
 def test_kernel_throughput(results_dir):
     from conftest import save_result
 
-    shuffles, unshuffles, decomposes, report = run(verbose=False)
+    shuffles, unshuffles, decomposes, kernels, report = run(verbose=False)
     save_result(results_dir, "kernel_throughput.txt", report)
     # The acceptance floor: batched 2-d shuffle of 100k points >= 3x.
     assert shuffles[0]["npoints"] == 100_000
     assert shuffles[0]["speedup"] >= 3.0, report
     # The cached decomposer must beat recomputing on repeats.
     assert decomposes[0]["speedup"] >= 1.5, report
+    # A box must never pay for the generic object machinery.
+    assert kernels[0]["speedup"] >= BOX_KERNEL_FLOOR, report
 
 
 # ----------------------------------------------------------------------
@@ -204,14 +243,22 @@ def main(argv=None):
         npoints, nboxes, floor = args.points, args.boxes, 3.0
     from gates import gate
 
-    shuffles, _, _, _ = run(npoints=npoints, nboxes=nboxes)
+    shuffles, _, _, kernels, _ = run(npoints=npoints, nboxes=nboxes)
     speedup = shuffles[0]["speedup"]
+    box_speedup = kernels[0]["speedup"]
     return gate(
         "kernels",
-        [(
-            speedup >= floor,
-            f"2-d batched shuffle speedup {speedup:.1f}x (floor {floor}x)",
-        )],
+        [
+            (
+                speedup >= floor,
+                f"2-d batched shuffle speedup {speedup:.1f}x (floor {floor}x)",
+            ),
+            (
+                box_speedup >= BOX_KERNEL_FLOOR,
+                f"box kernel {box_speedup:.1f}x over generic decompose "
+                f"(floor {BOX_KERNEL_FLOOR}x)",
+            ),
+        ],
     )
 
 

@@ -13,6 +13,12 @@ stream lazily with a ``seek`` operation, supporting the paper's
 optimization that "elements of the box may be generated on demand, i.e.
 when a sequential or random access on sequence B is performed".
 
+An axis-aligned box — every range query — never reaches that generic
+machinery: :class:`_BoxKernel` runs the same recursion on plain ints
+under both :class:`BoxElementCursor` (lazy) and :func:`decompose_box` /
+:func:`box_intervals` (eager).  The generic path serves circles,
+polygons and Section 6 objects, and is the kernel's test oracle.
+
 Boundary handling at the cut-off depth is selectable:
 
 * ``CoverMode.OUTER`` — emit boundary regions, producing a superset of
@@ -45,6 +51,7 @@ __all__ = [
     "Element",
     "decompose",
     "decompose_box",
+    "box_intervals",
     "count_elements",
     "ElementCursor",
     "BoxElementCursor",
@@ -115,10 +122,25 @@ def decompose_box(
     This is the first RangeSearch algorithm of [OREN84]; Figure 2 shows
     the decomposition of the box ``[1..3] x [0..4]`` of Figure 1.
     """
-    clipped = box.clipped_to(grid.whole_space())
-    if clipped is None:
-        return []
-    return decompose(grid, box_classifier(clipped), max_depth, cover)
+    advance = _BoxKernel(grid, box, max_depth, cover).advance
+    return [ZValue(zbits, length) for zbits, length in iter(advance, None)]
+
+
+def box_intervals(
+    grid: Grid,
+    box: Box,
+    max_depth: Optional[int] = None,
+    cover: CoverMode = CoverMode.OUTER,
+) -> List[Tuple[int, int]]:
+    """The ``(zlo, zhi)`` intervals of :func:`decompose_box`'s elements,
+    in z order, without building a ``ZValue`` or ``Element`` for any —
+    all a cost estimate or an interval scan reads of them."""
+    total = grid.total_bits
+    advance = _BoxKernel(grid, box, max_depth, cover).advance
+    return [
+        (zbits << (total - length), ((zbits + 1) << (total - length)) - 1)
+        for zbits, length in iter(advance, None)
+    ]
 
 
 def count_elements(
@@ -267,17 +289,124 @@ class ElementCursor:
             self.step()
 
 
+class _BoxKernel:
+    """The splitting recursion for an axis-aligned box, over plain ints
+    (``docs/ALGORITHMS.md`` §2).
+
+    A pending node is ``(zbits, length, edges, los)``: its z prefix and
+    bit count, the box edges that still cut it, and its low corner.
+    ``edges`` holds two bits per axis — ``2a`` while the box's low bound
+    lies strictly inside the node on axis ``a``, ``2a + 1`` for its high
+    bound — so ``edges == 0`` is INSIDE and anything else BOUNDARY.  A
+    split touches one axis: one comparison of its midpoint against the
+    box keeps or drops a child, one more settles the child's ``edges``;
+    ``los`` is kept current only on axes still cut.  OUTSIDE children
+    are never pushed — the generic :class:`ElementCursor` drops them
+    uncounted, so the elements and ``nodes_expanded`` are the same.
+    """
+
+    def __init__(
+        self, grid: Grid, box: Box, max_depth: Optional[int], cover: CoverMode
+    ) -> None:
+        self._ndims = ndims = grid.ndims
+        self._depth = grid.depth
+        self._limit = grid.total_bits if max_depth is None else max_depth
+        if not 0 <= self._limit <= grid.total_bits:
+            raise ValueError(
+                f"max_depth {max_depth} outside [0, {grid.total_bits}]"
+            )
+        if box.ndims != ndims:
+            raise ValueError(f"dimensionality mismatch: {box.ndims} vs {ndims}")
+        self._outer = cover is CoverMode.OUTER
+        self._box_lo, self._box_hi = box.low_corner, box.high_corner
+        self.nodes_expanded = 0
+        # Clipping to the grid is the root's classification: a bound at
+        # or beyond the grid's face cuts nothing, and a box wholly off
+        # the grid leaves no root — an empty stream.
+        top = grid.side - 1
+        edges = 0
+        on_grid = True
+        for axis, (lo, hi) in enumerate(box.ranges):
+            edges |= ((lo > 0) | (hi < top) << 1) << 2 * axis
+            on_grid = on_grid and lo <= top and hi >= 0
+        # The top of the stack is the earliest pending node in z order.
+        self._stack: List[Tuple[int, int, int, Tuple[int, ...]]] = (
+            [(0, 0, edges, (0,) * ndims)] if on_grid else []
+        )
+
+    def advance(self, floor: int = 0) -> Optional[Tuple[int, int]]:
+        """The next element ``(zbits, length)`` in z order whose ``zhi``
+        is at least ``floor``, or ``None`` once the box is exhausted."""
+        stack = self._stack
+        ndims, depth, limit = self._ndims, self._depth, self._limit
+        box_lo, box_hi, total = self._box_lo, self._box_hi, ndims * depth
+        while stack:
+            zbits, length, edges, los = stack.pop()
+            while True:
+                if floor and (zbits + 1) << (total - length) <= floor:
+                    break  # entirely before the target: skip unexpanded
+                if not edges:
+                    return zbits, length
+                if length >= limit:
+                    if self._outer:
+                        return zbits, length
+                    break
+                self.nodes_expanded += 1
+                axis = length % ndims
+                shift = 2 * axis
+                half = 1 << (depth - 1 - length // ndims)
+                zbits <<= 1  # the low child; the high one is zbits | 1
+                length += 1
+                if not (edges >> shift) & 3:
+                    # Axis already inside the box: both halves inherit it.
+                    stack.append((zbits | 1, length, edges, los))
+                    continue
+                mid = los[axis] + half  # first pixel of the high half
+                blo, bhi = box_lo[axis], box_hi[axis]
+                if bhi >= mid:
+                    high_edges = edges if blo > mid else edges & ~(1 << shift)
+                    high_los = (
+                        los[:axis] + (mid,) + los[axis + 1 :]
+                        if (high_edges >> shift) & 3
+                        else los
+                    )
+                    if blo >= mid:  # the low half is OUTSIDE
+                        zbits |= 1
+                        edges, los = high_edges, high_los
+                        continue
+                    stack.append((zbits | 1, length, high_edges, high_los))
+                if bhi >= mid - 1:
+                    edges &= ~(2 << shift)
+        return None
+
+
 class BoxElementCursor(ElementCursor):
     """Element cursor for a box query — sequence *B* of the range-search
-    algorithm, generated on demand."""
+    algorithm, generated on demand.  The ``step``/``seek`` protocol is
+    :class:`ElementCursor`'s; the elements (and ``nodes_expanded``) come
+    from the box kernel, none of the generic state is built.  A box
+    wholly off the grid is an empty stream."""
 
     def __init__(
         self, grid: Grid, box: Box, max_depth: Optional[int] = None
     ) -> None:
-        clipped = box.clipped_to(grid.whole_space())
-        if clipped is None:
-            # Degenerate: query entirely outside the space.
-            classify: ClassifyFn = lambda region: OUTSIDE  # noqa: E731
+        self._kernel = _BoxKernel(grid, box, max_depth, CoverMode.OUTER)
+        self._total = grid.total_bits
+        self._current = None
+        self.step()
+
+    @property
+    def nodes_expanded(self) -> int:
+        return self._kernel.nodes_expanded
+
+    def _advance(self, floor: int) -> Optional[Element]:
+        node = self._kernel.advance(floor)
+        if node is None:
+            self._current = None
         else:
-            classify = box_classifier(clipped)
-        super().__init__(grid, classify, max_depth, CoverMode.OUTER)
+            zbits, length = node
+            pad = self._total - length
+            self._current = Element(
+                ZValue(zbits, length), zbits << pad, ((zbits + 1) << pad) - 1
+            )
+        return self._current

@@ -40,9 +40,10 @@ decomposition:
   cached, fully materialised decomposition, API-compatible with
   :class:`repro.core.decompose.BoxElementCursor`.  The range-search
   merge takes it only for a box its store's :class:`DecomposeCache`
-  already holds; an unseen box keeps the lazy cursor, because
-  materialising a fresh decomposition costs about as much as the whole
-  query it would serve.
+  already holds; an unseen box keeps the lazy cursor: on the integer
+  box kernel a fresh 100x100 decomposition is ~0.3 ms (3 ms on the
+  generic machinery it replaced) against ~1 ms for the whole query on
+  50k points, and the merge's seeks skip most of even that.
 """
 
 from __future__ import annotations
@@ -740,7 +741,7 @@ class CachedBoxElementCursor:
         max_depth: Optional[int] = None,
         cache: Optional[DecomposeCache] = None,
     ) -> None:
-        clipped = box.clipped_to(grid.whole_space())
+        clipped = grid.clip(box)
         if clipped is None:
             self._elements: Tuple[Element, ...] = ()
             self._zhis: Tuple[int, ...] = ()

@@ -91,6 +91,16 @@ class Grid:
         side = self.side
         return Box(tuple((0, side - 1) for _ in range(self.ndims)))
 
+    def clip(self, box: "Box") -> "Box | None":
+        """``box`` restricted to this grid — ``box`` itself when it
+        already fits, ``None`` when it lies wholly outside."""
+        top = self.side - 1
+        if box.ndims == self.ndims and all(
+            0 <= lo and hi <= top for lo, hi in box.ranges
+        ):
+            return box
+        return box.clipped_to(self.whole_space())
+
     def contains_point(self, coords: Sequence[int]) -> bool:
         side = self.side
         return len(coords) == self.ndims and all(0 <= c < side for c in coords)

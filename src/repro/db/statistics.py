@@ -20,7 +20,7 @@ import bisect
 from dataclasses import dataclass
 from typing import Any, Iterable, List, Optional, Sequence, Tuple
 
-from repro.core.decompose import Element, decompose_box
+from repro.core.decompose import box_intervals
 from repro.core.geometry import Box
 from repro.storage.prefix_btree import ZkdTree
 
@@ -76,24 +76,30 @@ class ZHistogram:
     def overlap_stats(
         self, intervals: Sequence[Tuple[int, int]]
     ) -> Tuple[float, int]:
-        """(expected records, buckets touched) for disjoint z-sorted
-        inclusive intervals."""
+        """(expected records, distinct buckets touched) for disjoint
+        z-sorted inclusive intervals — one forward pass over both sorted
+        sequences, so a plan costs O(#intervals + #buckets touched)."""
+        bounds, counts = self.bounds, self.counts
+        nbuckets = len(counts)
+        end = 1 << self.total_bits
         expected = 0.0
-        touched = 0
+        pages = 0
+        first = 0  # the bucket holding the current interval's zlo
+        counted = -1  # the last bucket already counted as a page
         for zlo, zhi in intervals:
-            first = max(0, bisect.bisect_right(self.bounds, zlo) - 1)
+            first = max(first, bisect.bisect_right(bounds, zlo, first) - 1)
             index = first
-            while index < self.nbuckets:
-                blo, bhi = self._bucket_span(index)
-                if blo > zhi:
-                    break
+            while index < nbuckets and bounds[index] <= zhi:
+                blo = bounds[index]
+                bhi = (bounds[index + 1] if index + 1 < nbuckets else end) - 1
                 overlap = min(zhi, bhi) - max(zlo, blo) + 1
                 if overlap > 0:
-                    span = bhi - blo + 1
-                    expected += self.counts[index] * overlap / span
-                    touched += 1
+                    expected += counts[index] * overlap / (bhi - blo + 1)
+                    if index > counted:
+                        counted = index
+                        pages += 1
                 index += 1
-        return expected, touched
+        return expected, pages
 
 
 @dataclass(frozen=True)
@@ -203,18 +209,16 @@ def histogram_of(tree: ZkdTree) -> ZHistogram:
 def _query_intervals(tree, box: Box) -> List[Tuple[int, int]]:
     """The z intervals of ``box`` on ``tree``'s grid: read from the
     store's decomposition cache when an earlier query materialised the
-    box there, decomposed (and cached nowhere) otherwise."""
+    box there, taken straight from the box kernel (and cached nowhere)
+    otherwise."""
     grid = tree.grid
-    clipped = box.clipped_to(grid.whole_space())
+    clipped = grid.clip(box)
     if clipped is None:
         return []
     held = tree.decompose_cache.peek(grid, clipped)
-    elements: Iterable[Element] = (
-        held[0]
-        if held is not None
-        else (Element.of(z, grid) for z in decompose_box(grid, clipped))
-    )
-    return [(e.zlo, e.zhi) for e in elements]
+    if held is not None:
+        return [(e.zlo, e.zhi) for e in held[0]]
+    return box_intervals(grid, clipped)
 
 
 def _clip_intervals(
@@ -255,9 +259,9 @@ def estimate_scan(tree, box: Box) -> Tuple[float, int]:
     expected = 0.0
     pages = 0
     for part, clipped in parts:
-        histogram = histogram_of(part)
-        expected += histogram.overlap_stats(clipped)[0]
-        pages += _pages_for(histogram, clipped)
+        part_expected, part_pages = histogram_of(part).overlap_stats(clipped)
+        expected += part_expected
+        pages += part_pages
     return expected, pages
 
 
@@ -269,21 +273,3 @@ def estimate_matches(tree, box: Box) -> float:
 def estimate_pages(tree, box: Box) -> int:
     """Expected data pages a range query for ``box`` would touch."""
     return estimate_scan(tree, box)[1]
-
-
-def _pages_for(
-    histogram: ZHistogram, intervals: Sequence[Tuple[int, int]]
-) -> int:
-    # Count distinct buckets across all intervals.
-    touched = set()
-    for zlo, zhi in intervals:
-        first = max(0, bisect.bisect_right(histogram.bounds, zlo) - 1)
-        index = first
-        while index < histogram.nbuckets:
-            blo, bhi = histogram._bucket_span(index)
-            if blo > zhi:
-                break
-            if min(zhi, bhi) >= max(zlo, blo):
-                touched.add(index)
-            index += 1
-    return len(touched)

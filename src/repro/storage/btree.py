@@ -167,37 +167,35 @@ class BPlusTree:
         return tree
 
     def _rebuild_index(self) -> None:
-        """Reconstruct the in-memory inner levels from the leaf chain."""
-        leaves = []
+        """Reconstruct the in-memory inner levels from the leaf chain.
+
+        One pass that keeps a separator per leaf, never the decoded
+        leaves: reopening a store must not hold the whole tree's records
+        in memory at once."""
+        level: List[Tuple[int, Union[_InnerNode, int]]] = []
         count = 0
-        previous_high: Optional[int] = None
+        previous_high: Optional[int] = None  # of the last non-empty leaf
+        left_high: Optional[int] = None  # of the leaf just before, if any
         for page_id in self.leaf_ids():
             page = self._store.peek(page_id)
             count += page.nrecords
-            if page.nrecords:
-                if previous_high is not None and previous_high > page.low_key:
+            low = None if page.is_empty else page.low_key
+            if low is not None:
+                if previous_high is not None and previous_high > low:
                     raise ValueError("leaf chain is not key-ordered")
                 previous_high = page.high_key
-            leaves.append(page)
+            if not level:
+                separator = 0
+            elif left_high is not None and low is not None and left_high < low:
+                separator = shortest_separator(left_high, low, self._total_bits)
+            else:
+                separator = 0 if low is None else low
+            level.append((separator, page_id))
+            left_high = None if low is None else page.high_key
         self._nrecords = count
-        if len(leaves) <= 1:
+        if len(level) <= 1:
             self._root = self._first_leaf
             return
-        level: List[Tuple[int, Union[_InnerNode, int]]] = []
-        for index, page in enumerate(leaves):
-            if index == 0:
-                level.append((0, page.page_id))
-                continue
-            left = leaves[index - 1]
-            if not left.is_empty and not page.is_empty and (
-                left.high_key < page.low_key
-            ):
-                separator = shortest_separator(
-                    left.high_key, page.low_key, self._total_bits
-                )
-            else:
-                separator = page.low_key if not page.is_empty else 0
-            level.append((separator, page.page_id))
         while len(level) > 1:
             next_level: List[Tuple[int, Union[_InnerNode, int]]] = []
             for start in range(0, len(level), self._order):
@@ -722,14 +720,17 @@ class BTreeCursor(ZCursor[Any]):
     def _position(self, key: int) -> None:
         page_id = self._tree._leftmost_leaf_for(key)
         page = self._tree._load_leaf(page_id)
-        index = bisect.bisect_left(page.keys(), key)
+        # ``(key,)`` sorts just before every ``(key, value)`` record, so
+        # this lands where bisecting a freshly built key list would.
+        probe = (key,)
+        index = bisect.bisect_left(page.records, probe)
         while index >= page.nrecords:
             if page.next_page is None:
                 self._page = None
                 self._index = 0
                 return
             page = self._tree._load_leaf(page.next_page)
-            index = bisect.bisect_left(page.keys(), key)
+            index = bisect.bisect_left(page.records, probe)
         self._page = page
         self._index = index
 
@@ -759,7 +760,9 @@ class BTreeCursor(ZCursor[Any]):
             return record
         if self._page is not None and self._page.high_key >= z:
             # Target is on the current page: binary search locally.
-            self._index = bisect.bisect_left(self._page.keys(), z, lo=self._index)
+            self._index = bisect.bisect_left(
+                self._page.records, (z,), lo=self._index
+            )
             return self.current
         # Random access: descend from the root.
         self._position(z)

@@ -194,6 +194,32 @@ class TestPersistentZkdTree:
             assert len(tree3) == 201
             assert (0, 0) in tree3
 
+    def test_reopen_over_duplicate_runs_and_thinned_leaves(
+        self, tmp_path, grid64, rng
+    ):
+        """The index rebuilt on open keeps one separator per leaf (never
+        the decoded leaves); equal keys spilling over pages and leaves
+        emptied by deletes are where its separator rule has cases."""
+        path = str(tmp_path / "tree4.zkd")
+        points = random_points(rng, grid64, 200) + [(7, 7)] * 30
+        with FilePageStore(path, page_capacity=8) as store:
+            tree = ZkdTree(grid64, page_capacity=8, store=store)
+            tree.insert_many(points)
+            in_z_order = tree.points()
+            for p in in_z_order[40:90]:  # a contiguous run of leaves
+                assert tree.delete(p)
+            kept = sorted(in_z_order[:40] + in_z_order[90:])
+            tree.buffer.flush()
+            store.sync()
+        with FilePageStore(path) as second:
+            reopened = ZkdTree.open(grid64, second)
+            reopened.tree.check_invariants()
+            assert len(reopened) == len(kept)
+            assert sorted(reopened.points()) == kept
+            assert all(p in reopened for p in set(kept))
+            whole = reopened.range_query(grid64.whole_space())
+            assert sorted(whole.matches) == kept
+
     def test_bulk_load_then_persist(self, tmp_path, grid64, rng):
         path = str(tmp_path / "tree3.zkd")
         points = random_points(rng, grid64, 400)

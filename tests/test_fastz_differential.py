@@ -22,12 +22,25 @@ from repro.core.decompose import (
     BoxElementCursor,
     CoverMode,
     Element,
-    decompose_box,
+    ElementCursor,
+    decompose,
 )
-from repro.core.geometry import Box, Grid
+from repro.core.geometry import Box, Grid, box_classifier
 from repro.core.interleave import deinterleave, interleave, zrank
 
 from conftest import random_box
+
+
+def generic_decompose_box(grid, box, max_depth=None, cover=CoverMode.OUTER):
+    """The generic object decomposition of an in-grid box: the oracle
+    for everything cached here, sharing no code with the box kernel the
+    cache is filled from."""
+    return decompose(grid, box_classifier(box), max_depth, cover)
+
+
+def generic_box_cursor(grid, box):
+    """The generic lazy cursor over an in-grid box (see above)."""
+    return ElementCursor(grid, box_classifier(box))
 
 
 def random_point(rng: random.Random, ndims: int, depth: int):
@@ -174,7 +187,7 @@ def test_decompose_box_cached_matches_uncached(grid64, rng):
     for _ in range(30):
         box = random_box(rng, grid64)
         assert list(fastz.decompose_box_cached(grid64, box)) == (
-            decompose_box(grid64, box)
+            generic_decompose_box(grid64, box)
         )
     # Repeat lookups are hits, not recomputations.
     box = random_box(rng, grid64)
@@ -191,19 +204,19 @@ def test_decompose_box_cached_max_depth_and_cover(grid64, figure_box):
                 fastz.decompose_box_cached(
                     grid64, figure_box, max_depth, cover
                 )
-            ) == decompose_box(grid64, figure_box, max_depth, cover)
+            ) == generic_decompose_box(grid64, figure_box, max_depth, cover)
 
 
 def test_cached_cursor_streams_same_elements(grid64, rng):
     for _ in range(20):
         box = random_box(rng, grid64)
         assert list(fastz.CachedBoxElementCursor(grid64, box)) == list(
-            BoxElementCursor(grid64, box)
+            generic_box_cursor(grid64, box)
         )
 
 
 def test_cached_cursor_seek_semantics(grid8, figure_box):
-    reference = BoxElementCursor(grid8, figure_box)
+    reference = generic_box_cursor(grid8, figure_box)
     cached = fastz.CachedBoxElementCursor(grid8, figure_box)
     for z in range(grid8.npixels):
         assert cached.seek(z) == reference.seek(z)
@@ -214,11 +227,11 @@ def test_cached_cursor_seek_semantics(grid8, figure_box):
 
 
 def test_elements_many_matches_element_of(grid64, figure_box):
-    zvalues = decompose_box(grid64, figure_box)
+    zvalues = generic_decompose_box(grid64, figure_box)
     assert list(fastz.elements_many(grid64, zvalues)) == [
         Element.of(z, grid64) for z in zvalues
     ]
-    too_long = decompose_box(grid64, figure_box)[0]
+    too_long = generic_decompose_box(grid64, figure_box)[0]
     small = Grid(ndims=2, depth=1)
     with pytest.raises(ValueError):
         fastz.elements_many(small, [too_long.concat(too_long)])
@@ -268,7 +281,7 @@ def test_slow_cached_decomposition_sweep():
             box = random_box(rng, grid)
             assert list(
                 fastz.decompose_box_cached(grid, box)
-            ) == decompose_box(grid, box)
+            ) == generic_decompose_box(grid, box)
             assert list(
                 fastz.CachedBoxElementCursor(grid, box)
-            ) == list(BoxElementCursor(grid, box))
+            ) == list(generic_box_cursor(grid, box))

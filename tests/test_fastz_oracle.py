@@ -2,10 +2,11 @@
 
 ``brute_force_search`` is the ground truth; the three range-search
 variants must agree with it — and with each other — whether they run on
-the scalar reference pieces (``Grid.zvalue`` sequence, lazy
-``BoxElementCursor``, ``Element.of(decompose_box)``) or on what
-production runs (batched ``build_point_sequence``, the materialised
-element cursor a store's ``DecomposeCache`` serves, ``elements_many``).
+the scalar reference pieces (``Grid.zvalue`` sequence, the generic
+``ElementCursor`` / ``decompose`` over ``box_classifier``) or on what
+production runs (batched ``build_point_sequence``, the box kernel —
+lazy, and materialised behind a store's ``DecomposeCache`` —
+``elements_many``).  The reference side shares no code with the kernel.
 Datasets cover uniform random points and tight Gaussian-ish clusters
 (the z-order worst case for skipping), and a stateful insert/search
 round-trip exercises the element-stream selection against a mutating
@@ -19,14 +20,15 @@ import pytest
 from conftest import random_box, random_points
 
 from repro.core import fastz
-from repro.core.decompose import Element, decompose_box
-from repro.core.geometry import Box, Grid
+from repro.core.decompose import Element, ElementCursor, decompose
+from repro.core.geometry import Box, Grid, box_classifier
 from repro.core.rangesearch import (
     MergeStats,
     PointRecord,
     SortedPointCursor,
     brute_force_search,
     build_point_sequence,
+    merge_search,
     range_search,
     range_search_bigmin,
     range_search_simple,
@@ -79,22 +81,33 @@ def primed_cache(grid, box):
 
 def all_variants(grid, points, box, reference):
     """Run every search variant and return the sorted result sets."""
+    results = {}
     if reference:
         records = scalar_point_sequence(grid, points)
-        cache = None  # fresh box: the lazy BoxElementCursor
-        elements = [Element.of(z, grid) for z in decompose_box(grid, box)]
+        clipped = box.clipped_to(grid.whole_space())
+        classify = None if clipped is None else box_classifier(clipped)
+        elements = [] if classify is None else [
+            Element.of(z, grid) for z in decompose(grid, classify)
+        ]
+        lazy = [] if classify is None else merge_search(
+            SortedPointCursor(records), ElementCursor(grid, classify)
+        )
+        results["lazy"] = results["held"] = sorted(lazy)
     else:
         records = build_point_sequence(grid, points)
-        cache = primed_cache(grid, box)  # held box: the bisect cursor
         elements = fastz.elements_many(
             grid, fastz.decompose_box_cached(grid, box)
         )
-    results = {}
-    results["optimized"] = sorted(
-        range_search(
-            SortedPointCursor(records), grid, box, decompose_cache=cache
-        )
-    )
+        # fresh box: the lazy kernel cursor; held box: the bisect cursor
+        for variant, cache in (
+            ("lazy", None), ("held", primed_cache(grid, box))
+        ):
+            results[variant] = sorted(
+                range_search(
+                    SortedPointCursor(records), grid, box,
+                    decompose_cache=cache,
+                )
+            )
     results["bigmin"] = sorted(
         range_search_bigmin(SortedPointCursor(records), grid, box)
     )

@@ -128,6 +128,15 @@ class TestBox:
         outside = Box(((8, 9), (8, 9)))
         assert outside.clipped_to(space) is None
 
+    def test_grid_clip_is_clipped_to_whole_space(self):
+        grid = Grid(2, 3)
+        inside = Box(((1, 3), (0, 7)))
+        assert grid.clip(inside) is inside  # a box that fits is not rebuilt
+        for box in (Box(((-2, 9), (3, 12))), Box(((8, 9), (0, 1)))):
+            assert grid.clip(box) == box.clipped_to(grid.whole_space())
+        with pytest.raises(ValueError):
+            grid.clip(Box(((0, 1),)))
+
     def test_translated(self):
         assert Box(((0, 1), (2, 3))).translated((5, -1)) == Box(
             ((5, 6), (1, 2))

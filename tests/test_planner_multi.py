@@ -451,11 +451,11 @@ class TestIndexReadCostsWhatItReturns:
         monkeypatch.setattr(
             ZHistogram, "of_tree", counting("histograms", ZHistogram.of_tree)
         )
-        for module in (statistics, fastz):
+        for module, eager in (
+            (statistics, "box_intervals"), (fastz, "decompose_box")
+        ):
             monkeypatch.setattr(
-                module,
-                "decompose_box",
-                counting("boxes", module.decompose_box),
+                module, eager, counting("boxes", getattr(module, eager))
             )
 
         statements = [

@@ -1,11 +1,17 @@
 """Tests for the z-histogram selectivity estimator."""
 
+import bisect
 import random
 
 import pytest
 
 from repro.core.geometry import Box, Grid
-from repro.db.statistics import ZHistogram, estimate_matches, estimate_pages
+from repro.db.statistics import (
+    ZHistogram,
+    estimate_matches,
+    estimate_pages,
+    estimate_scan,
+)
 from repro.storage.prefix_btree import ZkdTree
 from repro.workloads.datasets import make_dataset
 
@@ -50,6 +56,97 @@ class TestZHistogram:
             assert lo == cursor
             cursor = hi + 1
         assert cursor == grid64.npixels
+
+
+def _old_overlap_expected(histogram, intervals):
+    """``ZHistogram.overlap_stats(...)[0]`` as it was before the fused
+    pass — kept here as the oracle."""
+    expected = 0.0
+    for zlo, zhi in intervals:
+        index = max(0, bisect.bisect_right(histogram.bounds, zlo) - 1)
+        while index < histogram.nbuckets:
+            blo, bhi = histogram._bucket_span(index)
+            if blo > zhi:
+                break
+            overlap = min(zhi, bhi) - max(zlo, blo) + 1
+            if overlap > 0:
+                expected += histogram.counts[index] * overlap / (bhi - blo + 1)
+            index += 1
+    return expected
+
+
+def _old_pages_for(histogram, intervals):
+    """``statistics._pages_for`` as it was: distinct buckets touched."""
+    touched = set()
+    for zlo, zhi in intervals:
+        index = max(0, bisect.bisect_right(histogram.bounds, zlo) - 1)
+        while index < histogram.nbuckets:
+            blo, bhi = histogram._bucket_span(index)
+            if blo > zhi:
+                break
+            if min(zhi, bhi) >= max(zlo, blo):
+                touched.add(index)
+            index += 1
+    return len(touched)
+
+
+class TestFusedHistogramPass:
+    """One forward pass returns bit-identical ``(expected, pages)`` to
+    the two bisect-per-interval loops it replaced."""
+
+    @staticmethod
+    def random_intervals(rng, npixels, n):
+        cuts = sorted(rng.sample(range(npixels), min(2 * n, npixels)))
+        return list(zip(cuts[0::2], cuts[1::2]))
+
+    @pytest.mark.parametrize("capacity", [4, 20])
+    def test_equals_the_old_two_functions(self, grid64, rng, capacity):
+        tree = loaded(grid64, random_points(rng, grid64, 600), capacity)
+        histogram = ZHistogram.of_tree(tree)
+        last = grid64.npixels - 1
+        cases = [
+            [],
+            [(0, last)],  # spans every bucket, open-ended last included
+            [(histogram.bounds[-1], last)],  # exactly the last bucket
+            [(histogram.bounds[-1] + 1, last)],
+            [(last, last)],
+            [(0, 0), (last, last)],
+            [(histogram.bounds[1] - 1, histogram.bounds[3])],
+        ]
+        for n in (1, 3, 40, 400):
+            cases.extend(
+                self.random_intervals(rng, grid64.npixels, n)
+                for _ in range(10)
+            )
+        for intervals in cases:
+            expected, pages = histogram.overlap_stats(intervals)
+            # == on floats: same additions in the same order
+            assert expected == _old_overlap_expected(histogram, intervals)
+            assert pages == _old_pages_for(histogram, intervals)
+
+    def test_duplicate_bounds_and_a_single_bucket(self):
+        # a run of equal keys spilling over pages repeats a low bound
+        histogram = ZHistogram(6, (0, 10, 10, 10, 40), (5, 7, 7, 7, 3))
+        single = ZHistogram(6, (0,), (9,))
+        for intervals in ([(0, 63)], [(9, 10)], [(10, 10), (12, 39), (41, 50)]):
+            for h in (histogram, single):
+                assert h.overlap_stats(intervals) == (
+                    _old_overlap_expected(h, intervals),
+                    _old_pages_for(h, intervals),
+                )
+
+    def test_estimate_scan_on_real_boxes(self, grid64, rng):
+        from repro.core.decompose import box_intervals
+
+        tree = loaded(grid64, random_points(rng, grid64, 500))
+        histogram = ZHistogram.of_tree(tree)
+        for _ in range(25):
+            box = random_box(rng, grid64)
+            intervals = box_intervals(grid64, box)
+            assert estimate_scan(tree, box) == (
+                _old_overlap_expected(histogram, intervals),
+                _old_pages_for(histogram, intervals),
+            )
 
 
 class TestEstimateMatches:
