@@ -323,16 +323,11 @@ def collect(depth=DEPTH, npoints=NPOINTS, nobjects=NOBJECTS,
     fold("shard", t.total_counters())
     store.close()
 
-    # The proximity operators: a k-NN sweep over the shifted orderings
-    # and one epsilon cross-match per join strategy.  Their counters
-    # already carry the ``knn.`` / ``zones.`` prefixes, so they merge
-    # unprefixed — new baseline sections, existing keys untouched.
-    from repro.proximity import (
-        knn as knn_search,
-        nested_epsilon_join,
-        zmerge_epsilon_join,
-        zones_epsilon_join,
-    )
+    # The proximity operators: a k-NN sweep and one epsilon
+    # cross-match.  Their counters already carry the ``knn.`` /
+    # ``zones.`` prefixes, so they merge unprefixed — new baseline
+    # sections, existing keys untouched.
+    from repro.proximity import zones_epsilon_join
     from repro.storage.prefix_btree import ZkdTree
     from repro.workloads import cross_match_catalogs, knn_workload
 
@@ -342,12 +337,10 @@ def collect(depth=DEPTH, npoints=NPOINTS, nobjects=NOBJECTS,
     pts_a, pts_b = list(primary.points), list(secondary.points)
     with trace("proximity") as t:
         for center in knn_workload(grid, primary, 8, seed=seed + 4):
-            knn_search(tree, grid, center, 8)
+            tree.nearest_neighbours(center, 8)
         zones_epsilon_join(pts_a, pts_b, 2.5)
-        zmerge_epsilon_join(grid, pts_a, pts_b, 2.5)
-        nested_epsilon_join(pts_a, pts_b, 2.5)
     for key, value in t.total_counters().items():
-        # Keep only the operator families; the refinement box queries
+        # Keep only the operator families; the probe box queries
         # also publish raw storage counters, which the ``range.`` fold
         # already gates in its own workload.
         if key.startswith(("knn.", "zones.")):

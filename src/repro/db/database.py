@@ -494,21 +494,6 @@ class SpatialDatabase(SpatialReads):
             f"range({table})", table, coord_cols, plan.rows
         )
 
-    def nearest_neighbours(
-        self,
-        table: str,
-        coord_cols: Sequence[str],
-        center: Sequence[int],
-        k: int = 1,
-    ) -> Relation:
-        """The ``k`` rows nearest to ``center``.  Requires an index."""
-        return self._ranked_rows(
-            table,
-            coord_cols,
-            k,
-            lambda tree: tree.nearest_neighbours(center, k),
-        )
-
     def overlap_query(
         self,
         table_p: str,

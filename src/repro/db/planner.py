@@ -34,7 +34,6 @@ __all__ = [
     "order_conjuncts",
     "plan_select",
     "choose_join_strategy",
-    "choose_epsilon_strategy",
     "ball_selectivity",
 ]
 
@@ -624,55 +623,3 @@ def ball_selectivity(ndims: int) -> float:
         / math.gamma(ndims / 2.0 + 1.0)
         / 2.0**ndims
     )
-
-
-def choose_epsilon_strategy(
-    nleft: int,
-    nright: int,
-    eps: float,
-    grid: Grid,
-) -> Tuple[str, dict]:
-    """Pick the epsilon-join strategy by estimated comparison cost.
-
-    Three candidates, all producing identical pairs:
-
-    * ``nested-loop`` — every pair: ``na * nb * d``;
-    * ``zones`` — sort both catalogs into zones (``(na+nb) log``) then
-      test only candidates inside a ``(2eps+1) x 3h`` strip per probe:
-      ``na * nb * frac_zones * d`` with
-      ``frac_zones = ((2eps+1)/side)^(d-1) * 3h/side``;
-    * ``z-merge`` — decompose each left ball into <= ``3^d`` coarse
-      elements, binary-search the z-sorted right catalog per element:
-      ``(na*3^d + nb) log`` plus ``na * nb * frac_box * d`` exact tests
-      with ``frac_box = ((2eps+1)/side)^d``.
-
-    The strip is taller than the box (``3h >= 2eps+1``), so z-merge's
-    per-candidate term undercuts zones at large eps while its ``3^d``
-    decomposition overhead loses at small eps — the crossover EXPLAIN
-    makes visible.  Returns ``(strategy, costs)`` with ``costs`` keyed
-    by strategy name for EXPLAIN.
-    """
-    from repro.proximity.zones import zone_height_for
-
-    d = grid.ndims
-    side = float(2**grid.depth)
-    na, nb = float(max(nleft, 1)), float(max(nright, 1))
-    h = float(zone_height_for(eps))
-    width = min(2.0 * eps + 1.0, side)
-    frac_zones = (width / side) ** (d - 1) * min(3.0 * h / side, 1.0)
-    frac_box = (width / side) ** d
-    elements = 3.0**d
-    cost_nested = na * nb * d
-    cost_zones = (na + nb) * max(
-        1.0, math.log2(max(na + nb, 2.0))
-    ) + na * nb * frac_zones * d
-    cost_zmerge = (na * elements + nb) * max(
-        1.0, math.log2(max(na * elements + nb, 2.0))
-    ) + na * nb * frac_box * d
-    costs = {
-        "zones": cost_zones,
-        "z-merge": cost_zmerge,
-        "nested-loop": cost_nested,
-    }
-    strategy = min(costs, key=lambda name: (costs[name], name))
-    return strategy, costs

@@ -30,12 +30,12 @@ from repro.cache import cached_range_matches
 from repro.core.deadline import check_deadline
 from repro.core.geometry import Box, Grid
 from repro.db.catalog import IndexEntry
-from repro.db.planner import bump_planner_stat, choose_epsilon_strategy
+from repro.db.planner import bump_planner_stat
 from repro.db.relation import Relation, VersionedRelation
 from repro.db.schema import Schema
 from repro.obs.trace import span as _span
-from repro.proximity import epsilon_join_pairs
-from repro.proximity import knn as knn_points
+from repro.proximity import zones_epsilon_join
+from repro.storage.prefix_btree import ProximityReads
 
 __all__ = [
     "RowStore",
@@ -138,47 +138,37 @@ def epsilon_join_rows(
     rows_b: Sequence[Row],
     coords_b: CoordsOf,
     eps: float,
-    strategy: Optional[str] = None,
 ) -> List[Row]:
-    """Concatenated row pairs whose points lie within ``eps``, sorted
-    canonically by ``(point_a, point_b, ordinal_a, ordinal_b)``.
-    ``strategy=None`` lets the planner's cost model pick; either way
-    the join is tallied in ``database.planner_stats`` (and on the
+    """Concatenated row pairs whose points lie within ``eps`` — the
+    zones sweep — sorted canonically by ``(point_a, point_b, ordinal_a,
+    ordinal_b)`` and tallied in ``database.planner_stats`` (and on the
     active trace) exactly once."""
     pts_a = list(map(coords_a, rows_a))
     pts_b = list(map(coords_b, rows_b))
-    if strategy is None:
-        strategy, _ = choose_epsilon_strategy(
-            len(pts_a), len(pts_b), eps, database.grid
-        )
-    with _span(f"join[eps-{strategy}]") as span:
+    with _span("join[eps-zones]") as span:
         if span is not None:
             span.set("eps", eps)
             span.add("rows_in", len(rows_a) + len(rows_b))
-        pairs = epsilon_join_pairs(database.grid, pts_a, pts_b, eps, strategy)
+        pairs = zones_epsilon_join(pts_a, pts_b, eps)
         rows = [rows_a[i] + rows_b[j] for i, j in pairs]
         if span is not None:
             span.add("rows_out", len(rows))
     stats = getattr(database, "planner_stats", None)
     bump_planner_stat(stats, "planner.eps_joins")
-    bump_planner_stat(stats, f"planner.eps_strategy[{strategy}]")
     return rows
 
 
-class RowStore:
+class RowStore(ProximityReads):
     """A row set's distinct coordinates as a minimal point store — what
     answers a session's proximity and k-NN reads when no index is
     visible at its snapshot."""
 
     def __init__(self, grid: Grid, points: Iterable[Point]) -> None:
-        self._grid = grid
+        self.grid = grid
         self._points = set(points)
 
     def __len__(self) -> int:
         return len(self._points)
-
-    def points(self) -> List[Point]:
-        return sorted(self._points, key=lambda p: self._grid.zvalue(p).bits)
 
     def _matching(self, keep: Callable[[Point], bool]) -> SimpleNamespace:
         return SimpleNamespace(matches=[p for p in self._points if keep(p)])
@@ -292,26 +282,6 @@ class SpatialReads:
             store = RowStore(database.grid, map(coords, rows))
         return store
 
-    def _ranked_rows(
-        self,
-        table: str,
-        cols: Sequence[str],
-        k: int,
-        rank: Callable[[Any], Sequence[Point]],
-    ) -> Relation:
-        """The first ``k`` rows by the nearest-first points
-        ``rank(store)`` reports."""
-        database, epoch = self._reading()
-        relation = database.catalog.relation(table)
-        ranked = rank(self._point_store(table, cols))
-        return Relation._derived(
-            f"knn({table})",
-            relation.schema,
-            gather_ranked(
-                relation, epoch, ranked, k, self._entry(table, cols), cols
-            ),
-        )
-
     def range_query_stats(
         self, table: str, coord_cols: Sequence[str], box: Box
     ) -> Any:
@@ -348,10 +318,10 @@ class SpatialReads:
         coord_cols: Sequence[str],
         center: Sequence[int],
         k: int = 1,
-        mode: str = "exact",
     ) -> Relation:
-        """The ``k`` rows nearest ``center`` via the shifted-ordering
-        k-NN operator of :mod:`repro.proximity`.
+        """The ``k`` rows nearest ``center``, by the answering store's
+        :meth:`~repro.storage.prefix_btree.ProximityReads.
+        nearest_neighbours`.
 
         Distinct nearest points are fetched first, then their rows are
         gathered in point rank order (relation order within a point), so
@@ -359,15 +329,23 @@ class SpatialReads:
         ``(distance^2, z code)`` and truncating — whatever store
         answers: a live index, a frozen snapshot view, or (a session
         with no index visible at its pin) the visible row set itself.
-        ``mode="approx"`` skips the refinement box query and is only
-        guaranteed within the proven approximation factor.
         """
-        grid = self._reading()[0].grid
-        return self._ranked_rows(
-            table,
-            coord_cols,
-            k,
-            lambda store: knn_points(store, grid, center, k, mode=mode),
+        database, epoch = self._reading()
+        relation = database.catalog.relation(table)
+        ranked = self._point_store(table, coord_cols).nearest_neighbours(
+            center, k
+        )
+        return Relation._derived(
+            f"knn({table})",
+            relation.schema,
+            gather_ranked(
+                relation,
+                epoch,
+                ranked,
+                k,
+                self._entry(table, coord_cols),
+                coord_cols,
+            ),
         )
 
     def epsilon_join(
@@ -377,16 +355,11 @@ class SpatialReads:
         table_b: str,
         cols_b: Sequence[str],
         eps: float,
-        strategy: Optional[str] = None,
     ) -> Relation:
         """All row pairs of ``table_a`` x ``table_b`` whose coordinate
-        points lie within Euclidean ``eps`` — the cross-match join.
-
-        ``strategy`` forces ``"zones"``, ``"z-merge"`` or
-        ``"nested-loop"``; by default the planner's
-        :func:`~repro.db.planner.choose_epsilon_strategy` cost model
-        picks (all three produce identical rows).  Output columns are
-        qualified ``{table}_{column}``; rows are sorted canonically by
+        points lie within Euclidean ``eps`` — the cross-match join, by
+        the zones sweep.  Output columns are qualified
+        ``{table}_{column}``; rows are sorted canonically by
         ``(point_a, point_b, ordinal_a, ordinal_b)``.
         """
         database, _ = self._reading()
@@ -396,6 +369,6 @@ class SpatialReads:
             f"epsjoin({table_a},{table_b})",
             schema_a.concat(schema_b, f"{table_a}_", f"{table_b}_"),
             epsilon_join_rows(
-                database, rows_a, coords_a, rows_b, coords_b, eps, strategy
+                database, rows_a, coords_a, rows_b, coords_b, eps
             ),
         )

@@ -1,35 +1,18 @@
-"""Proximity query operators: k-NN and epsilon cross-matching.
+"""Epsilon cross-matching of point catalogs.
 
-The paper's z-element machinery (Sections 3-6) answered boxes,
-containment and fixed-radius balls; this package layers the two query
-classes its successors ran in production sky surveys on top of the
-same substrate:
+The paper's z-element machinery (Sections 3-6) answers boxes,
+containment, fixed-radius balls and — a doubling box probe through the
+ordinary range query, :meth:`~repro.storage.prefix_btree.ProximityReads.
+nearest_neighbours` — k-nearest-neighbour.  What it has no operator for
+is the *join* its successors ran in production sky surveys:
 
-* :func:`~repro.proximity.knn.knn` — k-nearest-neighbour via expanding
-  window probes over ``2^d`` *shifted copies* of the z ordering
-  (Chan / Har-Peled / Jones locality-sensitive orderings), with an
-  exact-mode refinement pass that verifies the candidate ball with one
-  box query;
 * :func:`~repro.proximity.zones.zones_epsilon_join` — Gray et al.'s
-  Zones algorithm for epsilon-joins of large point catalogs, costed by
-  the multi-predicate planner against the z-merge and nested-loop
-  strategies of :mod:`repro.proximity.epsjoin`.
+  Zones algorithm, the one eps-join every read path runs;
+* :func:`~repro.proximity.epsjoin.nested_epsilon_join` — the O(na * nb)
+  oracle the differential suite compares it against.
 """
 
-from repro.proximity.epsjoin import (
-    ball_cover_depth,
-    epsilon_join_pairs,
-    nested_epsilon_join,
-    zmerge_epsilon_join,
-)
-from repro.proximity.knn import knn, shifted_index_for
-from repro.proximity.shifted import (
-    ShiftedOrderings,
-    approximation_factor,
-    shift_vectors,
-    shifted_code,
-    shifted_point,
-)
+from repro.proximity.epsjoin import nested_epsilon_join
 from repro.proximity.zones import (
     ZonesIndex,
     zone_height_for,
@@ -37,18 +20,8 @@ from repro.proximity.zones import (
 )
 
 __all__ = [
-    "knn",
-    "shifted_index_for",
-    "ShiftedOrderings",
-    "approximation_factor",
-    "shift_vectors",
-    "shifted_code",
-    "shifted_point",
     "ZonesIndex",
     "zone_height_for",
     "zones_epsilon_join",
-    "epsilon_join_pairs",
     "nested_epsilon_join",
-    "zmerge_epsilon_join",
-    "ball_cover_depth",
 ]

@@ -15,7 +15,7 @@ strips instead of the whole plane.
 full rows (the SQL eps-join) or raw points (the differential oracle
 suite) through the same sweep.  Output order is canonical — sorted by
 ``(point_a, point_b)`` — making byte-for-byte comparison against the
-oracle, the nested loop and the z-merge strategy meaningful.
+nested-loop oracle meaningful.
 """
 
 from __future__ import annotations

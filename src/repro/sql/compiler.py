@@ -29,7 +29,6 @@ from repro.db.planner import (
     Conjunct,
     SelectPlan,
     ball_selectivity,
-    choose_epsilon_strategy,
     choose_join_strategy,
     plan_select,
 )
@@ -106,9 +105,9 @@ class CompiledQuery:
 
     def _attach_nearest(self, plan: SelectPlan, target: Any) -> None:
         """Wire the NEAREST clause into the plan: with no WHERE clause
-        and a matching index, the shifted-ordering k-NN operator *is*
-        the access path (it fetches exactly the k rows); otherwise the
-        filtered rows are ranked afterwards (post-filter)."""
+        and a matching index, the store's k-NN *is* the access path (it
+        fetches exactly the k rows, ranked); otherwise the filtered
+        rows are ranked afterwards (post-filter)."""
         k, center, cols = self.bound.nearest
         table = self.bound.table
         executor = self.db if target is None else target
@@ -130,7 +129,7 @@ class CompiledQuery:
             plan._fetch = _fetch
             plan.notes.append(
                 f"nearest: {k} to {center_text} by "
-                f"({', '.join(cols)})  [knn-probe via shifted orderings]"
+                f"({', '.join(cols)})  [knn-probe]"
             )
         else:
             plan.estimated_rows = min(plan.estimated_rows, float(k))
@@ -364,15 +363,11 @@ class CompiledQuery:
         right = self._side_plan(bound.join_table, right_push, target)
 
         grid = self.db.grid
-        nleft, nright = left.estimated_rows, right.estimated_rows
-        strategy, costs = choose_epsilon_strategy(
-            int(nleft), int(nright), bound.eps, grid
-        )
         side = float(2**grid.depth)
         width = min(2.0 * bound.eps + 1.0, side)
         est_pairs = (
-            nleft
-            * nright
+            left.estimated_rows
+            * right.estimated_rows
             * (width / side) ** grid.ndims
             * ball_selectivity(grid.ndims)
         )
@@ -382,19 +377,11 @@ class CompiledQuery:
             filters=post,
             reorder=self.reorder,
             moved=left.moved + right.moved + pmoved,
-            access_label=f"eps-join[{strategy}]",
+            access_label="eps-join",
             estimated_rows=est_pairs,
             _stats=getattr(self.db, "planner_stats", None),
         )
-        plan.notes.append(
-            f"eps-join strategy: {strategy} at eps={bound.eps:g} ("
-            + ", ".join(
-                f"{name} ~{cost:.0f}"
-                for name, cost in sorted(costs.items())
-            )
-            + ")"
-        )
-        plan._fetch = lambda: self._eps_join_fetch(left, right, strategy)
+        plan._fetch = lambda: self._eps_join_fetch(left, right)
         self._note_sides(plan, left, right)
         return plan
 
@@ -444,7 +431,7 @@ class CompiledQuery:
         return (left_push, pushed) if at == 0 else (pushed, right_push)
 
     def _eps_join_fetch(
-        self, left_plan: SelectPlan, right_plan: SelectPlan, strategy: str
+        self, left_plan: SelectPlan, right_plan: SelectPlan
     ) -> Relation:
         bound = self.bound
         left = self._side(left_plan)
@@ -462,7 +449,6 @@ class CompiledQuery:
                 [f"{bound.join_table}_{name}" for name in bound.right_coords],
             ),
             bound.eps,
-            strategy,
         )
         schema = Schema(
             list(left.schema.columns) + list(right.schema.columns)
@@ -476,14 +462,18 @@ class CompiledQuery:
     def run(self, target: Any = None) -> Relation:
         plan = self.plan(target)
         out = plan.execute()
-        if self.bound.nearest is not None:
+        if (
+            self.bound.nearest is not None
+            and plan.access_label != "knn-probe"
+        ):
             out = self._nearest_rows(out)
         return self._tail(out)
 
     def _nearest_rows(self, relation: Relation) -> Relation:
         """Rank ``relation`` by distance to the NEAREST center (ties by
-        z code, then input order — a stable sort) and keep ``k`` rows.
-        Idempotent over a knn-probe access path's output."""
+        z code, then input order — a stable sort) and keep ``k`` rows —
+        the ranked-after-filters plan; a knn-probe's rows arrive
+        ranked."""
         k, center, cols = self.bound.nearest
         grid = self.db.grid
         indices = [relation.schema.index_of(name) for name in cols]

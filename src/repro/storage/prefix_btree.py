@@ -40,6 +40,7 @@ from repro.core.rangesearch import (
     range_search,
     scan_intervals,
 )
+from repro.obs.trace import current as _trace_current
 from repro.obs.trace import span as _trace_span
 from repro.storage.btree import BPlusTree, BTreeCursor
 from repro.storage.buffer import BufferManager, ReplacementPolicy
@@ -81,12 +82,15 @@ class QueryResult:
 
 class ProximityReads:
     """Section 6's proximity queries for any point store with ``grid``,
-    ``__len__`` and ``object_query``: a ball is just another query
-    region for the merge."""
+    ``__len__``, ``range_query`` and ``object_query``: a ball, or the
+    box around one, is just another query region for the merge."""
 
     grid: Grid
 
     def __len__(self) -> int:
+        raise NotImplementedError
+
+    def range_query(self, box: Box) -> Any:
         raise NotImplementedError
 
     def object_query(
@@ -106,32 +110,51 @@ class ProximityReads:
         self, center: Sequence[int], k: int = 1
     ) -> List[Point]:
         """The ``k`` stored points nearest to ``center`` (Euclidean),
-        found by growing proximity queries (doubling radius) and a final
-        exact cut.  Ties broken by z order."""
+        ties by z code — exact, by ordinary range queries: probe the
+        box ``[c - r, c + r]`` (clipped to the grid) from the radius at
+        which a uniform store of this size would hold ``k`` points,
+        doubling while fewer come back.  With >= ``k`` matches whose
+        k-th distance ``d_k`` is at most ``r`` the L2 ball of the answer
+        lies inside the probe box; otherwise one closing probe at
+        ``ceil(d_k)`` covers it."""
         if k < 1:
             raise ValueError("k must be positive")
-        if len(self) == 0:
+        n = len(self)
+        if n == 0:
             return []
         center = tuple(center)
-        self.grid.validate_point(center)
-        k = min(k, len(self))
-        radius = 1.0
-        max_radius = self.grid.side * math.sqrt(self.grid.ndims)
-        candidates: List[Point] = []
-        while True:
-            candidates = list(self.within_distance(center, radius).matches)
-            if len(candidates) >= k or radius > max_radius:
-                break
-            radius *= 2
-        # With >= k candidates inside radius r, the k-th nearest point
-        # lies within r, so every true answer is among the candidates.
-        def distance2(p: Point) -> float:
-            return sum((a - b) ** 2 for a, b in zip(p, center))
+        grid = self.grid
+        grid.validate_point(center)
+        k = min(k, n)
+        side, top = grid.side, grid.side - 1
 
-        candidates.sort(
-            key=lambda p: (distance2(p), self.grid.zvalue(p).bits)
-        )
-        return candidates[:k]
+        def probe(r: int) -> List[Tuple[int, int, Point]]:
+            box = Box(
+                tuple((max(c - r, 0), min(c + r, top)) for c in center)
+            )
+            matches = self.range_query(box).matches
+            codes = interleave_many(matches, grid.depth, grid.ndims)
+            return sorted(
+                (sum((a - b) ** 2 for a, b in zip(p, center)), code, p)
+                for p, code in zip(matches, codes)
+            )
+
+        radius = max(1, math.ceil(side * (k / n) ** (1.0 / grid.ndims)))
+        probes = candidates = 0
+        while True:
+            ranked = probe(radius)
+            probes += 1
+            candidates += len(ranked)
+            kth = ranked[k - 1][0] if len(ranked) >= k else None
+            if radius >= side or (kth is not None and kth <= radius**2):
+                break  # the box is the grid, or holds the answer's ball
+            radius = 2 * radius if kth is None else math.isqrt(kth - 1) + 1
+        trace = _trace_current()
+        if trace is not None:
+            trace.add("knn.queries", 1)
+            trace.add("knn.probes", probes)
+            trace.add("knn.candidates", candidates)
+        return [p for _, _, p in ranked[:k]]
 
 
 #: One merge over a fresh cursor, filling the stats it is handed.
@@ -334,8 +357,8 @@ class ZkdTree(LeafChainReads):
     @property
     def mutation_epoch(self) -> int:
         """Counter bumped on every mutating call — derived read-side
-        structures (e.g. the shifted-ordering k-NN index) key their
-        caches on ``(len, mutation_epoch)`` to stay coherent."""
+        structures (the planner's memoised histograms) key their
+        caches on it to stay coherent."""
         return self._mutation_epoch
 
     def insert(self, point: Sequence[int]) -> None:

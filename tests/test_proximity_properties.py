@@ -2,19 +2,15 @@
 
 Hypothesis-driven invariants over random catalogs:
 
-* **approximation bound** — the approx-mode k-th distance never exceeds
-  :func:`approximation_factor` times the true k-th distance (the
-  shifted-orderings lemma, checked empirically over random scenes);
 * **zone invariant** — any pair within ``eps`` differs by at most one
   zone id for every legal zone height ``h >= eps``;
 * **k-NN monotonicity** — the result for ``k`` is a byte-identical
   prefix of the result for ``k + 1`` (the tie-break makes the ranking
   a total order, so growing ``k`` only appends);
-* **exactness under mutation** — exact mode equals the oracle on a
+* **exactness under mutation** — the k-NN equals the oracle on a
   store grown incrementally, not just bulk-loaded.
 """
 
-import math
 import random
 
 from hypothesis import given, settings, strategies as st
@@ -22,8 +18,6 @@ from hypothesis import given, settings, strategies as st
 from repro.core.geometry import Grid
 from repro.proximity import (
     ZonesIndex,
-    approximation_factor,
-    knn,
     nested_epsilon_join,
     zone_height_for,
     zones_epsilon_join,
@@ -45,37 +39,16 @@ def _scene(seed, n=80):
     return sorted(points), center, rng
 
 
-def _kth_distance(points, center, k):
-    return sorted(
-        math.dist(p, center) for p in points
-    )[k - 1]
-
-
-@settings(max_examples=30, deadline=None)
-@given(seeds)
-def test_approx_mode_within_proven_factor(seed):
-    """approx-mode k-th distance <= factor * exact k-th distance."""
-    points, center, rng = _scene(seed)
-    tree = ZkdTree(GRID, page_capacity=8)
-    tree.bulk_load(points)
-    factor = approximation_factor(GRID.ndims)
-    for k in (1, 3, 7):
-        approx = knn(tree, GRID, center, k, mode="approx")
-        got = math.dist(approx[-1], center)
-        true = _kth_distance(points, center, k)
-        assert got <= factor * true + 1e-9
-
-
 @settings(max_examples=30, deadline=None)
 @given(seeds)
 def test_exact_mode_is_exact(seed):
-    """exact mode returns the true k nearest regardless of how loose
-    the candidate windows were."""
+    """The k-NN returns the true k nearest however loose the first
+    probe box was."""
     points, center, rng = _scene(seed)
     tree = ZkdTree(GRID, page_capacity=8)
     tree.bulk_load(points)
     for k in (1, 4, 9):
-        got = knn(tree, GRID, center, k)
+        got = tree.nearest_neighbours(center, k)
         want = sorted(
             (
                 sum((a - b) ** 2 for a, b in zip(p, center)),
@@ -95,7 +68,7 @@ def test_knn_k_is_prefix_of_k_plus_1(seed):
     tree.bulk_load(points)
     previous = []
     for k in range(1, 12):
-        current = knn(tree, GRID, center, k)
+        current = tree.nearest_neighbours(center, k)
         assert current[: len(previous)] == previous
         assert len(current) == min(k, len(points))
         previous = current
@@ -131,8 +104,8 @@ def test_zone_invariant_and_join_exactness(seed, eps):
 @settings(max_examples=20, deadline=None)
 @given(seeds)
 def test_exactness_survives_incremental_growth(seed):
-    """Insert points one batch at a time; the orderings cache must
-    track ``mutation_epoch`` and exact mode must stay an oracle."""
+    """Insert points one batch at a time; every batch is visible to
+    the next k-NN, which must stay an oracle."""
     rng = random.Random(seed)
     side = GRID.side
     tree = ZkdTree(GRID, page_capacity=8)
@@ -154,4 +127,4 @@ def test_exactness_survives_incremental_growth(seed):
             )
             for p in live
         )[:5]
-        assert knn(tree, GRID, center, 5) == [p for _, _, p in want]
+        assert tree.nearest_neighbours(center, 5) == [p for _, _, p in want]

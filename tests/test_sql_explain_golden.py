@@ -76,15 +76,13 @@ def db():
 
 @pytest.fixture
 def sky():
-    """Two seeded point catalogs large enough that the epsilon-join
-    cost model switches strategy with ``eps``, plus a tiny third where
-    the nested loop wins outright.  ``random.Random`` is deterministic
-    across platforms, so the plans (and their cost numbers) are stable
-    golden material."""
+    """Two seeded, indexed point catalogs.  ``random.Random`` is
+    deterministic across platforms, so the plans (and their cost
+    numbers) are stable golden material."""
     database = SpatialDatabase(Grid(2, 5), page_capacity=8)
     rng = random.Random(5)
     side = database.grid.side
-    for table, count in (("stars", 400), ("gals", 400), ("dwarfs", 3)):
+    for table, count in (("stars", 400), ("gals", 400)):
         database.create_table(
             table, Schema.of(("id@", OID), ("x", INTEGER), ("y", INTEGER))
         )
@@ -155,8 +153,8 @@ class TestExplainGolden:
 
 class TestProximityExplainGolden:
     def test_nearest_knn_probe(self, db):
-        """No WHERE + a matching index: the plan probes the shifted
-        orderings directly instead of scanning."""
+        """No WHERE + a matching index: the plan probes the index's
+        k-NN directly instead of scanning."""
         compiled = compile_sql(
             db,
             "SELECT id@, x, y FROM points "
@@ -190,22 +188,6 @@ class TestProximityExplainGolden:
             "ON POINT(stars.x, stars.y) WITHIN 6 OF POINT(gals.x, gals.y)",
         )
         check("sql_explain_epsjoin_zones.txt", compiled.explain())
-
-    def test_epsjoin_picks_zmerge_at_wide_eps(self, sky):
-        compiled = compile_sql(
-            sky,
-            "SELECT * FROM stars JOIN gals "
-            "ON POINT(stars.x, stars.y) WITHIN 12 OF POINT(gals.x, gals.y)",
-        )
-        check("sql_explain_epsjoin_zmerge.txt", compiled.explain())
-
-    def test_epsjoin_picks_nested_loop_for_tiny_tables(self, sky):
-        compiled = compile_sql(
-            sky,
-            "SELECT * FROM dwarfs JOIN gals "
-            "ON POINT(dwarfs.x, dwarfs.y) WITHIN 6 OF POINT(gals.x, gals.y)",
-        )
-        check("sql_explain_epsjoin_nested.txt", compiled.explain())
 
 
 class TestAttributeRangeWindowGolden:

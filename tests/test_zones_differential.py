@@ -1,10 +1,9 @@
 """O(n^2) oracle differential suite for the epsilon cross-match join.
 
-The three join strategies — Zones sweep, z-merge, nested loop — are
-pure filters over the same exact Euclidean test, so every surface that
-serves an eps-join must be *byte-identical* to an independent brute
-force: the raw operators over point catalogs, the database facade
-(default cost-model choice and every forced strategy), snapshot
+The Zones sweep is a pure filter over the exact Euclidean test, so
+every surface that serves an eps-join must be *byte-identical* to an
+independent brute force and to the ``nested_epsilon_join`` oracle: the
+raw operator over point catalogs, the database facade, snapshot
 sessions, the SQL ``WITHIN`` join and predicate, and the TCP server's
 batched path.
 """
@@ -18,13 +17,11 @@ import pytest
 
 from repro.core.geometry import Box, Grid
 from repro.db.database import SpatialDatabase
-from repro.db.planner import choose_epsilon_strategy
 from repro.db.schema import Schema
 from repro.db.types import INTEGER, OID
 from repro.proximity import (
     ZonesIndex,
     nested_epsilon_join,
-    zmerge_epsilon_join,
     zone_height_for,
     zones_epsilon_join,
 )
@@ -34,8 +31,6 @@ from repro.sql import execute_sql
 from repro.workloads import cross_match_catalogs, sky_catalog
 
 GRID = Grid(ndims=2, depth=6)
-
-STRATEGIES = ("zones", "z-merge", "nested-loop")
 
 
 def oracle_pairs(pts_a, pts_b, eps):
@@ -69,16 +64,15 @@ def catalogs(rng, grid, na, nb, duplicates=True):
     return pts_a, pts_b
 
 
-def run_all(grid, pts_a, pts_b, eps):
+def run_all(pts_a, pts_b, eps):
     return {
         "zones": zones_epsilon_join(pts_a, pts_b, eps),
-        "z-merge": zmerge_epsilon_join(grid, pts_a, pts_b, eps),
         "nested-loop": nested_epsilon_join(pts_a, pts_b, eps),
     }
 
 
 # ---------------------------------------------------------------------
-# Raw strategies vs the oracle
+# Zones and the nested-loop oracle vs the brute force
 # ---------------------------------------------------------------------
 
 
@@ -88,7 +82,7 @@ class TestStrategiesVsOracle:
         rng = random.Random(61)
         pts_a, pts_b = catalogs(rng, GRID, 70, 55)
         want = oracle_pairs(pts_a, pts_b, eps)
-        for name, got in run_all(GRID, pts_a, pts_b, eps).items():
+        for name, got in run_all(pts_a, pts_b, eps).items():
             assert got == want, name
 
     def test_clustered_sky_catalogs(self):
@@ -96,7 +90,7 @@ class TestStrategiesVsOracle:
         pts_a, pts_b = list(primary.points), list(secondary.points)
         for eps in (1.0, 3.0):
             want = oracle_pairs(pts_a, pts_b, eps)
-            for name, got in run_all(GRID, pts_a, pts_b, eps).items():
+            for name, got in run_all(pts_a, pts_b, eps).items():
                 assert got == want, name
 
     def test_eps_covering_everything(self):
@@ -105,13 +99,13 @@ class TestStrategiesVsOracle:
         eps = GRID.side * math.sqrt(GRID.ndims)
         want = oracle_pairs(pts_a, pts_b, eps)
         assert len(want) == len(pts_a) * len(pts_b)
-        for name, got in run_all(GRID, pts_a, pts_b, eps).items():
+        for name, got in run_all(pts_a, pts_b, eps).items():
             assert got == want, name
 
     def test_empty_sides(self):
         pts = [(1, 2), (3, 4)]
         for a, b in (([], pts), (pts, []), ([], [])):
-            for got in run_all(GRID, a, b, 2.0).values():
+            for got in run_all(a, b, 2.0).values():
                 assert got == []
 
     def test_negative_eps_rejected(self):
@@ -135,14 +129,14 @@ class TestStrategiesVsOracle:
     def test_sharded_store_point_sets_join_identically(self):
         """The operators see only point sequences: feeding them a
         sharded store's merged catalog gives the same pairs as the flat
-        list (the store's z-merge of shard runs is order-canonical)."""
+        list (the store's concatenation of shard runs is order-canonical)."""
         rng = random.Random(65)
         pts_a, pts_b = catalogs(rng, GRID, 50, 40, duplicates=False)
         store = ShardedSpatialStore.build(GRID, set(pts_b), nshards=3)
         flat = sorted(set(pts_b))
         assert sorted(store.points()) == flat
         want = oracle_pairs(pts_a, flat, 2.5)
-        for name, got in run_all(GRID, pts_a, flat, 2.5).items():
+        for name, got in run_all(pts_a, flat, 2.5).items():
             assert got == want, name
 
 
@@ -210,17 +204,8 @@ def _index_join_db(db):
     db.create_index("gals_xy", "gals", ("x", "y"))
 
 
-def _eps_tallies(db):
-    """(joins counted, sum over the per-strategy tallies)."""
-    stats = db.planner_stats
-    return (
-        stats.get("planner.eps_joins", 0),
-        sum(
-            count
-            for name, count in stats.items()
-            if name.startswith("planner.eps_strategy[")
-        ),
-    )
+def _eps_joins(db):
+    return db.planner_stats.get("planner.eps_joins", 0)
 
 
 def oracle_join_rows(stars, gals, eps):
@@ -231,26 +216,12 @@ def oracle_join_rows(stars, gals, eps):
 
 
 class TestDatabaseJoin:
-    def test_default_and_forced_strategies_match_oracle(self):
+    def test_join_rows_match_oracle(self):
         rng = random.Random(71)
         db, stars, gals = _build_join_db(rng)
         for eps in (0.0, 1.5, 4.0):
-            want = oracle_join_rows(stars, gals, eps)
-            outputs = [
-                list(
-                    db.epsilon_join(
-                        "stars",
-                        ("x", "y"),
-                        "gals",
-                        ("x", "y"),
-                        eps,
-                        strategy=strategy,
-                    ).rows
-                )
-                for strategy in (None,) + STRATEGIES
-            ]
-            for got in outputs:
-                assert got == want
+            got = db.epsilon_join("stars", ("x", "y"), "gals", ("x", "y"), eps)
+            assert list(got.rows) == oracle_join_rows(stars, gals, eps)
 
     def test_output_schema_keeps_all_columns_qualified(self):
         db, _, _ = _build_join_db(random.Random(72), na=5, nb=5)
@@ -266,26 +237,9 @@ class TestDatabaseJoin:
 
     def test_planner_counters_bump(self):
         db, _, _ = _build_join_db(random.Random(73), na=10, nb=10)
-        db.epsilon_join(
-            "stars", ("x", "y"), "gals", ("x", "y"), 1.0, strategy="zones"
-        )
+        db.epsilon_join("stars", ("x", "y"), "gals", ("x", "y"), 1.0)
         db.epsilon_join("stars", ("x", "y"), "gals", ("x", "y"), 1.0)
         assert db.planner_stats["planner.eps_joins"] == 2
-        assert db.planner_stats["planner.eps_strategy[zones]"] >= 1
-        assert (
-            sum(
-                count
-                for name, count in db.planner_stats.items()
-                if name.startswith("planner.eps_strategy[")
-            )
-            == 2
-        )
-
-    def test_cost_model_names_every_strategy(self):
-        strategy, costs = choose_epsilon_strategy(500, 400, 2.0, GRID)
-        assert strategy in STRATEGIES
-        assert set(costs) == set(STRATEGIES)
-        assert costs[strategy] == min(costs.values())
 
     def test_session_pinned_snapshot(self):
         rng = random.Random(74)
@@ -302,7 +256,7 @@ class TestDatabaseJoin:
             )
             assert got == want
             # A session's join shows up in /stats like a database's.
-            assert _eps_tallies(db) == (1, 1)
+            assert _eps_joins(db) == 1
             fresh = list(
                 db.epsilon_join(
                     "stars", ("x", "y"), "gals", ("x", "y"), eps
@@ -310,7 +264,7 @@ class TestDatabaseJoin:
             )
             assert fresh == oracle_join_rows(stars, gals + [extra], eps)
             assert len(fresh) > len(want)
-            assert _eps_tallies(db) == (2, 2)
+            assert _eps_joins(db) == 2
 
     @pytest.mark.parametrize("visible", [True, False])
     def test_every_session_read_equals_its_database_twin(self, visible):
@@ -343,20 +297,12 @@ class TestDatabaseJoin:
                 assert list(
                     session.proximity_query("stars", cols, center, radius).rows
                 ) == list(db.proximity_query("stars", cols, center, radius).rows)
-                for mode in ("exact", "approx"):
-                    assert list(
-                        session.knn_query("stars", cols, center, 6, mode).rows
-                    ) == list(db.knn_query("stars", cols, center, 6, mode).rows)
-            for strategy in (None,) + STRATEGIES:
                 assert list(
-                    session.epsilon_join(
-                        "stars", cols, "gals", cols, 3.0, strategy
-                    ).rows
-                ) == list(
-                    db.epsilon_join(
-                        "stars", cols, "gals", cols, 3.0, strategy
-                    ).rows
-                )
+                    session.knn_query("stars", cols, center, 6).rows
+                ) == list(db.knn_query("stars", cols, center, 6).rows)
+            assert list(
+                session.epsilon_join("stars", cols, "gals", cols, 3.0).rows
+            ) == list(db.epsilon_join("stars", cols, "gals", cols, 3.0).rows)
 
 
 # ---------------------------------------------------------------------
@@ -375,11 +321,11 @@ class TestSqlWithin:
         db, stars, gals = _build_join_db(rng)
         for done, eps in enumerate((0, 2, 4.5)):
             out = execute_sql(db, JOIN_QUERY.format(eps=eps))
-            assert _eps_tallies(db) == (2 * done + 1, 2 * done + 1)
+            assert _eps_joins(db) == 2 * done + 1
             want = db.epsilon_join(
                 "stars", ("x", "y"), "gals", ("x", "y"), eps
             )
-            assert _eps_tallies(db) == (2 * done + 2, 2 * done + 2)
+            assert _eps_joins(db) == 2 * done + 2
             assert out.rows == list(want.rows)
             assert out.columns == list(want.schema.names)
             assert out.rows == oracle_join_rows(stars, gals, eps)
@@ -466,12 +412,12 @@ class TestNightlySweep:
         pts_a, pts_b = list(primary.points), list(secondary.points)
         for eps in (1.0, 2.5, 4.0):
             want = oracle_pairs(pts_a, pts_b, eps)
-            for name, got in run_all(grid, pts_a, pts_b, eps).items():
+            for name, got in run_all(pts_a, pts_b, eps).items():
                 assert got == want, name
 
     def test_sky_scale_self_join(self):
         grid = Grid(ndims=2, depth=9)
         catalog = list(sky_catalog(grid, 900, seed=92).points)
         want = oracle_pairs(catalog, catalog, 2.0)
-        for name, got in run_all(grid, catalog, catalog, 2.0).items():
+        for name, got in run_all(catalog, catalog, 2.0).items():
             assert got == want, name
