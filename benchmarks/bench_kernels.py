@@ -2,12 +2,12 @@
 
 Reports shuffle/unshuffle throughput (points per second) and box
 decomposition throughput (boxes per second: the integer box kernel vs
-the generic object machinery on the same boxes, and cold vs the LRU
-front-end) so the kernel speedups land in the perf trajectory.  The
-acceptance floors for this bench are a >= 3x batched shuffle speedup on
-100k 2-d points and a >= 3x box-kernel speedup over the generic
-``decompose(grid, box_classifier(box))`` — re-routing boxes through the
-generic machinery fails the gate.
+the generic object machinery on the same boxes) so the kernel speedups
+land in the perf trajectory.  The acceptance floors for this bench are
+a >= 3x batched shuffle speedup on 100k 2-d points and a >= 3x
+box-kernel speedup over the generic ``decompose(grid,
+box_classifier(box))`` — re-routing boxes through the generic machinery
+fails the gate.
 
 Runs two ways:
 
@@ -107,32 +107,8 @@ def bench_unshuffle(npoints, ndims, depth=DEPTH):
     }
 
 
-def bench_decompose(nboxes, grid):
-    """Uncached decompose_box vs the LRU front-end on a repeating
-    workload (each box queried several times, as real workloads do)."""
-    boxes = _make_boxes(nboxes, grid)
-    workload = boxes * 3
-    t0 = time.perf_counter()
-    for box in workload:
-        decompose_box(grid, box)
-    t1 = time.perf_counter()
-    fastz.decompose_box_cache_clear()
-    t2 = time.perf_counter()
-    for box in workload:
-        fastz.decompose_box_cached(grid, box)
-    t3 = time.perf_counter()
-    cold_s, cached_s = t1 - t0, t3 - t2
-    return {
-        "nqueries": len(workload),
-        "grid": f"{grid.ndims}d/depth{grid.depth}",
-        "cold_bps": _rate(len(workload), cold_s),
-        "cached_bps": _rate(len(workload), cached_s),
-        "speedup": cold_s / cached_s if cached_s else float("inf"),
-    }
-
-
 def bench_box_kernel(nboxes, grid):
-    """Cold ``decompose_box`` (the integer box kernel) vs the generic
+    """``decompose_box`` (the integer box kernel) vs the generic
     ``decompose`` over ``box_classifier`` on the same in-grid boxes."""
     boxes = _make_boxes(nboxes, grid)
     t0 = time.perf_counter()
@@ -151,7 +127,7 @@ def bench_box_kernel(nboxes, grid):
     }
 
 
-def format_report(shuffles, unshuffles, decomposes, kernels):
+def format_report(shuffles, unshuffles, kernels):
     lines = ["# Kernel throughput: scalar reference vs batched fast path", ""]
     lines.append("## shuffle (interleave)")
     for r in shuffles:
@@ -169,20 +145,12 @@ def format_report(shuffles, unshuffles, decomposes, kernels):
             f"batch {r['batch_pps']:>12,.0f} pts/s   "
             f"speedup {r['speedup']:.1f}x"
         )
-    lines.append("## decompose_box: box kernel vs generic decompose (cold)")
+    lines.append("## decompose_box: box kernel vs generic decompose")
     for r in kernels:
         lines.append(
             f"  {r['nboxes']:>7} boxes on {r['grid']}: "
             f"generic {r['generic_bps']:>10,.0f} boxes/s   "
             f"kernel {r['kernel_bps']:>10,.0f} boxes/s   "
-            f"speedup {r['speedup']:.1f}x"
-        )
-    lines.append("## decompose_box (repeating box workload, x3)")
-    for r in decomposes:
-        lines.append(
-            f"  {r['nqueries']:>7} queries on {r['grid']}: "
-            f"cold {r['cold_bps']:>10,.0f} boxes/s   "
-            f"cached {r['cached_bps']:>10,.0f} boxes/s   "
             f"speedup {r['speedup']:.1f}x"
         )
     return "\n".join(lines)
@@ -195,12 +163,11 @@ def run(npoints=100_000, nboxes=150, verbose=True):
         bench_shuffle(max(1000, npoints // 4), 4),
     ]
     unshuffles = [bench_unshuffle(max(1000, npoints // 2), 2)]
-    decomposes = [bench_decompose(nboxes, Grid(ndims=2, depth=10))]
     kernels = [bench_box_kernel(nboxes, Grid(ndims=2, depth=10))]
-    report = format_report(shuffles, unshuffles, decomposes, kernels)
+    report = format_report(shuffles, unshuffles, kernels)
     if verbose:
         print(report)
-    return shuffles, unshuffles, decomposes, kernels, report
+    return shuffles, unshuffles, kernels, report
 
 
 # ----------------------------------------------------------------------
@@ -211,13 +178,11 @@ def run(npoints=100_000, nboxes=150, verbose=True):
 def test_kernel_throughput(results_dir):
     from conftest import save_result
 
-    shuffles, unshuffles, decomposes, kernels, report = run(verbose=False)
+    shuffles, unshuffles, kernels, report = run(verbose=False)
     save_result(results_dir, "kernel_throughput.txt", report)
     # The acceptance floor: batched 2-d shuffle of 100k points >= 3x.
     assert shuffles[0]["npoints"] == 100_000
     assert shuffles[0]["speedup"] >= 3.0, report
-    # The cached decomposer must beat recomputing on repeats.
-    assert decomposes[0]["speedup"] >= 1.5, report
     # A box must never pay for the generic object machinery.
     assert kernels[0]["speedup"] >= BOX_KERNEL_FLOOR, report
 
@@ -243,7 +208,7 @@ def main(argv=None):
         npoints, nboxes, floor = args.points, args.boxes, 3.0
     from gates import gate
 
-    shuffles, _, _, kernels, _ = run(npoints=npoints, nboxes=nboxes)
+    shuffles, _, kernels, _ = run(npoints=npoints, nboxes=nboxes)
     speedup = shuffles[0]["speedup"]
     box_speedup = kernels[0]["speedup"]
     return gate(

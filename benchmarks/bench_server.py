@@ -7,10 +7,17 @@ QueryService` over real sockets, measuring per-request latency
 
 The headline gate is the batching dividend: at 16 clients the
 coalescing dispatcher (concurrent queries against one index and epoch
-share a single scatter-gather pass) must deliver at least ``2x`` the
+share a single scatter-gather pass) must deliver at least ``1.7x`` the
 qps of serial request-at-a-time dispatch (``max_batch=1`` through the
 identical machinery).  Both sides run cache-less so the comparison
-isolates batching itself.
+isolates batching itself: every request decomposes its own box
+(~0.8 ms of bare ``box_intervals`` for these ~770-element boxes), a
+cost batching cannot share and nothing remembers.  The floor was
+``2x`` while a decomposition cache, warmed here before the clock
+started, hid that cost: ``--smoke`` read 2.59-3.54x then (16-client
+batched 1003-1218 qps, serial 337-387) and reads 2.03-2.15x now
+(563-602 qps, serial ~293), so ``1.7x`` is the same gate with the
+same kind of margin.
 
 ``--check benchmarks/baselines/server_latency.json`` additionally
 enforces the committed serving floors (min qps, max p95) so CI fails
@@ -43,7 +50,7 @@ CAPACITY = 20
 SEED = 0
 CLIENT_LEVELS = (1, 16, 64)
 REQUESTS_PER_CLIENT = 12
-SPEEDUP_FLOOR = 2.0
+SPEEDUP_FLOOR = 1.7
 BASELINE = pathlib.Path(__file__).parent / "baselines" / "server_latency.json"
 
 
@@ -174,13 +181,6 @@ def run(npoints=NPOINTS, depth=DEPTH, levels=CLIENT_LEVELS,
     # Each client cycles its own shuffled copy of a shared box pool, so
     # concurrent requests overlap without being identical.
     pool = workload_boxes(db.grid, 24, seed=seed)
-    # Warm the store-level decompose cache once: production traffic
-    # repeats query shapes, and cold decomposition would otherwise
-    # dominate the short 1-client level.
-    from repro.server.batching import batched_range_matches
-
-    entry = db.catalog.index("points_xy")
-    batched_range_matches(entry.tree, db.grid, pool)
     rng = random.Random(seed + 23)
     per_client = []
     for _ in range(max(levels)):

@@ -54,8 +54,8 @@ from typing import (
 )
 
 from repro.cache.trie import ZPrefixTrie
-from repro.core.decompose import Element
-from repro.core.fastz import interleave_many
+from repro.core.decompose import Element, decompose_box
+from repro.core.fastz import elements_many, interleave_many
 from repro.core.geometry import Box, Grid
 from repro.obs.trace import current as _trace_current
 
@@ -145,9 +145,12 @@ class CacheEntry:
 
 @dataclass(frozen=True)
 class CacheLookup:
-    """Outcome of matching one query's elements against the trie."""
+    """Outcome of matching one query box against the cache."""
 
     outcome: str  # "hit" | "partial" | "miss"
+    #: The box's decomposition, in z order: built for the trie walk, or
+    #: the matching entry's own on an ``exact`` hit.
+    elements: Tuple[Element, ...]
     covered: Tuple[Tuple[Element, CacheEntry], ...]
     residual: Tuple[Element, ...]
     entries: Tuple[CacheEntry, ...]  # distinct, in first-use order
@@ -229,21 +232,33 @@ class QueryResultCache:
 
     # -- lookup ----------------------------------------------------------
 
-    def lookup(
-        self,
-        elements: Sequence[Element],
-        epoch: int,
-        box: Optional[Box] = None,
-    ) -> CacheLookup:
-        """Match a query's decomposition against the cache at ``epoch``.
+    def lookup(self, box: Box, epoch: int) -> CacheLookup:
+        """Match the (grid-clipped) query ``box`` against the cache at
+        ``epoch`` — the one place that decides whether a cached read
+        decomposes its box.
 
-        Pure bookkeeping — the outcome counters are bumped by
-        :func:`cached_range_matches`, which also assembles the result.
-        When ``box`` is given and an entry was admitted for exactly that
-        box, the lookup short-circuits to an O(1) ``exact`` hit (older
-        pinned readers fall through to the per-element walk, where an
-        earlier admission for the box may still be valid for them).
+        An entry admitted for exactly ``box`` and valid at ``epoch`` is
+        an O(1) ``exact`` hit: nothing is decomposed.  Otherwise (no
+        such entry, or an older pinned reader the newest admission is
+        not valid for, while an earlier one may be) the box is
+        decomposed once and its elements walked down the trie; they ride
+        back on the result for assembly and admission.  Pure
+        bookkeeping — the outcome counters are bumped by the front-ends,
+        which also assemble the result.
         """
+        with self._lock:
+            entry = self._exact.get(box.ranges)
+            if (
+                entry is not None
+                and entry.valid_at(epoch)
+                and entry in self._entries
+            ):
+                self._entries.move_to_end(entry)
+                return CacheLookup(
+                    "hit", entry.elements, (), (), (entry,), exact=entry
+                )
+        # Pure geometry, so it runs outside the lock.
+        elements = elements_many(self.grid, decompose_box(self.grid, box))
         covered: List[Tuple[Element, CacheEntry]] = []
         residual: List[Element] = []
         used: List[CacheEntry] = []
@@ -253,17 +268,6 @@ class QueryResultCache:
             return e.valid_at(_epoch)
 
         with self._lock:
-            if box is not None:
-                entry = self._exact.get(box.ranges)
-                if (
-                    entry is not None
-                    and entry.valid_at(epoch)
-                    and entry in self._entries
-                ):
-                    self._entries.move_to_end(entry)
-                    return CacheLookup(
-                        "hit", (), (), (entry,), exact=entry
-                    )
             for element in elements:
                 entry = self._trie.covering(element.zvalue, valid)
                 if entry is None:
@@ -282,7 +286,9 @@ class QueryResultCache:
             outcome = "hit"
         else:
             outcome = "partial"
-        return CacheLookup(outcome, tuple(covered), tuple(residual), tuple(used))
+        return CacheLookup(
+            outcome, elements, tuple(covered), tuple(residual), tuple(used)
+        )
 
     # -- admission and eviction ------------------------------------------
 
@@ -475,29 +481,27 @@ def cached_range_matches(
 ) -> Tuple[Point, ...]:
     """Answer ``box`` through the cache, falling through to ``target``.
 
-    ``target`` is anything with ``range_query(box)``,
-    ``interval_query(intervals)`` and a ``decompose_cache`` (the box is
-    decomposed through it, so the miss path's ``range_query`` finds the
-    decomposition already materialised) — a live :class:`~repro.storage.
+    ``target`` is anything with ``range_query(box)`` and
+    ``interval_query(intervals)`` — a live :class:`~repro.storage.
     prefix_btree.ZkdTree`, a :class:`~repro.shard.store.
     ShardedSpatialStore`, or their snapshot views — so the same cache
     front-end serves plain databases, sharded indexes and pinned
     sessions.  ``epoch`` pins the read (a session's snapshot epoch);
-    ``None`` reads the newest committed state.
+    ``None`` reads the newest committed state.  Whether the box is
+    decomposed at all is :meth:`QueryResultCache.lookup`'s call: a
+    repeated box is answered before anything decomposes it.
 
     Returns the matches in global z order, byte-identical to
     ``target.range_query(box).matches``.
     """
-    clipped = box.clipped_to(grid.whole_space())
+    clipped = grid.clip(box)
     if clipped is None:
-        return ()
-    elements, _ = target.decompose_cache.box_elements(grid, clipped)
-    if not elements:
         return ()
 
     pinned = epoch is not None
     read_epoch = epoch if epoch is not None else cache.current_epoch
-    look = cache.lookup(elements, read_epoch, box=clipped)
+    look = cache.lookup(clipped, read_epoch)
+    elements = look.elements
     cache.stats[f"cache.{look.outcome}"] += 1
 
     served: Dict[int, int] = {}

@@ -20,6 +20,7 @@ from __future__ import annotations
 import bisect
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
+from repro.core.decompose import box_intervals
 from repro.core.geometry import Box, ClassifyFn
 from repro.core.rangesearch import MergeStats
 from repro.obs.trace import current as _trace_current
@@ -105,12 +106,6 @@ class SnapshotTreeView(LeafChainReads):
     def __len__(self) -> int:
         return self._frozen.nrecords
 
-    @property
-    def decompose_cache(self):
-        """The underlying tree's decomposition cache — decompositions
-        are pure geometry, so live and snapshot reads share them."""
-        return self._tree.decompose_cache
-
     # -- plumbing --------------------------------------------------------
 
     def _reader(self, cow_stats: Dict[str, int]) -> _FrozenIndexReader:
@@ -185,11 +180,6 @@ class ShardedSnapshotView(ProximityReads):
     def __len__(self) -> int:
         return sum(len(view) for view in self._views)
 
-    @property
-    def decompose_cache(self):
-        """The store's shared decomposition cache."""
-        return self._store.decompose_cache
-
     def interval_query(
         self, intervals: Sequence[Tuple[int, int]]
     ) -> Tuple[Tuple[Point, ...], ...]:
@@ -210,7 +200,7 @@ class ShardedSnapshotView(ProximityReads):
         from repro.shard.store import gather_shard_results
 
         store = self._store
-        hit = store.partitioner.prune(store._query_intervals(box))
+        hit = store.partitioner.prune(box_intervals(store.grid, box))
         return gather_shard_results(
             store.partitioner,
             hit,

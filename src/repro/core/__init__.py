@@ -45,10 +45,6 @@ from repro.core.geometry import (
     polygon_classifier,
 )
 from repro.core.fastz import (
-    CachedBoxElementCursor,
-    DecomposeCache,
-    decompose_box_cached,
-    default_decompose_cache,
     deinterleave_fast,
     deinterleave_many,
     elements_many,
@@ -107,10 +103,6 @@ __all__ = [
     "deinterleave_many",
     "zranks",
     "elements_many",
-    "decompose_box_cached",
-    "default_decompose_cache",
-    "CachedBoxElementCursor",
-    "DecomposeCache",
     # geometry
     "Grid",
     "Box",

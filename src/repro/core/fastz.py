@@ -30,32 +30,17 @@ only shuffle production code runs; the scalar
 oracles that suite (and ``tests/test_fastz_oracle.py``) compares
 against.
 
-On top of the kernels sit two front-ends for the other hot spot, box
-decomposition:
-
-* :func:`decompose_box_cached` — an LRU-cached ``decompose_box`` keyed
-  on ``(grid, box, max_depth, cover)`` (all four are hashable frozen
-  values, so the cache is exact);
-* :class:`CachedBoxElementCursor` — a seekable element cursor over the
-  cached, fully materialised decomposition, API-compatible with
-  :class:`repro.core.decompose.BoxElementCursor`.  The range-search
-  merge takes it only for a box its store's :class:`DecomposeCache`
-  already holds; an unseen box keeps the lazy cursor: on the integer
-  box kernel a fresh 100x100 decomposition is ~0.3 ms (3 ms on the
-  generic machinery it replaced) against ~1 ms for the whole query on
-  50k points, and the merge's seeks skip most of even that.
+On top of the kernels sits :func:`elements_many`, which attaches
+z-intervals to a batch of decomposed z values in one tight loop.
 """
 
 from __future__ import annotations
 
-import bisect
 import functools
-import threading
-from collections import OrderedDict
-from typing import Any, Iterable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
-from repro.core.decompose import CoverMode, Element, decompose_box
-from repro.core.geometry import Box, Grid
+from repro.core.decompose import Element
+from repro.core.geometry import Grid
 from repro.core.interleave import interleave as _reference_interleave
 from repro.core.zvalue import ZValue
 
@@ -70,12 +55,6 @@ __all__ = [
     "deinterleave_many",
     "zranks",
     "elements_many",
-    "DecomposeCache",
-    "default_decompose_cache",
-    "decompose_box_cached",
-    "decompose_box_cache_info",
-    "decompose_box_cache_clear",
-    "CachedBoxElementCursor",
 ]
 
 #: Largest dimensionality served by the magic-number/table fast path;
@@ -529,251 +508,6 @@ def elements_many(
         zlo = zvalue.bits << pad
         out.append(Element(zvalue, zlo, zlo | ((1 << pad) - 1)))
     return tuple(out)
-
-
-# ----------------------------------------------------------------------
-# Cached box decomposition
-# ----------------------------------------------------------------------
-
-
-class DecomposeCache:
-    """A bounded LRU over box decompositions, owned by one store.
-
-    The decomposition is a pure function of ``(grid, box, max_depth,
-    cover)``, so entries never go *stale* — but a single process-global
-    LRU is the wrong shape for a multi-store system: one store's query
-    churn evicts another's working set, caches outlive dropped indexes,
-    and process-pool workers share nothing anyway.  Each
-    :class:`~repro.storage.prefix_btree.ZkdTree` and
-    :class:`~repro.shard.store.ShardedSpatialStore` therefore owns an
-    instance (a sharded store shares one across its shards, so a box is
-    decomposed once per store, not once per shard); store-less callers
-    fall back to a per-grid default (:func:`default_decompose_cache`).
-
-    Thread-safe: lookups and insertions hold a lock, the decomposition
-    itself runs outside it (concurrent misses may duplicate work but
-    always produce equal values).  Picklable minus the lock, so
-    process-pool shard workers carry their warmed copies.
-    """
-
-    __slots__ = ("maxsize", "hits", "misses", "_data", "_lock")
-
-    def __init__(self, maxsize: int = 4096) -> None:
-        self.maxsize = maxsize
-        self.hits = 0
-        self.misses = 0
-        self._data: "OrderedDict[tuple, Any]" = OrderedDict()
-        self._lock = threading.Lock()
-
-    def _get(self, key: tuple) -> Any:
-        with self._lock:
-            value = self._data.get(key)
-            if value is not None:
-                self._data.move_to_end(key)
-                self.hits += 1
-            else:
-                self.misses += 1
-            return value
-
-    def _put(self, key: tuple, value: Any) -> None:
-        with self._lock:
-            self._data[key] = value
-            self._data.move_to_end(key)
-            while len(self._data) > self.maxsize:
-                self._data.popitem(last=False)
-
-    def zvalues(
-        self,
-        grid: Grid,
-        box: Box,
-        max_depth: Optional[int] = None,
-        cover: CoverMode = CoverMode.OUTER,
-    ) -> Tuple[ZValue, ...]:
-        """Cached :func:`repro.core.decompose.decompose_box`."""
-        key = ("z", grid, box, max_depth, cover)
-        cached = self._get(key)
-        if cached is not None:
-            return cached
-        value = tuple(decompose_box(grid, box, max_depth, cover))
-        self._put(key, value)
-        return value
-
-    def box_elements(
-        self, grid: Grid, box: Box, max_depth: Optional[int] = None
-    ) -> Tuple[Tuple[Element, ...], Tuple[int, ...]]:
-        """The OUTER-cover decomposition as ``(elements, zhis)`` — the
-        materialised form :class:`CachedBoxElementCursor` seeks over."""
-        key = ("e", grid, box, max_depth)
-        cached = self._get(key)
-        if cached is not None:
-            return cached
-        elements = elements_many(
-            grid, self.zvalues(grid, box, max_depth, CoverMode.OUTER)
-        )
-        value = (elements, tuple(e.zhi for e in elements))
-        self._put(key, value)
-        return value
-
-    def peek(
-        self, grid: Grid, box: Box
-    ) -> Optional[Tuple[Tuple[Element, ...], Tuple[int, ...]]]:
-        """What :meth:`box_elements` would return for ``box`` if an
-        earlier caller already materialised it, else ``None`` — never
-        decomposes, inserts or counts."""
-        with self._lock:
-            return self._data.get(("e", grid, box, None))
-
-    def clear(self) -> None:
-        """Drop every entry and reset the hit/miss counters."""
-        with self._lock:
-            self._data.clear()
-            self.hits = 0
-            self.misses = 0
-
-    def info(self) -> "CacheInfo":
-        with self._lock:
-            return CacheInfo(
-                self.hits, self.misses, self.maxsize, len(self._data)
-            )
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._data)
-
-    def __getstate__(self) -> dict:
-        with self._lock:
-            return {
-                "maxsize": self.maxsize,
-                "hits": self.hits,
-                "misses": self.misses,
-                "data": list(self._data.items()),
-            }
-
-    def __setstate__(self, state: dict) -> None:
-        self.maxsize = state["maxsize"]
-        self.hits = state["hits"]
-        self.misses = state["misses"]
-        self._data = OrderedDict(state["data"])
-        self._lock = threading.Lock()
-
-
-class CacheInfo(NamedTuple):
-    """``functools.lru_cache``-compatible statistics tuple."""
-
-    hits: int
-    misses: int
-    maxsize: int
-    currsize: int
-
-
-#: Per-grid default caches for store-less callers (module-level helpers,
-#: ad-hoc cursors).  Grids are tiny immutable values, so the registry
-#: stays small; schema-affecting operations clear it through
-#: :func:`decompose_box_cache_clear`.
-_DEFAULT_CACHES: dict = {}
-_DEFAULT_CACHES_LOCK = threading.Lock()
-
-
-def default_decompose_cache(grid: Grid) -> DecomposeCache:
-    """The shared per-grid cache used when no store owns one."""
-    cache = _DEFAULT_CACHES.get(grid)
-    if cache is None:
-        with _DEFAULT_CACHES_LOCK:
-            cache = _DEFAULT_CACHES.setdefault(grid, DecomposeCache())
-    return cache
-
-
-def decompose_box_cached(
-    grid: Grid,
-    box: Box,
-    max_depth: Optional[int] = None,
-    cover: CoverMode = CoverMode.OUTER,
-) -> Tuple[ZValue, ...]:
-    """LRU-cached :func:`repro.core.decompose.decompose_box`.
-
-    ``Grid``, ``Box`` and ``CoverMode`` are immutable and hashable, and
-    the decomposition is a pure function of them, so entries never go
-    stale.  Repeated queries with the same box — the common shape of a
-    query workload — skip the recursive splitting entirely.  Served by
-    the per-grid default :class:`DecomposeCache`; stores own their own
-    instances.
-    """
-    return default_decompose_cache(grid).zvalues(grid, box, max_depth, cover)
-
-
-def decompose_box_cache_info() -> CacheInfo:
-    """Aggregate statistics over the per-grid default caches."""
-    caches = list(_DEFAULT_CACHES.values())
-    return CacheInfo(
-        hits=sum(c.hits for c in caches),
-        misses=sum(c.misses for c in caches),
-        maxsize=sum(c.maxsize for c in caches),
-        currsize=sum(len(c) for c in caches),
-    )
-
-
-def decompose_box_cache_clear() -> None:
-    """Clear every per-grid default cache (store-owned caches are
-    cleared through their stores)."""
-    with _DEFAULT_CACHES_LOCK:
-        for cache in _DEFAULT_CACHES.values():
-            cache.clear()
-
-
-class CachedBoxElementCursor:
-    """Seekable element stream over a cached, materialised box
-    decomposition — drop-in for
-    :class:`repro.core.decompose.BoxElementCursor`.
-
-    ``seek`` is a binary search on the (strictly increasing) ``zhi``
-    sequence instead of a walk of the splitting recursion, and the
-    decomposition itself is computed at most once per ``(grid, box,
-    max_depth)``.  ``nodes_expanded`` stays 0: a cache hit expands
-    nothing, which is the point.  ``cache`` selects the serving
-    :class:`DecomposeCache` (a store's own, usually); the per-grid
-    default is used when ``None``.
-    """
-
-    def __init__(
-        self,
-        grid: Grid,
-        box: Box,
-        max_depth: Optional[int] = None,
-        cache: Optional[DecomposeCache] = None,
-    ) -> None:
-        clipped = grid.clip(box)
-        if clipped is None:
-            self._elements: Tuple[Element, ...] = ()
-            self._zhis: Tuple[int, ...] = ()
-        else:
-            if cache is None:
-                cache = default_decompose_cache(grid)
-            self._elements, self._zhis = cache.box_elements(
-                grid, clipped, max_depth
-            )
-        self._index = 0
-        self.nodes_expanded = 0
-
-    @property
-    def current(self) -> Optional[Element]:
-        if self._index < len(self._elements):
-            return self._elements[self._index]
-        return None
-
-    def step(self) -> Optional[Element]:
-        if self._index < len(self._elements):
-            self._index += 1
-        return self.current
-
-    def seek(self, z: int) -> Optional[Element]:
-        """First element with ``zhi >= z``; never moves backwards."""
-        self._index = bisect.bisect_left(self._zhis, z, lo=self._index)
-        return self.current
-
-    def __iter__(self):
-        while self.current is not None:
-            yield self.current
-            self.step()
 
 
 # Re-exported so callers can sanity-check equivalence in one line.

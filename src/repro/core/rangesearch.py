@@ -41,7 +41,7 @@ from typing import (
 
 from repro.core.deadline import check_deadline
 from repro.core.decompose import BoxElementCursor, Element
-from repro.core.fastz import CachedBoxElementCursor, interleave_many
+from repro.core.fastz import interleave_many
 from repro.core.geometry import Box, ClassifyFn, Grid
 from repro.core.zorder import bigmin, box_zbounds, zcode_in_box
 from repro.obs.trace import current as _trace_current
@@ -241,33 +241,20 @@ def range_search(
     grid: Grid,
     box: Box,
     stats: Optional[MergeStats] = None,
-    decompose_cache: Optional[Any] = None,
 ) -> Iterator[T]:
     """Optimized merge for a box query: lazy box decomposition +
     bidirectional skipping.  Yields all points inside ``box`` in z order.
 
-    The element stream is lazy by default: a box nobody has decomposed
-    yet costs only the elements the merge actually reaches (all of a
-    100x100 box's would be ~0.3 ms on the box kernel against ~1 ms for
-    the whole query on 50k points: the ledger's
-    ``core.decompose_cold_ms`` / ``storage.range_ms``).  When
-    ``decompose_cache`` (the store's
-    :class:`~repro.core.fastz.DecomposeCache`) already holds the box —
-    a result cache, batcher or shard coordinator decomposed it before
-    scanning — element seeks are binary searches over that materialised
-    sequence instead.  Results are identical; only
-    ``stats.elements_generated`` differs (a held box expands nothing).
-    A box wholly off the grid is an empty element stream either way.
+    The element stream is always lazy — the box is decomposed as the
+    merge needs its elements and nothing remembers it afterwards: all of
+    a 100x100 box's elements would be ~0.3 ms on the box kernel against
+    ~1 ms for the whole query on 50k points (the ledger's
+    ``core.decompose_cold_ms`` / ``storage.range_ms``), and the merge's
+    seeks skip most of even that.  The kernel under the cursor clips as
+    it classifies its root, so a box wholly off the grid is an empty
+    element stream.
     """
-    # Clipped once, and only as the cache's key: the kernel under the
-    # lazy cursor clips as it classifies its root.
-    clipped = None if decompose_cache is None else grid.clip(box)
-    cursor: ElementCursorLike
-    if clipped is not None and decompose_cache.peek(grid, clipped) is not None:
-        cursor = CachedBoxElementCursor(grid, clipped, cache=decompose_cache)
-    else:
-        cursor = BoxElementCursor(grid, box)
-    yield from merge_search(points, cursor, stats)
+    yield from merge_search(points, BoxElementCursor(grid, box), stats)
 
 
 def scan_intervals(

@@ -16,7 +16,6 @@ from __future__ import annotations
 from contextlib import ExitStack, contextmanager
 from typing import Any, Iterator, List, Optional, Sequence, Tuple
 
-from repro.core.fastz import DecomposeCache
 from repro.core.geometry import Box, Grid
 from repro.db.catalog import Catalog, IndexEntry, coordinate_map
 from repro.db.readpath import CoordsOf, SpatialReads, coords_getter
@@ -302,12 +301,6 @@ class SpatialDatabase(SpatialReads):
         # feed the tree build and the positions map, unchanged in order.
         positions, rows = relation._stored()
         points = list(map(coords_getter(relation.schema, cols), rows))
-        # Per-index decomposition cache: dropping the index frees it, and
-        # no state leaks across databases through the process-wide
-        # default registry.  Sized for the boxes a workload *repeats*:
-        # an entry costs ~10 KB for a 40x40 box, so the default 4096
-        # lets a stream of one-off boxes outgrow the table it indexes.
-        decompose_cache = DecomposeCache(maxsize=512)
         with ExitStack() as stack:
             if self.snapshots is not None:
                 # Building an index is itself a group commit: page
@@ -328,7 +321,6 @@ class SpatialDatabase(SpatialReads):
                     executor=executor,
                     resilience=resilience,
                     snapshots=self.snapshots,
-                    decompose_cache=decompose_cache,
                 )
             else:
                 tree = ZkdTree(
@@ -337,7 +329,6 @@ class SpatialDatabase(SpatialReads):
                     buffer_frames=buffer_frames,
                     policy=policy,
                     snapshots=self.snapshots,
-                    decompose_cache=decompose_cache,
                 )
                 # Batch-shuffle the whole column set through the fast
                 # kernels; the insert sequence (and hence the tree shape)
@@ -368,16 +359,13 @@ class SpatialDatabase(SpatialReads):
         return entry
 
     def drop_index(self, index_name: str) -> None:
-        """Remove an index, releasing its result and decomposition
-        caches (schema changes must not leave cached state behind)."""
+        """Remove an index, releasing its result cache (schema changes
+        must not leave cached state behind)."""
         entry = self.catalog.index(index_name)
         self.catalog.drop_index(index_name)
         self._dirty_codes.pop(index_name, None)
         if entry.cache is not None:
             entry.cache.evict(len(entry.cache))
-        cache = getattr(entry.tree, "_decompose_cache", None)
-        if cache is not None:
-            cache.clear()
 
     # ------------------------------------------------------------------
     # Sessions

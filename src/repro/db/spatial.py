@@ -18,12 +18,8 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from repro.core.decompose import decompose
-from repro.core.fastz import (
-    decompose_box_cached,
-    elements_many,
-    interleave_many,
-)
+from repro.core.decompose import decompose, decompose_box
+from repro.core.fastz import elements_many, interleave_many
 from repro.core.geometry import Box, Grid
 from repro.core.spatialjoin import spatial_join as _join_kernel
 from repro.core.zvalue import ZValue
@@ -125,13 +121,11 @@ def decompose_box_relation(
     element_col: str = "zb",
     name: str = "B",
 ) -> Relation:
-    """``B(zb) := Decompose(Box)`` — the query region as a relation,
-    served from the per-grid decomposition cache (repeated query boxes
-    skip the splitting recursion)."""
+    """``B(zb) := Decompose(Box)`` — the query region as a relation."""
     def build() -> Relation:
         schema = Schema([Column(element_col, ELEMENT)])
         return Relation(
-            name, schema, ((z,) for z in decompose_box_cached(grid, box))
+            name, schema, ((z,) for z in decompose_box(grid, box))
         )
 
     return _traced_build("op.decompose_box", 0, build)

@@ -206,21 +206,6 @@ def histogram_of(tree: ZkdTree) -> ZHistogram:
     return cached[1]
 
 
-def _query_intervals(tree, box: Box) -> List[Tuple[int, int]]:
-    """The z intervals of ``box`` on ``tree``'s grid: read from the
-    store's decomposition cache when an earlier query materialised the
-    box there, taken straight from the box kernel (and cached nowhere)
-    otherwise."""
-    grid = tree.grid
-    clipped = grid.clip(box)
-    if clipped is None:
-        return []
-    held = tree.decompose_cache.peek(grid, clipped)
-    if held is not None:
-        return [(e.zlo, e.zhi) for e in held[0]]
-    return box_intervals(grid, clipped)
-
-
 def _clip_intervals(
     intervals: Sequence[Tuple[int, int]], lo: int, hi: int
 ) -> List[Tuple[int, int]]:
@@ -246,7 +231,7 @@ def estimate_scan(tree, box: Box) -> Tuple[float, int]:
     intersect: slightly approximate, in practice within a page or two
     of the measured count.
     """
-    intervals = _query_intervals(tree, box)
+    intervals = box_intervals(tree.grid, box)
     shards = getattr(tree, "shards", None)
     if shards is None:
         parts = [(tree, intervals)]

@@ -7,11 +7,12 @@ batch executes, newly arriving requests accumulate; the next batch
 takes them all at once, and :func:`batched_range_matches` answers the
 whole group with **one** shared scatter–gather pass:
 
-1. every box decomposes into z elements (through the store's shared
-   :class:`~repro.core.fastz.DecomposeCache`) and, when the index
-   carries a :class:`~repro.cache.QueryResultCache`, is matched against
-   it first — fully covered boxes are answered from cached runs without
-   touching the store;
+1. when the index carries a :class:`~repro.cache.QueryResultCache`
+   every box is matched against it first — a repeated box is answered
+   from its cached run before anything decomposes it, any other box
+   decomposes into z elements for the cache's trie walk, and fully
+   covered boxes never touch the store; with no cache a box is asked
+   only for its bare z intervals;
 2. the surviving element intervals of *all* boxes merge into one
    ascending disjoint interval list (overlapping queries literally
    share their overlap), scanned in a single ``interval_query`` pass —
@@ -49,6 +50,7 @@ from typing import (
 )
 
 from repro.core.deadline import Deadline, deadline_scope
+from repro.core.decompose import box_intervals
 from repro.core.fastz import interleave_many
 from repro.core.geometry import Box, Grid
 
@@ -99,17 +101,18 @@ def merge_intervals(intervals: Sequence[Interval]) -> List[Interval]:
 
 
 class _BoxPlan:
-    """One request's decomposition + cache-lookup state inside a batch."""
+    """One request's cache-lookup state and element intervals inside a
+    batch."""
 
-    __slots__ = ("clipped", "elements", "look", "read_epoch", "needed")
+    __slots__ = ("clipped", "look", "read_epoch", "intervals")
 
-    def __init__(self, clipped, elements, look, read_epoch, needed):
+    def __init__(self, clipped, look, read_epoch, intervals):
         self.clipped = clipped
-        self.elements = elements
         self.look = look
         self.read_epoch = read_epoch
-        #: Elements this plan still needs from the shared scan.
-        self.needed = needed
+        #: ``(zlo, zhi)`` of every element of the box, in z order (not
+        #: needed, and empty, on an exact cache hit).
+        self.intervals = intervals
 
 
 def batched_range_matches(
@@ -121,47 +124,43 @@ def batched_range_matches(
 ) -> List[Tuple[Point, ...]]:
     """Answer every box in one shared pass over ``target``.
 
-    ``target`` is anything with ``interval_query(intervals)`` and a
-    ``decompose_cache`` — a live
+    ``target`` is anything with ``interval_query(intervals)`` — a live
     :class:`~repro.storage.prefix_btree.ZkdTree`, a sharded store, or
     their snapshot views.  ``cache`` (a :class:`~repro.cache.
     QueryResultCache`) is consulted per box before the scan and fed
     afterwards, exactly like the per-request front-end
-    :func:`~repro.cache.cached_range_matches`; ``epoch`` pins the read
-    for snapshot targets.
+    :func:`~repro.cache.cached_range_matches` — its ``lookup`` decides
+    whether the box is decomposed; ``epoch`` pins the read for snapshot
+    targets.
 
     Returns one match tuple per input box, each byte-identical to
     ``target.range_query(box).matches``.
     """
-    whole = grid.whole_space()
-
     plans: List[Optional[_BoxPlan]] = []
     shared: List[Interval] = []
     for box in boxes:
-        clipped = box.clipped_to(whole)
+        clipped = grid.clip(box)
         if clipped is None:
             plans.append(None)
             continue
-        elements, _ = target.decompose_cache.box_elements(grid, clipped)
-        if not elements:
-            plans.append(None)
-            continue
-        look = None
-        read_epoch = epoch
-        if cache is not None:
-            read_epoch = epoch if epoch is not None else cache.current_epoch
-            look = cache.lookup(elements, read_epoch, box=clipped)
-            cache.stats[f"cache.{look.outcome}"] += 1
-            if look.exact is not None or look.outcome == "hit":
-                needed: Tuple[Any, ...] = ()
-            elif look.outcome == "partial":
-                needed = look.residual
-            else:
-                needed = elements
+        if cache is None:
+            # The scan and the slicing below read only ``(zlo, zhi)``
+            # pairs; ``Element``/``ZValue`` objects are the trie's need.
+            look, read_epoch = None, epoch
+            intervals = box_intervals(grid, clipped)
+            shared.extend(intervals)
         else:
-            needed = elements
-        shared.extend((el.zlo, el.zhi) for el in needed)
-        plans.append(_BoxPlan(clipped, elements, look, read_epoch, needed))
+            read_epoch = epoch if epoch is not None else cache.current_epoch
+            look = cache.lookup(clipped, read_epoch)
+            cache.stats[f"cache.{look.outcome}"] += 1
+            intervals = (
+                []
+                if look.exact is not None
+                else [(el.zlo, el.zhi) for el in look.elements]
+            )
+            # Every element on a miss, none on a hit.
+            shared.extend((el.zlo, el.zhi) for el in look.residual)
+        plans.append(_BoxPlan(clipped, look, read_epoch, intervals))
 
     merged = merge_intervals(shared)
     runs = target.interval_query(merged) if merged else ()
@@ -189,28 +188,28 @@ def batched_range_matches(
         if look is not None and look.exact is not None:
             results.append(look.exact.run)
             continue
+        # An element is its ``zlo``: the decomposition is disjoint.
         covered = (
-            {id(el): entry for el, entry in look.covered}
+            {el.zlo: entry for el, entry in look.covered}
             if look is not None
             else {}
         )
         out: List[Point] = []
-        for el in plan.elements:
-            entry = covered.get(id(el))
+        for zlo, zhi in plan.intervals:
+            entry = covered.get(zlo)
             if entry is not None:
-                out.extend(entry.slice(el.zlo, el.zhi))
+                out.extend(entry.slice(zlo, zhi))
             else:
-                out.extend(scan_slice(el.zlo, el.zhi))
+                out.extend(scan_slice(zlo, zhi))
         matches = tuple(out)
         if (
-            cache is not None
-            and look is not None
+            look is not None
             and look.outcome != "hit"
             and (epoch is not None or cache.current_epoch == plan.read_epoch)
         ):
             cache.admit(
                 plan.clipped,
-                plan.elements,
+                look.elements,
                 matches,
                 tuple(interleave_many(out, grid.depth, grid.ndims)),
                 plan.read_epoch,

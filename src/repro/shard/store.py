@@ -44,7 +44,8 @@ from typing import (
 )
 
 from repro.core.deadline import check_deadline
-from repro.core.fastz import DecomposeCache, interleave_many
+from repro.core.decompose import box_intervals
+from repro.core.fastz import interleave_many
 from repro.core.geometry import Box, ClassifyFn, Grid
 from repro.core.rangesearch import MergeStats
 from repro.obs.trace import current as _trace_current
@@ -211,7 +212,6 @@ class ShardedSpatialStore(ProximityReads):
         executor: Union[ShardExecutor, str, None] = None,
         resilience: Optional[ResiliencePolicy] = None,
         snapshots=None,
-        decompose_cache: Optional[DecomposeCache] = None,
     ) -> None:
         if partitioner is None:
             partitioner = ZRangePartitioner.equi_width(
@@ -230,12 +230,6 @@ class ShardedSpatialStore(ProximityReads):
         self.grid = grid
         self.partitioner = partitioner
         self._snapshots = snapshots
-        # One decomposition cache shared by the coordinator and every
-        # shard: the shards answer the same boxes the coordinator
-        # prunes, so a per-shard cache would just store N copies.
-        self._decompose_cache = (
-            decompose_cache if decompose_cache is not None else DecomposeCache()
-        )
         self.shards: List[ZkdTree] = [
             ZkdTree(
                 grid,
@@ -245,7 +239,6 @@ class ShardedSpatialStore(ProximityReads):
                 policy=policy,
                 store=store_factory(i) if store_factory else None,
                 snapshots=snapshots,
-                decompose_cache=self._decompose_cache,
             )
             for i in range(partitioner.nshards)
         ]
@@ -327,12 +320,6 @@ class ShardedSpatialStore(ProximityReads):
     @property
     def executor(self) -> ShardExecutor:
         return self._executor
-
-    @property
-    def decompose_cache(self) -> DecomposeCache:
-        """The store-local decomposition cache (shared with the shard
-        trees; never the process-wide default)."""
-        return self._decompose_cache
 
     def set_executor(
         self, executor: Union[ShardExecutor, str]
@@ -456,19 +443,10 @@ class ShardedSpatialStore(ProximityReads):
     # Queries (scatter–gather)
     # ------------------------------------------------------------------
 
-    def _query_intervals(self, box: Box) -> List[Tuple[int, int]]:
-        """The query box as disjoint z-sorted inclusive intervals (the
-        cached decomposition both pruning and estimation share)."""
-        clipped = box.clipped_to(self.grid.whole_space())
-        if clipped is None:
-            return []
-        elements, _ = self._decompose_cache.box_elements(self.grid, clipped)
-        return [(element.zlo, element.zhi) for element in elements]
-
     def range_query(self, box: Box) -> ShardedQueryResult:
         """Scatter the range query to overlapping shards, gather in z
         order.  Matches are byte-identical to a single store's."""
-        hit = self.partitioner.prune(self._query_intervals(box))
+        hit = self.partitioner.prune(box_intervals(self.grid, box))
         calls: List[ShardCall] = [
             (shard_id, "range_query", (box,), {}) for shard_id in hit
         ]

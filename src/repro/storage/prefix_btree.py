@@ -32,7 +32,7 @@ from typing import (
 )
 
 from repro.core.geometry import Box, ClassifyFn, Grid, circle_classifier
-from repro.core.fastz import default_decompose_cache, interleave_many
+from repro.core.fastz import interleave_many
 from repro.core.rangesearch import (
     MergeStats,
     ZCursor,
@@ -166,15 +166,11 @@ class LeafChainReads(ProximityReads):
 
     A provider — the live :class:`ZkdTree`, a frozen
     :class:`~repro.concurrency.view.SnapshotTreeView` — supplies
-    ``grid``, ``decompose_cache``, :meth:`cursor` and :meth:`_scan`
-    (run one merge against a fresh cursor and return its
-    :class:`QueryResult` with the provider's own cost accounting and
-    trace span, which names the query ``box`` when there is one).
+    ``grid``, :meth:`cursor` and :meth:`_scan` (run one merge against a
+    fresh cursor and return its :class:`QueryResult` with the provider's
+    own cost accounting and trace span, which names the query ``box``
+    when there is one).
     """
-
-    @property
-    def decompose_cache(self) -> Any:
-        raise NotImplementedError
 
     def cursor(self) -> ZCursor[Point]:
         """A fresh z-ordered cursor at the start of the leaf chain."""
@@ -191,7 +187,7 @@ class LeafChainReads(ProximityReads):
             "range_query",
             box,
             lambda cursor, stats: range_search(
-                cursor, self.grid, box, stats, self.decompose_cache
+                cursor, self.grid, box, stats
             ),
         )
 
@@ -248,10 +244,8 @@ class ZkdTree(LeafChainReads):
         policy: ReplacementPolicy = ReplacementPolicy.LRU,
         store=None,
         snapshots=None,
-        decompose_cache=None,
     ) -> None:
         self.grid = grid
-        self._decompose_cache = decompose_cache
         self._mutation_epoch = 0
         self.store = store if store is not None else PageStore(page_capacity)
         self.buffer = BufferManager(self.store, buffer_frames, policy)
@@ -294,7 +288,6 @@ class ZkdTree(LeafChainReads):
         an earlier session); the in-memory index is rebuilt."""
         tree = cls.__new__(cls)
         tree.grid = grid
-        tree._decompose_cache = None
         tree._mutation_epoch = 0
         tree.store = store
         tree.buffer = BufferManager(store, buffer_frames, policy)
@@ -407,16 +400,6 @@ class ZkdTree(LeafChainReads):
     def npages(self) -> int:
         """Number of data pages (the ``N`` of the analysis)."""
         return self.tree.nleaves
-
-    @property
-    def decompose_cache(self):
-        """The decomposition cache queries against this tree use: the
-        per-store cache it was built with, or the process-wide per-grid
-        default (standalone trees share decompositions across
-        instances; database- and shard-owned trees are isolated)."""
-        if self._decompose_cache is not None:
-            return self._decompose_cache
-        return default_decompose_cache(self.grid)
 
     # ------------------------------------------------------------------
     # Queries

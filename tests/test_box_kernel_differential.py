@@ -25,6 +25,7 @@ from repro.core.decompose import (
     decompose,
     decompose_box,
 )
+from repro.core.fastz import elements_many
 from repro.core.geometry import Box, Grid, box_classifier, circle_classifier
 from repro.db.statistics import estimate_scan
 from repro.storage.prefix_btree import ZkdTree
@@ -122,7 +123,8 @@ def test_kernel_rejects_what_the_generic_path_rejects():
 def test_no_box_reaches_the_generic_path(monkeypatch):
     """``split_region`` is the generic machinery's only way down the
     splitting tree; with it booby-trapped, a range query, a plan-side
-    estimate and a cache-filling decomposition must all still run."""
+    estimate and a result-cache lookup's decomposition must all still
+    run."""
     # (``repro.core.decompose`` as an attribute is the re-exported
     # function; the module is only reachable through ``sys.modules``.)
     decompose_module = sys.modules["repro.core.decompose"]
@@ -148,13 +150,9 @@ def test_no_box_reaches_the_generic_path(monkeypatch):
         expected, pages = estimate_scan(tree, box)  # eager, plan-side
         assert expected > 0 or not want
         assert pages <= tree.npages
-        clipped = box.clipped_to(grid.whole_space())
-        if clipped is not None:
-            # eager, cache-filling; the held box then takes the bisect
-            # cursor, which must agree with the lazy one above
-            elements, zhis = tree.decompose_cache.box_elements(grid, clipped)
-            assert [e.zhi for e in elements] == list(zhis)
-            assert sorted(tree.range_query(box).matches) == want
+        # eager, what a result-cache lookup builds for its trie walk
+        elements = elements_many(grid, decompose_box(grid, box))
+        assert [(e.zlo, e.zhi) for e in elements] == box_intervals(grid, box)
     # The trap itself works: a circle still needs the generic path.
     with pytest.raises(AssertionError, match="generic decomposition"):
         decompose(grid, circle_classifier((20, 20), 6.5))

@@ -2,20 +2,20 @@
 
 Covers the trie's containment-as-prefix lookups, entry validity over
 the epoch interval, admission/eviction budgets, the dirty-log commit
-protocol, and the per-store :class:`~repro.core.fastz.DecomposeCache`
-(the regression for the process-global ``decompose_box`` LRU).
+protocol, and where a cached read decomposes its box (only behind
+:meth:`~repro.cache.QueryResultCache.lookup`, never for a repeat).
 """
 
 from __future__ import annotations
 
-import pickle
 import random
+from functools import partial
+
+import pytest
 
 from repro.cache import QueryResultCache, ZPrefixTrie, cached_range_matches
 from repro.cache.result_cache import CacheEntry
-from repro.core import fastz
 from repro.core.decompose import Element
-from repro.core.fastz import DecomposeCache, default_decompose_cache
 from repro.core.geometry import Box, Grid
 from repro.core.zvalue import ZValue
 from repro.storage.prefix_btree import ZkdTree
@@ -194,115 +194,170 @@ class TestAdmissionAndEviction:
         assert cache.current_epoch == 2
 
 
-class TestDecomposeCacheRegression:
-    """The fastz decomposition LRU must be keyable per store — the old
-    process-global ``functools.lru_cache`` leaked state across stores
-    and could not be cleared per index."""
+def _cached_db(shards: int, concurrency: bool = True):
+    from repro.db.database import SpatialDatabase
+    from repro.db.schema import Schema
+    from repro.db.types import INTEGER, OID
 
-    def test_per_store_caches_are_isolated(self):
-        a, b = DecomposeCache(), DecomposeCache()
-        box = Box(((1, 6), (2, 5)))
-        got = a.zvalues(GRID, box)
-        assert got == tuple(fastz.decompose_box(GRID, box))
-        assert (a.info().misses, b.info().misses) == (1, 0)
-        a.zvalues(GRID, box)
-        assert a.info().hits == 1
-        # Clearing one store's cache leaves the other untouched.
-        b.zvalues(GRID, box)
-        a.clear()
-        assert len(a) == 0 and len(b) == 1
-        assert a.info().hits == 0  # counters reset with the entries
+    db = SpatialDatabase(
+        GRID, page_capacity=8, cache=True, concurrency=concurrency
+    )
+    db.create_table(
+        "t", Schema.of(("id@", OID), ("x", INTEGER), ("y", INTEGER))
+    )
+    rng = random.Random(5)
+    db.insert_many(
+        "t",
+        [(f"p{i}", rng.randrange(SIDE), rng.randrange(SIDE)) for i in range(200)],
+    )
+    return db, db.create_index("t_xy", "t", ("x", "y"), shards=shards)
 
-    def test_trees_in_one_db_do_not_share_with_default(self):
-        from repro.db.database import SpatialDatabase
-        from repro.db.schema import Schema
-        from repro.db.types import INTEGER, OID
 
-        # cache=True: the result cache decomposes every box through the
-        # index's own DecomposeCache before it scans (an uncached read
-        # of a fresh box stays lazy and materialises nothing).
-        db = SpatialDatabase(GRID, cache=True)
-        db.create_table(
-            "t", Schema.of(("id@", OID), ("x", INTEGER), ("y", INTEGER))
+class _Decompositions:
+    """Test double on ``repro.core.decompose``: counts every box kernel
+    constructed (one per decomposition, eager or lazy) and every
+    ``Element`` built, whoever asks."""
+
+    def __init__(self, monkeypatch):
+        from repro.core.decompose import _BoxKernel
+
+        self.kernels = self.elements = 0
+        kernel_init, element_init = _BoxKernel.__init__, Element.__init__
+
+        def counted_kernel(this, *args, **kwargs):
+            self.kernels += 1
+            kernel_init(this, *args, **kwargs)
+
+        def counted_element(this, *args, **kwargs):
+            self.elements += 1
+            element_init(this, *args, **kwargs)
+
+        monkeypatch.setattr(_BoxKernel, "__init__", counted_kernel)
+        monkeypatch.setattr(Element, "__init__", counted_element)
+
+    def during(self, read):
+        self.kernels = self.elements = 0
+        out = read()
+        return out, self.kernels, self.elements
+
+
+class TestLookupDecomposes:
+    """``QueryResultCache.lookup`` is the one place a cached read
+    decides to decompose its box: a repeated box is answered before
+    anything decomposes it, a fresh one is decomposed once for the trie
+    walk and once more, lazily, by the scan that answers the miss."""
+
+    BOX = Box(((3, 20), (5, 17)))
+    COLS = ("x", "y")
+
+    @pytest.mark.parametrize("shards", [1, 3])
+    @pytest.mark.parametrize("pinned", [False, True])
+    def test_repeat_decomposes_nothing(self, monkeypatch, shards, pinned):
+        from repro.core.decompose import box_intervals
+        from repro.db.planner import plan_range_query
+
+        db, entry = _cached_db(shards)
+        box, cols = self.BOX, self.COLS
+        if pinned:
+            session = db.session()
+            read = partial(session.range_query, "t", cols, box)
+        else:
+            # The plan's own page estimate decomposes the box before the
+            # cache is asked; the cached read is the plan's execution.
+            read = plan_range_query(db, "t", cols, box).execute
+        # A sharded scan decomposes once to prune and once per shard hit.
+        scans = 1 if shards == 1 else 1 + len(
+            entry.tree.partitioner.prune(box_intervals(GRID, box))
         )
-        db.insert("t", ("a", 3, 4))
-        entry = db.create_index("t_xy", "t", ("x", "y"))
-        own = entry.tree.decompose_cache
-        assert own is not default_decompose_cache(GRID)
-        default_before = fastz.decompose_box_cache_info().currsize
-        db.range_query("t", ("x", "y"), Box(((0, 7), (0, 7))))
-        assert len(own) > 0
-        # The per-grid default registry did not grow.
-        assert fastz.decompose_box_cache_info().currsize == default_before
+        counted = _Decompositions(monkeypatch)
 
-    def test_drop_index_clears_store_cache(self):
-        from repro.db.database import SpatialDatabase
-        from repro.db.schema import Schema
-        from repro.db.types import INTEGER, OID
+        fresh, kernels, elements = counted.during(read)
+        fresh = fresh.rows
+        assert entry.cache.stats["cache.miss"] == 1
+        (admitted,) = entry.cache.entries()
+        assert kernels == 1 + scans
+        assert elements >= len(admitted.elements)
 
-        db = SpatialDatabase(GRID, cache=True)
-        db.create_table(
-            "t", Schema.of(("id@", OID), ("x", INTEGER), ("y", INTEGER))
+        for hits in (1, 2):
+            again, kernels, elements = counted.during(read)
+            assert again.rows == fresh
+            assert (kernels, elements) == (0, 0)
+            assert entry.cache.stats["cache.hit"] == hits
+        if pinned:
+            session.close()
+
+    @pytest.mark.parametrize("shards", [1, 3])
+    def test_batcher_asks_the_cache_first(
+        self, monkeypatch, shards
+    ):
+        from repro.server.batching import batched_range_matches
+
+        db, entry = _cached_db(shards, concurrency=False)
+        want = entry.tree.range_query(self.BOX).matches
+        counted = _Decompositions(monkeypatch)
+
+        def batch(cache):
+            return partial(
+                batched_range_matches, entry.tree, GRID, [self.BOX], cache
+            )
+
+        # Fresh: one decomposition, for the trie; the shared interval
+        # scan needs none.  Repeated: none at all.
+        got, kernels, elements = counted.during(batch(entry.cache))
+        assert got == [want] and kernels == 1 and elements > 0
+        got, kernels, elements = counted.during(batch(entry.cache))
+        assert got == [want] and (kernels, elements) == (0, 0)
+        # No cache, no trie: intervals straight off the kernel.
+        got, kernels, elements = counted.during(batch(None))
+        assert got == [want] and (kernels, elements) == (1, 0)
+
+    @pytest.mark.parametrize("shards", [1, 3])
+    def test_older_pinned_reader_walks_elements(
+        self, monkeypatch, shards
+    ):
+        db, entry = _cached_db(shards)
+        box, cols = self.BOX, self.COLS
+        old = db.session()
+        before = old.range_query("t", cols, box).rows  # admitted at the pin
+        db.insert("t", ("late", 4, 6))  # inside the box: that entry dies
+        now = db.range_query("t", cols, box).rows  # newest exact entry
+        assert len(now) == len(before) + 1
+        newest = entry.cache._exact[box.ranges]
+        assert not newest.valid_at(old.epoch)
+
+        counted = _Decompositions(monkeypatch)
+        hits = entry.cache.stats["cache.hit"]
+        rows, kernels, elements = counted.during(
+            partial(old.range_query, "t", cols, box)
         )
-        db.insert("t", ("a", 3, 4))
-        entry = db.create_index("t_xy", "t", ("x", "y"))
-        db.range_query("t", ("x", "y"), Box(((0, 7), (0, 7))))
-        own = entry.tree.decompose_cache
-        assert len(own) > 0 and len(entry.cache) > 0
-        db.drop_index("t_xy")
-        assert len(own) == 0
-        assert len(entry.cache) == 0
+        # The exact entry is not the old reader's; the walk finds the
+        # one admitted at its own epoch, so nothing is scanned.
+        assert rows.rows == before
+        assert kernels == 1 and elements == len(newest.elements)
+        assert entry.cache.stats["cache.hit"] == hits + 1
+        old.close()
 
-    def test_bare_tree_still_uses_default_registry(self):
-        # Standalone trees keep sharing the per-grid default cache (the
-        # cross-instance reuse test_fastz_oracle relies on).
-        tree = ZkdTree(GRID)
-        assert tree.decompose_cache is default_decompose_cache(GRID)
+    def test_exact_hit_reports_entry_element_count(self):
+        import repro.obs as obs
 
-    def test_shards_share_one_store_cache(self):
-        from repro.shard.store import ShardedSpatialStore
-
-        store = ShardedSpatialStore.build(
-            GRID, [(x, x) for x in range(16)], nshards=4
+        db, entry = _cached_db(shards=1, concurrency=False)
+        db.range_query("t", self.COLS, self.BOX)
+        with obs.trace("q") as t:
+            db.range_query("t", self.COLS, self.BOX)
+        lookup = t.root.find("cache.lookup")
+        assert lookup.attrs["outcome"] == "hit"
+        (admitted,) = entry.cache.entries()
+        assert lookup.counters["cache.covered_elements"] == len(
+            admitted.elements
         )
-        assert all(
-            shard.decompose_cache is store.decompose_cache
-            for shard in store.shards
-        )
-        store.range_query(Box(((0, 7), (0, 7))))
-        # One decomposition, computed once, visible to every shard.
-        assert store.decompose_cache.info().currsize > 0
 
-    def test_pickle_drops_lock_keeps_entries(self):
-        cache = DecomposeCache()
-        cache.zvalues(GRID, Box(((0, 3), (0, 3))))
-        clone = pickle.loads(pickle.dumps(cache))
-        assert len(clone) == len(cache)
-        clone.zvalues(GRID, Box(((0, 3), (0, 3))))
-        assert clone.info().hits == cache.info().hits + 1
 
-    def test_thread_safety_under_concurrent_misses(self):
-        import threading
-
-        cache = DecomposeCache()
-        rng = random.Random(3)
-        boxes = [_random_box(rng) for _ in range(24)]
-        serial = [tuple(fastz.decompose_box(GRID, b)) for b in boxes]
-        results = [[None] * len(boxes) for _ in range(4)]
-
-        def worker(tid):
-            for i, box in enumerate(boxes):
-                results[tid][i] = cache.zvalues(GRID, box)
-
-        threads = [
-            threading.Thread(target=worker, args=(t,)) for t in range(4)
-        ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        for per_thread in results:
-            assert [tuple(z) for z in per_thread] == serial
+def test_drop_index_releases_result_cache():
+    db, entry = _cached_db(shards=1, concurrency=False)
+    db.range_query("t", ("x", "y"), Box(((0, 7), (0, 7))))
+    assert len(entry.cache) > 0
+    db.drop_index("t_xy")
+    assert len(entry.cache) == 0
 
 
 class TestCachedRangeMatches:
@@ -379,10 +434,10 @@ def test_pinned_reader_keeps_dead_entry_alive():
     assert entry.dead_epoch == 6
     # Still present: the epoch-2 pin may consult it.
     assert cache.entries() == [entry]
-    look = cache.lookup((element,), 2)
+    look = cache.lookup(entry.box, 2)
     assert look.outcome == "hit"
     # Readers at the new epoch never see it.
-    assert cache.lookup((element,), 6).outcome == "miss"
+    assert cache.lookup(entry.box, 6).outcome == "miss"
     # Pin released -> vacuum reclaims.
     snaps.pinned_epochs = ()
     assert cache.vacuum() == 1

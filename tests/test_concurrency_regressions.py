@@ -12,9 +12,6 @@ structure on the read path.  Each fix here gets a pinned regression:
 3. Per-query buffer accounting called ``reset_stats()`` at query
    start, so one query zeroed another's live counters.  Queries now
    snapshot-and-diff; the live counters are cumulative.
-4. The fastz decompose LRU cache is shared across threads; CPython's
-   ``functools.lru_cache`` is thread-safe, but nothing locked in that
-   concurrent callers get value-identical decompositions — this does.
 """
 
 from __future__ import annotations
@@ -25,7 +22,6 @@ import threading
 
 import pytest
 
-from repro.core.fastz import decompose_box_cached
 from repro.core.geometry import Box, Grid
 from repro.storage.buffer import BufferManager
 from repro.storage.diskstore import FilePageStore
@@ -169,26 +165,6 @@ class TestBufferStatsDelta:
         assert final["misses"] == base["misses"] + sum(
             d["misses"] for d in deltas
         )
-
-
-class TestFastzCacheThreadSafety:
-    def test_concurrent_decompose_is_value_identical(self):
-        grid = Grid(ndims=2, depth=7)
-        boxes = [
-            Box(((i, i + 13), (i * 2 % 100, i * 2 % 100 + 9)))
-            for i in range(16)
-        ]
-        serial = [tuple(decompose_box_cached(grid, b)) for b in boxes]
-        results = [[None] * len(boxes) for _ in range(4)]
-
-        def worker(t):
-            for i, box in enumerate(boxes):
-                results[t][i] = tuple(decompose_box_cached(grid, box))
-
-        errors = _hammer(4, worker)
-        assert errors == []
-        for per_thread in results:
-            assert per_thread == serial
 
 
 class TestReclaimVsFreshPin:

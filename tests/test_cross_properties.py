@@ -229,25 +229,20 @@ def test_no_public_callable_takes_a_kernel_flag():
     assert seen > 500  # the sweep really walked the package
 
 
-def test_element_stream_follows_the_stores_decompose_cache():
-    """``range_query`` decides its element stream from what it can
-    observe: a box the store's ``DecomposeCache`` already holds is
-    sought through the materialised sequence (nothing generated), a
-    fresh one is decomposed lazily (and nothing is cached) — identical
-    matches either way, on a tree, a snapshot view and a sharded store.
+def test_element_stream_is_lazy_everywhere_and_nothing_remembers_it():
+    """``range_query`` has one element stream: the box is decomposed
+    lazily inside the merge and no store holds on to it — a repeat
+    generates the same elements again and reads the same pages, with
+    identical matches, on a tree, a snapshot view and a sharded store.
     """
     from repro.concurrency import SnapshotManager
-    from repro.core.fastz import DecomposeCache
     from repro.shard import ShardedSpatialStore
 
     grid = Grid(2, 6)
     rng = random.Random(16)
     points = sorted(set(random_points(rng, grid, 400)))
     manager = SnapshotManager()
-    tree = ZkdTree(
-        grid, page_capacity=8, snapshots=manager,
-        decompose_cache=DecomposeCache(),
-    )
+    tree = ZkdTree(grid, page_capacity=8, snapshots=manager)
     tree.insert_many(points)
     store = ShardedSpatialStore.build(grid, points, nshards=4, page_capacity=8)
     epoch = manager.pin()
@@ -256,33 +251,16 @@ def test_element_stream_follows_the_stores_decompose_cache():
         for _ in range(8):
             box = random_box(rng, grid)
             truth = tuple(brute_force_search(grid, points, box))
-            clipped = box.clipped_to(grid.whole_space())
-            for target in (tree, view):
-                cache = target.decompose_cache
-                cache.clear()
+            for target in (tree, view, store):
                 fresh = target.range_query(box)
-                assert fresh.matches == truth
+                again = target.range_query(box)
+                assert fresh.matches == again.matches == truth
                 assert fresh.merge.elements_generated > 0
-                assert len(cache) == 0  # the lazy cursor caches nothing
-                # What a result cache or batcher does before it scans.
-                cache.box_elements(grid, clipped)
-                held = target.range_query(box)
-                assert held.matches == truth
-                assert held.merge.elements_generated == 0
-                assert held.pages_accessed == fresh.pages_accessed
-            # The shard coordinator decomposes every box itself to prune
-            # shards, so its trees always find the box already held.
-            store.decompose_cache.clear()
-            for _ in range(2):
-                sharded = store.range_query(box)
-                assert sharded.matches == truth
-                assert sharded.merge.elements_generated == 0
-            # A shard tree asked directly for a box nobody decomposed
-            # still takes the lazy stream.
-            store.decompose_cache.clear()
-            alone = store.shards[0].range_query(box)
-            assert alone.merge.elements_generated > 0
-            assert len(store.decompose_cache) == 0
+                assert (
+                    again.merge.elements_generated
+                    == fresh.merge.elements_generated
+                )
+                assert again.pages_accessed == fresh.pages_accessed
     finally:
         manager.unpin(epoch)
         store.close()

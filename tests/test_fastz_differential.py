@@ -18,29 +18,9 @@ import random
 import pytest
 
 from repro.core import fastz
-from repro.core.decompose import (
-    BoxElementCursor,
-    CoverMode,
-    Element,
-    ElementCursor,
-    decompose,
-)
-from repro.core.geometry import Box, Grid, box_classifier
+from repro.core.decompose import Element, decompose
+from repro.core.geometry import Grid, box_classifier
 from repro.core.interleave import deinterleave, interleave, zrank
-
-from conftest import random_box
-
-
-def generic_decompose_box(grid, box, max_depth=None, cover=CoverMode.OUTER):
-    """The generic object decomposition of an in-grid box: the oracle
-    for everything cached here, sharing no code with the box kernel the
-    cache is filled from."""
-    return decompose(grid, box_classifier(box), max_depth, cover)
-
-
-def generic_box_cursor(grid, box):
-    """The generic lazy cursor over an in-grid box (see above)."""
-    return ElementCursor(grid, box_classifier(box))
 
 
 def random_point(rng: random.Random, ndims: int, depth: int):
@@ -179,59 +159,16 @@ def test_scalar_fast_rejects_what_reference_rejects():
 
 
 # ----------------------------------------------------------------------
-# Cached decomposition
+# Batch element construction
 # ----------------------------------------------------------------------
 
 
-def test_decompose_box_cached_matches_uncached(grid64, rng):
-    for _ in range(30):
-        box = random_box(rng, grid64)
-        assert list(fastz.decompose_box_cached(grid64, box)) == (
-            generic_decompose_box(grid64, box)
-        )
-    # Repeat lookups are hits, not recomputations.
-    box = random_box(rng, grid64)
-    fastz.decompose_box_cached(grid64, box)
-    before = fastz.decompose_box_cache_info().hits
-    fastz.decompose_box_cached(grid64, box)
-    assert fastz.decompose_box_cache_info().hits == before + 1
-
-
-def test_decompose_box_cached_max_depth_and_cover(grid64, figure_box):
-    for max_depth in (None, 0, 3, 7):
-        for cover in (CoverMode.OUTER, CoverMode.INNER):
-            assert list(
-                fastz.decompose_box_cached(
-                    grid64, figure_box, max_depth, cover
-                )
-            ) == generic_decompose_box(grid64, figure_box, max_depth, cover)
-
-
-def test_cached_cursor_streams_same_elements(grid64, rng):
-    for _ in range(20):
-        box = random_box(rng, grid64)
-        assert list(fastz.CachedBoxElementCursor(grid64, box)) == list(
-            generic_box_cursor(grid64, box)
-        )
-
-
-def test_cached_cursor_seek_semantics(grid8, figure_box):
-    reference = generic_box_cursor(grid8, figure_box)
-    cached = fastz.CachedBoxElementCursor(grid8, figure_box)
-    for z in range(grid8.npixels):
-        assert cached.seek(z) == reference.seek(z)
-    # Out-of-space box degenerates to an empty stream in both.
-    outside = Box(((100, 120), (100, 120)))
-    assert fastz.CachedBoxElementCursor(grid8, outside).current is None
-    assert BoxElementCursor(grid8, outside).current is None
-
-
 def test_elements_many_matches_element_of(grid64, figure_box):
-    zvalues = generic_decompose_box(grid64, figure_box)
+    zvalues = decompose(grid64, box_classifier(figure_box))
     assert list(fastz.elements_many(grid64, zvalues)) == [
         Element.of(z, grid64) for z in zvalues
     ]
-    too_long = generic_decompose_box(grid64, figure_box)[0]
+    too_long = zvalues[0]
     small = Grid(ndims=2, depth=1)
     with pytest.raises(ValueError):
         fastz.elements_many(small, [too_long.concat(too_long)])
@@ -270,18 +207,3 @@ def test_slow_dense_random_sweep(ndims, depth):
     assert [
         fastz.deinterleave_fast(c, ndims, depth) for c in expected
     ] == pts
-
-
-@pytest.mark.slow
-def test_slow_cached_decomposition_sweep():
-    rng = random.Random(0xFA57)
-    for ndims, depth in [(1, 8), (2, 6), (3, 4), (4, 3)]:
-        grid = Grid(ndims=ndims, depth=depth)
-        for _ in range(60):
-            box = random_box(rng, grid)
-            assert list(
-                fastz.decompose_box_cached(grid, box)
-            ) == generic_decompose_box(grid, box)
-            assert list(
-                fastz.CachedBoxElementCursor(grid, box)
-            ) == list(generic_box_cursor(grid, box))

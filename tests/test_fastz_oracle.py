@@ -4,13 +4,12 @@
 variants must agree with it — and with each other — whether they run on
 the scalar reference pieces (``Grid.zvalue`` sequence, the generic
 ``ElementCursor`` / ``decompose`` over ``box_classifier``) or on what
-production runs (batched ``build_point_sequence``, the box kernel —
-lazy, and materialised behind a store's ``DecomposeCache`` —
-``elements_many``).  The reference side shares no code with the kernel.
-Datasets cover uniform random points and tight Gaussian-ish clusters
-(the z-order worst case for skipping), and a stateful insert/search
-round-trip exercises the element-stream selection against a mutating
-tree.
+production runs (batched ``build_point_sequence``, the box kernel
+under the lazy cursor and ``decompose_box``, ``elements_many``).  The
+reference side shares no code with the kernel.  Datasets cover uniform
+random points and tight Gaussian-ish clusters (the z-order worst case
+for skipping), and a stateful insert/search round-trip exercises the
+merge against a mutating tree.
 """
 
 import random
@@ -20,7 +19,12 @@ import pytest
 from conftest import random_box, random_points
 
 from repro.core import fastz
-from repro.core.decompose import Element, ElementCursor, decompose
+from repro.core.decompose import (
+    Element,
+    ElementCursor,
+    decompose,
+    decompose_box,
+)
 from repro.core.geometry import Box, Grid, box_classifier
 from repro.core.rangesearch import (
     MergeStats,
@@ -69,16 +73,6 @@ def scalar_point_sequence(grid, points):
     )
 
 
-def primed_cache(grid, box):
-    """A store-style cache already holding ``box`` (what a result
-    cache, batcher or shard coordinator leaves behind)."""
-    cache = fastz.DecomposeCache()
-    clipped = box.clipped_to(grid.whole_space())
-    if clipped is not None:
-        cache.box_elements(grid, clipped)
-    return cache
-
-
 def all_variants(grid, points, box, reference):
     """Run every search variant and return the sorted result sets."""
     results = {}
@@ -92,22 +86,13 @@ def all_variants(grid, points, box, reference):
         lazy = [] if classify is None else merge_search(
             SortedPointCursor(records), ElementCursor(grid, classify)
         )
-        results["lazy"] = results["held"] = sorted(lazy)
+        results["lazy"] = sorted(lazy)
     else:
         records = build_point_sequence(grid, points)
-        elements = fastz.elements_many(
-            grid, fastz.decompose_box_cached(grid, box)
+        elements = fastz.elements_many(grid, decompose_box(grid, box))
+        results["lazy"] = sorted(
+            range_search(SortedPointCursor(records), grid, box)
         )
-        # fresh box: the lazy kernel cursor; held box: the bisect cursor
-        for variant, cache in (
-            ("lazy", None), ("held", primed_cache(grid, box))
-        ):
-            results[variant] = sorted(
-                range_search(
-                    SortedPointCursor(records), grid, box,
-                    decompose_cache=cache,
-                )
-            )
     results["bigmin"] = sorted(
         range_search_bigmin(SortedPointCursor(records), grid, box)
     )
@@ -161,18 +146,10 @@ def test_out_of_space_and_degenerate_boxes(grid64, rng):
     ]
     for box in boxes:
         truth = sorted(set(brute_force_search(grid64, points, box)))
-        for cache in (None, fastz.DecomposeCache(), primed_cache(grid64, box)):
-            got = sorted(
-                set(
-                    range_search(
-                        SortedPointCursor(records),
-                        grid64,
-                        box,
-                        decompose_cache=cache,
-                    )
-                )
-            )
-            assert got == truth
+        got = sorted(
+            set(range_search(SortedPointCursor(records), grid64, box))
+        )
+        assert got == truth
 
 
 def test_bigmin_seeks_match_scalar_unshuffle(grid64, rng, monkeypatch):
@@ -207,18 +184,13 @@ def test_bigmin_seeks_match_scalar_unshuffle(grid64, rng, monkeypatch):
 
 
 # ----------------------------------------------------------------------
-# Stateful round-trip: inserts interleaved with cached-decomposer queries
+# Stateful round-trip: inserts interleaved with queries
 # ----------------------------------------------------------------------
 
 
 def test_stateful_insert_search_roundtrip(grid64):
     rng = random.Random(0xBEEF)
-    tree = ZkdTree(
-        grid64,
-        page_capacity=8,
-        buffer_frames=4,
-        decompose_cache=fastz.DecomposeCache(),
-    )
+    tree = ZkdTree(grid64, page_capacity=8, buffer_frames=4)
     live = set()
     for step in range(12):
         batch = random_points(rng, grid64, 40)
@@ -233,22 +205,13 @@ def test_stateful_insert_search_roundtrip(grid64):
             truth = sorted(
                 set(brute_force_search(grid64, live, box))
             )
-            tree.decompose_cache.clear()
             lazy = tree.range_query(box)
-            # What a result cache or batcher does before it scans.
-            tree.decompose_cache.box_elements(
-                grid64, box.clipped_to(grid64.whole_space())
-            )
-            held = tree.range_query(box)
             jumped = tuple(
                 range_search_bigmin(BTreeCursor(tree.tree), grid64, box)
             )
             assert sorted(set(lazy.matches)) == truth
-            assert lazy.matches == held.matches == jumped
-            assert lazy.pages_accessed == held.pages_accessed
-            # The materialised decomposition actually served the repeat.
+            assert lazy.matches == jumped
             assert lazy.merge.elements_generated > 0
-            assert held.merge.elements_generated == 0
 
 
 def test_bulk_load_matches_scalar_keys(grid64, rng):

@@ -418,7 +418,7 @@ class TestIndexReadCostsWhatItReturns:
     most once."""
 
     def test_counts(self, monkeypatch):
-        from repro.core import fastz
+        from repro.cache import result_cache
         from repro.db import ZHistogram, schema, statistics
         from repro.db.relation import Relation
 
@@ -452,7 +452,7 @@ class TestIndexReadCostsWhatItReturns:
             ZHistogram, "of_tree", counting("histograms", ZHistogram.of_tree)
         )
         for module, eager in (
-            (statistics, "box_intervals"), (fastz, "decompose_box")
+            (statistics, "box_intervals"), (result_cache, "decompose_box")
         ):
             monkeypatch.setattr(
                 module, eager, counting("boxes", getattr(module, eager))
