@@ -41,7 +41,7 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent))
 from repro.core.geometry import Box, Grid  # noqa: E402
 from repro.db import INTEGER, OID, Schema, SpatialDatabase  # noqa: E402
 from repro.server import QueryClient, QueryService, serve  # noqa: E402
-from repro.shard.executor import ResiliencePolicy  # noqa: E402
+from repro.shard.scatter import ResiliencePolicy  # noqa: E402
 from repro.workloads.datasets import make_dataset  # noqa: E402
 
 NPOINTS = 8_000

@@ -305,8 +305,7 @@ def collect(depth=DEPTH, npoints=NPOINTS, nobjects=NOBJECTS,
             fold("cached", t.total_counters())
 
     # The sharded engine, same workload: scatter–gather range queries
-    # through a 4-shard store plus the partition-parallel overlap join
-    # (serial executor, so counters stay executor-invariant).
+    # through a 4-shard store.
     store = ShardedSpatialStore.build(
         grid, make_dataset("C", grid, npoints, seed=seed).points, nshards=4
     )
@@ -314,14 +313,6 @@ def collect(depth=DEPTH, npoints=NPOINTS, nobjects=NOBJECTS,
         with trace("shard-range") as t:
             store.range_query(spec.box)
         fold("shard", t.total_counters())
-    with trace("shard-join") as t:
-        overlap_query(
-            p_objects, q_objects, "geom", "id@",
-            grid=grid, max_depth=max(1, depth - 3),
-            partitioner=store.partitioner,
-        )
-    fold("shard", t.total_counters())
-    store.close()
 
     # The proximity operators: a k-NN sweep and one epsilon
     # cross-match.  Their counters already carry the ``knn.`` /

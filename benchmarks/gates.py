@@ -4,7 +4,7 @@ Every ``bench_*.py`` CLI gate funnels its floor checks through
 :func:`gate` so CI can grep a single format::
 
     GATE PASS: kernels - 2-d batched shuffle speedup 3.4x (floor 3.0x)
-    GATE FAIL: sharding - 4-shard process speedup 1.1x below the 1.3x floor
+    GATE FAIL: sharding - selective box pruned no shard
 
 A failing gate prints the line on stderr and returns exit code 1; a
 passing gate prints on stdout and returns 0.  Environment caveats that

@@ -111,31 +111,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     query.add_argument(
-        "--executor",
-        choices=["serial", "thread", "process"],
-        default="serial",
-        help="how per-shard work is dispatched when --shards > 1",
-    )
-    query.add_argument(
-        "--inject",
-        action="append",
-        default=[],
-        metavar="SITE:KIND[:AT[:TIMES]]",
-        help=(
-            "arm a failpoint before running (repeatable), e.g. "
-            "'shard.worker:crash' kills a pool worker and "
-            "'shard.worker:error:1:-1' makes one shard fail every "
-            "attempt; retries/degradation then show up in "
-            "--explain-analyze as shard.retries / shard.degraded"
-        ),
-    )
-    query.add_argument(
-        "--fault-seed",
-        type=int,
-        default=0,
-        help="seed for the fault injector's deterministic streams",
-    )
-    query.add_argument(
         "--sessions",
         type=int,
         default=0,
@@ -393,29 +368,6 @@ def _cmd_query(args, out) -> None:
     from repro.db.types import SpatialObject
     from repro.obs import QueryTrace, format_trace, trace
 
-    faults = None
-    executor = args.executor
-    if args.inject:
-        from repro.faults import FaultInjector, parse_rule
-        from repro.shard.executor import make_executor
-
-        faults = FaultInjector(seed=args.fault_seed)
-        for spec in args.inject:
-            faults.rule(**parse_rule(spec))
-        # Sites register at import of the instrumented module: pull
-        # them all in, then verify — a typo'd site or a kind the site
-        # class can't fire is a spec error, not a silent no-op.
-        import repro.server.service  # noqa: F401
-        import repro.server.tcp  # noqa: F401
-        import repro.storage.buffer  # noqa: F401
-        import repro.storage.diskstore  # noqa: F401
-        import repro.storage.wal  # noqa: F401
-
-        faults.verify()
-        # Hand the index an executor instance carrying the injector so
-        # worker-side failpoints (shard.worker) are armed in the pool.
-        executor = make_executor(args.executor, faults=faults)
-
     grid = Grid(ndims=2, depth=args.depth)
     side = grid.side
     nsessions = getattr(args, "sessions", 0)
@@ -439,23 +391,17 @@ def _cmd_query(args, out) -> None:
         "points",
         ("x", "y"),
         shards=args.shards,
-        executor=executor,
     )
-    partitioner = getattr(entry.tree, "partitioner", None)
-    if partitioner is not None:
+    if args.shards > 1:
         sizes = entry.tree.shard_sizes()
         out.write(
-            f"sharded index: {args.shards} z-range shards "
-            f"({args.executor} executor), sizes {sizes}\n"
+            f"sharded index: {args.shards} z-range shards, "
+            f"sizes {sizes}\n"
         )
     window = Box(((side // 8, 3 * side // 8), (side // 8, 3 * side // 8)))
 
     if nsessions > 0:
-        try:
-            _run_concurrent_sessions(db, window, args, out)
-        finally:
-            if partitioner is not None:
-                entry.tree.close()
+        _run_concurrent_sessions(db, window, args, out)
         return
 
     rng = random.Random(args.seed + 1)
@@ -479,29 +425,6 @@ def _cmd_query(args, out) -> None:
     join_depth = max(1, args.depth - 3)
 
     join_kwargs = dict(grid=grid, max_depth=join_depth)
-    if partitioner is not None:
-        join_kwargs.update(
-            partitioner=partitioner, executor=args.executor
-        )
-
-    def fault_summary() -> None:
-        if faults is None:
-            return
-        if faults.fired:
-            out.write("injected faults fired (coordinator side):\n")
-            for event in faults.fired:
-                ctx = ", ".join(f"{k}={v}" for k, v in event.context)
-                out.write(
-                    f"  {event.site}:{event.kind} at hit {event.hit}"
-                    + (f" ({ctx})" if ctx else "")
-                    + "\n"
-                )
-        else:
-            out.write(
-                "no coordinator-side fault firings (worker-side "
-                "firings surface as shard.retries / shard.degraded "
-                "counters)\n"
-            )
 
     def cache_summary() -> None:
         if entry.cache is None:
@@ -514,23 +437,16 @@ def _cmd_query(args, out) -> None:
         out.write(f"result cache: {stats}\n")
 
     if not (args.explain_analyze or args.json_path):
-        try:
-            rows = Query(db, "points").within(("x", "y"), window).count()
-            out.write(f"range query {window}: {rows} rows\n")
-            if entry.cache is not None:
-                again = (
-                    Query(db, "points").within(("x", "y"), window).count()
-                )
-                out.write(f"range query (cached): {again} rows\n")
-                cache_summary()
-            pairs = overlap_query(
-                p_objects, q_objects, "geom", "id@", **join_kwargs
-            )
-            out.write(f"overlap join P x Q: {len(pairs)} pairs\n")
-            fault_summary()
-        finally:
-            if partitioner is not None:
-                entry.tree.close()
+        rows = Query(db, "points").within(("x", "y"), window).count()
+        out.write(f"range query {window}: {rows} rows\n")
+        if entry.cache is not None:
+            again = Query(db, "points").within(("x", "y"), window).count()
+            out.write(f"range query (cached): {again} rows\n")
+            cache_summary()
+        pairs = overlap_query(
+            p_objects, q_objects, "geom", "id@", **join_kwargs
+        )
+        out.write(f"overlap join P x Q: {len(pairs)} pairs\n")
         return
 
     if entry.cache is not None:
@@ -548,12 +464,9 @@ def _cmd_query(args, out) -> None:
         overlap_query(
             p_objects, q_objects, "geom", "id@", **join_kwargs
         )
-    if partitioner is not None:
-        entry.tree.close()
     assert join_trace is not None
     out.write("=== EXPLAIN ANALYZE: spatial join ===\n")
     out.write(format_trace(join_trace) + "\n")
-    fault_summary()
 
     if args.json_path:
         import json

@@ -163,10 +163,8 @@ class SnapshotTreeView(LeafChainReads):
 class ShardedSnapshotView(ProximityReads):
     """Snapshot view over a :class:`~repro.shard.store.ShardedSpatialStore`.
 
-    Queries fan out serially over the per-shard snapshot views (shard
-    pruning included) and gather in global z order.  Serial on purpose:
-    snapshot reads are lock-free and the scatter executors exist for
-    the live path; sessions care about isolation first.
+    Queries run over the per-shard snapshot views in shard order
+    (shard pruning included) and gather in global z order.
     """
 
     def __init__(self, store: "Any", epoch: int) -> None:

@@ -270,7 +270,7 @@ class SpatialDatabase(SpatialReads):
         buffer_frames: int = 8,
         policy: ReplacementPolicy = ReplacementPolicy.LRU,
         shards: int = 1,
-        executor: Any = "serial",
+        executor: str = "serial",
         partition: str = "equi",
         resilience: Any = None,
     ) -> IndexEntry:
@@ -281,15 +281,18 @@ class SpatialDatabase(SpatialReads):
 
         With ``shards > 1`` the index is a :class:`~repro.shard.store.
         ShardedSpatialStore` — ``shards`` z-range shards queried
-        scatter–gather style through ``executor`` (``serial`` /
-        ``thread`` / ``process``, or a :class:`~repro.shard.executor.
-        ShardExecutor` instance, e.g. one carrying a fault injector);
-        ``partition`` picks the cut policy (``equi`` or the
-        data-balanced ``balanced``); ``resilience`` overrides the
-        scatter's :class:`~repro.shard.executor.ResiliencePolicy`
-        (retries / timeouts / serial degradation).  Query results are
+        scatter–gather style; ``partition`` picks the cut policy
+        (``equi`` or the data-balanced ``balanced``); ``resilience``
+        overrides the scatter's :class:`~repro.shard.scatter.
+        ResiliencePolicy` (retries and backoff).  Query results are
         identical to the single-tree index.
         """
+        # Kept for benchmarks/ledger/workloads.py, which passes "serial".
+        if executor != "serial":
+            raise ValueError(
+                f"executor={executor!r}: shards are read in shard order, "
+                "only 'serial' is accepted"
+            )
         relation = self.catalog.relation(table)
         cols = tuple(coord_cols)
         if len(cols) != self.grid.ndims:
@@ -318,7 +321,6 @@ class SpatialDatabase(SpatialReads):
                     page_capacity=self.page_capacity,
                     buffer_frames=buffer_frames,
                     policy=policy,
-                    executor=executor,
                     resilience=resilience,
                     snapshots=self.snapshots,
                 )
@@ -490,13 +492,9 @@ class SpatialDatabase(SpatialReads):
         id_col_p: str,
         id_col_q: Optional[str] = None,
         max_depth: Optional[int] = None,
-        partitioner=None,
-        executor=None,
     ) -> Relation:
         """Which objects of ``table_p`` overlap which of ``table_q``?
-        The full Decompose / spatial-join / project pipeline.
-        ``partitioner``/``executor`` shard-parallelize the join sweep
-        (identical pairs)."""
+        The full Decompose / spatial-join / project pipeline."""
         return overlap_query(
             self.catalog.relation(table_p),
             self.catalog.relation(table_q),
@@ -505,6 +503,4 @@ class SpatialDatabase(SpatialReads):
             id_col_q,
             grid=self.grid,
             max_depth=max_depth,
-            partitioner=partitioner,
-            executor=executor,
         )

@@ -138,8 +138,6 @@ def spatial_join(
     right_element_col: str,
     grid: Grid,
     name: str = "",
-    partitioner=None,
-    executor=None,
 ) -> Relation:
     """``R [zr ◇ zs] S``: pairs of tuples whose elements are related by
     containment.
@@ -147,11 +145,6 @@ def spatial_join(
     The output schema is the concatenation of both inputs' schemas (the
     right side's colliding names prefixed), exactly like a natural-join
     implementation "looking for containment ... instead of equality".
-
-    With a :class:`~repro.shard.partition.ZRangePartitioner` the sweep
-    runs shard-parallel (:func:`repro.shard.join.sharded_spatial_join`)
-    through ``executor`` (an executor instance or a kind string);
-    output rows and their order are identical to the single sweep.
     """
     lidx = left.schema.index_of(left_element_col)
     ridx = right.schema.index_of(right_element_col)
@@ -170,21 +163,8 @@ def spatial_join(
 
     def build() -> Relation:
         # The sweep kernel publishes its own "spatialjoin.sweep" child
-        # span when it finishes (the sharded kernel a "shard.join" span
-        # instead), nesting under this operator's span.
+        # span when it finishes, nesting under this operator's span.
         out = Relation(name or f"sjoin({left.name},{right.name})", schema)
-        if partitioner is not None:
-            from repro.shard.join import sharded_spatial_join
-
-            rows = sharded_spatial_join(
-                list(tagged(left, lidx)),
-                list(tagged(right, ridx)),
-                partitioner,
-                executor=executor,
-            )
-            for lrow, rrow, _, _ in rows:
-                out.insert(lrow + rrow)
-            return out
         for lrow, rrow, _, _ in _join_kernel(
             tagged(left, lidx), tagged(right, ridx)
         ):
@@ -202,14 +182,9 @@ def overlap_query(
     id_col_q: Optional[str] = None,
     grid: Optional[Grid] = None,
     max_depth: Optional[int] = None,
-    partitioner=None,
-    executor=None,
 ) -> Relation:
     """The complete Section 4 scenario: which objects of P overlap which
-    objects of Q?  Returns the distinct ``(p@, q@)`` relation.
-
-    ``partitioner``/``executor`` shard-parallelize the join sweep (same
-    pairs, same order — see :func:`spatial_join`)."""
+    objects of Q?  Returns the distinct ``(p@, q@)`` relation."""
     if grid is None:
         raise ValueError("a grid is required")
     id_col_q = id_col_q or id_col_p
@@ -219,10 +194,7 @@ def overlap_query(
     s = decompose_objects(
         objects_q, object_col, grid, element_col="zs", max_depth=max_depth
     )
-    rs = spatial_join(
-        r, s, "zr", "zs", grid, name="RS",
-        partitioner=partitioner, executor=executor,
-    )
+    rs = spatial_join(r, s, "zr", "zs", grid, name="RS")
     right_id = (
         f"right_{id_col_q}"
         if rs.schema.has_column(f"right_{id_col_q}")

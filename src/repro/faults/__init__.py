@@ -1,9 +1,9 @@
 """Failpoint injection: deterministic, seedable fault sites threaded
-through the storage and scatter–gather layers.
+through the storage and serving layers.
 
 See :mod:`repro.faults.failpoints` for the model; the crash-matrix
-harness (``tests/test_crash_matrix.py``) and the CLI's ``--inject``
-flag are the two main consumers.
+harness (``tests/test_crash_matrix.py``) and the serve chaos harness
+(:mod:`repro.server.chaos`) are the two main consumers.
 """
 
 from repro.faults.failpoints import (

@@ -1,9 +1,9 @@
 """Deterministic failpoint injection.
 
 A real DBMS is judged by what happens when the disk lies, a write is
-torn mid-page, or a worker process dies — not by its sunny-day path.
+torn mid-page, or the process dies — not by its sunny-day path.
 This module provides the *controlled weather*: named **failpoint
-sites** threaded through the storage and scatter–gather layers, and a
+sites** threaded through the storage and serving layers, and a
 seedable :class:`FaultInjector` that arms **rules** at those sites
 (fail the Nth write, tear a write in half, shorten a read, flip a bit,
 crash the process, add latency).  The crash-matrix harness iterates
@@ -18,10 +18,7 @@ Design constraints (mirroring :mod:`repro.obs.trace`):
   it is ``None``; the armed path pays one dict lookup per site hit;
 * **deterministic** — torn lengths, flipped bits, and probabilistic
   firing draw from a ``seed``-keyed stream *per site*, so a failing
-  scenario replays exactly;
-* **picklable** — process-pool workers receive the coordinator's
-  injector through the pool initializer (fork or spawn), so worker
-  faults are armed with the same one-line API as storage faults.
+  scenario replays exactly.
 
 Fault kinds
 -----------
@@ -30,8 +27,7 @@ Fault kinds
 ``crash``
     raise :class:`CrashPoint` — a ``BaseException`` standing in for
     ``kill -9``; ordinary ``except Exception`` handlers cannot swallow
-    it, so it unwinds like a real process death.  (Process-pool
-    workers translate it into ``os._exit``, an actual death.)
+    it, so it unwinds like a real process death.
 ``torn_write``
     write a seeded prefix of the buffer, then raise ``CrashPoint`` —
     a crash mid-page-write.
@@ -391,16 +387,6 @@ class FaultInjector:
         mutated[index] ^= 1 << rng.randrange(8)
         return bytes(mutated)
 
-    # -- pickling (process-pool workers) -------------------------------
-
-    def __getstate__(self) -> Dict[str, Any]:
-        state = self.__dict__.copy()
-        # The fired log and rng streams stay with the coordinator; a
-        # worker starts with fresh (but identically seeded) streams.
-        state["fired"] = []
-        state["_rngs"] = {}
-        return state
-
     def __repr__(self) -> str:
         return (
             f"FaultInjector(seed={self.seed}, rules={len(self.rules())}, "
@@ -409,10 +395,10 @@ class FaultInjector:
 
 
 def parse_rule(spec: str) -> Dict[str, Any]:
-    """Parse a CLI ``--inject`` spec: ``site:kind[:at[:times]]``
-    (``times`` may be ``-1`` for "every hit"; an empty segment keeps
-    the default), e.g. ``shard.worker:crash``,
-    ``diskstore.page_write:torn_write:3``, ``shard.worker:crash::-1``.
+    """Parse a rule spec: ``site:kind[:at[:times]]`` (``times`` may be
+    ``-1`` for "every hit"; an empty segment keeps the default), e.g.
+    ``wal.commit:crash``, ``diskstore.page_write:torn_write:3``,
+    ``diskstore.page_read:error::-1``.
 
     Returns keyword arguments for :meth:`FaultInjector.rule`.
     """

@@ -45,10 +45,9 @@ __all__ = [
 Number = Union[int, float]
 
 #: Per-thread active trace, or None when tracing is disabled (the common
-#: case).  Thread-local rather than a plain global so the sharded
-#: scatter–gather executors can fan a traced query out to worker threads
-#: without those workers publishing into (and racing on) the
-#: coordinator's span stack; each worker starts untraced.
+#: case).  Thread-local rather than a plain global so concurrent
+#: sessions and the server's batch thread never publish into (and race
+#: on) another thread's span stack; each thread starts untraced.
 _STATE = threading.local()
 
 
@@ -276,9 +275,7 @@ def suppress() -> Iterator[None]:
 
     The sharded scatter–gather coordinator wraps shard sub-queries in
     this so their internal spans never reach the user-visible trace —
-    the coordinator publishes one curated span per shard instead, which
-    keeps counters identical across serial, thread and process
-    executors (workers in the latter two are naturally untraced).
+    the coordinator publishes one curated span per shard instead.
     """
     previous = current()
     _STATE.active = None

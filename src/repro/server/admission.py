@@ -14,7 +14,7 @@ fault layer (retryable, typed, never a silent hang):
 * :class:`AdmissionTimeout` — the request queued but no slot freed
   within the policy timeout: the server is saturated at this depth.
 
-Retry/timeout semantics reuse :class:`~repro.shard.executor.
+Retry/timeout semantics reuse :class:`~repro.shard.scatter.
 ResiliencePolicy` — the same knob set that governs shard scatter
 retries governs how long an admitted wait may block
 (``policy.timeout``) and the backoff hints sent to rejected clients
@@ -36,7 +36,7 @@ from contextlib import asynccontextmanager
 from typing import AsyncIterator, Callable, Deque, Dict, Optional
 
 from repro.core.deadline import Deadline
-from repro.shard.executor import ResiliencePolicy
+from repro.shard.scatter import ResiliencePolicy
 
 __all__ = [
     "AdmissionController",

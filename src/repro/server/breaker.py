@@ -2,7 +2,7 @@
 
 Admission control (:mod:`repro.server.admission`) bounds *how many*
 requests run; it says nothing about whether the backend they run
-against is healthy.  When a shard executor starts failing or hanging,
+against is healthy.  When an index's backend starts failing or hanging,
 letting admitted requests pile into it burns worker time, holds
 admission slots hostage, and turns one sick index into a sick server.
 The classic fix is a **circuit breaker** per backend:
@@ -19,13 +19,10 @@ The classic fix is a **circuit breaker** per backend:
   and restarts the timer.
 
 :class:`OverloadController` owns one breaker per backend key (the
-service keys them by index name — each index owns its shard executor),
-derives an **honest** ``retry_after`` from live queue depth and the
-measured mean latency (how long the backlog actually takes to drain,
-not a blind exponential), and **escalates** repeated trips through the
-same ladder :class:`~repro.shard.executor.ResiliencePolicy` defines for
-the scatter layer: first rebuild the suspect worker pool, then degrade
-the store to serial execution (which cannot lose a worker).
+service keys them by index name) and derives an **honest**
+``retry_after`` from live queue depth and the measured mean latency
+(how long the backlog actually takes to drain, not a blind
+exponential).
 
 The clock is injectable so the state machine is deterministic under
 test and in the trace-counter bench; everything here is event-loop
@@ -40,7 +37,7 @@ from collections import deque
 from typing import Callable, Deque, Dict, List, Optional, Tuple
 
 from repro.server.admission import Rejection
-from repro.shard.executor import ResiliencePolicy
+from repro.shard.scatter import ResiliencePolicy
 
 __all__ = [
     "BreakerOpen",
@@ -129,9 +126,8 @@ class CircuitBreaker:
         self.state = "closed"
         self._opened_at = 0.0
         self._probes_out = 0
-        #: Trips without an intervening full close — the escalation
-        #: signal: a breaker that keeps re-opening has a backend no
-        #: probe traffic will heal.
+        #: Trips without an intervening full close: tells a first open
+        #: from a re-open in the counters.
         self.consecutive_opens = 0
         self.counters_: Dict[str, int] = {
             "breaker.opened": 0,
@@ -217,14 +213,7 @@ class CircuitBreaker:
 
 
 class OverloadController:
-    """Per-backend breakers + honest shed hints + escalation.
-
-    ``escalate(key, consecutive_opens)`` is invoked (at most once per
-    trip) when a breaker re-opens ``escalate_after`` or more times in a
-    row — the service wires it to pool-rebuild / serial-degrade on the
-    backing store.  Escalation failures are swallowed: a broken
-    escalation path must never take the serving loop down.
-    """
+    """Per-backend breakers + honest shed hints."""
 
     def __init__(
         self,
@@ -235,8 +224,6 @@ class OverloadController:
         min_samples: int = 4,
         reset_timeout: float = 1.0,
         half_open_probes: int = 2,
-        escalate_after: int = 2,
-        escalate: Optional[Callable[[str, int], None]] = None,
         clock: Callable[[], float] = time.monotonic,
         max_retry_after: float = 5.0,
     ) -> None:
@@ -247,15 +234,10 @@ class OverloadController:
         self.min_samples = min_samples
         self.reset_timeout = reset_timeout
         self.half_open_probes = half_open_probes
-        self.escalate_after = max(1, escalate_after)
-        self._escalate = escalate
         self._clock = clock
         self.max_retry_after = max_retry_after
         self._breakers: Dict[str, CircuitBreaker] = {}
-        self.stats: Dict[str, int] = {
-            "breaker.shed": 0,
-            "breaker.escalations": 0,
-        }
+        self.stats: Dict[str, int] = {"breaker.shed": 0}
 
     def breaker(self, key: str) -> CircuitBreaker:
         breaker = self._breakers.get(key)
@@ -294,22 +276,8 @@ class OverloadController:
             )
 
     def record(self, key: str, ok: bool, latency: float) -> None:
-        """Record one request outcome; may trip the breaker and, on
-        repeated trips, fire the escalation callback."""
-        breaker = self.breaker(key)
-        was_open = breaker.state == "open"
-        breaker.record(ok, latency)
-        if (
-            breaker.state == "open"
-            and not was_open
-            and breaker.consecutive_opens >= self.escalate_after
-            and self._escalate is not None
-        ):
-            self.stats["breaker.escalations"] += 1
-            try:
-                self._escalate(key, breaker.consecutive_opens)
-            except Exception:
-                pass
+        """Record one request outcome; may trip the breaker."""
+        self.breaker(key).record(ok, latency)
 
     def retry_after(self, queue_depth: int) -> float:
         """An honest backoff hint: the time the current backlog needs

@@ -54,7 +54,7 @@ from repro.server.client import (
 from repro.server.protocol import MAX_FRAME
 from repro.server.service import SITE_DISPATCH, QueryService
 from repro.server.tcp import SITE_FRAME_READ, SITE_FRAME_WRITE, serve
-from repro.shard.executor import ResiliencePolicy
+from repro.shard.scatter import ResiliencePolicy
 
 __all__ = ["ChaosReport", "run_chaos_episode", "run_chaos_sweep"]
 

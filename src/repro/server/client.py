@@ -9,7 +9,7 @@ Load-shed answers surface as :class:`ServerRejected` carrying the typed
 reason — unless retry is on (the default), in which case the client
 sleeps ``retry_after`` (or the policy backoff) and resubmits, up to
 ``policy.max_retries`` attempts.  The retry/timeout knobs are the same
-:class:`~repro.shard.executor.ResiliencePolicy` the shard scatter and
+:class:`~repro.shard.scatter.ResiliencePolicy` the shard scatter and
 the server's admission layer use.
 """
 
@@ -21,7 +21,7 @@ import socket
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.server.protocol import MAX_FRAME, decode_frame, encode_frame
-from repro.shard.executor import ResiliencePolicy
+from repro.shard.scatter import ResiliencePolicy
 
 __all__ = ["QueryClient", "ServerError", "ServerRejected"]
 

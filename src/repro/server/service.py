@@ -56,16 +56,16 @@ from repro.server.protocol import (
     rejection_response,
     validate_request,
 )
-from repro.shard.executor import ResiliencePolicy
+from repro.shard.scatter import ResiliencePolicy
 
 __all__ = ["ClientState", "QueryService", "SITE_DISPATCH"]
 
 Point = Tuple[int, ...]
 
 #: Failpoint at the head of batch execution (the worker thread): an
-#: ``error`` rule is a failing backend, ``latency`` a hung executor,
+#: ``error`` rule is a failing backend, ``latency`` a hung one,
 #: ``crash`` a worker death the service must contain as one failed
-#: request (the real process-death path lives at ``shard.worker``).
+#: request.
 SITE_DISPATCH = register_site("server.dispatch", "point")
 
 #: Retain per-client served/rejected tallies for at most this many
@@ -125,7 +125,6 @@ class QueryService:
             options.setdefault("policy", self.admission.policy)
             options.setdefault("max_inflight", max_inflight)
             options.setdefault("clock", clock)
-            options.setdefault("escalate", self._escalate_backend)
             self.overload = OverloadController(**options)
             # Shed hints become honest: queue depth over measured rate.
             self.admission.retry_hint = self.overload.retry_after
@@ -604,31 +603,6 @@ class QueryService:
         epoch = client.session.refresh()
         self._prune_views()
         return ok_response(epoch=epoch)
-
-    # -- overload escalation ---------------------------------------------
-
-    def _escalate_backend(self, key: str, opens: int) -> None:
-        """A breaker that keeps re-opening wants structural help, not
-        more probes: first force the index's scatter pool to rebuild
-        (dead workers), and if the circuit trips again, degrade the
-        store to serial execution — the strategy that cannot lose a
-        worker — per the admission policy's ``degrade_serial``."""
-        try:
-            entry = self.db.catalog.index(key)
-        except KeyError:
-            return
-        tree = entry.tree
-        threshold = (
-            self.overload.escalate_after if self.overload is not None else 2
-        )
-        if opens <= threshold:
-            reset = getattr(tree, "reset_executor", None)
-            if reset is not None and reset():
-                return
-        if self.admission.policy.degrade_serial:
-            degrade = getattr(tree, "degrade_to_serial", None)
-            if degrade is not None:
-                degrade()
 
     # -- stats and the SERVER trace section ------------------------------
 

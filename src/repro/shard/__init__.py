@@ -1,31 +1,24 @@
-"""Sharded parallel spatial engine: z-range partitioning with
-scatter–gather execution.
+"""Sharded spatial engine: z-range partitioning with scatter–gather
+reads.
 
 The paper's invariant — objects are sets of elements, elements are
 contiguous z intervals, algorithms are merges of z-ordered sequences —
 makes the keyspace trivially partitionable.  This package cuts z space
 at element boundaries (:mod:`~repro.shard.partition`), stores one zkd
-tree per shard (:mod:`~repro.shard.store`), and runs range searches and
-spatial joins as pruned parallel per-shard merges with an
-order-preserving gather (:mod:`~repro.shard.executor`,
-:mod:`~repro.shard.join`).  Results are byte-identical to the
-single-store algorithms — the differential test suite holds the engine
-to exactly that.
+tree per shard (:mod:`~repro.shard.store`), and answers a query as
+pruned per-shard merges run in shard order
+(:mod:`~repro.shard.scatter`) with an order-preserving gather.  Results
+are byte-identical to the single-store algorithms — the differential
+test suite holds the engine to exactly that.
 """
 
-from repro.shard.executor import (
-    EXECUTOR_KINDS,
+from repro.shard.partition import ZRangePartitioner
+from repro.shard.scatter import (
     PartialResultError,
-    ProcessExecutor,
     ResiliencePolicy,
     ScatterStats,
-    SerialExecutor,
-    ShardExecutor,
-    ThreadExecutor,
-    make_executor,
+    run_shard_calls,
 )
-from repro.shard.join import sharded_spatial_join
-from repro.shard.partition import ZRangePartitioner
 from repro.shard.store import (
     ShardedQueryResult,
     ShardedSpatialStore,
@@ -33,16 +26,10 @@ from repro.shard.store import (
 )
 
 __all__ = [
-    "EXECUTOR_KINDS",
     "PartialResultError",
     "ResiliencePolicy",
     "ScatterStats",
-    "ProcessExecutor",
-    "SerialExecutor",
-    "ShardExecutor",
-    "ThreadExecutor",
-    "make_executor",
-    "sharded_spatial_join",
+    "run_shard_calls",
     "ZRangePartitioner",
     "ShardedQueryResult",
     "ShardedSpatialStore",

@@ -9,9 +9,9 @@ inserts by z code, and answers range queries scatter–gather style:
    keep only the shards whose owned z range overlaps one of them (the
    rest are never dispatched; the trace records them as
    ``shards_pruned``);
-2. **scatter** — run the per-shard merges through the configured
-   :class:`~repro.shard.executor.ShardExecutor` (serial, thread pool,
-   or process pool);
+2. **scatter** — run the surviving shards' merges inline, in shard
+   order, with retries and a deadline checkpoint per shard
+   (:func:`~repro.shard.scatter.run_shard_calls`);
 3. **gather** — merge the per-shard match streams back into one global
    z-ordered sequence.  Shard z ranges are disjoint and the gather heap
    is keyed by each shard's range low, so whole streams pop in order:
@@ -21,8 +21,7 @@ inserts by z code, and answers range queries scatter–gather style:
 
 Shard sub-queries run untraced (:func:`repro.obs.trace.suppress`); the
 coordinator publishes one ``shard.scatter_gather`` span with a curated
-``shard[i]`` child per dispatched shard, so traces look the same under
-every executor.
+``shard[i]`` child per dispatched shard.
 """
 
 from __future__ import annotations
@@ -30,6 +29,7 @@ from __future__ import annotations
 import heapq
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import partial
 from typing import (
     Any,
     Callable,
@@ -40,7 +40,6 @@ from typing import (
     Optional,
     Sequence,
     Tuple,
-    Union,
 )
 
 from repro.core.deadline import check_deadline
@@ -50,14 +49,13 @@ from repro.core.geometry import Box, ClassifyFn, Grid
 from repro.core.rangesearch import MergeStats
 from repro.obs.trace import current as _trace_current
 from repro.obs.trace import suppress as _trace_suppress
-from repro.shard.executor import (
-    ResiliencePolicy,
-    SerialExecutor,
-    ShardCall,
-    ShardExecutor,
-    make_executor,
-)
 from repro.shard.partition import ZRangePartitioner
+from repro.shard.scatter import (
+    ResiliencePolicy,
+    ScatterStats,
+    ShardCall,
+    run_shard_calls,
+)
 from repro.storage.buffer import ReplacementPolicy
 from repro.storage.prefix_btree import ProximityReads, QueryResult, ZkdTree
 
@@ -209,7 +207,6 @@ class ShardedSpatialStore(ProximityReads):
         order: int = 32,
         policy: ReplacementPolicy = ReplacementPolicy.LRU,
         store_factory: Optional[StoreFactory] = None,
-        executor: Union[ShardExecutor, str, None] = None,
         resilience: Optional[ResiliencePolicy] = None,
         snapshots=None,
     ) -> None:
@@ -242,19 +239,7 @@ class ShardedSpatialStore(ProximityReads):
             )
             for i in range(partitioner.nshards)
         ]
-        self._executor = self._coerce_executor(executor)
         self.resilience = resilience if resilience is not None else ResiliencePolicy()
-        self._epoch = 0
-
-    @staticmethod
-    def _coerce_executor(
-        executor: Union[ShardExecutor, str, None]
-    ) -> ShardExecutor:
-        if executor is None:
-            return SerialExecutor()
-        if isinstance(executor, str):
-            return make_executor(executor)
-        return executor
 
     @classmethod
     def build(
@@ -307,48 +292,9 @@ class ShardedSpatialStore(ProximityReads):
 
     @property
     def height(self) -> int:
-        """Worst-case index descent over the shards (descents run in
-        parallel, so the tallest shard bounds the cost)."""
+        """Worst-case index descent over the shards (a query descends
+        each dispatched shard once, so the tallest bounds any one)."""
         return max(shard.tree.height for shard in self.shards)
-
-    @property
-    def mutation_epoch(self) -> int:
-        """Bumped on every mutation; process pools key worker validity
-        off it so forked copies never serve stale data."""
-        return self._epoch
-
-    @property
-    def executor(self) -> ShardExecutor:
-        return self._executor
-
-    def set_executor(
-        self, executor: Union[ShardExecutor, str]
-    ) -> None:
-        """Swap the scatter strategy (closing the previous one)."""
-        previous = self._executor
-        self._executor = self._coerce_executor(executor)
-        if previous is not self._executor:
-            previous.close()
-
-    def reset_executor(self) -> bool:
-        """Mark the scatter pool suspect so it rebuilds on next use —
-        the overload controller's first escalation rung (a pool with
-        dead or wedged workers gets fresh ones without changing
-        strategy).  Returns whether the executor supports it."""
-        note = getattr(self._executor, "_note_broken", None)
-        if note is None:
-            return False
-        note()
-        return True
-
-    def degrade_to_serial(self) -> bool:
-        """Swap to the serial scatter strategy — the escalation of last
-        resort: byte-identical answers with no pool left to break.
-        Returns ``True`` if a swap happened."""
-        if self._executor.kind == "serial":
-            return False
-        self.set_executor("serial")
-        return True
 
     def shard_sizes(self) -> List[int]:
         return [len(shard) for shard in self.shards]
@@ -407,23 +353,17 @@ class ShardedSpatialStore(ProximityReads):
         for shard, group in zip(self.shards, self._group_by_shard(points)):
             if group:
                 shard.bulk_load(group, fill_factor)
-        self._epoch += 1
 
     def insert(self, point: Sequence[int]) -> None:
         self.shards[self.route_point(point)].insert(point)
-        self._epoch += 1
 
     def insert_many(self, points: Iterable[Sequence[int]]) -> None:
         for shard, group in zip(self.shards, self._group_by_shard(points)):
             if group:
                 shard.insert_many(group)
-        self._epoch += 1
 
     def delete(self, point: Sequence[int]) -> bool:
-        removed = self.shards[self.route_point(point)].delete(point)
-        if removed:
-            self._epoch += 1
-        return removed
+        return self.shards[self.route_point(point)].delete(point)
 
     def __len__(self) -> int:
         return sum(len(shard) for shard in self.shards)
@@ -443,25 +383,28 @@ class ShardedSpatialStore(ProximityReads):
     # Queries (scatter–gather)
     # ------------------------------------------------------------------
 
+    def _scatter(
+        self, calls: Sequence[ShardCall]
+    ) -> Tuple[List[Any], ScatterStats]:
+        """The per-shard calls, untraced (the coordinator owns the
+        span) and retried per ``self.resilience``."""
+        with _trace_suppress():
+            return run_shard_calls(calls, self.resilience)
+
     def range_query(self, box: Box) -> ShardedQueryResult:
         """Scatter the range query to overlapping shards, gather in z
         order.  Matches are byte-identical to a single store's."""
         hit = self.partitioner.prune(box_intervals(self.grid, box))
-        calls: List[ShardCall] = [
-            (shard_id, "range_query", (box,), {}) for shard_id in hit
-        ]
-        with _trace_suppress():
-            results: List[QueryResult]
-            results, stats = self._executor.map_shards_resilient(
-                self, calls, self.resilience
-            )
+        results: List[QueryResult]
+        results, stats = self._scatter(
+            [(sid, partial(self.shards[sid].range_query, box)) for sid in hit]
+        )
         out = gather_shard_results(self.partitioner, hit, results)
         trace = _trace_current()
         if trace is not None:
             span = trace.active_span.child("shard.scatter_gather")
             span.set("box", repr(box))
             span.set("nshards", self.nshards)
-            span.set("executor", self._executor.kind)
             span.add_counters(
                 {
                     "shards_hit": len(hit),
@@ -469,13 +412,11 @@ class ShardedSpatialStore(ProximityReads):
                     "rows_gathered": len(out.matches),
                 }
             )
-            # Resilience counters only appear when faults actually
+            # The resilience counter only appears when a fault actually
             # fired, so fault-free traces (and the CI trace-counter
             # baseline) are unchanged.
             if stats.retries:
                 span.add_counters({"shard.retries": stats.retries})
-            if stats.degraded:
-                span.add_counters({"shard.degraded": stats.degraded})
             for shard_id, result in zip(hit, results):
                 zlo, zhi = self.partitioner.interval(shard_id)
                 child = span.child(f"shard[{shard_id}]")
@@ -498,36 +439,31 @@ class ShardedSpatialStore(ProximityReads):
         self, intervals: Sequence[Tuple[int, int]]
     ) -> Tuple[Tuple[Point, ...], ...]:
         """Points in each inclusive z interval, one tuple per interval
-        — the residual scatter of the semantic result cache, through
-        the configured executor.  Untraced like the per-shard merges:
-        the cache front-end owns the span."""
+        — the residual scatter of the semantic result cache.  Untraced
+        like the per-shard merges: the cache front-end owns the span."""
 
         def scan(order: List[int], lists: List[Any]) -> Sequence[Any]:
-            calls: List[ShardCall] = [
-                (shard_id, "interval_query", (shard_intervals,), {})
-                for shard_id, shard_intervals in zip(order, lists)
-            ]
-            with _trace_suppress():
-                return self._executor.map_shards_resilient(
-                    self, calls, self.resilience
-                )[0]
+            return self._scatter(
+                [
+                    (sid, partial(self.shards[sid].interval_query, ivs))
+                    for sid, ivs in zip(order, lists)
+                ]
+            )[0]
 
         return scatter_intervals(self.partitioner, intervals, scan)
 
     def object_query(
         self, classify: ClassifyFn, max_depth: Optional[int] = None
     ) -> ShardedQueryResult:
-        """Range search against an arbitrary region, per shard.
-
-        Runs serially (classifier closures don't cross process
-        boundaries); every shard is dispatched — an arbitrary region
-        has no precomputed z intervals to prune against.
-        """
-        with _trace_suppress():
-            results = [
-                shard.object_query(classify, max_depth)
-                for shard in self.shards
+        """Range search against an arbitrary region, per shard.  Every
+        shard is dispatched — an arbitrary region has no precomputed z
+        intervals to prune against."""
+        results, _ = self._scatter(
+            [
+                (sid, partial(shard.object_query, classify, max_depth))
+                for sid, shard in enumerate(self.shards)
             ]
+        )
         return gather_shard_results(
             self.partitioner, list(range(self.nshards)), results
         )
@@ -537,8 +473,7 @@ class ShardedSpatialStore(ProximityReads):
     # ------------------------------------------------------------------
 
     def close(self) -> None:
-        """Shut down the executor and close file-backed shard stores."""
-        self._executor.close()
+        """Close file-backed shard stores."""
         for shard in self.shards:
             close = getattr(shard.store, "close", None)
             if close is not None:
@@ -550,21 +485,8 @@ class ShardedSpatialStore(ProximityReads):
     def __exit__(self, *exc: Any) -> None:
         self.close()
 
-    def __getstate__(self) -> Dict[str, Any]:
-        # Executors hold pools and are never needed inside a worker;
-        # replace with the inert serial strategy on the other side.
-        # Snapshot managers hold locks and stay with the coordinator.
-        state = self.__dict__.copy()
-        state["_executor"] = None
-        state["_snapshots"] = None
-        return state
-
-    def __setstate__(self, state: Dict[str, Any]) -> None:
-        self.__dict__.update(state)
-        self._executor = SerialExecutor()
-
     def __repr__(self) -> str:
         return (
             f"ShardedSpatialStore(nshards={self.nshards}, "
-            f"points={len(self)}, executor={self._executor.kind!r})"
+            f"points={len(self)})"
         )

@@ -18,7 +18,7 @@ from __future__ import annotations
 import collections
 import enum
 import threading
-from typing import Any, Dict
+from typing import Dict
 
 from repro.faults import register_site
 from repro.storage.page import Page, PageStore
@@ -187,13 +187,3 @@ class BufferManager:
         self.hits = 0
         self.misses = 0
         self.evictions = 0
-
-    def __getstate__(self) -> Dict[str, Any]:
-        # The frame-table lock cannot travel to process-pool workers.
-        state = self.__dict__.copy()
-        del state["_lock"]
-        return state
-
-    def __setstate__(self, state: Dict[str, Any]) -> None:
-        self.__dict__.update(state)
-        self._lock = threading.RLock()

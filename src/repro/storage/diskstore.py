@@ -769,20 +769,6 @@ class FilePageStore:
 
     # -- lifecycle ---------------------------------------------------------
 
-    def reopen(self) -> None:
-        """Replace the file handle with a fresh one on the same path.
-
-        A forked worker process inherits the parent's handle *and its
-        shared file offset*; concurrent seek+read from both sides would
-        race.  The sharded executors call this in each worker so every
-        process reads through a private descriptor.
-        """
-        if not self._file.closed:
-            self._file.close()
-        self._file = open(self.path, "r+b", buffering=0)
-        if self._wal is not None:
-            self._wal.reopen()
-
     def simulate_crash(self) -> None:
         """Abandon the store the way ``kill -9`` would: drop the raw
         handles with *no* header flush, fsync, or rollback.  The files
@@ -796,19 +782,6 @@ class FilePageStore:
             self._file.close()
         if self._wal is not None:
             self._wal.close()
-
-    def __getstate__(self) -> Dict[str, Any]:
-        # Spawn-style process pools pickle the store; the handles cannot
-        # travel, so ship everything else and reopen on arrival.
-        state = self.__dict__.copy()
-        del state["_file"]
-        state["_wal"] = None  # workers are read-only; no log needed
-        state["_versions"] = None  # version maps hold locks; local only
-        return state
-
-    def __setstate__(self, state: Dict[str, Any]) -> None:
-        self.__dict__.update(state)
-        self._file = open(self.path, "r+b", buffering=0)
 
     def sync(self) -> None:
         """Flush to the OS and ask for durability."""

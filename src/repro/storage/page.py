@@ -225,13 +225,6 @@ class PageStore:
                 return page
         raise KeyError(f"page {page_id} has no image at epoch {epoch}")
 
-    def __getstate__(self) -> Dict[str, Any]:
-        # Version maps hold locks and a manager reference; a pickled
-        # store (process-pool workers) is read-only and unversioned.
-        state = self.__dict__.copy()
-        state["_versions"] = None
-        return state
-
     def io_stats(self) -> Dict[str, int]:
         """Snapshot of the physical I/O counters; query traces diff two
         snapshots to attribute I/O to one query."""

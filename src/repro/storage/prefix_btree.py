@@ -212,7 +212,7 @@ class LeafChainReads(ProximityReads):
         one tuple per interval — the residual-scan primitive of the
         semantic result cache.  Intervals must be ascending and
         disjoint.  Deliberately untraced: the cache front-end owns the
-        span so counters stay invariant across executors."""
+        span."""
         return scan_intervals(self.cursor(), intervals)
 
     def points(self) -> List[Point]:
@@ -504,14 +504,6 @@ class ZkdTree(LeafChainReads):
         """Reclamation hook: drop index captures for unpinned epochs."""
         for epoch in [e for e in self._index_snapshots if e not in keep]:
             del self._index_snapshots[epoch]
-
-    def __getstate__(self) -> Dict[str, object]:
-        # Managers hold locks and per-process state; a pickled tree
-        # (process-pool workers) serves live reads only.
-        state = self.__dict__.copy()
-        state["_snapshots"] = None
-        state["_index_snapshots"] = {}
-        return state
 
     # ------------------------------------------------------------------
     # Figure 6 introspection

@@ -38,7 +38,7 @@ from __future__ import annotations
 import os
 import struct
 import zlib
-from typing import Any, BinaryIO, Dict, Iterator, List, Optional, Tuple
+from typing import BinaryIO, Dict, Iterator, List, Optional, Tuple
 
 from repro.faults import FaultInjector, register_site
 
@@ -201,24 +201,9 @@ class WriteAheadLog:
     def sync(self) -> None:
         os.fsync(self._file.fileno())
 
-    def reopen(self) -> None:
-        """Fresh handle on the same path (forked workers)."""
-        if not self._file.closed:
-            self._file.close()
-        self._file = open(self.path, "r+b", buffering=0)
-
     def close(self) -> None:
         if not self._file.closed:
             self._file.close()
-
-    def __getstate__(self) -> Dict[str, Any]:
-        state = self.__dict__.copy()
-        del state["_file"]
-        return state
-
-    def __setstate__(self, state: Dict[str, Any]) -> None:
-        self.__dict__.update(state)
-        self._file = open(self.path, "r+b", buffering=0)
 
     def __repr__(self) -> str:
         return f"WriteAheadLog({self.path!r})"

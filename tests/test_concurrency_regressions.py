@@ -17,7 +17,6 @@ structure on the read path.  Each fix here gets a pinned regression:
 from __future__ import annotations
 
 import os
-import pickle
 import threading
 
 import pytest
@@ -112,17 +111,6 @@ class TestBufferLocking:
 
         errors = _hammer(4, churn)
         assert errors == []
-
-    def test_pickle_roundtrip_recreates_lock(self):
-        store = PageStore(page_capacity=4)
-        page = store.allocate()
-        store.write(page)
-        buffer = BufferManager(store, capacity=2)
-        buffer.get(page.page_id)
-        clone = pickle.loads(pickle.dumps(buffer))
-        # The clone has a fresh, working lock.
-        assert clone.get(page.page_id).page_id == page.page_id
-        assert clone.hits + clone.misses >= 1
 
 
 class TestBufferStatsDelta:
@@ -228,26 +216,6 @@ class TestReclaimVsFreshPin:
         finally:
             manager.unpin(state["epoch"])
         assert manager.leak_stats()["cow.live_page_versions"] == 0
-
-
-class TestSnapshotPickling:
-    def test_versioned_tree_pickles_without_manager(self):
-        from repro.concurrency import SnapshotManager
-
-        manager = SnapshotManager()
-        tree = ZkdTree(GRID, page_capacity=4, snapshots=manager)
-        tree.insert_many([(i, i) for i in range(16)])
-        epoch = manager.pin()
-        try:
-            clone = pickle.loads(pickle.dumps(tree))
-        finally:
-            manager.unpin(epoch)
-        # The clone dropped manager wiring (process-pool workers only
-        # run live queries) but kept the data.
-        assert clone._snapshots is None
-        assert clone._index_snapshots == {}
-        assert clone.store._versions is None
-        assert clone.points() == tree.points()
 
 
 class TestAbortedGroupCommit:

@@ -41,7 +41,7 @@ _SHRINK = _INSERTS[:4] + _BATCH + _INITIAL[2:14]
 
 #: The matrix covers every site on the durable write path.  Read sites
 #: are detection (ChecksumError), not recovery, and are covered in
-#: test_durability.py; ``shard.worker`` belongs to the executor sweep.
+#: test_durability.py.
 WRITE_SITES = (
     "wal.append",
     "diskstore.page_write",

@@ -1,29 +1,28 @@
-"""Fault-tolerant scatter–gather: retries, timeouts, dead workers,
-graceful degradation, and the typed partial-result failure.
+"""Fault-tolerant scatter–gather: retries, deadlines, and the typed
+partial-result failure.
 
-Worker faults are injected at the ``shard.worker`` failpoint.  The
-contract under test: a query that hits worker failures must either
-return results byte-identical to the fault-free run (after retries
-and/or serial degradation) or raise :class:`PartialResultError` — never
+The contract under test: a query that hits a failing shard must either
+return results byte-identical to the fault-free run (after retries) or
+raise :class:`PartialResultError` / :class:`DeadlineExceeded` — never
 hang, never return a silently short answer.
 """
 
+import time
+
 import pytest
 
-from repro.core.geometry import Box, Grid
-from repro.faults import FaultError, FaultInjector
+from repro.core.deadline import Deadline, DeadlineExceeded, deadline_scope
+from repro.core.geometry import Box, Grid, box_classifier
+from repro.faults import FaultInjector
 from repro.obs.trace import trace
 from repro.shard import (
     PartialResultError,
     ResiliencePolicy,
     ScatterStats,
     ShardedSpatialStore,
+    run_shard_calls,
 )
-from repro.shard.executor import (
-    ProcessExecutor,
-    SerialExecutor,
-    ThreadExecutor,
-)
+from repro.storage.diskstore import FilePageStore
 
 GRID = Grid(ndims=2, depth=5)
 BOX = Box(((2, 29), (3, 27)))
@@ -33,203 +32,148 @@ FAST = ResiliencePolicy(max_retries=2, backoff_base=0.001)
 
 
 @pytest.fixture
-def serial_matches():
-    store = ShardedSpatialStore.build(GRID, POINTS, nshards=4)
-    try:
-        return store.range_query(BOX).matches
-    finally:
-        store.close()
-
-
-def _build(executor, resilience=FAST):
+def clean_matches():
     return ShardedSpatialStore.build(
-        GRID, POINTS, nshards=4, executor=executor, resilience=resilience
+        GRID, POINTS, nshards=4
+    ).range_query(BOX).matches
+
+
+def _build(resilience=FAST):
+    return ShardedSpatialStore.build(
+        GRID, POINTS, nshards=4, resilience=resilience
     )
 
 
+def _flaky(method, failures):
+    """``method`` failing its first ``failures`` calls with IOError."""
+    state = {"n": 0}
+
+    def call(*args, **kwargs):
+        if state["n"] < failures:
+            state["n"] += 1
+            raise IOError("transient")
+        return method(*args, **kwargs)
+
+    return call
+
+
+def _broken(*args, **kwargs):
+    raise IOError("dead shard")
+
+
 class TestSerialRetries:
-    def test_transient_error_is_retried(self, serial_matches):
-        store = _build(SerialExecutor())
-        failures = {"n": 0}
-        original = store.shards[1].range_query
-
-        def flaky(*args, **kwargs):
-            if failures["n"] < 2:
-                failures["n"] += 1
-                raise IOError("transient")
-            return original(*args, **kwargs)
-
-        store.shards[1].range_query = flaky
-        try:
-            result = store.range_query(BOX)
-            assert result.matches == serial_matches
-        finally:
-            store.close()
+    def test_transient_error_is_retried(self, clean_matches):
+        store = _build()
+        store.shards[1].range_query = _flaky(store.shards[1].range_query, 2)
+        assert store.range_query(BOX).matches == clean_matches
 
     def test_persistent_error_raises_partial_result(self):
-        store = _build(SerialExecutor())
+        store = _build()
+        store.shards[1].range_query = _broken
+        with pytest.raises(PartialResultError) as exc_info:
+            store.range_query(BOX)
+        assert set(exc_info.value.failures) == {1}
+        assert exc_info.value.results  # other shards answered
+        assert exc_info.value.stats.retries == FAST.max_retries
 
-        def broken(*args, **kwargs):
-            raise IOError("dead shard")
+    def test_clean_run_has_clean_stats(self):
+        store = _build()
+        results, stats = run_shard_calls(
+            [
+                (i, lambda shard=shard: shard.range_query(BOX))
+                for i, shard in enumerate(store.shards)
+            ],
+            FAST,
+        )
+        assert stats == ScatterStats()
+        assert len(results) == 4
 
-        store.shards[1].range_query = broken
-        try:
-            with pytest.raises(PartialResultError) as exc_info:
+    def test_object_query_retries_transient_error(self):
+        store = _build()
+        classify = box_classifier(BOX)
+        expected = store.object_query(classify).matches
+        store.shards[2].object_query = _flaky(
+            store.shards[2].object_query, 1
+        )
+        assert store.object_query(classify).matches == expected
+
+    def test_object_query_honours_expired_deadline(self):
+        store = _build()
+        with deadline_scope(Deadline(0.0)):
+            with pytest.raises(DeadlineExceeded) as exc_info:
+                store.object_query(box_classifier(BOX))
+        assert exc_info.value.site == "shard.scatter"
+
+
+class TestDeadline:
+    def test_backoff_never_sleeps_past_the_deadline(self):
+        # A second of backoff against 30 ms of budget: the retry must
+        # surface the deadline at the budget, not a backoff later.
+        store = _build(ResiliencePolicy(max_retries=2, backoff_base=1.0))
+        store.shards[1].range_query = _broken
+        started = time.monotonic()
+        with deadline_scope(Deadline(0.03)):
+            with pytest.raises(DeadlineExceeded):
                 store.range_query(BOX)
-            assert set(exc_info.value.failures) == {1}
-            assert exc_info.value.results  # other shards answered
-        finally:
-            store.close()
+        assert time.monotonic() - started < 0.3
 
 
-class TestThreadFaults:
-    def test_injected_error_retried_byte_identical(self, serial_matches):
+class TestFailpoint:
+    def test_page_read_error_retried_byte_identical(self, tmp_path):
+        # A real I/O fault, not a monkeypatch: shard 1's file store
+        # fails one page read; the scatter retries that shard and the
+        # gathered rows are byte-identical to the fault-free run.
         inj = FaultInjector(seed=1)
-        inj.rule("shard.worker", "error", where={"shard": 1})
-        store = _build(ThreadExecutor(2, faults=inj))
-        try:
-            result = store.range_query(BOX)
-            assert result.matches == serial_matches
-            assert any(e.site == "shard.worker" for e in inj.fired)
-        finally:
-            store.close()
+        points = [((5 * i) % 32, (7 * i + 2) % 32) for i in range(400)]
 
-    def test_persistent_error_degrades_to_serial(self, serial_matches):
-        inj = FaultInjector(seed=2)
-        inj.rule("shard.worker", "error", times=-1, where={"shard": 2})
-        store = _build(ThreadExecutor(2, faults=inj))
-        try:
-            results, stats = store.executor.map_shards_resilient(
-                store,
-                [(i, "range_query", (BOX,), {}) for i in range(4)],
-                FAST,
+        def factory(i):
+            return FilePageStore(
+                str(tmp_path / f"shard{i}.zkd"),
+                page_capacity=4,
+                faults=inj if i == 1 else None,
             )
-            assert stats.retries >= FAST.max_retries
-            assert stats.degraded == 1
-            assert not stats.failures
-            # Degraded results are computed inline on the same shards:
-            # the gathered answer is byte-identical.
-            result = store.range_query(BOX)
-            assert result.matches == serial_matches
-        finally:
-            store.close()
 
-    def test_no_degradation_raises_partial_result(self):
-        inj = FaultInjector(seed=3)
-        inj.rule("shard.worker", "error", times=-1, where={"shard": 0})
-        policy = ResiliencePolicy(
-            max_retries=1, backoff_base=0.001, degrade_serial=False
-        )
-        store = _build(ThreadExecutor(2, faults=inj), resilience=policy)
-        try:
-            with pytest.raises(PartialResultError) as exc_info:
-                store.range_query(BOX)
-            assert set(exc_info.value.failures) == {0}
-        finally:
-            store.close()
-
-    def test_timeout_triggers_retry(self, serial_matches):
-        inj = FaultInjector(seed=4)
-        inj.rule(
-            "shard.worker", "latency", delay=1.0, where={"shard": 1}
-        )
-        policy = ResiliencePolicy(
-            max_retries=2, backoff_base=0.001, timeout=0.1
-        )
-        store = _build(ThreadExecutor(2, faults=inj), resilience=policy)
-        try:
-            results, stats = store.executor.map_shards_resilient(
-                store,
-                [(i, "range_query", (BOX,), {}) for i in range(4)],
-                policy,
-            )
-            assert stats.retries >= 1  # the hung attempt was abandoned
-            assert not stats.failures
-        finally:
-            store.close()
-
-    def test_clean_run_has_clean_stats(self, serial_matches):
-        store = _build(ThreadExecutor(2))
-        try:
-            results, stats = store.executor.map_shards_resilient(
-                store,
-                [(i, "range_query", (BOX,), {}) for i in range(4)],
-                FAST,
-            )
-            assert stats.clean
-        finally:
-            store.close()
-
-
-@pytest.mark.chaos
-class TestProcessWorkerDeath:
-    def test_worker_crash_degrades_byte_identical(self, serial_matches):
-        # The crash rule makes the worker genuinely _exit: the pool
-        # breaks, rebuilds re-fork from the coordinator (whose rule
-        # never advanced), so every retry dies too — the call must
-        # degrade to serial re-execution and still match byte-for-byte.
-        inj = FaultInjector(seed=5)
-        inj.rule("shard.worker", "crash", times=-1, where={"shard": 1})
-        store = _build(ProcessExecutor(2, faults=inj))
-        try:
+        with ShardedSpatialStore.build(
+            GRID,
+            points,
+            nshards=4,
+            page_capacity=4,
+            buffer_frames=1,
+            store_factory=factory,
+            resilience=FAST,
+        ) as store:
+            clean = store.range_query(BOX).matches
+            inj.rule("diskstore.page_read", "error")
             with trace("q") as t:
                 result = store.range_query(BOX)
-            assert result.matches == serial_matches
-            counters = t.total_counters()
-            assert counters.get("shard.retries", 0) >= 1
-            assert counters.get("shard.degraded", 0) >= 1
-        finally:
-            store.close()
-
-    def test_healthy_pool_reused_after_recovery(self, serial_matches):
-        inj = FaultInjector(seed=6)
-        inj.rule("shard.worker", "crash", where={"shard": 0})
-        store = _build(ProcessExecutor(2, faults=inj))
-        try:
-            first = store.range_query(BOX)
-            assert first.matches == serial_matches
-            # Second query: the rule is spent in the coordinator's
-            # injector... but workers get pickled copies, so arm state
-            # travels per rebuild; a clean query must still succeed.
-            second = store.range_query(BOX)
-            assert second.matches == serial_matches
-        finally:
-            store.close()
+        assert [e.site for e in inj.fired] == ["diskstore.page_read"]
+        assert result.matches == clean
+        assert t.find("shard.scatter_gather").counters["shard.retries"] == 1
 
 
 class TestTraceCounters:
-    def test_retry_counter_surfaces_in_trace(self, serial_matches):
-        inj = FaultInjector(seed=7)
-        inj.rule("shard.worker", "error", where={"shard": 1})
-        store = _build(ThreadExecutor(2, faults=inj))
-        try:
-            with trace("q") as t:
-                result = store.range_query(BOX)
-            assert result.matches == serial_matches
-            span = t.find("shard.scatter_gather")
-            assert span is not None
-            assert span.counters.get("shard.retries") == 1
-            assert "shard.degraded" not in span.counters
-        finally:
-            store.close()
+    def test_retry_counter_surfaces_in_trace(self, clean_matches):
+        store = _build()
+        store.shards[1].range_query = _flaky(store.shards[1].range_query, 1)
+        with trace("q") as t:
+            result = store.range_query(BOX)
+        assert result.matches == clean_matches
+        span = t.find("shard.scatter_gather")
+        assert span is not None
+        assert span.counters.get("shard.retries") == 1
 
     def test_clean_query_publishes_no_resilience_counters(self):
         # The committed trace-counter baseline must not change: the
-        # counters exist only when faults actually fired.
-        store = _build(ThreadExecutor(2))
-        try:
-            with trace("q") as t:
-                store.range_query(BOX)
-            counters = t.total_counters()
-            assert "shard.retries" not in counters
-            assert "shard.degraded" not in counters
-        finally:
-            store.close()
+        # counter exists only when a fault actually fired.
+        store = _build()
+        with trace("q") as t:
+            store.range_query(BOX)
+        assert "shard.retries" not in t.total_counters()
 
 
 class TestPartialResultShape:
     def test_carries_failures_results_and_stats(self):
-        stats = ScatterStats(retries=3, degraded=0)
+        stats = ScatterStats(retries=3)
         stats.failures[2] = IOError("boom")
         err = PartialResultError(
             dict(stats.failures), {0: "a", 1: "b"}, stats

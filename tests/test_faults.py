@@ -1,13 +1,10 @@
 """Unit tests for the failpoint framework (:mod:`repro.faults`).
 
-The crash matrix and executor sweeps build on these primitives, so the
+The crash matrix and the scatter-fault tests build on these primitives, so the
 primitives themselves get direct coverage: site registry, rule
 matching (`at` / `times` / `where` / `probability`), each fault kind's
-write/read semantics, determinism under a fixed seed, and pickling
-(process-pool workers receive the coordinator's injector).
+write/read semantics, and determinism under a fixed seed.
 """
-
-import pickle
 
 import pytest
 
@@ -22,9 +19,8 @@ from repro.faults import (
     site_kind,
 )
 
-# The storage/shard modules register their sites at import time; the
+# The storage modules register their sites at import time; the
 # registry tests assert against them.
-import repro.shard.executor  # noqa: F401
 import repro.storage.buffer  # noqa: F401
 import repro.storage.diskstore  # noqa: F401
 
@@ -41,7 +37,6 @@ class TestRegistry:
             "diskstore.header_write",
             "diskstore.free_write",
             "buffer.writeback",
-            "shard.worker",
         ):
             assert expected in sites
 
@@ -238,25 +233,10 @@ class TestDeterminism:
         assert outs[0] != outs[1]
 
 
-class TestPickling:
-    def test_round_trip_keeps_rules_drops_fired(self):
-        inj = FaultInjector(seed=7)
-        inj.rule("p.site", "error", at=1, times=2)
-        with pytest.raises(FaultError):
-            inj.hit("p.site")
-        clone = pickle.loads(pickle.dumps(inj))
-        assert clone.seed == 7
-        assert clone.fired == []
-        # Rule state (fired counts) travels: one firing remains.
-        with pytest.raises(FaultError):
-            clone.hit("p.site")
-        clone.hit("p.site")
-
-
 class TestParseRule:
     def test_minimal(self):
-        assert parse_rule("shard.worker:crash") == {
-            "site": "shard.worker",
+        assert parse_rule("wal.commit:crash") == {
+            "site": "wal.commit",
             "kind": "crash",
         }
 
@@ -270,8 +250,8 @@ class TestParseRule:
 
     def test_empty_segment_keeps_default(self):
         # "every hit" without pinning the first: site:kind::-1
-        assert parse_rule("shard.worker:crash::-1") == {
-            "site": "shard.worker",
+        assert parse_rule("wal.commit:crash::-1") == {
+            "site": "wal.commit",
             "kind": "crash",
             "times": -1,
         }

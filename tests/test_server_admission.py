@@ -28,7 +28,7 @@ from repro.server import (
     QuotaExceeded,
     serve,
 )
-from repro.shard.executor import ResiliencePolicy
+from repro.shard.scatter import ResiliencePolicy
 from repro.workloads.datasets import make_dataset
 
 GRID = Grid(ndims=2, depth=6)

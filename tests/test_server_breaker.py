@@ -1,5 +1,5 @@
 """Circuit breaking and overload control: the state machine on a fake
-clock, honest retry-after math, escalation, and the end-to-end path
+clock, honest retry-after math, and the end-to-end path
 where a failing dispatch backend trips the breaker, sheds with the
 typed ``breaker`` reason, and surfaces in ``/stats``.
 """
@@ -22,7 +22,7 @@ from repro.server.breaker import (
     HealthWindow,
     OverloadController,
 )
-from repro.shard.executor import ResiliencePolicy
+from repro.shard.scatter import ResiliencePolicy
 
 GRID = Grid(ndims=2, depth=6)
 
@@ -172,39 +172,6 @@ def test_controller_sheds_with_honest_retry_after():
     assert counters["breaker.state.other"] == 0
     assert counters["breaker.open_now"] == 1
     assert ctl.open_now() == ["idx"]
-
-
-def test_controller_escalates_repeated_trips():
-    clock = FakeClock()
-    calls = []
-    ctl = OverloadController(
-        min_samples=2,
-        reset_timeout=1.0,
-        escalate_after=2,
-        escalate=lambda key, opens: calls.append((key, opens)),
-        clock=clock,
-    )
-    ctl.record("idx", False, 0.1)
-    ctl.record("idx", False, 0.1)  # first open: below escalate_after
-    assert calls == []
-    clock.now = 1.1
-    assert ctl.breaker("idx").allow()
-    ctl.record("idx", False, 0.1)  # probe fails -> second open
-    assert calls == [("idx", 2)]
-    clock.now = 2.2
-    assert ctl.breaker("idx").allow()
-    ctl.record("idx", False, 0.1)  # third open
-    assert calls == [("idx", 2), ("idx", 3)]
-    assert ctl.stats["breaker.escalations"] == 2
-    # A broken escalation callback is swallowed, not fatal.
-    ctl2 = OverloadController(
-        min_samples=1,
-        escalate_after=1,
-        escalate=lambda key, opens: 1 / 0,
-        clock=clock,
-    )
-    ctl2.record("idx", False, 0.1)
-    assert ctl2.breaker("idx").state == "open"
 
 
 # ----------------------------------------------------------------------

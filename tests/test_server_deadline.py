@@ -32,7 +32,7 @@ from repro.server import (
     DeadlineExpired,
     QueryService,
 )
-from repro.shard.executor import ResiliencePolicy, SerialExecutor
+from repro.shard.scatter import ResiliencePolicy, run_shard_calls
 
 GRID = Grid(ndims=2, depth=6)
 
@@ -137,17 +137,13 @@ def test_scan_intervals_aborts_cooperatively():
 
 
 def test_serial_scatter_honours_active_deadline():
-    executor = SerialExecutor()
-
-    class OneShardStore:
-        def shard_ids(self):
-            return [0]
-
+    calls = []
     with deadline_scope(Deadline(0.0, clock=FakeClock(0.0))):
         with pytest.raises(DeadlineExceeded):
-            executor.map_shards_resilient(
-                OneShardStore(), [(0, "range_query", (), {})]
+            run_shard_calls(
+                [(0, lambda: calls.append(0))], ResiliencePolicy()
             )
+    assert calls == []  # aborted at the checkpoint, before the shard
 
 
 # ----------------------------------------------------------------------

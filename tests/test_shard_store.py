@@ -1,9 +1,9 @@
-"""Integration tests for the sharded spatial store and its executors.
+"""Integration tests for the sharded spatial store.
 
 Everything here checks one of three promises: (1) results are identical
-to the single-store path regardless of executor, (2) shards that cannot
-contribute are pruned before dispatch, (3) the trace/EXPLAIN surface
-reports per-shard actuals the same way under every executor.
+to the single-store path, (2) shards that cannot contribute are pruned
+before dispatch, (3) the trace/EXPLAIN surface reports per-shard
+actuals.
 """
 
 import random
@@ -15,14 +15,7 @@ from repro.core.rangesearch import range_search_bigmin
 from repro.db import INTEGER, OID, Schema, SpatialDatabase
 from repro.db.statistics import estimate_matches, estimate_pages
 from repro.obs import format_trace, trace
-from repro.shard import (
-    ProcessExecutor,
-    SerialExecutor,
-    ShardedSpatialStore,
-    ThreadExecutor,
-    ZRangePartitioner,
-    make_executor,
-)
+from repro.shard import ShardedSpatialStore, ZRangePartitioner
 from repro.storage.btree import BTreeCursor
 from repro.storage.diskstore import FilePageStore
 from repro.storage.prefix_btree import ZkdTree
@@ -67,9 +60,7 @@ def test_len_contains_delete(grid64, rng):
     store = ShardedSpatialStore.build(grid64, pts, nshards=4)
     assert len(store) == len(pts)
     assert pts[0] in store
-    epoch = store.mutation_epoch
     assert store.delete(pts[0])
-    assert store.mutation_epoch == epoch + 1
     assert len(store) == len(pts) - 1
     assert not store.delete((grid64.side - 1, grid64.side - 1)) or True
     # points() stays globally z-ordered after the delete
@@ -176,76 +167,11 @@ def test_object_and_proximity_queries(loaded, grid64):
 
 
 # ----------------------------------------------------------------------
-# Executors
-# ----------------------------------------------------------------------
-
-
-@pytest.mark.parametrize("kind", ["serial", "thread", "process"])
-def test_executors_identical_results(loaded, rng, grid64, kind):
-    _, single, store = loaded
-    store.set_executor(kind)
-    try:
-        for _ in range(5):
-            box = random_box(rng, grid64)
-            assert (
-                store.range_query(box).matches
-                == single.range_query(box).matches
-            )
-    finally:
-        store.set_executor("serial")
-
-
-def test_make_executor_factory():
-    assert isinstance(make_executor("serial"), SerialExecutor)
-    assert isinstance(make_executor("thread"), ThreadExecutor)
-    assert isinstance(make_executor("process"), ProcessExecutor)
-    with pytest.raises(ValueError):
-        make_executor("gpu")
-
-
-def test_process_pool_sees_mutations(grid64, rng):
-    pts = random_points(rng, grid64, 300)
-    store = ShardedSpatialStore.build(
-        grid64, pts, nshards=2, executor="process"
-    )
-    try:
-        everything = Box(((0, grid64.side - 1), (0, grid64.side - 1)))
-        before = store.range_query(everything).nmatches
-        new_point = next(
-            p
-            for p in (
-                (x, y)
-                for x in range(grid64.side)
-                for y in range(grid64.side)
-            )
-            if p not in set(pts)
-        )
-        store.insert(new_point)  # bumps the epoch -> pool rebuilt
-        assert store.range_query(everything).nmatches == before + 1
-    finally:
-        store.close()
-
-
-def test_store_pickles_without_executor(loaded):
-    import pickle
-
-    _, _, store = loaded
-    store.set_executor("thread")
-    try:
-        clone = pickle.loads(pickle.dumps(store))
-        assert clone.executor.kind == "serial"
-        assert clone.points() == store.points()
-    finally:
-        store.set_executor("serial")
-
-
-# ----------------------------------------------------------------------
 # File-backed shards
 # ----------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("kind", ["serial", "process"])
-def test_file_backed_shards(tmp_path, grid64, rng, kind):
+def test_file_backed_shards(tmp_path, grid64, rng):
     pts = random_points(rng, grid64, 400)
     single = ZkdTree(grid64)
     single.bulk_load(pts)
@@ -256,7 +182,6 @@ def test_file_backed_shards(tmp_path, grid64, rng, kind):
         store_factory=lambda i: FilePageStore(
             str(tmp_path / f"shard{i}.zkd"), page_capacity=20
         ),
-        executor=kind,
     )
     try:
         for _ in range(5):
@@ -269,51 +194,22 @@ def test_file_backed_shards(tmp_path, grid64, rng, kind):
         store.close()
 
 
-def test_filestore_reopen_and_pickle(tmp_path):
-    store = FilePageStore(str(tmp_path / "t.zkd"), page_capacity=4)
-    page = store.allocate()
-    page.records.append((7, (1, 2)))
-    store.write(page)
-    store.reopen()
-    assert store.read(page.page_id).records == [(7, (1, 2))]
-    import pickle
-
-    clone = pickle.loads(pickle.dumps(store))
-    assert clone.read(page.page_id).records == [(7, (1, 2))]
-    clone.close()
-    store.close()
-
-
 # ----------------------------------------------------------------------
 # Tracing and EXPLAIN
 # ----------------------------------------------------------------------
 
 
-def _scatter_span(loaded_store, box, kind):
-    loaded_store.set_executor(kind)
-    try:
-        with trace("q") as t:
-            loaded_store.range_query(box)
-    finally:
-        loaded_store.set_executor("serial")
-    assert t is not None
+def test_scatter_span_has_one_child_per_dispatched_shard(loaded):
+    _, _, store = loaded
+    with trace("q") as t:
+        store.range_query(Box(((2, 30), (2, 30))))
     span = t.find("shard.scatter_gather")
     assert span is not None
-    return t, span
-
-
-@pytest.mark.parametrize("kind", ["serial", "thread", "process"])
-def test_trace_counters_identical_across_executors(loaded, kind):
-    _, _, store = loaded
-    box = Box(((2, 30), (2, 30)))
-    serial_trace, _ = _scatter_span(store, box, "serial")
-    t, span = _scatter_span(store, box, kind)
     assert span.counters["shards_hit"] >= 1
     assert (
         span.counters["shards_hit"] + span.counters["shards_pruned"]
         == store.nshards
     )
-    assert t.total_counters() == serial_trace.total_counters()
     # One curated child per dispatched shard, nothing leaked from the
     # suppressed per-shard sub-queries.
     children = [c.name for c in span.children]
@@ -373,6 +269,18 @@ def test_database_sharded_index_path(grid64, rng):
     assert (6, 6) in entry.tree
     stats = db_sharded.range_query_stats("pts", ("x", "y"), box)
     assert stats.shards_hit
+
+
+def test_create_index_takes_the_ledgers_executor_literal(grid64, rng):
+    # benchmarks/ledger/workloads.py passes executor="serial" and reads
+    # a TypeError as "no sharding": the literal must keep building the
+    # sharded index, and any other value must fail as a ValueError.
+    pts = random_points(rng, grid64, 300)
+    _, entry = _seeded_db(grid64, pts, shards=4, executor="serial")
+    assert entry.tree.nshards == 4
+    assert entry.tree.range_query(Box(((3, 27), (5, 33)))).shards_hit
+    with pytest.raises(ValueError):
+        _seeded_db(grid64, pts, shards=4, executor="process")
 
 
 def test_sharded_estimates_close_to_single(grid64, rng):
