@@ -48,7 +48,7 @@ def _session_workload(depth, nrows, seed):
     side = grid.side
     rng = random.Random(seed)
     schema = Schema.of(("id@", OID), ("x", INTEGER), ("y", INTEGER))
-    db = SpatialDatabase(grid, page_capacity=32, concurrency=True)
+    db = SpatialDatabase(grid, page_capacity=32)
     db.create_table("pts", schema)
     db.insert_many(
         "pts",

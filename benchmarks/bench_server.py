@@ -56,9 +56,7 @@ BASELINE = pathlib.Path(__file__).parent / "baselines" / "server_latency.json"
 
 def build_database(npoints=NPOINTS, depth=DEPTH, seed=SEED, shards=6):
     grid = Grid(ndims=2, depth=depth)
-    db = SpatialDatabase(
-        grid, page_capacity=CAPACITY, concurrency=True, cache=False
-    )
+    db = SpatialDatabase(grid, page_capacity=CAPACITY, cache=False)
     db.create_table(
         "points", Schema.of(("id@", OID), ("x", INTEGER), ("y", INTEGER))
     )

@@ -380,8 +380,8 @@ class QueryResultCache:
         commit ``epoch`` and mark every overlapping live entry dead as
         of that epoch.  Returns the number of entries invalidated.
 
-        Without a snapshot manager ``epoch`` may be ``None``: the
-        internal clock bumps by one, giving plain databases the same
+        Without a snapshot manager (a standalone cache) ``epoch`` may
+        be ``None``: the internal clock bumps by one, with the same
         monotone epoch semantics.
         """
         codes = tuple(dirty_codes)
@@ -485,7 +485,7 @@ def cached_range_matches(
     ``interval_query(intervals)`` — a live :class:`~repro.storage.
     prefix_btree.ZkdTree`, a :class:`~repro.shard.store.
     ShardedSpatialStore`, or their snapshot views — so the same cache
-    front-end serves plain databases, sharded indexes and pinned
+    front-end serves live reads, sharded indexes and pinned
     sessions.  ``epoch`` pins the read (a session's snapshot epoch);
     ``None`` reads the newest committed state.  Whether the box is
     decomposed at all is :meth:`QueryResultCache.lookup`'s call: a

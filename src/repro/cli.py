@@ -370,11 +370,9 @@ def _cmd_query(args, out) -> None:
 
     grid = Grid(ndims=2, depth=args.depth)
     side = grid.side
-    nsessions = getattr(args, "sessions", 0)
     db = SpatialDatabase(
         grid,
         page_capacity=args.capacity,
-        concurrency=nsessions > 0,
         cache=getattr(args, "cache", False),
     )
     db.create_table(
@@ -400,7 +398,7 @@ def _cmd_query(args, out) -> None:
         )
     window = Box(((side // 8, 3 * side // 8), (side // 8, 3 * side // 8)))
 
-    if nsessions > 0:
+    if getattr(args, "sessions", 0) > 0:
         _run_concurrent_sessions(db, window, args, out)
         return
 
@@ -511,11 +509,7 @@ def _cmd_sql(args, out) -> int:
 
     grid = Grid(ndims=2, depth=args.depth)
     side = grid.side
-    db = SpatialDatabase(
-        grid,
-        page_capacity=args.capacity,
-        concurrency=args.sessions > 0,
-    )
+    db = SpatialDatabase(grid, page_capacity=args.capacity)
     db.create_table(
         "points", Schema.of(("id@", OID), ("x", INTEGER), ("y", INTEGER))
     )
@@ -524,9 +518,7 @@ def _cmd_sql(args, out) -> int:
         "points",
         [(f"p{i}", x, y) for i, (x, y) in enumerate(dataset.points)],
     )
-    entry = db.create_index(
-        "points_xy", "points", ("x", "y"), shards=args.shards
-    )
+    db.create_index("points_xy", "points", ("x", "y"), shards=args.shards)
     rng = random.Random(args.seed + 1)
     extent = max(2, side // 16)
     for table, prefix in (("regions", "r"), ("zones", "z")):
@@ -579,43 +571,39 @@ def _cmd_sql(args, out) -> int:
         return "rows", compiled.run(target), None
 
     try:
-        try:
-            if args.sessions > 0:
-                sessions = [db.session() for _ in range(args.sessions)]
-                try:
-                    # A burst of writes after the snapshots are taken:
-                    # every session must still see identical rows.
-                    db.insert_many(
-                        "points",
-                        [
-                            (f"late{i}", i % side, (3 * i) % side)
-                            for i in range(64)
-                        ],
-                    )
-                    results = [run_one(s) for s in sessions]
-                finally:
-                    for s in sessions:
-                        s.close()
-                mode, relation, text = results[0]
-                if mode == "rows":
-                    rows = relation.rows
-                    for i, (_, other, _) in enumerate(results[1:], 1):
-                        if other.rows != rows:
-                            raise AssertionError(
-                                f"session {i} disagreed with session 0"
-                            )
-                    out.write(
-                        f"{args.sessions} snapshot sessions agreed "
-                        f"({len(rows)} row(s) each, writer ignored)\n"
-                    )
-            else:
-                mode, relation, text = run_one()
-        except SqlError as err:
-            out.write(err.annotate(source) + "\n")
-            return 2
-    finally:
-        if getattr(entry.tree, "partitioner", None) is not None:
-            entry.tree.close()
+        if args.sessions > 0:
+            sessions = [db.session() for _ in range(args.sessions)]
+            try:
+                # A burst of writes after the snapshots are taken: every
+                # session must still see identical rows.
+                db.insert_many(
+                    "points",
+                    [
+                        (f"late{i}", i % side, (3 * i) % side)
+                        for i in range(64)
+                    ],
+                )
+                results = [run_one(s) for s in sessions]
+            finally:
+                for s in sessions:
+                    s.close()
+            mode, relation, text = results[0]
+            if mode == "rows":
+                rows = relation.rows
+                for i, (_, other, _) in enumerate(results[1:], 1):
+                    if other.rows != rows:
+                        raise AssertionError(
+                            f"session {i} disagreed with session 0"
+                        )
+                out.write(
+                    f"{args.sessions} snapshot sessions agreed "
+                    f"({len(rows)} row(s) each, writer ignored)\n"
+                )
+        else:
+            mode, relation, text = run_one()
+    except SqlError as err:
+        out.write(err.annotate(source) + "\n")
+        return 2
 
     if mode == "rows":
         out.write("  ".join(relation.schema.names) + "\n")
@@ -767,12 +755,7 @@ def _cmd_serve(args, out) -> int:
         return 1 if failed else 0
 
     grid = Grid(ndims=2, depth=args.depth)
-    db = SpatialDatabase(
-        grid,
-        page_capacity=args.capacity,
-        concurrency=True,
-        cache=args.cache,
-    )
+    db = SpatialDatabase(grid, page_capacity=args.capacity, cache=args.cache)
     db.create_table(
         "points", Schema.of(("id@", OID), ("x", INTEGER), ("y", INTEGER))
     )

@@ -21,8 +21,9 @@ versions for pages dirtied after the pin — entirely lock-free.
 
 Unpinning triggers epoch-based reclamation: any page version or index
 capture no longer covered by a pinned epoch is dropped immediately.
-With no pins active the maps carry only birth/death integers and the
-write path makes zero copies.
+With no pins active the maps retain no page images, only birth/death
+integers; the in-memory page store still clones a page on every read
+miss and write-back (see :mod:`repro.concurrency.versions`).
 """
 
 from __future__ import annotations

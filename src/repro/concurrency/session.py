@@ -33,7 +33,7 @@ Row = Tuple[Any, ...]
 
 class Session(SpatialReads):
     """One client's consistent view of a :class:`~repro.db.database.
-    SpatialDatabase` built with ``concurrency=True``.
+    SpatialDatabase`.
 
     Use as a context manager; the snapshot unpins (and its retained
     page versions become reclaimable) when the block exits.  Exiting
@@ -43,10 +43,6 @@ class Session(SpatialReads):
     def __init__(self, db: "Any") -> None:
         self._db = db
         self._manager = db.snapshots
-        if self._manager is None:
-            raise RuntimeError(
-                "sessions need SpatialDatabase(..., concurrency=True)"
-            )
         self._epoch: int = self._manager.pin()
         self._views: Dict[str, Any] = {}
         self._pending: List[Tuple[str, str, Row]] = []

@@ -9,8 +9,11 @@ valid from ``current_birth(page) <= e``.
 Writers call :meth:`on_write` / :meth:`on_free` at commit time, *before*
 installing the new base image.  A pre-image is retained only when some
 pinned snapshot still needs it — when no session is pinned the maps
-degenerate to pure birth/death bookkeeping with zero copies, so the
-unconcurrent fast path stays allocation-free.
+hold birth/death integers and no images.  (The store itself still
+copies: a versioned in-memory page store clones the page on every read
+miss and write-back, so no buffer frame aliases a committed image.  A
+tree is therefore loaded plain and attached to its map once, by
+:meth:`~repro.storage.prefix_btree.ZkdTree.attach_snapshots`.)
 
 Readers never take the map's lock.  The ordering contract with writers
 is:

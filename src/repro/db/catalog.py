@@ -5,8 +5,7 @@ from __future__ import annotations
 import itertools
 from typing import Dict, Iterable, List, Optional, Tuple, Union
 
-from repro.db.relation import Relation
-from repro.db.schema import Schema
+from repro.db.relation import VersionedRelation
 from repro.storage.prefix_btree import ZkdTree
 
 __all__ = ["Catalog", "IndexEntry", "PositionMap", "coordinate_map"]
@@ -48,12 +47,12 @@ class IndexEntry:
 
     The tree stores bare coordinates (one entry per row); ``positions``
     says where the rows with those coordinates are stored, so a read
-    touches O(matches) rows.  Stored positions never move (see
-    :class:`~repro.db.relation.Relation`) and a versioned relation
-    filters them by epoch on fetch, so the one map serves the live
-    state and every snapshot pinned since ``born_epoch``.  It is built
-    by ``create_index`` and changed only by the database's
-    insert/delete/rollback; readers take no lock.
+    touches O(matches) rows.  Stored positions never move and the
+    relation filters them by epoch on fetch (see
+    :class:`~repro.db.relation.VersionedRelation`), so the one map
+    serves the live state and every snapshot pinned since
+    ``born_epoch``.  It is built by ``create_index`` and changed only
+    by the database's insert/delete/rollback; readers take no lock.
     """
 
     def __init__(
@@ -123,24 +122,17 @@ class Catalog:
     """Name -> relation / index registry with uniqueness enforcement."""
 
     def __init__(self) -> None:
-        self._relations: Dict[str, Relation] = {}
+        self._relations: Dict[str, VersionedRelation] = {}
         self._indexes: Dict[str, IndexEntry] = {}
 
     # -- relations --------------------------------------------------------
 
-    def create_relation(self, name: str, schema: Schema) -> Relation:
-        if name in self._relations:
-            raise ValueError(f"relation {name!r} already exists")
-        relation = Relation(name, schema)
-        self._relations[name] = relation
-        return relation
-
-    def register(self, relation: Relation) -> None:
+    def register(self, relation: VersionedRelation) -> None:
         if relation.name in self._relations:
             raise ValueError(f"relation {relation.name!r} already exists")
         self._relations[relation.name] = relation
 
-    def relation(self, name: str) -> Relation:
+    def relation(self, name: str) -> VersionedRelation:
         try:
             return self._relations[name]
         except KeyError:

@@ -48,22 +48,27 @@ class SpatialDatabase(SpatialReads):
         self,
         grid: Grid,
         page_capacity: int = 20,
-        concurrency: bool = False,
+        concurrency: bool = True,
         cache: Any = False,
     ) -> None:
+        # Kept for benchmarks/ledger/workloads.py, which passes True.
+        if concurrency is not True:
+            raise ValueError(
+                f"concurrency={concurrency!r}: every database is "
+                "versioned, only True is accepted"
+            )
         self.grid = grid
         self.page_capacity = page_capacity
         self.catalog = Catalog()
-        # With concurrency on, every table is a VersionedRelation, every
-        # index store carries a PageVersionMap, and all mutations group-
-        # commit through one SnapshotManager so sessions can pin
-        # consistent cross-table snapshots.
-        if concurrency:
-            from repro.concurrency import SnapshotManager
+        # Every table is a VersionedRelation, every index store carries
+        # a PageVersionMap, and all mutations group-commit through one
+        # SnapshotManager, so sessions can pin consistent cross-table
+        # snapshots and a failed batch rolls back in one place.  (Imported
+        # here: a process that never builds a database, such as a bare
+        # tree benchmark, does not load the concurrency package.)
+        from repro.concurrency import SnapshotManager
 
-            self.snapshots: Optional[SnapshotManager] = SnapshotManager()
-        else:
-            self.snapshots = None
+        self.snapshots = SnapshotManager()
         # cache=True attaches a semantic result cache (repro.cache.
         # QueryResultCache) to every index created afterwards; a dict
         # passes tuning knobs (budget_points, max_entries, ...) through.
@@ -89,14 +94,12 @@ class SpatialDatabase(SpatialReads):
     # DDL / DML
     # ------------------------------------------------------------------
 
-    def create_table(self, name: str, schema: Schema) -> Relation:
-        if self.snapshots is None:
-            return self.catalog.create_relation(name, schema)
+    def create_table(self, name: str, schema: Schema) -> VersionedRelation:
         relation = VersionedRelation(name, schema, self.snapshots)
         self.catalog.register(relation)
         return relation
 
-    def table(self, name: str) -> Relation:
+    def table(self, name: str) -> VersionedRelation:
         return self.catalog.relation(name)
 
     @contextmanager
@@ -122,16 +125,6 @@ class SpatialDatabase(SpatialReads):
         epoch is assigned (the handle's epoch is set at the outermost
         transaction exit), so cache invalidation carries exactly the
         epoch at which the writes became visible."""
-        if self.snapshots is None:
-            try:
-                yield None
-            except BaseException:
-                self._dirty_codes.clear()
-                raise
-            finally:
-                self._applied.clear()
-            self._flush_dirty(None)
-            return
         failure: Optional[Exception] = None
         try:
             with self.snapshots.write_transaction() as txn:
@@ -140,7 +133,6 @@ class SpatialDatabase(SpatialReads):
                     for relation in map(
                         self.catalog.relation, self.catalog.relation_names()
                     )
-                    if isinstance(relation, VersionedRelation)
                 ]
                 with ExitStack() as stack:
                     for entry in self.catalog.indexes():
@@ -181,10 +173,9 @@ class SpatialDatabase(SpatialReads):
             self.grid.zvalue(coords).bits
         )
 
-    def _flush_dirty(self, epoch: Optional[int]) -> None:
+    def _flush_dirty(self, epoch: int) -> None:
         """Publish the committed batch's dirty codes into each affected
-        index cache at the commit ``epoch`` (``None`` lets a cache
-        without a snapshot manager advance its own clock)."""
+        index cache at the commit ``epoch``."""
         if not self._dirty_codes:
             return
         pending, self._dirty_codes = self._dirty_codes, {}
@@ -198,7 +189,7 @@ class SpatialDatabase(SpatialReads):
             self._insert_unlocked(table, row)
 
     def _maintained(
-        self, relation: Relation
+        self, relation: VersionedRelation
     ) -> List[Tuple[IndexEntry, CoordsOf]]:
         """The indexes a write to ``relation`` must keep up, each with
         its ``row -> coordinates`` getter."""
@@ -213,7 +204,7 @@ class SpatialDatabase(SpatialReads):
 
     def _store_row(
         self,
-        relation: Relation,
+        relation: VersionedRelation,
         maintained: List[Tuple[IndexEntry, CoordsOf]],
         row: Sequence[Any],
     ) -> None:
@@ -248,12 +239,9 @@ class SpatialDatabase(SpatialReads):
             return False
         for entry, coords_of in self._maintained(relation):
             coords = coords_of(row)
+            # The map keeps the position: the row stays, stamped dead,
+            # for the snapshots pinned before this commit.
             entry.tree.delete(coords)
-            if self.snapshots is None:
-                # No snapshot can still read the freed slot.  (A
-                # versioned relation keeps the row, stamped dead, and
-                # the map keeps its position for the epochs before.)
-                entry.forget(coords, position)
             self._applied.append((entry, coords, None))
             self._log_dirty(entry, coords)
         return True
@@ -299,17 +287,16 @@ class SpatialDatabase(SpatialReads):
             raise ValueError(
                 f"index needs {self.grid.ndims} coordinate columns"
             )
-        born_epoch = 0
-        # One pass over the stored rows extracts the coordinates that
-        # feed the tree build and the positions map, unchanged in order.
-        positions, rows = relation._stored()
-        points = list(map(coords_getter(relation.schema, cols), rows))
-        with ExitStack() as stack:
-            if self.snapshots is not None:
-                # Building an index is itself a group commit: page
-                # allocations get birth epochs and the finished tree
-                # becomes visible at one epoch boundary.
-                txn = stack.enter_context(self.snapshots.write_transaction())
+        # Building an index is itself a group commit.  The tree is
+        # loaded plain — no page is cloned while it grows — and then
+        # versioned once: its pages are born at the commit's epoch, so
+        # the finished tree becomes visible at one epoch boundary.
+        with self.snapshots.write_transaction() as txn:
+            # One pass over the stored rows extracts the coordinates
+            # that feed the tree build and the positions map, in order.
+            positions, rows = relation._stored()
+            points = list(map(coords_getter(relation.schema, cols), rows))
+            del rows  # a copy of the row list: free it before the build
             if shards > 1:
                 from repro.shard import ShardedSpatialStore
 
@@ -322,7 +309,6 @@ class SpatialDatabase(SpatialReads):
                     buffer_frames=buffer_frames,
                     policy=policy,
                     resilience=resilience,
-                    snapshots=self.snapshots,
                 )
             else:
                 tree = ZkdTree(
@@ -330,17 +316,12 @@ class SpatialDatabase(SpatialReads):
                     page_capacity=self.page_capacity,
                     buffer_frames=buffer_frames,
                     policy=policy,
-                    snapshots=self.snapshots,
                 )
                 # Batch-shuffle the whole column set through the fast
                 # kernels; the insert sequence (and hence the tree shape)
                 # is unchanged.
-                with ExitStack() as load:
-                    if self.snapshots is not None:
-                        load.enter_context(tree.transaction())
-                    tree.insert_many(points)
-        if self.snapshots is not None:
-            born_epoch = txn.epoch
+                tree.insert_many(points)
+            tree.attach_snapshots(self.snapshots)
         result_cache = None
         if self._cache_opts is not None:
             from repro.cache import QueryResultCache
@@ -353,7 +334,7 @@ class SpatialDatabase(SpatialReads):
             table,
             cols,
             tree,
-            born_epoch,
+            txn.epoch,
             cache=result_cache,
             positions=coordinate_map(points, positions),
         )
@@ -374,8 +355,7 @@ class SpatialDatabase(SpatialReads):
     # ------------------------------------------------------------------
 
     def session(self) -> "Any":
-        """Open a snapshot-isolated session (requires
-        ``concurrency=True``).
+        """Open a snapshot-isolated session.
 
         The session pins the current commit epoch: every read inside it
         sees exactly the committed state at that instant, no matter how
@@ -386,10 +366,6 @@ class SpatialDatabase(SpatialReads):
             with db.session() as s:
                 rows = s.range_query("cities", ("x", "y"), box).rows
         """
-        if self.snapshots is None:
-            raise RuntimeError(
-                "sessions need SpatialDatabase(..., concurrency=True)"
-            )
         from repro.concurrency.session import Session
 
         return Session(self)

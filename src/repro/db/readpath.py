@@ -62,15 +62,15 @@ def coords_getter(schema: Schema, cols: Sequence[str]) -> CoordsOf:
     return itemgetter(*indices)
 
 
-def visible_rows(relation: Relation, epoch: Optional[int] = None) -> List[Row]:
+def visible_rows(
+    relation: VersionedRelation, epoch: Optional[int] = None
+) -> List[Row]:
     """The relation's rows as of ``epoch`` (``None``: the live state)."""
-    if epoch is not None and isinstance(relation, VersionedRelation):
-        return relation.rows_at(epoch)
-    return relation.rows
+    return relation.rows if epoch is None else relation.rows_at(epoch)
 
 
 def rejoin(
-    relation: Relation,
+    relation: VersionedRelation,
     epoch: Optional[int],
     matched: Iterable[Point],
     entry: Optional[IndexEntry],
@@ -91,7 +91,7 @@ def rejoin(
 
 
 def gather_ranked(
-    relation: Relation,
+    relation: VersionedRelation,
     epoch: Optional[int],
     ranked: Sequence[Point],
     k: int,

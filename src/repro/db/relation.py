@@ -29,10 +29,9 @@ class Relation:
     final projection removes them).
 
     Rows are validated exactly once, on the way in (the constructor,
-    :meth:`insert`, :meth:`insert_many`).  A row's *position* — its
-    index in the store — never changes: a delete frees the slot instead
-    of closing the gap, so an index's coordinate -> positions map (see
-    :class:`repro.db.catalog.IndexEntry`) stays valid across deletes.
+    :meth:`insert`, :meth:`insert_many`).  This is the type of derived
+    and operator results; a database's tables are versioned
+    (:class:`VersionedRelation`).
     """
 
     def __init__(
@@ -45,7 +44,6 @@ class Relation:
         self.schema = schema
         validate = schema.validate_row
         self._rows: List[Any] = [validate(r) for r in rows]
-        self._freed = 0
         #: Bumped by every insert, delete and rollback; derived
         #: statistics key their caches on it.
         self.mutations = 0
@@ -62,7 +60,6 @@ class Relation:
         out.name = name
         out.schema = schema
         out._rows = rows if type(rows) is list else list(rows)
-        out._freed = 0
         out.mutations = 0
         return out
 
@@ -82,45 +79,15 @@ class Relation:
         self.mutations += 1
         return range(start, start + len(validated))
 
-    def delete(self, row: Sequence[Any]) -> bool:
-        """Remove the first row equal to ``row``; False when absent
-        (bag semantics: one delete removes one duplicate)."""
-        return self._delete(row) is not None
-
-    def _delete(self, row: Sequence[Any]) -> Optional[int]:
-        """:meth:`delete`, returning the freed position (``None`` when
-        no row matched)."""
-        target = self.schema.validate_row(row)
-        try:
-            position = self._rows.index(target)
-        except ValueError:
-            return None
-        self._rows[position] = None
-        self._freed += 1
-        self.mutations += 1
-        return position
-
     def _live_rows(self) -> List[Row]:
         return self._stored()[1]
 
     def _stored(self) -> Tuple[Sequence[int], List[Row]]:
         """The live rows and their positions, in relation order."""
-        if not self._freed:
-            return range(len(self._rows)), self._rows
-        positions = [
-            i for i, row in enumerate(self._rows) if row is not None
-        ]
-        return positions, [self._rows[i] for i in positions]
-
-    def fetch(
-        self, positions: Iterable[int], epoch: Optional[int] = None
-    ) -> List[Row]:
-        """The rows at ``positions`` (an index map's, so all live)."""
-        rows = self._rows
-        return [rows[i] for i in positions]
+        return range(len(self._rows)), self._rows
 
     def __len__(self) -> int:
-        return len(self._rows) - self._freed
+        return len(self._rows)
 
     def __iter__(self) -> Iterator[Row]:
         return iter(self._live_rows())
@@ -150,14 +117,15 @@ class Relation:
 class VersionedRelation(Relation):
     """A relation whose rows carry commit-epoch birth/death stamps.
 
-    Storage is append-only: ``_rows[i]`` is live at epoch ``e`` iff
-    ``_births[i] <= e < _deaths.get(i, inf)``.  Deletes tombstone, they
-    never remove, so positions are stable *across epochs* — one
-    coordinate -> positions map per index serves every snapshot — and
-    lock-free snapshot readers can iterate a prefix of the lists
-    without coordination.
-    The birth stamp is appended *before* the row itself, so a reader
-    that sees ``_rows[i]`` always finds ``_births[i]`` populated.
+    Storage is append-only: ``_rows[i]`` is live at epoch ``e`` iff it
+    was born by ``e`` and ``e < _deaths.get(i, inf)``.  Births only grow,
+    so the rows born by ``e`` are a prefix of ``_rows``; ``_births``
+    holds one ``(epoch, rows born by it)`` entry per commit that stored
+    rows here.  Deletes tombstone, they never remove, so positions are
+    stable *across epochs* — one coordinate -> positions map per index
+    serves every snapshot — and lock-free snapshot readers can iterate
+    a prefix of the lists without coordination: a reader consults only
+    the entries of committed epochs, and those never change again.
 
     All mutations must run inside the snapshot manager's exclusive
     write transaction; reads take no locks.
@@ -172,7 +140,7 @@ class VersionedRelation(Relation):
     ) -> None:
         super().__init__(name, schema)
         self._manager = manager
-        self._births: List[int] = []
+        self._births: List[Tuple[int, int]] = []
         self._deaths: Dict[int, int] = {}
         # The deaths again, in stamping order: both stamp sequences only
         # ever grow (commit epochs do), so a bisect counts the rows born
@@ -192,48 +160,58 @@ class VersionedRelation(Relation):
 
     def insert(self, row: Sequence[Any]) -> int:
         pending = self._require_write_lock()
-        validated = self.schema.validate_row(row)
-        self._births.append(pending)
-        self._rows.append(validated)
-        self.mutations += 1
-        return len(self._rows) - 1
+        return self._append(pending, [self.schema.validate_row(row)])
 
     def insert_many(self, rows: Iterable[Sequence[Any]]) -> range:
         pending = self._require_write_lock()
         validate = self.schema.validate_row
         validated = [validate(r) for r in rows]
-        start = len(self._rows)
-        self._births.extend([pending] * len(validated))
-        self._rows.extend(validated)
-        self.mutations += 1
+        start = self._append(pending, validated)
         return range(start, start + len(validated))
 
+    def _append(self, pending: int, validated: List[Row]) -> int:
+        """Store validated rows, born at the ``pending`` epoch; returns
+        the first one's position."""
+        start = len(self._rows)
+        self._rows.extend(validated)
+        births = self._births
+        if births and births[-1][0] == pending:
+            births[-1] = (pending, len(self._rows))
+        else:
+            births.append((pending, len(self._rows)))
+        self.mutations += 1
+        return start
+
     def _delete(self, row: Sequence[Any]) -> Optional[int]:
+        """Stamp the first row equal to ``row`` and live now dead at the
+        pending epoch (bag semantics: one delete removes one duplicate);
+        returns its position, ``None`` when no live row matched."""
         pending = self._require_write_lock()
         target = self.schema.validate_row(row)
+        # every stored row is born by the pending epoch: live means
+        # not yet stamped dead
         for i, existing in enumerate(self._rows):
-            if existing == target and self._is_live(i, pending):
+            if existing == target and i not in self._deaths:
                 self._deaths[i] = pending
                 self._death_log.append((pending, i))
                 self.mutations += 1
                 return i
         return None
 
-    def _is_live(self, i: int, epoch: int) -> bool:
-        return (
-            self._births[i] <= epoch
-            and self._deaths.get(i, _INF) > epoch
-        )
+    def _born(self, epoch: int) -> int:
+        """How many rows were born by ``epoch`` (they are a prefix)."""
+        births = self._births
+        k = bisect_right(births, (epoch, _INF))
+        return births[k - 1][1] if k else 0
 
     def rows_at(self, epoch: int) -> List[Row]:
         """The committed rows visible to a snapshot at ``epoch``."""
         return self._stored_at(epoch)[1]
 
     def _stored_at(self, epoch: int) -> Tuple[Sequence[int], List[Row]]:
-        """Positions and rows live at ``epoch``.  Births only grow, so
-        the rows born by ``epoch`` are a prefix; only the (few) deaths
-        need a per-row look."""
-        born = bisect_right(self._births, epoch)
+        """Positions and rows live at ``epoch``: the prefix born by
+        ``epoch``, where only the (few) deaths need a per-row look."""
+        born = self._born(epoch)
         rows = self._rows[:born]
         deaths = self._deaths
         if not deaths:
@@ -252,31 +230,38 @@ class VersionedRelation(Relation):
     def _stored(self) -> Tuple[Sequence[int], List[Row]]:
         return self._stored_at(self._read_epoch())
 
+    @property
+    def rows(self) -> List[Row]:
+        return self._live_rows()  # already a fresh list
+
     def fetch(
         self, positions: Iterable[int], epoch: Optional[int] = None
     ) -> List[Row]:
-        """The rows at ``positions`` that are live at ``epoch``
-        (``None``: the newest state this thread may see).  Lock-free:
-        an index map may already name a position a running commit has
-        stamped with its pending epoch (filtered here, the birth is
-        written before the row and the row before the map) or one an
-        abort is just truncating (skipped)."""
+        """The rows at ``positions`` (ascending) that are live at
+        ``epoch`` (``None``: the newest state this thread may see).
+
+        One bisect finds the prefix of rows born by ``epoch``: the
+        positions below it are live unless dead, and the ones above it
+        — a running commit's pending rows, or rows an abort is
+        truncating — are skipped.  Lock-free: a row in the prefix
+        belongs to a committed batch (or to this writer's own), so it
+        is fully stored."""
         if epoch is None:
             epoch = self._read_epoch()
-        births, deaths, rows = self._births, self._deaths, self._rows
-        out: List[Row] = []
-        for i in positions:
-            try:
-                if births[i] <= epoch < deaths.get(i, _INF):
-                    out.append(rows[i])
-            except IndexError:
-                continue
-        return out
+        born = self._born(epoch)
+        rows, deaths = self._rows, self._deaths
+        if not deaths:
+            return [rows[i] for i in positions if i < born]
+        return [
+            rows[i]
+            for i in positions
+            if i < born and deaths.get(i, _INF) > epoch
+        ]
 
     def __len__(self) -> int:
         epoch = self._read_epoch()
         # (epoch + 1, -1) sorts just above every death stamped <= epoch
-        return bisect_right(self._births, epoch) - bisect_left(
+        return self._born(epoch) - bisect_left(
             self._death_log, (epoch + 1, -1)
         )
 
@@ -298,7 +283,11 @@ class VersionedRelation(Relation):
         """
         nrows, ndeaths = state
         del self._rows[nrows:]
-        del self._births[nrows:]
+        births = self._births
+        while births and births[-1][1] > nrows:
+            epoch = births.pop()[0]
+            if (births[-1][1] if births else 0) < nrows:
+                births.append((epoch, nrows))
         for _, position in self._death_log[ndeaths:]:
             del self._deaths[position]
         del self._death_log[ndeaths:]

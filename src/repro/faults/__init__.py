@@ -16,7 +16,6 @@ from repro.faults.failpoints import (
     FaultInjector,
     FaultRule,
     FiredEvent,
-    parse_rule,
     register_site,
     registered_sites,
     site_kind,
@@ -32,7 +31,6 @@ __all__ = [
     "FaultInjector",
     "FaultRule",
     "FiredEvent",
-    "parse_rule",
     "register_site",
     "registered_sites",
     "site_kind",

@@ -57,7 +57,6 @@ __all__ = [
     "register_site",
     "registered_sites",
     "site_kind",
-    "parse_rule",
     "KINDS",
     "WRITE_KINDS",
     "READ_KINDS",
@@ -392,29 +391,3 @@ class FaultInjector:
             f"FaultInjector(seed={self.seed}, rules={len(self.rules())}, "
             f"fired={len(self.fired)})"
         )
-
-
-def parse_rule(spec: str) -> Dict[str, Any]:
-    """Parse a rule spec: ``site:kind[:at[:times]]`` (``times`` may be
-    ``-1`` for "every hit"; an empty segment keeps the default), e.g.
-    ``wal.commit:crash``, ``diskstore.page_write:torn_write:3``,
-    ``diskstore.page_read:error::-1``.
-
-    Returns keyword arguments for :meth:`FaultInjector.rule`.
-    """
-    parts = spec.split(":")
-    if len(parts) < 2 or len(parts) > 4 or not parts[0] or not parts[1]:
-        raise ValueError(
-            f"bad inject spec {spec!r}; expected site:kind[:at[:times]]"
-        )
-    out: Dict[str, Any] = {"site": parts[0], "kind": parts[1]}
-    if out["kind"] not in KINDS:
-        raise ValueError(
-            f"bad inject spec {spec!r}: unknown kind {out['kind']!r} "
-            f"(expected one of {', '.join(KINDS)})"
-        )
-    if len(parts) >= 3 and parts[2]:
-        out["at"] = int(parts[2])
-    if len(parts) == 4 and parts[3]:
-        out["times"] = int(parts[3])
-    return out

@@ -147,7 +147,7 @@ def _build_fixture(
     from repro.workloads.datasets import make_dataset
 
     rng = random.Random(seed ^ 0x5EED)
-    db = SpatialDatabase(_GRID, page_capacity=16, concurrency=True)
+    db = SpatialDatabase(_GRID, page_capacity=16)
     db.create_table(
         "points",
         Schema.of(("id@", OID), ("x", INTEGER), ("y", INTEGER)),

@@ -2,11 +2,11 @@
 
 :class:`QueryService` is the transport-independent core of the server.
 Each connected client gets a :class:`ClientState` holding a snapshot
-:meth:`~repro.db.database.SpatialDatabase.session` (when the database
-runs with ``concurrency=True``): every read on that connection sees the
-pinned commit epoch, writes buffer in the session and group-commit on
-the ``commit`` op, and dropping the connection — gracefully or not —
-closes the session and releases its pin (no COW residue).
+:meth:`~repro.db.database.SpatialDatabase.session`: every read on that
+connection sees the pinned commit epoch, writes buffer in the session
+and group-commit on the ``commit`` op, and dropping the connection —
+gracefully or not — closes the session and releases its pin (no COW
+residue).
 
 Request flow for a ``range``/``point`` op::
 
@@ -78,13 +78,13 @@ class ClientState:
 
     __slots__ = ("name", "session")
 
-    def __init__(self, name: str, session: Optional[Any]) -> None:
+    def __init__(self, name: str, session: Any) -> None:
         self.name = name
         self.session = session
 
     @property
-    def epoch(self) -> Optional[int]:
-        return self.session.epoch if self.session is not None else None
+    def epoch(self) -> int:
+        return self.session.epoch
 
 
 class QueryService:
@@ -148,11 +148,9 @@ class QueryService:
     # -- connection lifecycle --------------------------------------------
 
     def connect(self, name: Optional[str] = None) -> ClientState:
-        """Register a client; pins a snapshot session when available."""
+        """Register a client; pins a snapshot session."""
         client_name = name or f"client-{next(self._names)}"
-        session = (
-            self.db.session() if self.db.snapshots is not None else None
-        )
+        session = self.db.session()
         self.stats["server.connections"] += 1
         self._client_stats.setdefault(
             client_name, {"served": 0, "rejected": 0, "errors": 0}
@@ -164,8 +162,7 @@ class QueryService:
     def disconnect(self, client: ClientState) -> None:
         """Close the client's session (idempotent): the snapshot pin is
         released and its retained page versions become reclaimable."""
-        if client.session is not None:
-            client.session.close()
+        client.session.close()
         self.stats["server.disconnects"] += 1
         self._prune_views()
 
@@ -175,10 +172,7 @@ class QueryService:
 
     def _prune_views(self) -> None:
         """Drop shared snapshot views for epochs no session pins."""
-        snapshots = self.db.snapshots
-        if snapshots is None:
-            return
-        pinned = set(snapshots.pinned_epochs)
+        pinned = set(self.db.snapshots.pinned_epochs)
         with self._views_lock:
             for key in [k for k in self._views if k[1] not in pinned]:
                 del self._views[key]
@@ -205,11 +199,8 @@ class QueryService:
         if self.faults is not None:
             self.faults.hit(SITE_DISPATCH, index=index_name)
         entry = self.db.catalog.index(index_name)
-        target = (
-            entry.tree if epoch is None else self._view_for(entry, epoch)
-        )
         matches = batched_range_matches(
-            target,
+            self._view_for(entry, epoch),
             self.db.grid,
             [box for box, _, _ in requests],
             cache=entry.cache,
@@ -225,7 +216,7 @@ class QueryService:
         table: str,
         cols: Tuple[str, ...],
         box: Box,
-        epoch: Optional[int],
+        epoch: int,
     ) -> List[Tuple[Any, ...]]:
         """Unindexed fallback: row scan at the client's epoch."""
         relation = self.db.catalog.relation(table)
@@ -248,7 +239,7 @@ class QueryService:
         table: str,
         cols: Tuple[str, ...],
         matched: Tuple[Point, ...],
-        epoch: Optional[int],
+        epoch: int,
     ) -> List[Tuple[Any, ...]]:
         """The request's rows: the batch's matches joined back through
         the index's positions map at the client's epoch — O(matches)."""
@@ -430,9 +421,7 @@ class QueryService:
         epoch = client.epoch
         entry = db._index_for(table, cols)
         loop = asyncio.get_running_loop()
-        if entry is None or (
-            epoch is not None and entry.born_epoch > epoch
-        ):
+        if entry is None or not entry.visible_at(epoch):
             # No snapshot-visible index: plain row scan, still off the
             # event loop (and serialized with batch execution).
             return await loop.run_in_executor(
@@ -555,9 +544,7 @@ class QueryService:
         if window is not None:
             table, cols, box = window
             entry = self.db._index_for(table, cols)
-            if entry is not None and not (
-                epoch is not None and entry.born_epoch > epoch
-            ):
+            if entry is not None and entry.visible_at(epoch):
                 rows = await self._guarded_submit(
                     entry.index_name,
                     (entry.index_name, epoch),
@@ -583,23 +570,15 @@ class QueryService:
         if not isinstance(row, list):
             raise ProtocolError("row must be a list")
         self.db.catalog.relation(table)  # raise not_found early
-        if client.session is not None:
-            client.session.insert(table, tuple(row))
-            return ok_response(
-                buffered=client.session.pending_ops, epoch=client.epoch
-            )
-        self.db.insert(table, tuple(row))
-        return ok_response(buffered=0, epoch=None)
+        client.session.insert(table, tuple(row))
+        return ok_response(
+            buffered=client.session.pending_ops, epoch=client.epoch
+        )
 
     def _handle_commit(self, client: ClientState) -> Dict[str, Any]:
-        if client.session is None:
-            return ok_response(epoch=None)
-        epoch = client.session.commit()
-        return ok_response(epoch=epoch)
+        return ok_response(epoch=client.session.commit())
 
     def _handle_refresh(self, client: ClientState) -> Dict[str, Any]:
-        if client.session is None:
-            raise ProtocolError("refresh needs a concurrency-enabled db")
         epoch = client.session.refresh()
         self._prune_views()
         return ok_response(epoch=epoch)
@@ -639,9 +618,8 @@ class QueryService:
         }
         if planner:
             sections["planner"] = planner
-        if self.db.snapshots is not None:
-            sections["snapshots"] = dict(self.db.snapshots.counters())
-            sections["leaks"] = dict(self.db.snapshots.leak_stats())
+        sections["snapshots"] = dict(self.db.snapshots.counters())
+        sections["leaks"] = dict(self.db.snapshots.leak_stats())
         return sections
 
     def trace_section(self) -> QueryTrace:

@@ -208,7 +208,6 @@ class ShardedSpatialStore(ProximityReads):
         policy: ReplacementPolicy = ReplacementPolicy.LRU,
         store_factory: Optional[StoreFactory] = None,
         resilience: Optional[ResiliencePolicy] = None,
-        snapshots=None,
     ) -> None:
         if partitioner is None:
             partitioner = ZRangePartitioner.equi_width(
@@ -226,7 +225,6 @@ class ShardedSpatialStore(ProximityReads):
             )
         self.grid = grid
         self.partitioner = partitioner
-        self._snapshots = snapshots
         self.shards: List[ZkdTree] = [
             ZkdTree(
                 grid,
@@ -235,7 +233,6 @@ class ShardedSpatialStore(ProximityReads):
                 order=order,
                 policy=policy,
                 store=store_factory(i) if store_factory else None,
-                snapshots=snapshots,
             )
             for i in range(partitioner.nshards)
         ]
@@ -315,6 +312,13 @@ class ShardedSpatialStore(ProximityReads):
             for shard in self.shards:
                 stack.enter_context(shard.transaction())
             yield self
+
+    def attach_snapshots(self, snapshots) -> None:
+        """Version every shard under ``snapshots``
+        (:meth:`ZkdTree.attach_snapshots`), in one write transaction."""
+        with snapshots.write_transaction():
+            for shard in self.shards:
+                shard.attach_snapshots(snapshots)
 
     def snapshot_view(self, epoch: int):
         """A read-only view over all shards as of pinned commit

@@ -235,7 +235,12 @@ class BPlusTree:
 
     @property
     def nleaves(self) -> int:
-        return sum(1 for _ in self.leaf_ids())
+        """Leaf pages, counted off the in-memory index: no page is read
+        (a versioned store would copy every one)."""
+        level: List[Union[_InnerNode, int]] = [self._root]
+        while isinstance(level[0], _InnerNode):
+            level = [child for node in level for child in node.children]
+        return len(level)
 
     def leaf_ids(self) -> Iterator[int]:
         """Leaf page ids in key (chain) order, without access counting."""
@@ -667,6 +672,7 @@ class BPlusTree:
         Used by the property-based tests."""
         leaf_chain = list(self.leaf_ids())
         assert len(set(leaf_chain)) == len(leaf_chain), "leaf chain has a cycle"
+        assert self.nleaves == len(leaf_chain), "index and leaf chain differ"
         previous_high: Optional[int] = None
         total = 0
         for page_id in leaf_chain:

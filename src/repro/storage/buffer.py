@@ -163,6 +163,13 @@ class BufferManager:
             self._frames.pop(page_id, None)
             self._dirty.pop(page_id, None)
 
+    def clear(self) -> None:
+        """Drop every frame without write-back (flush first to keep
+        dirty pages)."""
+        with self._lock:
+            self._frames.clear()
+            self._dirty.clear()
+
     @property
     def hit_rate(self) -> float:
         total = self.hits + self.misses

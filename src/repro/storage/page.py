@@ -114,13 +114,13 @@ class PageStore:
     and :meth:`write`; the experiment harness snapshots the counters to
     measure per-query I/O.
 
-    In the default (unversioned) mode :meth:`read` returns the stored
-    object itself, so callers' in-place mutations are visible without an
-    explicit :meth:`write` — the historical in-memory behaviour.  After
-    :meth:`attach_versions` the store switches to real-disk semantics:
-    reads return copies, writes copy in, and the displaced committed
-    image is offered to the version map so pinned snapshots can keep
-    reading it (:meth:`read_at`).
+    Unversioned (a standalone tree, or one still loading) :meth:`read`
+    returns the stored object itself, so callers' in-place mutations are
+    visible without an explicit :meth:`write` — the historical in-memory
+    behaviour.  After :meth:`attach_versions` the store switches to
+    real-disk semantics: reads return copies, writes copy in, and the
+    displaced committed image is offered to the version map so pinned
+    snapshots can keep reading it (:meth:`read_at`).
     """
 
     def __init__(self, page_capacity: int) -> None:

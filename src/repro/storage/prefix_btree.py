@@ -249,29 +249,16 @@ class ZkdTree(LeafChainReads):
         self._mutation_epoch = 0
         self.store = store if store is not None else PageStore(page_capacity)
         self.buffer = BufferManager(self.store, buffer_frames, policy)
-        self._snapshots = snapshots
+        self._snapshots = None
         self._index_snapshots: Dict[int, object] = {}
-        if snapshots is None:
-            self.tree = BPlusTree(
-                self.store,
-                self.buffer,
-                order=order,
-                total_bits=grid.total_bits,
-            )
-            return
-        # Concurrency mode: route page retirement through the manager's
-        # version map and register for index capture at pin time.  Even
-        # the first-leaf allocation happens inside a write transaction
-        # so its birth epoch is a commit boundary.
-        self.store.attach_versions(snapshots.new_version_map())
-        snapshots.register_tree(self)
-        with self.transaction():
-            self.tree = BPlusTree(
-                self.store,
-                self.buffer,
-                order=order,
-                total_bits=grid.total_bits,
-            )
+        self.tree = BPlusTree(
+            self.store,
+            self.buffer,
+            order=order,
+            total_bits=grid.total_bits,
+        )
+        if snapshots is not None:
+            self.attach_snapshots(snapshots)
 
     @classmethod
     def open(
@@ -291,15 +278,35 @@ class ZkdTree(LeafChainReads):
         tree._mutation_epoch = 0
         tree.store = store
         tree.buffer = BufferManager(store, buffer_frames, policy)
-        tree._snapshots = snapshots
+        tree._snapshots = None
         tree._index_snapshots = {}
-        if snapshots is not None:
-            store.attach_versions(snapshots.new_version_map())
-            snapshots.register_tree(tree)
         tree.tree = BPlusTree.open(
             store, tree.buffer, order=order, total_bits=grid.total_bits
         )
+        if snapshots is not None:
+            tree.attach_snapshots(snapshots)
         return tree
+
+    def attach_snapshots(self, snapshots) -> None:
+        """Version this tree under ``snapshots`` (a :class:`~repro.
+        concurrency.manager.SnapshotManager`) from the pending epoch on
+        — the one way a tree becomes versioned.  A tree is built plain,
+        so loading it clones no page; attaching it then, in one write
+        transaction, flushes the buffer and empties it (no frame may
+        alias a stored page once the store copies on read and write),
+        notes every page's birth at the pending epoch, and registers the
+        tree for index capture at pin time.  No reader may consult the
+        tree at an epoch before that commit."""
+        with snapshots.write_transaction():
+            with self.transaction():
+                self.buffer.flush()
+            self.buffer.clear()
+            versions = snapshots.new_version_map()
+            for page_id in self.store.page_ids():
+                versions.note_birth(page_id)
+            self.store.attach_versions(versions)
+            self._snapshots = snapshots
+            snapshots.register_tree(self)
 
     # ------------------------------------------------------------------
     # Maintenance

@@ -194,13 +194,13 @@ class TestAdmissionAndEviction:
         assert cache.current_epoch == 2
 
 
-def _cached_db(shards: int, concurrency: bool = True):
+def _cached_db(shards: int):
     from repro.db.database import SpatialDatabase
     from repro.db.schema import Schema
     from repro.db.types import INTEGER, OID
 
     db = SpatialDatabase(
-        GRID, page_capacity=8, cache=True, concurrency=concurrency
+        GRID, page_capacity=8, cache=True
     )
     db.create_table(
         "t", Schema.of(("id@", OID), ("x", INTEGER), ("y", INTEGER))
@@ -292,7 +292,7 @@ class TestLookupDecomposes:
     ):
         from repro.server.batching import batched_range_matches
 
-        db, entry = _cached_db(shards, concurrency=False)
+        db, entry = _cached_db(shards)
         want = entry.tree.range_query(self.BOX).matches
         counted = _Decompositions(monkeypatch)
 
@@ -340,7 +340,7 @@ class TestLookupDecomposes:
     def test_exact_hit_reports_entry_element_count(self):
         import repro.obs as obs
 
-        db, entry = _cached_db(shards=1, concurrency=False)
+        db, entry = _cached_db(shards=1)
         db.range_query("t", self.COLS, self.BOX)
         with obs.trace("q") as t:
             db.range_query("t", self.COLS, self.BOX)
@@ -353,7 +353,7 @@ class TestLookupDecomposes:
 
 
 def test_drop_index_releases_result_cache():
-    db, entry = _cached_db(shards=1, concurrency=False)
+    db, entry = _cached_db(shards=1)
     db.range_query("t", ("x", "y"), Box(((0, 7), (0, 7))))
     assert len(entry.cache) > 0
     db.drop_index("t_xy")

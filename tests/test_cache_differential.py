@@ -10,9 +10,12 @@ pins snapshots on both databases, commits around them, and checks that
 pinned reads through the cache stay frozen exactly like uncached pinned
 reads (and that ``join_points`` agrees).
 
-The non-session variant runs with ``concurrency=False`` on purpose: it
-exercises the cache's *internal* logical clock, while the session
-variant drives epochs through the SnapshotManager.
+Both variants drive the caches' epochs through the database's
+SnapshotManager.  A standalone cache's own logical clock is covered by
+``tests/test_cache_core.py``'s manager-less cases:
+``test_internal_clock_without_manager``,
+``test_record_commit_marks_overlap_only`` and the bare-tree
+``TestCachedRangeMatches``.
 
 Seeds are shrunk on failure — rounds and batch sizes halve while the
 mismatch reproduces — and the smallest counterexample is reported.  A
@@ -64,10 +67,8 @@ def _build_pair(
 ) -> Tuple[SpatialDatabase, SpatialDatabase, Dict[str, List]]:
     """Identical twin databases (cached / uncached) plus the row model."""
     rng = random.Random(10_000 + seed)
-    cached = SpatialDatabase(
-        GRID, page_capacity=8, concurrency=sessions, cache=True
-    )
-    plain = SpatialDatabase(GRID, page_capacity=8, concurrency=sessions)
+    cached = SpatialDatabase(GRID, page_capacity=8, cache=True)
+    plain = SpatialDatabase(GRID, page_capacity=8)
     live: Dict[str, List] = {"a": [], "b": []}
     for db in (cached, plain):
         db.create_table("a", SCHEMA)

@@ -85,7 +85,6 @@ class CacheInvalidationMachine(RuleBasedStateMachine):
         self.db = SpatialDatabase(
             GRID,
             page_capacity=8,
-            concurrency=True,
             cache={"budget_points": BUDGET, "max_entries": 6},
         )
         self.db.create_table("a", SCHEMA)

@@ -3,8 +3,8 @@
 N reader sessions (range queries, proximity queries, merge joins) race
 M writer sessions committing insert/delete bursts.  Every read records
 the session's pinned epoch and the byte-exact result; afterwards a
-*serial oracle* — a fresh, concurrency-free database — replays the
-committed batches in epoch order and re-runs each read against exactly
+*serial oracle* — a fresh database that no other thread touches —
+replays the committed batches in epoch order and re-runs each read against exactly
 the commit prefix that was visible at its snapshot.  Snapshot isolation
 holds iff every concurrent read is byte-identical to its oracle replay.
 
@@ -58,8 +58,8 @@ class Mismatch:
     expected: str
 
 
-def _fresh_db(concurrency: bool) -> SpatialDatabase:
-    db = SpatialDatabase(GRID, page_capacity=8, concurrency=concurrency)
+def _fresh_db() -> SpatialDatabase:
+    db = SpatialDatabase(GRID, page_capacity=8)
     db.create_table("a", SCHEMA)
     db.create_table("b", SCHEMA)
     return db
@@ -119,7 +119,7 @@ def _run_schedule(
     Returns (mismatches, observations); an empty mismatch list means
     every concurrent read was byte-identical to its serial replay.
     """
-    db = _fresh_db(concurrency=True)
+    db = _fresh_db()
     rnd = random.Random(seed)
 
     # Seed both tables in one recorded group commit so the oracle's
@@ -234,10 +234,10 @@ def _oracle_replay(
     commit_log: List[Tuple[int, List[Op]]],
     observations: List[Observation],
 ) -> List[Mismatch]:
-    """Serial replay: re-run every observation against a fresh,
-    concurrency-free database holding exactly the commit prefix that
-    was visible at the observation's pinned epoch."""
-    oracle = _fresh_db(concurrency=False)
+    """Serial replay: re-run every observation against a fresh
+    database, written by this thread alone, holding exactly the commit
+    prefix that was visible at the observation's pinned epoch."""
+    oracle = _fresh_db()
     oracle.create_index("a_xy", "a", ("x", "y"))
     oracle.create_index("b_xy", "b", ("x", "y"))
     commit_log = sorted(commit_log, key=lambda item: item[0])
@@ -330,7 +330,7 @@ def test_harness_detects_violations() -> None:
 
 def test_sharded_index_sessions_see_stable_snapshots() -> None:
     """The same isolation contract holds over a sharded index."""
-    db = _fresh_db(concurrency=True)
+    db = _fresh_db()
     rnd = random.Random(11)
     rows = [
         (f"a{i}", rnd.randrange(SIDE), rnd.randrange(SIDE))

@@ -232,7 +232,7 @@ class TestAbortedGroupCommit:
         from repro.db import INTEGER, Schema, SpatialDatabase
 
         db = SpatialDatabase(
-            Grid(2, 4), page_capacity=4, concurrency=True, cache=True
+            Grid(2, 4), page_capacity=4, cache=True
         )
         db.create_table(
             "t",
@@ -332,3 +332,68 @@ class TestAbortedGroupCommit:
             db.insert_many("t", [(5, 5, 5, 5), (6, 6, 6, 6)])
         monkeypatch.undo()
         self._assert_rolled_back(db, rows_before, trees_before)
+
+
+
+class TestBirthLogUnderRacingAborts:
+    """A relation records one birth entry per commit, so a lock-free
+    reader finds the rows born by its epoch with one bisect.  Under a
+    writer that commits two-row batches and aborts half-applied ones,
+    no reader may count a pending row or an aborted one."""
+
+    def test_readers_see_whole_committed_batches_only(self):
+        import sys
+
+        from repro.db import INTEGER, Schema, SpatialDatabase
+
+        db = SpatialDatabase(GRID, page_capacity=4)
+        db.create_table("t", Schema.of(("x", INTEGER), ("y", INTEGER)))
+        db.create_index("t_xy", "t", ("x", "y"))
+        relation = db.table("t")
+        stop = threading.Event()
+        errors: list = []
+
+        def writer():
+            i = 0
+            while not stop.is_set():
+                i += 1
+                db.insert_many("t", [(i % SIDE, 0), ((i + 1) % SIDE, 0)])
+                with pytest.raises(TypeError):  # aborts after one row
+                    db.insert_many("t", [(i % SIDE, 1), ("bad", 1)])
+
+        def reader():
+            while not stop.is_set():
+                with db.session() as session:
+                    rows = session.table("t").rows
+                    everywhere = range(len(relation._rows) + 4)
+                    fetched = relation.fetch(everywhere, session.epoch)
+                assert len(rows) % 2 == 0, "a half-committed batch"
+                assert all(y == 0 for _, y in rows), "an aborted row"
+                assert fetched == rows
+                assert len(relation) % 2 == 0
+
+        def guarded(work):
+            def run():
+                try:
+                    work()
+                except BaseException as exc:  # noqa: BLE001 - surfaced below
+                    errors.append(exc)
+                    stop.set()
+
+            return threading.Thread(target=run)
+
+        threads = [guarded(writer)] + [guarded(reader) for _ in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            stop.wait(1.0)
+            stop.set()
+            for t in threads:
+                t.join(timeout=30)
+                assert not t.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert errors == []
+        assert len(relation) > 0

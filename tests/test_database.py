@@ -2,9 +2,11 @@
 
 import pytest
 
+from repro.concurrency import SnapshotManager
 from repro.core.geometry import Box, Grid
 from repro.db.catalog import Catalog, IndexEntry
 from repro.db.database import SpatialDatabase
+from repro.db.relation import VersionedRelation
 from repro.db.schema import Schema
 from repro.db.types import INTEGER, OID, SPATIAL_OBJECT, SpatialObject
 from repro.storage.prefix_btree import ZkdTree
@@ -20,19 +22,25 @@ def make_db(grid=None):
     return db
 
 
+def register_table(cat, *columns):
+    relation = VersionedRelation("t", Schema.of(*columns), SnapshotManager())
+    cat.register(relation)
+    return relation
+
+
 class TestCatalog:
     def test_create_and_lookup(self):
         cat = Catalog()
-        rel = cat.create_relation("t", Schema.of(("x", INTEGER)))
+        rel = register_table(cat, ("x", INTEGER))
         assert cat.relation("t") is rel
         assert cat.relation_names() == ["t"]
         assert cat.has_relation("t")
 
     def test_duplicate_relation_rejected(self):
         cat = Catalog()
-        cat.create_relation("t", Schema.of(("x", INTEGER)))
+        register_table(cat, ("x", INTEGER))
         with pytest.raises(ValueError):
-            cat.create_relation("t", Schema.of(("x", INTEGER)))
+            register_table(cat, ("x", INTEGER))
 
     def test_missing_relation(self):
         with pytest.raises(KeyError):
@@ -40,9 +48,7 @@ class TestCatalog:
 
     def test_drop_relation_drops_indexes(self):
         cat = Catalog()
-        cat.create_relation(
-            "t", Schema.of(("x", INTEGER), ("y", INTEGER))
-        )
+        register_table(cat, ("x", INTEGER), ("y", INTEGER))
         tree = ZkdTree(Grid(2, 4))
         cat.register_index(IndexEntry("ix", "t", ("x", "y"), tree))
         cat.drop_relation("t")
@@ -58,7 +64,7 @@ class TestCatalog:
 
     def test_duplicate_index_rejected(self):
         cat = Catalog()
-        cat.create_relation("t", Schema.of(("x", INTEGER), ("y", INTEGER)))
+        register_table(cat, ("x", INTEGER), ("y", INTEGER))
         tree = ZkdTree(Grid(2, 4))
         cat.register_index(IndexEntry("ix", "t", ("x", "y"), tree))
         with pytest.raises(ValueError):
@@ -66,7 +72,7 @@ class TestCatalog:
 
     def test_indexes_on(self):
         cat = Catalog()
-        cat.create_relation("t", Schema.of(("x", INTEGER), ("y", INTEGER)))
+        register_table(cat, ("x", INTEGER), ("y", INTEGER))
         tree = ZkdTree(Grid(2, 4))
         entry = IndexEntry("ix", "t", ("x", "y"), tree)
         cat.register_index(entry)
@@ -75,7 +81,7 @@ class TestCatalog:
 
     def test_drop_index(self):
         cat = Catalog()
-        cat.create_relation("t", Schema.of(("x", INTEGER), ("y", INTEGER)))
+        register_table(cat, ("x", INTEGER), ("y", INTEGER))
         cat.register_index(IndexEntry("ix", "t", ("x", "y"), ZkdTree(Grid(2, 4))))
         cat.drop_index("ix")
         with pytest.raises(KeyError):
@@ -117,16 +123,13 @@ class TestSpatialDatabase:
         result = db.range_query("cities", ("x", "y"), Box(((10, 10), (10, 10))))
         assert result.rows == [("late", 10, 10)]
 
-    @pytest.mark.parametrize("concurrency", [False, True])
-    def test_duplicate_point_deletes_remove_one_entry_each(self, concurrency):
+    def test_duplicate_point_deletes_remove_one_entry_each(self):
         """The tree holds one entry per *row*: deleting one of two rows
         at a point removes one entry (not none), deleting the other
         removes the last (no ghost keeps matching or taking a k-NN
-        rank), and the coordinate map follows."""
-        db = SpatialDatabase(Grid(2, 6), concurrency=concurrency)
-        db.create_table(
-            "cities", Schema.of(("city@", OID), ("x", INTEGER), ("y", INTEGER))
-        )
+        rank), and the coordinate map keeps both dead positions for the
+        snapshots pinned before the deletes."""
+        db = make_db()
         db.insert_many(
             "cities",
             [("a", 5, 5), ("b", 5, 5), ("c", 9, 9), ("d", 20, 20)],
@@ -151,10 +154,10 @@ class TestSpatialDatabase:
             ("c", 9, 9), ("d", 20, 20)
         ]
         assert not db.delete("cities", ("b", 5, 5))
-        if not concurrency:  # a plain relation frees the slots outright
-            assert (5, 5) not in entry.positions
-        # the freed slots are not reused: positions stay stable
+        assert entry.positions[(5, 5)] == [0, 1]
+        # a dead row's position is never reused: a new row gets a new one
         db.insert("cities", ("e", 5, 5))
+        assert entry.positions[(5, 5)] == [0, 1, 4]
         assert db.range_query("cities", cols, everywhere).rows == [
             ("c", 9, 9), ("d", 20, 20), ("e", 5, 5)
         ]
@@ -211,3 +214,48 @@ class TestSpatialDatabase:
         )
         result = db.overlap_query("parcels", "zones", "shape", "p@", "q@")
         assert result.rows == [("p1", "zA")]
+
+
+class TestOneMode:
+    """Every database is versioned, so a failed batch rolls back in the
+    one group commit whatever the index looks like."""
+
+    @pytest.mark.parametrize("cache", [False, True])
+    @pytest.mark.parametrize("shards", [1, 3])
+    def test_failed_insert_many_changes_nothing(self, rng, shards, cache):
+        db = SpatialDatabase(Grid(2, 6), cache=cache)
+        db.create_table(
+            "cities", Schema.of(("city@", OID), ("x", INTEGER), ("y", INTEGER))
+        )
+        db.insert_many(
+            "cities",
+            [
+                (f"c{i}", x, y)
+                for i, (x, y) in enumerate(random_points(rng, db.grid, 60))
+            ],
+        )
+        entry = db.create_index(
+            "cities_xy", "cities", ("x", "y"), shards=shards
+        )
+        cols, box = ("x", "y"), Box(((0, 40), (0, 40)))
+        answer = db.range_query("cities", cols, box).rows
+
+        def state():
+            return (
+                len(db.table("cities")),
+                len(entry.tree),
+                db.range_query("cities", cols, Box(((0, 20), (0, 63)))).rows,
+            )
+
+        before = state()
+        # the third row fails validation after two rows were applied
+        batch = [("n1", 1, 1), ("n2", 2, 2), ("n3", "three", 3)]
+        with pytest.raises(TypeError):
+            db.insert_many("cities", batch)
+        assert state() == before
+        assert db.range_query("cities", cols, box).rows == answer
+
+    def test_only_the_ledger_literal_is_accepted(self):
+        assert SpatialDatabase(Grid(2, 6), concurrency=True).snapshots
+        with pytest.raises(ValueError, match="versioned"):
+            SpatialDatabase(Grid(2, 6), concurrency=False)

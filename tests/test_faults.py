@@ -9,11 +9,9 @@ write/read semantics, and determinism under a fixed seed.
 import pytest
 
 from repro.faults import (
-    KINDS,
     CrashPoint,
     FaultError,
     FaultInjector,
-    parse_rule,
     register_site,
     registered_sites,
     site_kind,
@@ -232,37 +230,3 @@ class TestDeterminism:
             )
         assert outs[0] != outs[1]
 
-
-class TestParseRule:
-    def test_minimal(self):
-        assert parse_rule("wal.commit:crash") == {
-            "site": "wal.commit",
-            "kind": "crash",
-        }
-
-    def test_full(self):
-        assert parse_rule("diskstore.page_write:torn_write:3:-1") == {
-            "site": "diskstore.page_write",
-            "kind": "torn_write",
-            "at": 3,
-            "times": -1,
-        }
-
-    def test_empty_segment_keeps_default(self):
-        # "every hit" without pinning the first: site:kind::-1
-        assert parse_rule("wal.commit:crash::-1") == {
-            "site": "wal.commit",
-            "kind": "crash",
-            "times": -1,
-        }
-
-    @pytest.mark.parametrize(
-        "bad", ["", "siteonly", "site:badkind", "a:error:1:2:3", ":error"]
-    )
-    def test_rejects_malformed(self, bad):
-        with pytest.raises(ValueError):
-            parse_rule(bad)
-
-    def test_kinds_are_closed(self):
-        for kind in KINDS:
-            parse_rule(f"x.y:{kind}")

@@ -156,7 +156,7 @@ class TestStoreOracle:
 
 def _indexed_db(grid, points, shards):
     cols = tuple(f"c{axis}" for axis in range(grid.ndims))
-    db = SpatialDatabase(grid, page_capacity=8, concurrency=True)
+    db = SpatialDatabase(grid, page_capacity=8)
     db.create_table(
         "points", Schema.of(("id@", OID), *((c, INTEGER) for c in cols))
     )
@@ -262,9 +262,9 @@ class TestEveryProvider:
 # ---------------------------------------------------------------------
 
 
-def _build_db(rng, n=160, concurrency=False, cache=False, index=True):
+def _build_db(rng, n=160, cache=False, index=True):
     db = SpatialDatabase(
-        GRID, page_capacity=8, concurrency=concurrency, cache=cache
+        GRID, page_capacity=8, cache=cache
     )
     db.create_table(
         "points", Schema.of(("id@", OID), ("x", INTEGER), ("y", INTEGER))
@@ -316,7 +316,7 @@ class TestDatabaseOracle:
         distinct points: every row comes back, in rank order, from the
         live database, a session and SQL — single tree or sharded."""
         grid = Grid(ndims=2, depth=5)
-        db = SpatialDatabase(grid, page_capacity=8, concurrency=True)
+        db = SpatialDatabase(grid, page_capacity=8)
         db.create_table(
             "p", Schema.of(("id", INTEGER), ("x", INTEGER), ("y", INTEGER))
         )
@@ -336,7 +336,7 @@ class TestDatabaseOracle:
         """A row inserted after the pin is invisible to the session's
         k-NN but visible to the database's."""
         rng = random.Random(25)
-        db, rows = _build_db(rng, concurrency=True)
+        db, rows = _build_db(rng)
         center = (7, 9)
         with db.session() as session:
             before = oracle_rows(GRID, rows, (1, 2), center, 4)
@@ -367,7 +367,7 @@ class TestDatabaseOracle:
         session falls back to the visible-row point store — and the
         answer must not change."""
         rng = random.Random(26)
-        db, rows = _build_db(rng, concurrency=True, index=False)
+        db, rows = _build_db(rng, index=False)
         with db.session() as session:
             db.create_index("points_xy", "points", ("x", "y"))
             for center in centers(rng, GRID, 6):
@@ -424,7 +424,7 @@ class TestSqlNearest:
 
     def test_session_target_matches_database(self):
         rng = random.Random(34)
-        db, rows = _build_db(rng, concurrency=True)
+        db, rows = _build_db(rng)
         query = (
             "SELECT id@, x, y FROM points "
             "NEAREST 4 TO POINT(14, 58) BY POINT(x, y)"
@@ -445,7 +445,7 @@ class TestSqlNearest:
 class TestServerNearest:
     def test_server_rows_match_local_execution(self):
         rng = random.Random(41)
-        db, rows = _build_db(rng, concurrency=True)
+        db, rows = _build_db(rng)
         query = (
             "SELECT id@, x, y FROM points "
             "NEAREST 5 TO POINT(33, 21) BY POINT(x, y)"

@@ -391,7 +391,7 @@ class TestAttributeRangesAreZWindows:
 
     def test_a_session_reads_the_synthesised_window_at_its_epoch(self):
         grid = Grid(2, 6)
-        database = SpatialDatabase(grid, page_capacity=8, concurrency=True)
+        database = SpatialDatabase(grid, page_capacity=8)
         database.create_table(
             "points", Schema.of(("id@", OID), ("x", INTEGER), ("y", INTEGER))
         )
@@ -420,7 +420,7 @@ class TestIndexReadCostsWhatItReturns:
     def test_counts(self, monkeypatch):
         from repro.cache import result_cache
         from repro.db import ZHistogram, schema, statistics
-        from repro.db.relation import Relation
+        from repro.db.relation import VersionedRelation
 
         counts = {"validated": 0, "fetched": 0, "histograms": 0, "boxes": 0}
 
@@ -440,14 +440,14 @@ class TestIndexReadCostsWhatItReturns:
         database, rows = _points_db(20_000, Grid(2, 10), page_capacity=20)
         assert counts["validated"] == 2 * len(rows)  # once per stored row
 
-        real_fetch = Relation.fetch
+        real_fetch = VersionedRelation.fetch
 
         def fetch(self, positions, epoch=None):
             out = real_fetch(self, positions, epoch)
             counts["fetched"] += len(out)
             return out
 
-        monkeypatch.setattr(Relation, "fetch", fetch)
+        monkeypatch.setattr(VersionedRelation, "fetch", fetch)
         monkeypatch.setattr(
             ZHistogram, "of_tree", counting("histograms", ZHistogram.of_tree)
         )

@@ -38,8 +38,8 @@ FAST_POLICY = ResiliencePolicy(
 )
 
 
-def _build_db(npoints=600, concurrency=True):
-    db = SpatialDatabase(GRID, page_capacity=16, concurrency=concurrency)
+def _build_db(npoints=600):
+    db = SpatialDatabase(GRID, page_capacity=16)
     db.create_table(
         "points", Schema.of(("id@", OID), ("x", INTEGER), ("y", INTEGER))
     )

@@ -136,7 +136,7 @@ def test_batched_matches_sharded_store():
 
 
 def test_batched_matches_snapshot_views_per_epoch():
-    db = SpatialDatabase(GRID, page_capacity=16, concurrency=True)
+    db = SpatialDatabase(GRID, page_capacity=16)
     db.create_table(
         "points", Schema.of(("id@", OID), ("x", INTEGER), ("y", INTEGER))
     )

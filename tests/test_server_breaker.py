@@ -38,7 +38,7 @@ class FakeClock:
 def _build_db(npoints=300):
     from repro.workloads.datasets import make_dataset
 
-    db = SpatialDatabase(GRID, page_capacity=16, concurrency=True)
+    db = SpatialDatabase(GRID, page_capacity=16)
     db.create_table(
         "points", Schema.of(("id@", OID), ("x", INTEGER), ("y", INTEGER))
     )

@@ -34,7 +34,7 @@ GRID = Grid(ndims=2, depth=6)
 def _build_db(npoints=150):
     from repro.workloads.datasets import make_dataset
 
-    db = SpatialDatabase(GRID, page_capacity=16, concurrency=True)
+    db = SpatialDatabase(GRID, page_capacity=16)
     db.create_table(
         "points", Schema.of(("id@", OID), ("x", INTEGER), ("y", INTEGER))
     )

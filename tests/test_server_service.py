@@ -29,8 +29,8 @@ GRID = Grid(ndims=2, depth=7)
 NPOINTS = 1500
 
 
-def _build_db(concurrency=True, seed=0):
-    db = SpatialDatabase(GRID, page_capacity=16, concurrency=concurrency)
+def _build_db(seed=0):
+    db = SpatialDatabase(GRID, page_capacity=16)
     db.create_table(
         "points", Schema.of(("id@", OID), ("x", INTEGER), ("y", INTEGER))
     )

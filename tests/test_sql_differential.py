@@ -1,6 +1,6 @@
 """Differential tests: every compiled SQL query must be row-identical
-to a hand-built operator-tree equivalent — over the plain database, a
-sharded index, and a pinned snapshot session — and invariant under the
+to a hand-built operator-tree equivalent — over a database read live,
+a sharded index, and a pinned snapshot session — and invariant under the
 optimizer's conjunct reordering."""
 
 import random
@@ -25,11 +25,9 @@ from repro.sql import compile_sql, execute_sql
 SIDE = 128  # Grid(2, 7)
 
 
-def make_db(seed, npoints=250, shards=1, concurrency=False):
+def make_db(seed, npoints=250, shards=1):
     grid = Grid(2, 7)
-    db = SpatialDatabase(
-        grid, page_capacity=16, concurrency=concurrency
-    )
+    db = SpatialDatabase(grid, page_capacity=16)
     db.create_table(
         "points",
         Schema.of(
@@ -115,17 +113,10 @@ class TestSingleTable:
     def test_sharded_matches_unsharded(self, seed):
         plain = make_db(seed, shards=1)
         sharded = make_db(seed, shards=4)
-        try:
-            assert (
-                execute_sql(plain, SQL).rows
-                == execute_sql(sharded, SQL).rows
-            )
-        finally:
-            entry = sharded.catalog.index("points_xy")
-            entry.tree.close()
+        assert execute_sql(plain, SQL).rows == execute_sql(sharded, SQL).rows
 
     def test_session_snapshot_is_stable(self):
-        db = make_db(7, concurrency=True)
+        db = make_db(7)
         before = execute_sql(db, SQL).rows
         with db.session() as session:
             rng = random.Random(99)

@@ -173,10 +173,10 @@ class TestZonesIndex:
 
 
 def _build_join_db(
-    rng, na=60, nb=45, concurrency=False, cache=False, index=True
+    rng, na=60, nb=45, cache=False, index=True
 ):
     db = SpatialDatabase(
-        GRID, page_capacity=8, concurrency=concurrency, cache=cache
+        GRID, page_capacity=8, cache=cache
     )
     for table in ("stars", "gals"):
         db.create_table(
@@ -243,7 +243,7 @@ class TestDatabaseJoin:
 
     def test_session_pinned_snapshot(self):
         rng = random.Random(74)
-        db, stars, gals = _build_join_db(rng, na=30, nb=25, concurrency=True)
+        db, stars, gals = _build_join_db(rng, na=30, nb=25)
         eps = 2.5
         want = oracle_join_rows(stars, gals, eps)
         with db.session() as session:
@@ -274,7 +274,7 @@ class TestDatabaseJoin:
         when the index was born after the pin."""
         rng = random.Random(75)
         db, stars, _ = _build_join_db(
-            rng, na=70, nb=40, concurrency=True, index=visible
+            rng, na=70, nb=40, index=visible
         )
         cols = ("x", "y")
         side = GRID.side
@@ -352,7 +352,7 @@ class TestSqlWithin:
 
     def test_predicate_composes_with_filters_and_session(self):
         rng = random.Random(83)
-        db, stars, _ = _build_join_db(rng, concurrency=True)
+        db, stars, _ = _build_join_db(rng)
         query = (
             "SELECT id@, x, y FROM stars "
             "WHERE POINT(x, y) WITHIN 9 OF POINT(32, 32) AND x > 20"
@@ -371,7 +371,7 @@ class TestSqlWithin:
 
     def test_server_serves_both_shapes(self):
         rng = random.Random(84)
-        db, stars, gals = _build_join_db(rng, na=35, nb=30, concurrency=True)
+        db, stars, gals = _build_join_db(rng, na=35, nb=30)
         predicate_query = (
             "SELECT id@, x, y FROM stars "
             "WHERE POINT(x, y) WITHIN 7 OF POINT(40, 22)"
