@@ -123,18 +123,22 @@ class TestSpatialDatabase:
         result = db.range_query("cities", ("x", "y"), Box(((10, 10), (10, 10))))
         assert result.rows == [("late", 10, 10)]
 
-    def test_duplicate_point_deletes_remove_one_entry_each(self):
+    @pytest.mark.parametrize("index_first", [False, True])
+    def test_duplicate_point_deletes_remove_one_entry_each(self, index_first):
         """The tree holds one entry per *row*: deleting one of two rows
         at a point removes one entry (not none), deleting the other
         removes the last (no ghost keeps matching or taking a k-NN
         rank), and the coordinate map keeps both dead positions for the
-        snapshots pinned before the deletes."""
+        snapshots pinned before the deletes. Holds whether the index is
+        built over the rows or maintained as they are inserted."""
         db = make_db()
-        db.insert_many(
-            "cities",
-            [("a", 5, 5), ("b", 5, 5), ("c", 9, 9), ("d", 20, 20)],
-        )
-        entry = db.create_index("cities_xy", "cities", ("x", "y"))
+        rows = [("a", 5, 5), ("b", 5, 5), ("c", 9, 9), ("d", 20, 20)]
+        if index_first:
+            entry = db.create_index("cities_xy", "cities", ("x", "y"))
+            db.insert_many("cities", rows)
+        else:
+            db.insert_many("cities", rows)
+            entry = db.create_index("cities_xy", "cities", ("x", "y"))
         cols, everywhere = ("x", "y"), db.grid.whole_space()
         assert entry.positions[(5, 5)] == [0, 1]
 
