@@ -9,22 +9,20 @@ writers keep group-committing underneath:
   reclamation of superseded page versions.
 * :class:`~repro.concurrency.versions.PageVersionMap` — copy-on-write
   page version chains per store, retained only while a pin needs them.
-* :class:`~repro.concurrency.view.SnapshotTreeView` /
-  :class:`~repro.concurrency.view.ShardedSnapshotView` — lock-free
-  historical queries over frozen index graphs.
+* :class:`~repro.concurrency.view.SnapshotTreeView` — lock-free
+  historical queries over one frozen index graph, built per read; a
+  sharded store's snapshot is the store's own reads over one such view
+  per shard.
 * :class:`~repro.concurrency.session.Session` — the user-facing handle:
-  ``with db.session() as s: ...``.
+  ``with db.session() as s: ...``; :meth:`~repro.concurrency.session.
+  Session.fork` gives one read its own pin on the same epoch.
 """
 
 from repro.concurrency.manager import SnapshotManager, TxnHandle
 from repro.concurrency.rwlock import RWLock
 from repro.concurrency.session import Session
 from repro.concurrency.versions import PageVersionMap
-from repro.concurrency.view import (
-    FrozenIndex,
-    ShardedSnapshotView,
-    SnapshotTreeView,
-)
+from repro.concurrency.view import FrozenIndex, SnapshotTreeView
 
 __all__ = [
     "SnapshotManager",
@@ -34,5 +32,4 @@ __all__ = [
     "PageVersionMap",
     "FrozenIndex",
     "SnapshotTreeView",
-    "ShardedSnapshotView",
 ]

@@ -19,8 +19,9 @@ then walk the frozen graph and resolve leaf pages through
 ``store.read_at(page_id, epoch)``, which serves retained copy-on-write
 versions for pages dirtied after the pin — entirely lock-free.
 
-Unpinning triggers epoch-based reclamation: any page version or index
-capture no longer covered by a pinned epoch is dropped immediately.
+Releasing an epoch's last pin triggers epoch-based reclamation: any
+page version or index capture no longer covered by a pinned epoch is
+dropped immediately.
 With no pins active the maps retain no page images, only birth/death
 integers; the in-memory page store still clones a page on every read
 miss and write-back (see :mod:`repro.concurrency.versions`).
@@ -123,19 +124,32 @@ class SnapshotManager:
         _trace_add("snapshot.pins")
         return epoch
 
+    def retain(self, epoch: int) -> None:
+        """One more pin on an already pinned epoch: its captures exist
+        and the pinned set is unchanged, so no lock and no capture."""
+        with self._mutex:
+            if epoch not in self._pins:
+                raise ValueError(f"epoch {epoch} is not pinned")
+            self._pins[epoch] += 1
+            self.stats["snapshot.pins"] += 1
+        _trace_add("snapshot.pins")
+
     def unpin(self, epoch: int) -> None:
+        """Drop one pin; only an epoch's last pin reclaims anything."""
         with self._mutex:
             count = self._pins.get(epoch, 0)
             if count <= 0:
                 raise ValueError(f"epoch {epoch} is not pinned")
-            if count == 1:
+            last = count == 1
+            if last:
                 del self._pins[epoch]
+                self._pinned_cache = tuple(sorted(self._pins))
             else:
                 self._pins[epoch] = count - 1
-            self._pinned_cache = tuple(sorted(self._pins))
             self.stats["snapshot.unpins"] += 1
         _trace_add("snapshot.unpins")
-        self.reclaim()
+        if last:
+            self.reclaim()
 
     # -- write transactions ----------------------------------------------
 

@@ -19,7 +19,8 @@ refresh time.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+import copy
+from typing import Any, List, Optional, Sequence, Tuple
 
 from repro.core.geometry import Box
 from repro.db.readpath import SpatialReads, visible_rows
@@ -44,7 +45,6 @@ class Session(SpatialReads):
         self._db = db
         self._manager = db.snapshots
         self._epoch: int = self._manager.pin()
-        self._views: Dict[str, Any] = {}
         self._pending: List[Tuple[str, str, Row]] = []
         self._closed = False
 
@@ -70,7 +70,6 @@ class Session(SpatialReads):
         if self._closed:
             return
         self._closed = True
-        self._views.clear()
         self._pending.clear()
         self._manager.unpin(self._epoch)
 
@@ -79,10 +78,20 @@ class Session(SpatialReads):
         own commit); buffered writes survive.  Returns the new epoch."""
         self._check_open()
         old = self._epoch
-        self._views.clear()
         self._epoch = self._manager.pin()
         self._manager.unpin(old)
         return self._epoch
+
+    def fork(self) -> "Session":
+        """A second session on this one's snapshot: the same epoch
+        under its own pin, with no buffered writes.  A read that holds
+        the fork keeps its snapshot while this session refreshes or
+        closes."""
+        self._check_open()
+        self._manager.retain(self._epoch)
+        fork = copy.copy(self)
+        fork._pending = []
+        return fork
 
     def _check_open(self) -> None:
         if self._closed:
@@ -99,18 +108,14 @@ class Session(SpatialReads):
     def _answering(
         self, table: str, cols: Sequence[str]
     ) -> Tuple[Any, Any]:
-        """The snapshot view (and result cache) of a matching index;
-        ``(None, None)`` when there is none or it was created after this
-        snapshot was pinned (no capture exists for our epoch — the
-        visible rows answer instead)."""
+        """A fresh snapshot view (and the result cache) of a matching
+        index; ``(None, None)`` when there is none or it was created
+        after this snapshot was pinned (no capture exists for our epoch
+        — the visible rows answer instead)."""
         entry = self._entry(table, cols)
         if entry is None:
             return None, None
-        view = self._views.get(entry.index_name)
-        if view is None:
-            view = entry.tree.snapshot_view(self._epoch)
-            self._views[entry.index_name] = view
-        return view, entry.cache
+        return entry.tree.snapshot_view(self._epoch), entry.cache
 
     def table(self, name: str) -> Relation:
         """The relation's visible rows as an immutable plain relation."""

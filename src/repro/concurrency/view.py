@@ -1,9 +1,12 @@
-"""Read-only snapshot views over ZkdTrees and sharded stores.
+"""Read-only snapshot views over ZkdTrees.
 
 A view binds a pinned epoch to (a) the B+-tree inner graph frozen at
 pin time and (b) the store's ``read_at`` method, which resolves a leaf
 page id to the image it had at that epoch (retained copy-on-write
-version, or the live base when the page was not dirtied since).
+version, or the live base when the page was not dirtied since).  A
+view holds nothing else, so readers build one per read.  A sharded
+store's view is its own :class:`~repro.shard.store.ShardedReads` over
+one such view per shard.
 
 The crucial trick is that :class:`~repro.storage.btree.BTreeCursor`
 only ever calls ``tree._leftmost_leaf_for`` and ``tree._load_leaf`` on
@@ -18,24 +21,16 @@ identically.
 from __future__ import annotations
 
 import bisect
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional
 
-from repro.core.decompose import box_intervals
-from repro.core.geometry import Box, ClassifyFn
+from repro.core.geometry import Box
 from repro.core.rangesearch import MergeStats
 from repro.obs.trace import current as _trace_current
 from repro.storage.btree import BTreeCursor, _InnerNode
 from repro.storage.page import Page
-from repro.storage.prefix_btree import (
-    LeafChainReads,
-    ProximityReads,
-    QueryResult,
-    Search,
-)
+from repro.storage.prefix_btree import LeafChainReads, QueryResult, Search
 
-__all__ = ["FrozenIndex", "SnapshotTreeView", "ShardedSnapshotView"]
-
-Point = Tuple[int, ...]
+__all__ = ["FrozenIndex", "SnapshotTreeView"]
 
 
 class FrozenIndex:
@@ -159,67 +154,3 @@ class SnapshotTreeView(LeafChainReads):
             buffer_stats={},
         )
 
-
-class ShardedSnapshotView(ProximityReads):
-    """Snapshot view over a :class:`~repro.shard.store.ShardedSpatialStore`.
-
-    Queries run over the per-shard snapshot views in shard order
-    (shard pruning included) and gather in global z order.
-    """
-
-    def __init__(self, store: "Any", epoch: int) -> None:
-        self._store = store
-        self.grid = store.grid
-        self.epoch = epoch
-        self._views = [
-            SnapshotTreeView(shard, epoch) for shard in store.shards
-        ]
-
-    def __len__(self) -> int:
-        return sum(len(view) for view in self._views)
-
-    def interval_query(
-        self, intervals: Sequence[Tuple[int, int]]
-    ) -> Tuple[Tuple[Point, ...], ...]:
-        """Residual scan over the snapshot: same shard clipping as the
-        live store, serial over the per-shard views."""
-        from repro.shard.store import scatter_intervals
-
-        return scatter_intervals(
-            self._store.partitioner,
-            intervals,
-            lambda order, lists: [
-                self._views[shard_id].interval_query(shard_intervals)
-                for shard_id, shard_intervals in zip(order, lists)
-            ],
-        )
-
-    def range_query(self, box: Box) -> "Any":
-        from repro.shard.store import gather_shard_results
-
-        store = self._store
-        hit = store.partitioner.prune(box_intervals(store.grid, box))
-        return gather_shard_results(
-            store.partitioner,
-            hit,
-            [self._views[shard_id].range_query(box) for shard_id in hit],
-        )
-
-    def object_query(
-        self, classify: ClassifyFn, max_depth: Optional[int] = None
-    ) -> "Any":
-        from repro.shard.store import gather_shard_results
-
-        return gather_shard_results(
-            self._store.partitioner,
-            list(range(len(self._views))),
-            [view.object_query(classify, max_depth) for view in self._views],
-        )
-
-    def points(self) -> List[Point]:
-        """All visible points in global z order (shards are disjoint
-        z intervals in shard order)."""
-        out: List[Point] = []
-        for view in self._views:
-            out.extend(view.points())
-        return out

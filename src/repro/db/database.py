@@ -3,7 +3,7 @@
 :class:`SpatialDatabase` ties the pieces together: a catalog of typed
 relations, zkd B+-tree indexes over coordinate columns, the spatial
 operators of Section 4, and index-accelerated range queries that fall
-back to the relational plan when no index exists.
+back to a row scan when no index exists.
 
 This is deliberately a thin coordination layer; every algorithm lives in
 :mod:`repro.core` (approximate geometry) or :mod:`repro.storage` (file
@@ -21,7 +21,7 @@ from repro.db.catalog import Catalog, IndexEntry, coordinate_map
 from repro.db.readpath import CoordsOf, SpatialReads, coords_getter
 from repro.db.relation import Relation, VersionedRelation
 from repro.db.schema import Schema
-from repro.db.spatial import overlap_query, range_search_plan
+from repro.db.spatial import overlap_query
 from repro.storage.buffer import ReplacementPolicy
 from repro.storage.prefix_btree import ZkdTree
 
@@ -425,8 +425,7 @@ class SpatialDatabase(SpatialReads):
 
         Planned by predicted page cost (Section 5.3.1's analysis as a
         cost model): an index scan through a matching zkd index when it
-        is estimated cheaper, a scan otherwise; without an index the
-        relational spatial-join plan of Section 4 evaluates the query.
+        is estimated cheaper, a row scan otherwise or without an index.
         Use :meth:`explain_range_query` to see the decision.
         """
         from repro.db.planner import plan_range_query
@@ -443,22 +442,6 @@ class SpatialDatabase(SpatialReads):
         from repro.db.planner import plan_range_query
 
         return plan_range_query(self, table, coord_cols, box).explain()
-
-    # -- the planner's no-index fallback (index and scan plans run
-    # -- SpatialReads._range_rows directly) ------------------------------
-
-    def _range_query_via_plan(
-        self,
-        table: str,
-        coord_cols: Sequence[str],
-        box: Box,
-    ) -> Relation:
-        plan = range_search_plan(
-            self.catalog.relation(table), list(coord_cols), box, self.grid
-        )
-        return self._matched_relation(
-            f"range({table})", table, coord_cols, plan.rows
-        )
 
     def overlap_query(
         self,

@@ -112,8 +112,7 @@ def plan_range_query(
 ) -> Plan:
     """Choose between the zkd index and a full scan by predicted pages.
 
-    Falls back to the relational plan (counted as a scan) when no index
-    matches.
+    Without a matching index the plan is the row scan.
     """
     nrows = len(database.catalog.relation(table))
     grid = database.grid
@@ -130,9 +129,7 @@ def plan_range_query(
             estimated_pages=scan_pages,
             alternative_pages=float("inf"),
             estimated_rows=selectivity * nrows,
-            _execute=lambda: database._range_query_via_plan(
-                table, coord_cols, box
-            ),
+            _execute=lambda: database._range_rows(table, coord_cols, box),
         )
 
     clipped = box.clipped_to(grid.whole_space())

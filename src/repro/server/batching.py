@@ -222,8 +222,8 @@ class QueryBatcher:
     """Asyncio coalescer: accumulate while busy, execute in groups.
 
     ``execute(key, payloads) -> results`` runs synchronously in the
-    batcher's single worker thread (one batch at a time, so shared
-    snapshot views need no locking).  ``submit`` parks the request in
+    batcher's single worker thread, one batch at a time.  ``submit``
+    parks the request in
     the pending queue; the drain loop pulls everything queued — up to
     ``max_batch`` — groups it by key (index, epoch), and dispatches one
     ``execute`` per group.  While a group executes the loop thread

@@ -2,9 +2,10 @@
 
 One **episode** builds a small spatial database, computes reference
 answers for a seeded set of range queries *before* any serving starts,
-then drives concurrent clients — readers, a writer churning commits, a
-killer that drops its socket mid-flight, and a vandal sending byte soup
-and oversized frames — against a :class:`~repro.server.tcp.QueryServer`
+then drives concurrent clients — readers, one of them refreshing its
+connection with reads in flight, a writer churning commits, a killer
+that drops its socket mid-flight, and a vandal sending byte soup and
+oversized frames — against a :class:`~repro.server.tcp.QueryServer`
 whose transport and dispatch failpoints are armed with a seeded
 schedule (``repro.faults``).  The episode then asserts the three
 serving-under-failure invariants:
@@ -15,8 +16,9 @@ serving-under-failure invariants:
 2. **Byte-identity** — every request that *was* answered ``ok`` carries
    exactly the reference rows.  Rejections, typed errors, timeouts and
    dropped connections are all legal outcomes under chaos; a wrong
-   answer never is.  (The writer inserts only outside the query boxes,
-   so the invariant holds at every pinned epoch.)
+   answer, a ``not_found`` or an untyped exception never is.  (The
+   writer inserts only outside the query boxes, so the invariant holds
+   at every pinned epoch.)
 3. **Zero residue** — after teardown no snapshot pin, COW page
    version, admission slot, or queue entry survives
    (``SnapshotManager.leak_stats`` and the admission gauges are all
@@ -177,6 +179,40 @@ def _build_fixture(
     return db, boxes, reference
 
 
+def _record(
+    report: ChaosReport, outcome: Any, expected: List[Tuple[Any, ...]]
+) -> bool:
+    """Tally one read's rows or exception: a wrong answer, a
+    ``not_found`` (a snapshot pulled from under a read in flight) or an
+    untyped exception is a breach.  False when the connection dropped."""
+    report.requests += 1
+    if isinstance(outcome, list):
+        if outcome == expected:
+            report.ok += 1
+        else:
+            report.mismatches += 1
+            report.failures.append(
+                f"byte-identity violated: {len(outcome)} rows != "
+                f"{len(expected)} expected"
+            )
+    elif isinstance(outcome, ServerRejected):
+        report.rejected += 1
+    elif isinstance(outcome, ServerError):
+        report.errors += 1
+        if outcome.error_type == "not_found":
+            report.failures.append(f"read lost its snapshot: {outcome}")
+    elif isinstance(outcome, asyncio.TimeoutError):
+        report.timeouts += 1
+    elif isinstance(outcome, (ConnectionError, OSError)):
+        report.disconnects += 1
+        return False
+    else:
+        report.failures.append(
+            f"read raised {type(outcome).__name__}: {outcome}"
+        )
+    return True
+
+
 async def _reader_storm(
     address: Tuple[str, int],
     boxes: Sequence[Box],
@@ -184,16 +220,27 @@ async def _reader_storm(
     seed: int,
     nrequests: int,
     report: ChaosReport,
+    refreshing: bool,
 ) -> None:
-    """One reader: issue seeded range queries (some with a deadline so
-    tight it must expire), tolerate every *typed* failure, reconnect
-    after drops, and flag any ``ok`` answer that is not byte-identical
-    to the reference."""
+    """One reader, reconnecting after drops.  A plain reader issues
+    seeded range queries, some with a deadline so tight it must expire.
+    A refreshing reader pipelines three reads, then refreshes its
+    connection before they answer: each read keeps its snapshot."""
     rng = random.Random(seed)
     policy = ResiliencePolicy(
         max_retries=0, backoff_base=0.01, backoff_factor=2.0, timeout=3.0
     )
     client: Optional[QueryClient] = None
+
+    def read(index: int, deadline_ms: Optional[float] = None) -> Any:
+        return client.range_query(  # type: ignore[union-attr]
+            "points",
+            ("x", "y"),
+            [list(pair) for pair in boxes[index].ranges],
+            retry=False,
+            deadline_ms=deadline_ms,
+        )
+
     try:
         for _ in range(nrequests):
             if client is None:
@@ -204,49 +251,34 @@ async def _reader_storm(
                         f"reader could not connect mid-storm: {exc}"
                     )
                     return
-            index = rng.randrange(len(boxes))
-            roll = rng.random()
-            deadline_ms: Optional[float] = None
-            if roll < 0.15:
-                deadline_ms = 0.01  # must expire: exercises shedding
-            elif roll < 0.3:
-                deadline_ms = 2000.0  # generous: must not interfere
-            report.requests += 1
-            try:
-                rows = await client.range_query(
-                    "points",
-                    ("x", "y"),
-                    [list(pair) for pair in boxes[index].ranges],
-                    retry=False,
-                    deadline_ms=deadline_ms,
+            if refreshing:
+                picks = [rng.randrange(len(boxes)) for _ in range(3)]
+                reads = [asyncio.ensure_future(read(i)) for i in picks]
+                # Let the reads reach the batcher, then re-pin under them.
+                await asyncio.sleep(rng.random() * 0.005)
+                *outcomes, _ = await asyncio.gather(
+                    *reads, client.refresh(), return_exceptions=True
                 )
-                if rows == reference[index]:
-                    report.ok += 1
-                else:
-                    report.mismatches += 1
-                    report.failures.append(
-                        f"byte-identity violated for box {index}: "
-                        f"{len(rows)} rows != "
-                        f"{len(reference[index])} expected"
-                    )
-            except ServerRejected:
-                report.rejected += 1
-            except ServerError:
-                report.errors += 1
-            except asyncio.TimeoutError:
-                report.timeouts += 1
-            except (ConnectionError, OSError):
-                report.disconnects += 1
+            else:
+                picks = [rng.randrange(len(boxes))]
+                roll = rng.random()
+                deadline_ms: Optional[float] = None
+                if roll < 0.15:
+                    deadline_ms = 0.01  # must expire: exercises shedding
+                elif roll < 0.3:
+                    deadline_ms = 2000.0  # generous: must not interfere
+                outcomes = await asyncio.gather(
+                    read(picks[0], deadline_ms), return_exceptions=True
+                )
+            alive = [
+                _record(report, outcome, reference[i])
+                for i, outcome in zip(picks, outcomes)
+            ]
+            if not all(alive):
                 with contextlib.suppress(Exception):
                     await client.close()
                 client = None
             await asyncio.sleep(rng.random() * 0.01)
-    except asyncio.CancelledError:
-        raise
-    except Exception as exc:  # untyped failure: an invariant breach
-        report.failures.append(
-            f"reader raised {type(exc).__name__}: {exc}"
-        )
     finally:
         if client is not None:
             with contextlib.suppress(Exception):
@@ -364,6 +396,7 @@ async def _episode(
     )
     server = await serve(service, faults=injector)
     try:
+        # The last reader refreshes its connection under its reads.
         storm = [
             _reader_storm(
                 server.address,
@@ -372,8 +405,9 @@ async def _episode(
                 seed * 1009 + i,
                 nrequests,
                 report,
+                refreshing=i == nreaders,
             )
-            for i in range(nreaders)
+            for i in range(nreaders + 1)
         ]
         storm.append(_writer_storm(server.address, seed * 31, 4))
         storm.append(_killer_client(server.address, boxes))

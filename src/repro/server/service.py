@@ -10,36 +10,36 @@ residue).
 
 Request flow for a ``range``/``point`` op::
 
-    admission.slot(client)            # typed rejection or a slot
-      -> batcher.submit((index, epoch), (box, table, cols))
-         # one shared scatter-gather scan for the whole group,
-         # then the O(matches) visible-row filter per request
+    client.session.fork()             # the read's own pin on the epoch
+      -> admission.slot(client)       # typed rejection or a slot
+      -> reader._entry(table, cols)   # an index visible at the epoch?
+         -> batcher.submit((index, epoch), box)
+            # one shared scatter-gather scan over a snapshot view
+            # built for the group, then readpath.rejoin per request
+         -> else reader.range_query   # the session's row scan
 
-Index scans batch across connections: the key is (index name, pinned
-epoch), so clients pinned at the same snapshot share one scatter–gather
-pass over one shared snapshot view.  Execution runs on the batcher's
-single worker thread; the event loop keeps accepting requests, which
-form the next batch.  A request that exceeds ``request_timeout``
-answers with a typed ``timeout`` rejection and frees its admission slot
-(the slow client cannot wedge the server).
+A read holds its fork from the moment it is received until its answer
+is built, so a pipelined ``refresh`` re-pins the connection at once and
+never pulls the snapshot from under a read in flight; the response's
+``epoch`` is the one the rows were read at.  Index scans batch across
+connections: the key is (index name, pinned epoch), so clients pinned
+at the same snapshot share one scatter–gather pass.  Execution runs on
+the batcher's single worker thread; the event loop keeps accepting
+requests, which form the next batch.  A request that exceeds
+``request_timeout`` answers with a typed ``timeout`` rejection and
+frees its admission slot (the slow client cannot wedge the server).
 """
 
 from __future__ import annotations
 
 import asyncio
 import itertools
-import threading
 import time
 from typing import Any, Callable, Dict, Hashable, List, Optional, Tuple
 
 from repro.core.deadline import Deadline, DeadlineExceeded, deadline_scope
 from repro.core.geometry import Box
-from repro.db.readpath import (
-    coords_getter,
-    rejoin,
-    scan_rows,
-    visible_rows,
-)
+from repro.db.readpath import rejoin
 from repro.faults import CrashPoint, FaultInjector, register_site
 from repro.obs.trace import QueryTrace
 from repro.server.admission import AdmissionController, Rejection
@@ -59,8 +59,6 @@ from repro.server.protocol import (
 from repro.shard.scatter import ResiliencePolicy
 
 __all__ = ["ClientState", "QueryService", "SITE_DISPATCH"]
-
-Point = Tuple[int, ...]
 
 #: Failpoint at the head of batch execution (the worker thread): an
 #: ``error`` rule is a failing backend, ``latency`` a hung one,
@@ -129,10 +127,6 @@ class QueryService:
             # Shed hints become honest: queue depth over measured rate.
             self.admission.retry_hint = self.overload.retry_after
         self._names = itertools.count(1)
-        #: (index name, epoch) -> shared snapshot view.  Guarded by a
-        #: lock: built lazily from either the loop or the worker thread.
-        self._views: Dict[Tuple[str, int], Any] = {}
-        self._views_lock = threading.Lock()
         self.stats: Dict[str, int] = {
             "server.connections": 0,
             "server.disconnects": 0,
@@ -164,67 +158,37 @@ class QueryService:
         released and its retained page versions become reclaimable."""
         client.session.close()
         self.stats["server.disconnects"] += 1
-        self._prune_views()
 
     def close(self) -> None:
         """Stop the batching machinery (sessions belong to handlers)."""
         self.batcher.close()
 
-    def _prune_views(self) -> None:
-        """Drop shared snapshot views for epochs no session pins."""
-        pinned = set(self.db.snapshots.pinned_epochs)
-        with self._views_lock:
-            for key in [k for k in self._views if k[1] not in pinned]:
-                del self._views[key]
-
     # -- batched execution (worker thread) -------------------------------
 
-    def _view_for(self, entry: Any, epoch: int) -> Any:
-        key = (entry.index_name, epoch)
-        with self._views_lock:
-            view = self._views.get(key)
-            if view is None:
-                view = entry.tree.snapshot_view(epoch)
-                self._views[key] = view
-            return view
-
     def _execute_batch(
-        self, key: Hashable, requests: List[Tuple[Box, str, Tuple[str, ...]]]
+        self, key: Hashable, boxes: List[Box]
     ) -> List[List[Tuple[Any, ...]]]:
-        """One worker-thread pass for a group of (box, table, cols)
-        requests pinned at the same index and epoch: a shared
-        scatter-gather scan, then the O(matches) row filter per
-        request — so each request costs a single executor handoff."""
+        """One worker-thread pass for a group of boxes read through the
+        same index at the same pinned epoch (each request holds its own
+        pin): a shared scatter-gather scan over a snapshot view built
+        for the group, then each request's matches rejoined through the
+        index — so each request costs a single executor handoff."""
         index_name, epoch = key  # type: ignore[misc]
         if self.faults is not None:
             self.faults.hit(SITE_DISPATCH, index=index_name)
         entry = self.db.catalog.index(index_name)
+        relation = self.db.catalog.relation(entry.relation_name)
         matches = batched_range_matches(
-            self._view_for(entry, epoch),
+            entry.tree.snapshot_view(epoch),
             self.db.grid,
-            [box for box, _, _ in requests],
+            boxes,
             cache=entry.cache,
             epoch=epoch,
         )
         return [
-            self._filter_rows(table, cols, matched, epoch)
-            for (_, table, cols), matched in zip(requests, matches)
+            rejoin(relation, epoch, matched, entry, entry.coord_cols)
+            for matched in matches
         ]
-
-    def _scan_rows(
-        self,
-        table: str,
-        cols: Tuple[str, ...],
-        box: Box,
-        epoch: int,
-    ) -> List[Tuple[Any, ...]]:
-        """Unindexed fallback: row scan at the client's epoch."""
-        relation = self.db.catalog.relation(table)
-        return scan_rows(
-            visible_rows(relation, epoch),
-            coords_getter(relation.schema, cols),
-            box,
-        )
 
     def _scoped(
         self, fn: Callable[..., Any], deadline: Optional[Deadline], *args: Any
@@ -233,22 +197,6 @@ class QueryService:
         deadline so the cooperative checks in scan/gather loops see it."""
         with deadline_scope(deadline):
             return fn(*args)
-
-    def _filter_rows(
-        self,
-        table: str,
-        cols: Tuple[str, ...],
-        matched: Tuple[Point, ...],
-        epoch: int,
-    ) -> List[Tuple[Any, ...]]:
-        """The request's rows: the batch's matches joined back through
-        the index's positions map at the client's epoch — O(matches)."""
-        entry = self.db._index_for(table, cols)
-        if entry is not None and not entry.visible_at(epoch):
-            entry = None
-        return rejoin(
-            self.db.catalog.relation(table), epoch, matched, entry, cols
-        )
 
     # -- request handling (event loop) -----------------------------------
 
@@ -393,52 +341,49 @@ class QueryService:
         table, cols, box = self._query_target(request)
         deadline, explicit = self._request_deadline(request)
         self.db.catalog.relation(table)  # raise not_found early
-        async with self.admission.slot(client.name, deadline):
-            try:
-                rows = await asyncio.wait_for(
-                    self._run_query(client, table, cols, box, deadline),
-                    timeout=max(deadline.remaining(), 0.001),
-                )
-            except asyncio.TimeoutError:
-                return self._expired_rejection(explicit)
-            except DeadlineExceeded:
-                return self._expired_rejection(explicit, cooperative=True)
-        return ok_response(
-            rows=[list(row) for row in rows],
-            count=len(rows),
-            epoch=client.epoch,
-        )
+        with client.session.fork() as reader:
+            async with self.admission.slot(client.name, deadline):
+                try:
+                    rows = await asyncio.wait_for(
+                        self._run_query(reader, table, cols, box, deadline),
+                        timeout=max(deadline.remaining(), 0.001),
+                    )
+                except asyncio.TimeoutError:
+                    return self._expired_rejection(explicit)
+                except DeadlineExceeded:
+                    return self._expired_rejection(
+                        explicit, cooperative=True
+                    )
+            return ok_response(
+                rows=[list(row) for row in rows],
+                count=len(rows),
+                epoch=reader.epoch,
+            )
 
     async def _run_query(
         self,
-        client: ClientState,
+        reader: Any,
         table: str,
         cols: Tuple[str, ...],
         box: Box,
         deadline: Optional[Deadline] = None,
     ) -> List[Tuple[Any, ...]]:
-        db = self.db
-        epoch = client.epoch
-        entry = db._index_for(table, cols)
-        loop = asyncio.get_running_loop()
-        if entry is None or not entry.visible_at(epoch):
-            # No snapshot-visible index: plain row scan, still off the
-            # event loop (and serialized with batch execution).
-            return await loop.run_in_executor(
+        entry = reader._entry(table, cols)
+        if entry is None:
+            # No snapshot-visible index: the session's row scan, still
+            # off the event loop (and serialized with batch execution).
+            relation = await asyncio.get_running_loop().run_in_executor(
                 self.batcher.pool,
                 self._scoped,
-                self._scan_rows,
+                reader.range_query,
                 deadline,
                 table,
                 cols,
                 box,
-                epoch,
             )
+            return relation.rows
         return await self._guarded_submit(
-            entry.index_name,
-            (entry.index_name, epoch),
-            (box, table, cols),
-            deadline,
+            entry.index_name, (entry.index_name, reader.epoch), box, deadline
         )
 
     async def _guarded_submit(
@@ -502,53 +447,55 @@ class QueryService:
                 epoch=client.epoch,
             )
         deadline, explicit = self._request_deadline(request)
-        async with self.admission.slot(client.name, deadline):
-            try:
-                out = await asyncio.wait_for(
-                    self._run_sql(client, compiled, deadline),
-                    timeout=max(deadline.remaining(), 0.001),
+        with client.session.fork() as reader:
+            async with self.admission.slot(client.name, deadline):
+                try:
+                    out = await asyncio.wait_for(
+                        self._run_sql(reader, compiled, deadline),
+                        timeout=max(deadline.remaining(), 0.001),
+                    )
+                except asyncio.TimeoutError:
+                    return self._expired_rejection(explicit)
+                except DeadlineExceeded:
+                    return self._expired_rejection(
+                        explicit, cooperative=True
+                    )
+            if compiled.statement.mode == "analyze":
+                return ok_response(
+                    mode="analyze", text=out, epoch=reader.epoch
                 )
-            except asyncio.TimeoutError:
-                return self._expired_rejection(explicit)
-            except DeadlineExceeded:
-                return self._expired_rejection(explicit, cooperative=True)
-        if compiled.statement.mode == "analyze":
             return ok_response(
-                mode="analyze", text=out, epoch=client.epoch
+                mode="rows",
+                columns=list(out.schema.names),
+                rows=[list(row) for row in out.rows],
+                count=len(out),
+                epoch=reader.epoch,
             )
-        return ok_response(
-            mode="rows",
-            columns=list(out.schema.names),
-            rows=[list(row) for row in out.rows],
-            count=len(out),
-            epoch=client.epoch,
-        )
 
     async def _run_sql(
         self,
-        client: ClientState,
+        reader: Any,
         compiled: Any,
         deadline: Optional[Deadline] = None,
     ) -> Any:
         loop = asyncio.get_running_loop()
-        epoch = client.epoch
         if compiled.statement.mode == "analyze":
             return await loop.run_in_executor(
                 self.batcher.pool,
                 self._scoped,
                 compiled.explain_analyze,
                 deadline,
-                client.session,
+                reader,
             )
         window = compiled.batch_window()
         if window is not None:
             table, cols, box = window
-            entry = self.db._index_for(table, cols)
-            if entry is not None and entry.visible_at(epoch):
+            entry = reader._entry(table, cols)
+            if entry is not None:
                 rows = await self._guarded_submit(
                     entry.index_name,
-                    (entry.index_name, epoch),
-                    (box, table, cols),
+                    (entry.index_name, reader.epoch),
+                    box,
                     deadline,
                 )
                 return compiled.finish_rows(rows)
@@ -557,7 +504,7 @@ class QueryService:
             self._scoped,
             compiled.run,
             deadline,
-            client.session,
+            reader,
         )
 
     def _handle_insert(
@@ -579,9 +526,7 @@ class QueryService:
         return ok_response(epoch=client.session.commit())
 
     def _handle_refresh(self, client: ClientState) -> Dict[str, Any]:
-        epoch = client.session.refresh()
-        self._prune_views()
-        return ok_response(epoch=epoch)
+        return ok_response(epoch=client.session.refresh())
 
     # -- stats and the SERVER trace section ------------------------------
 

@@ -2,8 +2,10 @@
 
 :class:`ShardedSpatialStore` owns one :class:`~repro.storage.
 prefix_btree.ZkdTree` (optionally file-backed) per shard of a
-:class:`~repro.shard.partition.ZRangePartitioner`, routes loads and
-inserts by z code, and answers range queries scatter–gather style:
+:class:`~repro.shard.partition.ZRangePartitioner` and routes loads and
+inserts by z code.  Its reads are :class:`ShardedReads`, which answers
+over any per-shard providers — the live trees, or their snapshot views
+at one pinned epoch — scatter–gather style:
 
 1. **prune** — decompose the query box into its z-interval elements and
    keep only the shards whose owned z range overlaps one of them (the
@@ -57,14 +59,19 @@ from repro.shard.scatter import (
     run_shard_calls,
 )
 from repro.storage.buffer import ReplacementPolicy
-from repro.storage.prefix_btree import ProximityReads, QueryResult, ZkdTree
+from repro.storage.prefix_btree import (
+    LeafChainReads,
+    ProximityReads,
+    QueryResult,
+    ZkdTree,
+)
 
 __all__ = [
     "ShardedQueryResult",
+    "ShardedReads",
     "ShardedSpatialStore",
     "gather_in_z_order",
     "gather_shard_results",
-    "scatter_intervals",
 ]
 
 Point = Tuple[int, ...]
@@ -154,226 +161,31 @@ def gather_shard_results(
     )
 
 
-def scatter_intervals(
-    partitioner: ZRangePartitioner,
-    intervals: Sequence[Tuple[int, int]],
-    scan: Callable[[List[int], List[List[Tuple[int, int]]]], Sequence[Any]],
-) -> Tuple[Tuple[Point, ...], ...]:
-    """Points in each inclusive z interval, one tuple per interval.
-
-    Each interval is clipped to the overlapping shards' owned ranges
-    (an element can straddle a shard cut), ``scan(shard_ids,
-    interval_lists)`` returns every listed shard's runs, and the
-    sub-runs reassemble per original interval in ascending shard order
-    — which, the shard ranges being disjoint and ascending, is z order.
-    """
-    per_shard: Dict[int, List[Tuple[int, Tuple[int, int]]]] = {}
-    for index, (zlo, zhi) in enumerate(intervals):
-        for shard_id in partitioner.prune([(zlo, zhi)]):
-            slo, shi = partitioner.interval(shard_id)
-            clipped = (max(zlo, slo), min(zhi, shi))
-            per_shard.setdefault(shard_id, []).append((index, clipped))
-    order = sorted(per_shard)
-    results = scan(
-        order, [[iv for _, iv in per_shard[sid]] for sid in order]
-    )
-    parts: List[List[Point]] = [[] for _ in intervals]
-    for shard_id, runs in zip(order, results):
-        for (index, _), run in zip(per_shard[shard_id], runs):
-            parts[index].extend(run)
-    return tuple(tuple(part) for part in parts)
-
-
-class ShardedSpatialStore(ProximityReads):
-    """N z-range shards behind the single-store query interface.
-
-    >>> from repro.core.geometry import Grid, Box
-    >>> grid = Grid(ndims=2, depth=3)
-    >>> store = ShardedSpatialStore.build(
-    ...     grid, [(x, x) for x in range(8)], nshards=2)
-    >>> store.nshards, len(store)
-    (2, 8)
-    >>> store.range_query(Box(((0, 3), (0, 3)))).matches
-    ((0, 0), (1, 1), (2, 2), (3, 3))
-    """
+class ShardedReads(ProximityReads):
+    """Every read over N z-range shards, written once.  ``shards`` are
+    single-store providers in shard order: the live store's trees or,
+    from :meth:`ShardedSpatialStore.snapshot_view`, their snapshot
+    views at one pinned epoch — so a pinned read prunes, retries,
+    checks its deadline and publishes its span as the live read does."""
 
     def __init__(
         self,
         grid: Grid,
-        partitioner: Optional[ZRangePartitioner] = None,
-        nshards: Optional[int] = None,
-        page_capacity: int = 20,
-        buffer_frames: int = 8,
-        order: int = 32,
-        policy: ReplacementPolicy = ReplacementPolicy.LRU,
-        store_factory: Optional[StoreFactory] = None,
-        resilience: Optional[ResiliencePolicy] = None,
+        partitioner: ZRangePartitioner,
+        shards: List[LeafChainReads],
+        resilience: ResiliencePolicy,
     ) -> None:
-        if partitioner is None:
-            partitioner = ZRangePartitioner.equi_width(
-                grid.total_bits, nshards if nshards is not None else 1
-            )
-        elif nshards is not None and nshards != partitioner.nshards:
-            raise ValueError(
-                f"partitioner has {partitioner.nshards} shards, "
-                f"nshards={nshards} requested"
-            )
-        if partitioner.total_bits != grid.total_bits:
-            raise ValueError(
-                f"partitioner covers {partitioner.total_bits} bits, "
-                f"grid has {grid.total_bits}"
-            )
         self.grid = grid
         self.partitioner = partitioner
-        self.shards: List[ZkdTree] = [
-            ZkdTree(
-                grid,
-                page_capacity=page_capacity,
-                buffer_frames=buffer_frames,
-                order=order,
-                policy=policy,
-                store=store_factory(i) if store_factory else None,
-            )
-            for i in range(partitioner.nshards)
-        ]
-        self.resilience = resilience if resilience is not None else ResiliencePolicy()
-
-    @classmethod
-    def build(
-        cls,
-        grid: Grid,
-        points: Iterable[Sequence[int]],
-        nshards: int,
-        partition: str = "equi",
-        align_bits: int = 0,
-        fill_factor: float = 1.0,
-        **kwargs: Any,
-    ) -> "ShardedSpatialStore":
-        """Partition + bulk-load in one step.
-
-        ``partition`` picks the cut policy: ``"equi"`` (equal-width z
-        intervals) or ``"balanced"`` (equi-depth quantiles of the data's
-        own z codes, the histogram-driven policy for skewed datasets).
-        Remaining keyword arguments go to the constructor.
-        """
-        pts = [tuple(p) for p in points]
-        if partition == "equi":
-            partitioner = ZRangePartitioner.equi_width(
-                grid.total_bits, nshards
-            )
-        elif partition == "balanced":
-            codes = interleave_many(pts, grid.depth, grid.ndims)
-            partitioner = ZRangePartitioner.from_codes(
-                codes, grid.total_bits, nshards, align_bits
-            )
-        else:
-            raise ValueError(
-                f"unknown partition policy {partition!r}; "
-                "expected 'equi' or 'balanced'"
-            )
-        store = cls(grid, partitioner, **kwargs)
-        store.bulk_load(pts, fill_factor=fill_factor)
-        return store
-
-    # ------------------------------------------------------------------
-    # Introspection
-    # ------------------------------------------------------------------
+        self.shards = shards
+        self.resilience = resilience
 
     @property
     def nshards(self) -> int:
         return len(self.shards)
 
-    @property
-    def npages(self) -> int:
-        return sum(shard.npages for shard in self.shards)
-
-    @property
-    def height(self) -> int:
-        """Worst-case index descent over the shards (a query descends
-        each dispatched shard once, so the tallest bounds any one)."""
-        return max(shard.tree.height for shard in self.shards)
-
-    def shard_sizes(self) -> List[int]:
-        return [len(shard) for shard in self.shards]
-
-    # ------------------------------------------------------------------
-    # Maintenance (routing writes)
-    # ------------------------------------------------------------------
-
-    @contextmanager
-    def transaction(self) -> Iterator["ShardedSpatialStore"]:
-        """One atomic unit across every shard: each shard's transaction
-        stays open for the whole block, so a database-level group
-        commit produces a single WAL commit per shard store (and, with
-        snapshots attached, a single epoch for the batch)."""
-        from contextlib import ExitStack
-
-        with ExitStack() as stack:
-            for shard in self.shards:
-                stack.enter_context(shard.transaction())
-            yield self
-
-    def attach_snapshots(self, snapshots) -> None:
-        """Version every shard under ``snapshots``
-        (:meth:`ZkdTree.attach_snapshots`), in one write transaction."""
-        with snapshots.write_transaction():
-            for shard in self.shards:
-                shard.attach_snapshots(snapshots)
-
-    def snapshot_view(self, epoch: int):
-        """A read-only view over all shards as of pinned commit
-        ``epoch`` (requires snapshots and an active pin)."""
-        from repro.concurrency.view import ShardedSnapshotView
-
-        return ShardedSnapshotView(self, epoch)
-
-    def _zcode(self, point: Sequence[int]) -> int:
-        point_t = tuple(point)
-        self.grid.validate_point(point_t)
-        return self.grid.zvalue(point_t).bits
-
-    def route_point(self, point: Sequence[int]) -> int:
-        """The shard that owns ``point``'s z code."""
-        return self.partitioner.route(self._zcode(point))
-
-    def _group_by_shard(
-        self, points: Iterable[Sequence[int]]
-    ) -> List[List[Point]]:
-        pts = [tuple(p) for p in points]
-        codes = interleave_many(pts, self.grid.depth, self.grid.ndims)
-        groups: List[List[Point]] = [[] for _ in range(self.nshards)]
-        for point, shard in zip(
-            pts, self.partitioner.route_many(codes)
-        ):
-            groups[shard].append(point)
-        return groups
-
-    def bulk_load(
-        self,
-        points: Iterable[Sequence[int]],
-        fill_factor: float = 1.0,
-    ) -> None:
-        """Route the batch and bottom-up load each shard's tree."""
-        for shard, group in zip(self.shards, self._group_by_shard(points)):
-            if group:
-                shard.bulk_load(group, fill_factor)
-
-    def insert(self, point: Sequence[int]) -> None:
-        self.shards[self.route_point(point)].insert(point)
-
-    def insert_many(self, points: Iterable[Sequence[int]]) -> None:
-        for shard, group in zip(self.shards, self._group_by_shard(points)):
-            if group:
-                shard.insert_many(group)
-
-    def delete(self, point: Sequence[int]) -> bool:
-        return self.shards[self.route_point(point)].delete(point)
-
     def __len__(self) -> int:
         return sum(len(shard) for shard in self.shards)
-
-    def __contains__(self, point: Sequence[int]) -> bool:
-        return tuple(point) in self.shards[self.route_point(point)]
 
     def points(self) -> List[Point]:
         """All stored points in global z order (shard concatenation —
@@ -382,10 +194,6 @@ class ShardedSpatialStore(ProximityReads):
         for shard in self.shards:
             out.extend(shard.points())
         return out
-
-    # ------------------------------------------------------------------
-    # Queries (scatter–gather)
-    # ------------------------------------------------------------------
 
     def _scatter(
         self, calls: Sequence[ShardCall]
@@ -443,18 +251,31 @@ class ShardedSpatialStore(ProximityReads):
         self, intervals: Sequence[Tuple[int, int]]
     ) -> Tuple[Tuple[Point, ...], ...]:
         """Points in each inclusive z interval, one tuple per interval
-        — the residual scatter of the semantic result cache.  Untraced
-        like the per-shard merges: the cache front-end owns the span."""
-
-        def scan(order: List[int], lists: List[Any]) -> Sequence[Any]:
-            return self._scatter(
-                [
-                    (sid, partial(self.shards[sid].interval_query, ivs))
-                    for sid, ivs in zip(order, lists)
-                ]
-            )[0]
-
-        return scatter_intervals(self.partitioner, intervals, scan)
+        — the residual scatter of the semantic result cache, untraced
+        like the per-shard merges (the cache front-end owns the span).
+        Each interval is clipped to the overlapping shards' ranges (an
+        element can straddle a shard cut); the sub-runs reassemble per
+        interval in ascending shard order, which is z order."""
+        owners: Dict[int, List[int]] = {}
+        clipped: Dict[int, List[Tuple[int, int]]] = {}
+        for index, (zlo, zhi) in enumerate(intervals):
+            for sid in self.partitioner.prune([(zlo, zhi)]):
+                slo, shi = self.partitioner.interval(sid)
+                clip = (max(zlo, slo), min(zhi, shi))
+                owners.setdefault(sid, []).append(index)
+                clipped.setdefault(sid, []).append(clip)
+        order = sorted(owners)
+        results, _ = self._scatter(
+            [
+                (sid, partial(self.shards[sid].interval_query, clipped[sid]))
+                for sid in order
+            ]
+        )
+        parts: List[List[Point]] = [[] for _ in intervals]
+        for sid, runs in zip(order, results):
+            for index, run in zip(owners[sid], runs):
+                parts[index].extend(run)
+        return tuple(tuple(part) for part in parts)
 
     def object_query(
         self, classify: ClassifyFn, max_depth: Optional[int] = None
@@ -471,6 +292,196 @@ class ShardedSpatialStore(ProximityReads):
         return gather_shard_results(
             self.partitioner, list(range(self.nshards)), results
         )
+
+
+class ShardedSpatialStore(ShardedReads):
+    """N z-range shards behind the single-store query interface.
+
+    >>> from repro.core.geometry import Grid, Box
+    >>> grid = Grid(ndims=2, depth=3)
+    >>> store = ShardedSpatialStore.build(
+    ...     grid, [(x, x) for x in range(8)], nshards=2)
+    >>> store.nshards, len(store)
+    (2, 8)
+    >>> store.range_query(Box(((0, 3), (0, 3)))).matches
+    ((0, 0), (1, 1), (2, 2), (3, 3))
+    """
+
+    def __init__(
+        self,
+        grid: Grid,
+        partitioner: Optional[ZRangePartitioner] = None,
+        nshards: Optional[int] = None,
+        page_capacity: int = 20,
+        buffer_frames: int = 8,
+        order: int = 32,
+        policy: ReplacementPolicy = ReplacementPolicy.LRU,
+        store_factory: Optional[StoreFactory] = None,
+        resilience: Optional[ResiliencePolicy] = None,
+    ) -> None:
+        if partitioner is None:
+            partitioner = ZRangePartitioner.equi_width(
+                grid.total_bits, nshards if nshards is not None else 1
+            )
+        elif nshards is not None and nshards != partitioner.nshards:
+            raise ValueError(
+                f"partitioner has {partitioner.nshards} shards, "
+                f"nshards={nshards} requested"
+            )
+        if partitioner.total_bits != grid.total_bits:
+            raise ValueError(
+                f"partitioner covers {partitioner.total_bits} bits, "
+                f"grid has {grid.total_bits}"
+            )
+        super().__init__(
+            grid,
+            partitioner,
+            [
+                ZkdTree(
+                    grid,
+                    page_capacity=page_capacity,
+                    buffer_frames=buffer_frames,
+                    order=order,
+                    policy=policy,
+                    store=store_factory(i) if store_factory else None,
+                )
+                for i in range(partitioner.nshards)
+            ],
+            resilience if resilience is not None else ResiliencePolicy(),
+        )
+
+    @classmethod
+    def build(
+        cls,
+        grid: Grid,
+        points: Iterable[Sequence[int]],
+        nshards: int,
+        partition: str = "equi",
+        align_bits: int = 0,
+        fill_factor: float = 1.0,
+        **kwargs: Any,
+    ) -> "ShardedSpatialStore":
+        """Partition + bulk-load in one step.
+
+        ``partition`` picks the cut policy: ``"equi"`` (equal-width z
+        intervals) or ``"balanced"`` (equi-depth quantiles of the data's
+        own z codes, the histogram-driven policy for skewed datasets).
+        Remaining keyword arguments go to the constructor.
+        """
+        pts = [tuple(p) for p in points]
+        if partition == "equi":
+            partitioner = ZRangePartitioner.equi_width(
+                grid.total_bits, nshards
+            )
+        elif partition == "balanced":
+            codes = interleave_many(pts, grid.depth, grid.ndims)
+            partitioner = ZRangePartitioner.from_codes(
+                codes, grid.total_bits, nshards, align_bits
+            )
+        else:
+            raise ValueError(
+                f"unknown partition policy {partition!r}; "
+                "expected 'equi' or 'balanced'"
+            )
+        store = cls(grid, partitioner, **kwargs)
+        store.bulk_load(pts, fill_factor=fill_factor)
+        return store
+
+    # ------------------------------------------------------------------
+    # Introspection
+    # ------------------------------------------------------------------
+
+    @property
+    def npages(self) -> int:
+        return sum(shard.npages for shard in self.shards)
+
+    @property
+    def height(self) -> int:
+        """Worst-case index descent over the shards (a query descends
+        each dispatched shard once, so the tallest bounds any one)."""
+        return max(shard.tree.height for shard in self.shards)
+
+    def shard_sizes(self) -> List[int]:
+        return [len(shard) for shard in self.shards]
+
+    # ------------------------------------------------------------------
+    # Maintenance (routing writes)
+    # ------------------------------------------------------------------
+
+    @contextmanager
+    def transaction(self) -> Iterator["ShardedSpatialStore"]:
+        """One atomic unit across every shard: each shard's transaction
+        stays open for the whole block, so a database-level group
+        commit produces a single WAL commit per shard store (and, with
+        snapshots attached, a single epoch for the batch)."""
+        from contextlib import ExitStack
+
+        with ExitStack() as stack:
+            for shard in self.shards:
+                stack.enter_context(shard.transaction())
+            yield self
+
+    def attach_snapshots(self, snapshots) -> None:
+        """Version every shard under ``snapshots``
+        (:meth:`ZkdTree.attach_snapshots`), in one write transaction."""
+        with snapshots.write_transaction():
+            for shard in self.shards:
+                shard.attach_snapshots(snapshots)
+
+    def snapshot_view(self, epoch: int) -> ShardedReads:
+        """The store's reads over every shard's view as of pinned
+        commit ``epoch`` (requires snapshots and an active pin)."""
+        return ShardedReads(
+            self.grid,
+            self.partitioner,
+            [shard.snapshot_view(epoch) for shard in self.shards],
+            self.resilience,
+        )
+
+    def _zcode(self, point: Sequence[int]) -> int:
+        point_t = tuple(point)
+        self.grid.validate_point(point_t)
+        return self.grid.zvalue(point_t).bits
+
+    def route_point(self, point: Sequence[int]) -> int:
+        """The shard that owns ``point``'s z code."""
+        return self.partitioner.route(self._zcode(point))
+
+    def _group_by_shard(
+        self, points: Iterable[Sequence[int]]
+    ) -> List[List[Point]]:
+        pts = [tuple(p) for p in points]
+        codes = interleave_many(pts, self.grid.depth, self.grid.ndims)
+        groups: List[List[Point]] = [[] for _ in range(self.nshards)]
+        for point, shard in zip(
+            pts, self.partitioner.route_many(codes)
+        ):
+            groups[shard].append(point)
+        return groups
+
+    def bulk_load(
+        self,
+        points: Iterable[Sequence[int]],
+        fill_factor: float = 1.0,
+    ) -> None:
+        """Route the batch and bottom-up load each shard's tree."""
+        for shard, group in zip(self.shards, self._group_by_shard(points)):
+            if group:
+                shard.bulk_load(group, fill_factor)
+
+    def insert(self, point: Sequence[int]) -> None:
+        self.shards[self.route_point(point)].insert(point)
+
+    def insert_many(self, points: Iterable[Sequence[int]]) -> None:
+        for shard, group in zip(self.shards, self._group_by_shard(points)):
+            if group:
+                shard.insert_many(group)
+
+    def delete(self, point: Sequence[int]) -> bool:
+        return self.shards[self.route_point(point)].delete(point)
+
+    def __contains__(self, point: Sequence[int]) -> bool:
+        return tuple(point) in self.shards[self.route_point(point)]
 
     # ------------------------------------------------------------------
     # Lifecycle

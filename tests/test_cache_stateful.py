@@ -18,8 +18,8 @@ that epoch.  Invariants:
 * *Map coherence*: for the live state and every open session's epoch,
   rows joined back through an index's coordinate -> positions map equal
   the scan rejoin over ``rows_at(epoch)`` byte for byte — through
-  ``db.range_query``, ``Session.range_query`` and the server's
-  ``QueryService._filter_rows`` — with duplicate points, aborted
+  ``db.range_query``, ``Session.range_query`` and, at every session's
+  epoch, the server's batched path — with duplicate points, aborted
   commits, refreshed sessions and an index born after a pin in play.
 """
 
@@ -268,10 +268,10 @@ class CacheInvalidationMachine(RuleBasedStateMachine):
                 by_scan = rejoin(relation, epoch, matched, None, cols)
                 assert got == by_scan
                 assert rejoin(relation, epoch, matched, entry, cols) == by_scan
-                assert (
-                    self.service._filter_rows("a", cols, matched, epoch)
-                    == by_scan
-                )
+                if epoch is not None:
+                    assert self.service._execute_batch(
+                        (entry.index_name, epoch), [box]
+                    ) == [by_scan]
 
     def teardown(self):
         self.service.close()

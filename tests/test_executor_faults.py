@@ -11,6 +11,7 @@ import time
 
 import pytest
 
+from repro.concurrency import SnapshotManager
 from repro.core.deadline import Deadline, DeadlineExceeded, deadline_scope
 from repro.core.geometry import Box, Grid, box_classifier
 from repro.faults import FaultInjector
@@ -148,6 +149,43 @@ class TestFailpoint:
                 result = store.range_query(BOX)
         assert [e.site for e in inj.fired] == ["diskstore.page_read"]
         assert result.matches == clean
+        assert t.find("shard.scatter_gather").counters["shard.retries"] == 1
+
+    def test_pinned_read_retries_like_the_live_read(self, tmp_path):
+        # The same fault under a pinned snapshot: the view is the
+        # store's own reads over per-shard views, so it retries too.
+        inj = FaultInjector(seed=1)
+        points = [((5 * i) % 32, (7 * i + 2) % 32) for i in range(400)]
+        snapshots = SnapshotManager()
+
+        def factory(i):
+            return FilePageStore(
+                str(tmp_path / f"shard{i}.zkd"),
+                page_capacity=4,
+                faults=inj if i == 1 else None,
+            )
+
+        with ShardedSpatialStore.build(
+            GRID,
+            points,
+            nshards=4,
+            page_capacity=4,
+            buffer_frames=1,
+            store_factory=factory,
+            resilience=FAST,
+        ) as store:
+            store.attach_snapshots(snapshots)
+            epoch = snapshots.pin()
+            try:
+                live = store.range_query(BOX)
+                inj.rule("diskstore.page_read", "error")
+                with trace("q") as t:
+                    pinned = store.snapshot_view(epoch).range_query(BOX)
+            finally:
+                snapshots.unpin(epoch)
+        assert [e.site for e in inj.fired] == ["diskstore.page_read"]
+        assert pinned.matches == live.matches
+        assert pinned.shards_hit == live.shards_hit
         assert t.find("shard.scatter_gather").counters["shard.retries"] == 1
 
 

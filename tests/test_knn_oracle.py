@@ -18,7 +18,7 @@ import random
 
 import pytest
 
-from repro.concurrency.view import ShardedSnapshotView, SnapshotTreeView
+from repro.concurrency.view import SnapshotTreeView
 from repro.core.geometry import Grid
 from repro.db.database import SpatialDatabase
 from repro.db.readpath import RowStore
@@ -26,7 +26,7 @@ from repro.db.schema import Schema
 from repro.db.types import INTEGER, OID
 from repro.obs.trace import trace
 from repro.server import QueryClient, QueryService, serve
-from repro.shard.store import ShardedSpatialStore
+from repro.shard.store import ShardedReads, ShardedSpatialStore
 from repro.sql import execute_sql
 from repro.storage.prefix_btree import ZkdTree
 from repro.workloads import knn_workload, sky_catalog
@@ -204,7 +204,7 @@ def providers(request):
         view = session._point_store("points", cols)
         sharded_view = sharded_session._point_store("points", cols)
         assert isinstance(view, SnapshotTreeView)
-        assert isinstance(sharded_view, ShardedSnapshotView)
+        assert type(sharded_view) is ShardedReads
         sharded = ShardedSpatialStore.build(grid, points, nshards=3)
         yield grid, points, {
             "tree": tree.nearest_neighbours,

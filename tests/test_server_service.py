@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import asyncio
 import random
+import time
 
 import pytest
 
@@ -29,7 +30,7 @@ GRID = Grid(ndims=2, depth=7)
 NPOINTS = 1500
 
 
-def _build_db(seed=0):
+def _build_db(seed=0, shards=1):
     db = SpatialDatabase(GRID, page_capacity=16)
     db.create_table(
         "points", Schema.of(("id@", OID), ("x", INTEGER), ("y", INTEGER))
@@ -38,7 +39,7 @@ def _build_db(seed=0):
     db.insert_many(
         "points", [(f"p{i}", x, y) for i, (x, y) in enumerate(points)]
     )
-    db.create_index("points_xy", "points", ("x", "y"))
+    db.create_index("points_xy", "points", ("x", "y"), shards=shards)
     return db
 
 
@@ -187,6 +188,105 @@ def test_insert_commit_refresh_snapshot_semantics():
             await writer.close()
         finally:
             await server.close()
+
+    asyncio.run(run())
+
+
+@pytest.mark.parametrize("shards", [1, 4])
+def test_pipelined_refresh_keeps_reads_at_their_snapshot(shards):
+    """Reads queued behind a busy batch, then a ``refresh`` on the same
+    connection: every read answers ``ok`` with exactly the rows
+    committed at the epoch its response names — the one the connection
+    was pinned at when the read arrived — and teardown leaves no pin,
+    capture or page version behind."""
+
+    async def run():
+        db = _build_db(shards=shards)
+        service = QueryService(db)
+        real_execute = service._execute_batch
+
+        def busy_execute(key, boxes):
+            time.sleep(0.02)
+            return real_execute(key, boxes)
+
+        service.batcher._execute = busy_execute
+        server = await serve(service)
+        boxes = _boxes(seed=4, count=4)
+        oracle = {}
+
+        def record():
+            rows = db.table("points").rows
+            oracle[db.snapshots.current_epoch] = [
+                [r for r in rows if Box(ranges).contains_point(r[1:])]
+                for ranges in boxes
+            ]
+
+        def range_request(ranges):
+            return {
+                "op": "range",
+                "table": "points",
+                "cols": ["x", "y"],
+                "box": [list(r) for r in ranges],
+            }
+
+        stats = service.batcher.stats
+
+        async def until(condition):
+            for _ in range(2000):
+                if condition():
+                    return
+                await asyncio.sleep(0.001)
+            raise AssertionError("condition never held")
+
+        record()
+        try:
+            async with await QueryClient.connect(
+                *server.address
+            ) as client, await QueryClient.connect(
+                *server.address
+            ) as writer:
+                pinned = (await client.ping())["epoch"]
+                for round_ in range(4):
+                    # One new row inside every box, so each epoch's
+                    # answers differ from the last.
+                    for i, ((x0, _), (y0, _)) in enumerate(boxes):
+                        await writer.insert(
+                            "points", [f"w{round_}.{i}", x0, y0]
+                        )
+                    await writer.commit()
+                    record()
+                    # Another connection's batch keeps the worker busy
+                    # while this connection's reads queue behind it.
+                    batches = stats["server.batches"]
+                    busy = asyncio.ensure_future(
+                        writer.request(range_request(boxes[0]))
+                    )
+                    await until(lambda: stats["server.batches"] > batches)
+                    reads = [
+                        asyncio.ensure_future(
+                            client.request(range_request(ranges), retry=False)
+                        )
+                        for ranges in boxes
+                    ]
+                    await until(
+                        lambda: service.batcher.counters()[
+                            "server.batch_queue_depth"
+                        ]
+                        == len(boxes)
+                    )
+                    refreshed = await client.refresh()
+                    responses = await asyncio.gather(*reads)
+                    await busy
+                    assert refreshed == db.snapshots.current_epoch
+                    for i, response in enumerate(responses):
+                        assert response["ok"], response
+                        assert response["epoch"] == pinned
+                        rows = [tuple(row) for row in response["rows"]]
+                        assert rows == oracle[pinned][i]
+                    pinned = refreshed
+        finally:
+            await server.close()
+        assert all(v == 0 for v in db.snapshots.leak_stats().values())
 
     asyncio.run(run())
 

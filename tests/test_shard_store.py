@@ -233,6 +233,45 @@ def test_explain_renders_per_shard_lines(loaded):
         pytest.fail("no shard[i] line rendered")
 
 
+def test_session_read_traces_like_the_live_read(grid64, rng):
+    # A pinned read of a sharded index runs the live store's scatter:
+    # the same span, counters and shard[i] children.
+    db = SpatialDatabase(grid64, page_capacity=20)
+    db.create_table(
+        "t", Schema.of(("i@", OID), ("x", INTEGER), ("y", INTEGER))
+    )
+    db.insert_many(
+        "t",
+        [
+            (f"r{i}", x, y)
+            for i, (x, y) in enumerate(random_points(rng, grid64, 800))
+        ],
+    )
+    db.create_index("t_xy", "t", ("x", "y"), shards=4)
+    box = Box(((2, 40), (2, 40)))
+
+    def shape(span):
+        return (
+            span.name,
+            span.attrs,
+            span.counters,
+            [shape(child) for child in span.children],
+        )
+
+    def scatter_span(reader):
+        with trace("q") as t:
+            reader.range_query_stats("t", ("x", "y"), box)
+        span = t.find("shard.scatter_gather")
+        assert span is not None
+        return shape(span)
+
+    with db.session() as session:
+        pinned = scatter_span(session)
+    live = scatter_span(db)
+    assert pinned == live
+    assert len(live[3]) == live[2]["shards_hit"] > 1
+
+
 # ----------------------------------------------------------------------
 # Database / planner / statistics integration
 # ----------------------------------------------------------------------
