@@ -1,13 +1,16 @@
 """Microbenchmark: scalar reference z kernels vs the batched fast path.
 
-Reports shuffle/unshuffle throughput (points per second) and box
+Reports shuffle/unshuffle throughput (points per second), box
 decomposition throughput (boxes per second: the integer box kernel vs
-the generic object machinery on the same boxes) so the kernel speedups
-land in the perf trajectory.  The acceptance floors for this bench are
-a >= 3x batched shuffle speedup on 100k 2-d points and a >= 3x
-box-kernel speedup over the generic ``decompose(grid,
-box_classifier(box))`` — re-routing boxes through the generic machinery
-fails the gate.
+the generic object machinery on the same boxes) and leaf-scan throughput
+(queries per second: ``ZkdTree.range_query``'s range-driven leaf scan vs
+the per-record merge ``range_search(tree.cursor(), grid, box)`` on the
+same tree and boxes) so the kernel speedups land in the perf trajectory.
+The acceptance floors for this bench are a >= 3x batched shuffle speedup
+on 100k 2-d points, a >= 3x box-kernel speedup over the generic
+``decompose(grid, box_classifier(box))`` and a >= 1.5x leaf-scan speedup
+over the merge — re-routing boxes through the generic machinery, or
+range queries through the per-record merge, fails the gate.
 
 Runs two ways:
 
@@ -30,6 +33,8 @@ from repro.core import fastz
 from repro.core.decompose import decompose, decompose_box
 from repro.core.geometry import Box, Grid, box_classifier
 from repro.core.interleave import deinterleave, interleave
+from repro.core.rangesearch import MergeStats, range_search
+from repro.storage.prefix_btree import ZkdTree
 
 DEPTH = 16
 
@@ -37,6 +42,12 @@ DEPTH = 16
 #: random boxes, 11x on 100x100 ones); it holds in smoke mode too, being
 #: a ratio of two loops over the same boxes.
 BOX_KERNEL_FLOOR = 3.0
+
+#: Floor on the leaf scan vs the per-record merge (measured 2.2-2.5x on
+#: a 2 vcpu host: 20k points, boxes up to 300 pixels a side, ~450
+#: matches each); a ratio of two loops over the same boxes, so smoke
+#: mode holds it too.
+LEAF_SCAN_FLOOR = 1.5
 
 
 def _make_points(n, ndims, depth, seed=0xC0FFEE):
@@ -127,7 +138,40 @@ def bench_box_kernel(nboxes, grid):
     }
 
 
-def format_report(shuffles, unshuffles, kernels):
+def bench_leaf_scan(nboxes, grid, npoints=20_000, max_side=300):
+    """``ZkdTree.range_query`` (the leaf scan) vs the per-record merge
+    over ``tree.cursor()``, alternating box by box on one tree."""
+    rng = random.Random(0x5CA7)
+    tree = ZkdTree(grid, page_capacity=20, buffer_frames=1 << 14)
+    tree.insert_many(_make_points(npoints, grid.ndims, grid.depth))
+    boxes = []
+    for _ in range(nboxes):
+        ranges = []
+        for _ in range(grid.ndims):
+            width = rng.randrange(1, max_side + 1)
+            lo = rng.randrange(grid.side - width + 1)
+            ranges.append((lo, lo + width - 1))
+        boxes.append(Box(tuple(ranges)))
+    merge_s = scan_s = 0.0
+    for box in boxes:
+        t0 = time.perf_counter()
+        merged = tuple(range_search(tree.cursor(), grid, box, MergeStats()))
+        t1 = time.perf_counter()
+        scanned = tree.range_query(box).matches
+        t2 = time.perf_counter()
+        assert scanned == merged, "leaf scan diverged from the merge"
+        merge_s += t1 - t0
+        scan_s += t2 - t1
+    return {
+        "nboxes": nboxes,
+        "npoints": npoints,
+        "merge_qps": _rate(nboxes, merge_s),
+        "scan_qps": _rate(nboxes, scan_s),
+        "speedup": merge_s / scan_s if scan_s else float("inf"),
+    }
+
+
+def format_report(shuffles, unshuffles, kernels, scans):
     lines = ["# Kernel throughput: scalar reference vs batched fast path", ""]
     lines.append("## shuffle (interleave)")
     for r in shuffles:
@@ -153,6 +197,14 @@ def format_report(shuffles, unshuffles, kernels):
             f"kernel {r['kernel_bps']:>10,.0f} boxes/s   "
             f"speedup {r['speedup']:.1f}x"
         )
+    lines.append("## range_query: leaf scan vs per-record merge")
+    for r in scans:
+        lines.append(
+            f"  {r['nboxes']:>7} boxes on {r['npoints']} pts: "
+            f"merge {r['merge_qps']:>10,.0f} q/s   "
+            f"scan {r['scan_qps']:>10,.0f} q/s   "
+            f"speedup {r['speedup']:.1f}x"
+        )
     return "\n".join(lines)
 
 
@@ -164,10 +216,11 @@ def run(npoints=100_000, nboxes=150, verbose=True):
     ]
     unshuffles = [bench_unshuffle(max(1000, npoints // 2), 2)]
     kernels = [bench_box_kernel(nboxes, Grid(ndims=2, depth=10))]
-    report = format_report(shuffles, unshuffles, kernels)
+    scans = [bench_leaf_scan(nboxes, Grid(ndims=2, depth=10))]
+    report = format_report(shuffles, unshuffles, kernels, scans)
     if verbose:
         print(report)
-    return shuffles, unshuffles, kernels, report
+    return shuffles, unshuffles, kernels, scans, report
 
 
 # ----------------------------------------------------------------------
@@ -178,13 +231,15 @@ def run(npoints=100_000, nboxes=150, verbose=True):
 def test_kernel_throughput(results_dir):
     from conftest import save_result
 
-    shuffles, unshuffles, kernels, report = run(verbose=False)
+    shuffles, unshuffles, kernels, scans, report = run(verbose=False)
     save_result(results_dir, "kernel_throughput.txt", report)
     # The acceptance floor: batched 2-d shuffle of 100k points >= 3x.
     assert shuffles[0]["npoints"] == 100_000
     assert shuffles[0]["speedup"] >= 3.0, report
     # A box must never pay for the generic object machinery.
     assert kernels[0]["speedup"] >= BOX_KERNEL_FLOOR, report
+    # Nor a range query for a record-at-a-time merge.
+    assert scans[0]["speedup"] >= LEAF_SCAN_FLOOR, report
 
 
 # ----------------------------------------------------------------------
@@ -208,9 +263,10 @@ def main(argv=None):
         npoints, nboxes, floor = args.points, args.boxes, 3.0
     from gates import gate
 
-    shuffles, _, kernels, _ = run(npoints=npoints, nboxes=nboxes)
+    shuffles, _, kernels, scans, _ = run(npoints=npoints, nboxes=nboxes)
     speedup = shuffles[0]["speedup"]
     box_speedup = kernels[0]["speedup"]
+    scan_speedup = scans[0]["speedup"]
     return gate(
         "kernels",
         [
@@ -222,6 +278,11 @@ def main(argv=None):
                 box_speedup >= BOX_KERNEL_FLOOR,
                 f"box kernel {box_speedup:.1f}x over generic decompose "
                 f"(floor {BOX_KERNEL_FLOOR}x)",
+            ),
+            (
+                scan_speedup >= LEAF_SCAN_FLOOR,
+                f"leaf scan {scan_speedup:.1f}x over the per-record merge "
+                f"(floor {LEAF_SCAN_FLOOR}x)",
             ),
         ],
     )

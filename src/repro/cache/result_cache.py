@@ -15,8 +15,8 @@ re-running the merge:
   answer — no residual box filtering;
 * **partial hit** — covered elements come from cache, the remaining
   elements form an ascending disjoint interval list scanned directly
-  against the store (:func:`repro.core.rangesearch.scan_intervals` /
-  the sharded residual scatter), and the two streams reassemble in
+  against the store (its ``interval_query``: the leaf scan, or the
+  sharded residual scatter), and the two streams reassemble in
   element order — which is global z order, byte-identical to the
   uncached merge;
 * **miss** — the store answers, and the result is admitted under an
@@ -449,10 +449,12 @@ class QueryResultCache:
 def _assemble(
     look: CacheLookup,
     elements: Tuple[Element, ...],
-    residual_runs: Sequence[Tuple[Point, ...]],
+    residual_runs: Sequence[Tuple[Tuple[int, ...], Tuple[Point, ...]]],
     served: Dict[int, int],
 ) -> Tuple[Point, ...]:
-    """Stitch cached slices and residual scans back into element order.
+    """Stitch cached slices and residual scans (``interval_query``'s
+    ``(keys, payloads)`` pairs, of which only the payloads are read)
+    back into element order.
 
     Elements are disjoint and z-ascending, and each per-element stream
     is internally z-ordered, so concatenation in element order *is*
@@ -467,7 +469,7 @@ def _assemble(
             part = entry.slice(element.zlo, element.zhi)
             served[id(entry)] = served.get(id(entry), 0) + len(part)
         else:
-            part = next(residual_iter)
+            part = next(residual_iter)[1]
         out.extend(part)
     return tuple(out)
 

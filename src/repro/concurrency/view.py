@@ -8,11 +8,13 @@ view holds nothing else, so readers build one per read.  A sharded
 store's view is its own :class:`~repro.shard.store.ShardedReads` over
 one such view per shard.
 
-The crucial trick is that :class:`~repro.storage.btree.BTreeCursor`
-only ever calls ``tree._leftmost_leaf_for`` and ``tree._load_leaf`` on
-the tree it wraps — so a tiny adapter over the frozen graph lets the
-*unmodified* merge algorithms (``range_search``, ``object_search``,
-``scan_intervals``) run against a historical state.  Query results are
+The crucial trick is that the leaf scan
+(:func:`~repro.storage.btree.scan_ranges`) and
+:class:`~repro.storage.btree.BTreeCursor` only ever call
+``tree._leftmost_leaf_for`` and ``tree._load_leaf`` on the tree they
+walk — so a tiny adapter over the frozen graph lets the *unmodified*
+reads of :class:`~repro.storage.prefix_btree.LeafChainReads` run against
+a historical state.  Query results are
 :class:`~repro.storage.prefix_btree.QueryResult` objects with the same
 cost accounting as live queries, so plans, traces and tests treat both
 identically.
@@ -26,9 +28,9 @@ from typing import Any, Callable, Dict, List, Optional
 from repro.core.geometry import Box
 from repro.core.rangesearch import MergeStats
 from repro.obs.trace import current as _trace_current
-from repro.storage.btree import BTreeCursor, _InnerNode
+from repro.storage.btree import _InnerNode
 from repro.storage.page import Page
-from repro.storage.prefix_btree import LeafChainReads, QueryResult, Search
+from repro.storage.prefix_btree import Elements, LeafChainReads, QueryResult
 
 __all__ = ["FrozenIndex", "SnapshotTreeView"]
 
@@ -45,7 +47,8 @@ class FrozenIndex:
 
 
 class _FrozenIndexReader:
-    """Quacks like a ``BPlusTree`` for :class:`BTreeCursor`.
+    """Quacks like a ``BPlusTree`` for the leaf scan and :class:`~repro.
+    storage.btree.BTreeCursor`.
 
     Descends the frozen inner graph and resolves leaves through the
     epoch-aware ``read_leaf`` callable; keeps the same access-log /
@@ -61,7 +64,6 @@ class _FrozenIndexReader:
         self.leaf_accesses: List[int] = []
         self.descents = 0
         self.node_visits = 0
-        self.record_counts: Dict[int, int] = {}
 
     def _leftmost_leaf_for(self, key: int) -> int:
         self.descents += 1
@@ -73,9 +75,7 @@ class _FrozenIndexReader:
 
     def _load_leaf(self, page_id: int) -> Page:
         self.leaf_accesses.append(page_id)
-        page = self._read_leaf(page_id)
-        self.record_counts[page_id] = page.nrecords
-        return page
+        return self._read_leaf(page_id)
 
 
 class SnapshotTreeView(LeafChainReads):
@@ -112,21 +112,18 @@ class SnapshotTreeView(LeafChainReads):
 
         return _FrozenIndexReader(self._frozen.root, read_leaf)
 
-    def cursor(self) -> BTreeCursor:
-        """A z-ordered cursor over the snapshot's leaf chain (the raw
-        material for merge joins between two snapshot views)."""
-        return BTreeCursor(self._reader({}))  # type: ignore[arg-type]
+    def _leaves(self) -> _FrozenIndexReader:
+        return self._reader({})
 
     def _scan(
-        self, name: str, box: Optional[Box], search: Search
+        self, name: str, box: Optional[Box], elements: Elements
     ) -> QueryResult:
         cow_stats: Dict[str, int] = {"cow.page_version_reads": 0}
         reader = self._reader(cow_stats)
         stats = MergeStats()
-        cursor = BTreeCursor(reader)  # type: ignore[arg-type]
-        matches = tuple(search(cursor, stats))
-        touched = sorted(set(reader.leaf_accesses))
-        records = sum(reader.record_counts[page_id] for page_id in touched)
+        loaded: Dict[int, int] = {}
+        matches = self._matches(reader, elements, loaded, stats)
+        records = sum(loaded.values())
         trace = _trace_current()
         if trace is not None:
             with trace.span(f"snapshot.{name}") as span:
@@ -134,7 +131,7 @@ class SnapshotTreeView(LeafChainReads):
                     span.set("box", repr(box))
                 span.set("snapshot.epoch", self.epoch)
                 counters = {
-                    "pages_accessed": len(touched),
+                    "pages_accessed": len(loaded),
                     "records_on_pages": records,
                     "leaf_loads": len(reader.leaf_accesses),
                     "node_visits": reader.node_visits,
@@ -148,7 +145,7 @@ class SnapshotTreeView(LeafChainReads):
                 span.add_counters(counters)
         return QueryResult(
             matches=matches,
-            pages_accessed=len(touched),
+            pages_accessed=len(loaded),
             records_on_pages=records,
             merge=stats,
             buffer_stats={},

@@ -123,7 +123,12 @@ def decompose_box(
     the decomposition of the box ``[1..3] x [0..4]`` of Figure 1.
     """
     advance = _BoxKernel(grid, box, max_depth, cover).advance
-    return [ZValue(zbits, length) for zbits, length in iter(advance, None)]
+    total = grid.total_bits
+    out = []
+    for zlo, zhi in iter(advance, None):
+        pad = (zhi - zlo).bit_length()
+        out.append(ZValue(zlo >> pad, total - pad))
+    return out
 
 
 def box_intervals(
@@ -135,12 +140,7 @@ def box_intervals(
     """The ``(zlo, zhi)`` intervals of :func:`decompose_box`'s elements,
     in z order, without building a ``ZValue`` or ``Element`` for any —
     all a cost estimate or an interval scan reads of them."""
-    total = grid.total_bits
-    advance = _BoxKernel(grid, box, max_depth, cover).advance
-    return [
-        (zbits << (total - length), ((zbits + 1) << (total - length)) - 1)
-        for zbits, length in iter(advance, None)
-    ]
+    return list(iter(_BoxKernel(grid, box, max_depth, cover).advance, None))
 
 
 def count_elements(
@@ -259,6 +259,13 @@ class ElementCursor:
             return self._current
         return self._advance(floor=z)
 
+    def advance(self, floor: int = 0) -> Optional[Tuple[int, int]]:
+        """:meth:`seek` as the ``(zlo, zhi)`` pair a leaf scan reads —
+        the protocol of :class:`_BoxKernel`, which it matches whenever
+        ``floor`` is 0 or past the current element."""
+        element = self.seek(floor)
+        return None if element is None else (element.zlo, element.zhi)
+
     def _advance(self, floor: int) -> Optional[Element]:
         grid = self._grid
         total = grid.total_bits
@@ -335,8 +342,8 @@ class _BoxKernel:
         )
 
     def advance(self, floor: int = 0) -> Optional[Tuple[int, int]]:
-        """The next element ``(zbits, length)`` in z order whose ``zhi``
-        is at least ``floor``, or ``None`` once the box is exhausted."""
+        """The next element's ``(zlo, zhi)`` in z order with ``zhi`` at
+        least ``floor``, or ``None`` once the box is exhausted."""
         stack = self._stack
         ndims, depth, limit = self._ndims, self._depth, self._limit
         box_lo, box_hi, total = self._box_lo, self._box_hi, ndims * depth
@@ -345,12 +352,11 @@ class _BoxKernel:
             while True:
                 if floor and (zbits + 1) << (total - length) <= floor:
                     break  # entirely before the target: skip unexpanded
-                if not edges:
-                    return zbits, length
-                if length >= limit:
-                    if self._outer:
-                        return zbits, length
-                    break
+                if not edges or length >= limit:
+                    if edges and not self._outer:
+                        break  # a BOUNDARY leaf of an INNER cover
+                    pad = total - length
+                    return zbits << pad, ((zbits + 1) << pad) - 1
                 self.nodes_expanded += 1
                 axis = length % ndims
                 shift = 2 * axis
@@ -404,9 +410,9 @@ class BoxElementCursor(ElementCursor):
         if node is None:
             self._current = None
         else:
-            zbits, length = node
-            pad = self._total - length
+            zlo, zhi = node
+            pad = (zhi - zlo).bit_length()
             self._current = Element(
-                ZValue(zbits, length), zbits << pad, ((zbits + 1) << pad) - 1
+                ZValue(zlo >> pad, self._total - pad), zlo, zhi
             )
         return self._current

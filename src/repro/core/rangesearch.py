@@ -16,10 +16,13 @@ falls inside some box element.  Three variants are provided:
   (ablation: what the skipping would look like without sequence B).
 
 All variants work over any point source implementing the small
-:class:`ZCursor` interface — a sorted in-memory list here, the zkd
-B+-tree of :mod:`repro.storage.prefix_btree` in the experiments — which
-is exactly the paper's point: "any data structure that supports both
-random and sequential accessing can be used".
+:class:`ZCursor` interface — a sorted in-memory list here, the leaf
+chain of :mod:`repro.storage.btree` through ``BTreeCursor`` — which is
+exactly the paper's point: "any data structure that supports both
+random and sequential accessing can be used".  The zkd B+-tree's own
+reads take the merge a range at a time instead
+(:func:`repro.storage.btree.scan_ranges`); :func:`merge_search` over a
+``BTreeCursor`` is their oracle, record by record.
 """
 
 from __future__ import annotations
@@ -154,6 +157,20 @@ class MergeStats:
     matches: int = 0
     records_scanned: int = 0
 
+    def publish(self) -> None:
+        """Attach the merge's counters to the active trace as one closed
+        ``rangesearch.merge`` span (no-op when tracing is disabled)."""
+        _publish_merge(
+            "rangesearch.merge",
+            {
+                "elements_generated": self.elements_generated,
+                "point_seeks": self.point_seeks,
+                "element_seeks": self.element_seeks,
+                "records_scanned": self.records_scanned,
+                "rows_reported": self.matches,
+            },
+        )
+
 
 def _publish_merge(span_name: str, counters: dict) -> None:
     """Attach one closed counter span to the active trace (no-op when
@@ -224,16 +241,7 @@ def merge_search(
         # LIMIT-style consumer still leaves honest counters behind.
         if stats:
             stats.elements_generated = getattr(elements, "nodes_expanded", 0)
-            _publish_merge(
-                "rangesearch.merge",
-                {
-                    "elements_generated": stats.elements_generated,
-                    "point_seeks": stats.point_seeks,
-                    "element_seeks": stats.element_seeks,
-                    "records_scanned": stats.records_scanned,
-                    "rows_reported": stats.matches,
-                },
-            )
+            stats.publish()
 
 
 def range_search(
@@ -265,9 +273,10 @@ def scan_intervals(
 
     The intervals must be ascending and pairwise disjoint (as the
     elements of a box decomposition are), so the cursor only ever seeks
-    forward — this is the residual-scan primitive of the semantic
-    result cache: the uncovered elements of a partially cached query
-    are exactly such an interval list.
+    forward.  Over a ``BTreeCursor`` this is the oracle of the leaf
+    chain's ``interval_query``, the residual-scan primitive of the
+    semantic result cache: the uncovered elements of a partially cached
+    query are exactly such an interval list.
     """
     out: List[Tuple[T, ...]] = []
     record = points.current

@@ -19,10 +19,11 @@ whole group with **one** shared scatter–gather pass:
    one shard fan-out, one tree descent per merged interval, no matter
    how many requests contributed;
 3. each request's answer reassembles by binary-searching its own
-   elements out of the merged runs (every element interval lies inside
-   exactly one merged interval), concatenated in element order — which
-   is global z order, **byte-identical** to running
-   ``target.range_query(box)`` per request.
+   elements out of the merged runs' leaf keys (every element interval
+   lies inside exactly one merged interval), concatenated in element
+   order — which is global z order, **byte-identical** to running
+   ``target.range_query(box)`` per request; the sliced keys are what
+   the cache admits beside the points, so nothing is re-shuffled.
 
 The identity in step 3 is the same full-depth-cover argument the
 semantic cache rests on: a scan of a z interval *is* the exact answer
@@ -51,7 +52,6 @@ from typing import (
 
 from repro.core.deadline import Deadline, deadline_scope
 from repro.core.decompose import box_intervals
-from repro.core.fastz import interleave_many
 from repro.core.geometry import Box, Grid
 
 __all__ = [
@@ -98,6 +98,15 @@ def merge_intervals(intervals: Sequence[Interval]) -> List[Interval]:
         else:
             out.append([lo, hi])
     return [(lo, hi) for lo, hi in out]
+
+
+def _cut(
+    codes: Sequence[int], run: Sequence[Point], zlo: int, zhi: int
+) -> Tuple[Sequence[int], Sequence[Point]]:
+    """The codes and points of a z-sorted run inside ``[zlo, zhi]``."""
+    lo = bisect.bisect_left(codes, zlo)
+    hi = bisect.bisect_right(codes, zhi, lo)
+    return codes[lo:hi], run[lo:hi]
 
 
 class _BoxPlan:
@@ -164,20 +173,7 @@ def batched_range_matches(
 
     merged = merge_intervals(shared)
     runs = target.interval_query(merged) if merged else ()
-    runs_z = [
-        interleave_many(list(run), grid.depth, grid.ndims) for run in runs
-    ]
     merged_los = [lo for lo, _ in merged]
-
-    def scan_slice(zlo: int, zhi: int) -> Tuple[Point, ...]:
-        # The element interval lies inside exactly one merged interval
-        # (it was one of the union's inputs); binary-search its points
-        # out of that interval's z-sorted run.
-        index = bisect.bisect_right(merged_los, zlo) - 1
-        run, codes = runs[index], runs_z[index]
-        lo = bisect.bisect_left(codes, zlo)
-        hi = bisect.bisect_right(codes, zhi)
-        return tuple(run[lo:hi])
 
     results: List[Tuple[Point, ...]] = []
     for plan in plans:
@@ -195,12 +191,18 @@ def batched_range_matches(
             else {}
         )
         out: List[Point] = []
+        out_z: List[int] = []
         for zlo, zhi in plan.intervals:
             entry = covered.get(zlo)
             if entry is not None:
-                out.extend(entry.slice(zlo, zhi))
+                codes, run = _cut(entry.run_z, entry.run, zlo, zhi)
             else:
-                out.extend(scan_slice(zlo, zhi))
+                # The element lies inside exactly one merged interval (it
+                # was one of the union's inputs).
+                index = bisect.bisect_right(merged_los, zlo) - 1
+                codes, run = _cut(*runs[index], zlo, zhi)
+            out.extend(run)
+            out_z.extend(codes)
         matches = tuple(out)
         if (
             look is not None
@@ -211,7 +213,7 @@ def batched_range_matches(
                 plan.clipped,
                 look.elements,
                 matches,
-                tuple(interleave_many(out, grid.depth, grid.ndims)),
+                tuple(out_z),
                 plan.read_epoch,
             )
         results.append(matches)

@@ -249,13 +249,14 @@ class ShardedReads(ProximityReads):
 
     def interval_query(
         self, intervals: Sequence[Tuple[int, int]]
-    ) -> Tuple[Tuple[Point, ...], ...]:
-        """Points in each inclusive z interval, one tuple per interval
-        — the residual scatter of the semantic result cache, untraced
-        like the per-shard merges (the cache front-end owns the span).
-        Each interval is clipped to the overlapping shards' ranges (an
-        element can straddle a shard cut); the sub-runs reassemble per
-        interval in ascending shard order, which is z order."""
+    ) -> Tuple[Tuple[Tuple[int, ...], Tuple[Point, ...]], ...]:
+        """The ``(keys, payloads)`` in each inclusive z interval, one
+        pair per interval — the residual scatter of the semantic result
+        cache, untraced like the per-shard scans (the cache front-end
+        owns the span).  Each interval is clipped to the overlapping
+        shards' ranges (an element can straddle a shard cut); the
+        sub-runs reassemble per interval in ascending shard order, which
+        is z order."""
         owners: Dict[int, List[int]] = {}
         clipped: Dict[int, List[Tuple[int, int]]] = {}
         for index, (zlo, zhi) in enumerate(intervals):
@@ -271,11 +272,15 @@ class ShardedReads(ProximityReads):
                 for sid in order
             ]
         )
+        keys: List[List[int]] = [[] for _ in intervals]
         parts: List[List[Point]] = [[] for _ in intervals]
         for sid, runs in zip(order, results):
-            for index, run in zip(owners[sid], runs):
+            for index, (run_keys, run) in zip(owners[sid], runs):
+                keys[index].extend(run_keys)
                 parts[index].extend(run)
-        return tuple(tuple(part) for part in parts)
+        return tuple(
+            (tuple(codes), tuple(part)) for codes, part in zip(keys, parts)
+        )
 
     def object_query(
         self, classify: ClassifyFn, max_depth: Optional[int] = None

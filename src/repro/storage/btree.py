@@ -11,9 +11,13 @@ order" (Section 5.3.2).  This module supplies that structure:
 * separators are the **shortest distinguishing prefixes** of the keys
   they separate (the "prefix" in prefix B+-tree), computed on the z
   codes' bitstrings;
-* :class:`BTreeCursor` provides the sequential + random access
-  (``step`` / ``seek``) that the merge-based range search requires, and
-  implements the :class:`repro.core.rangesearch.ZCursor` interface.
+* :func:`scan_ranges` is every leaf-chain read: driven by z ranges, it
+  bisects a leaf per range and slices its records, loading exactly the
+  pages the Section 3.3 merge would and building no object per record;
+* :class:`BTreeCursor` is the record-at-a-time sequential + random
+  access (``step`` / ``seek``) of the :class:`repro.core.rangesearch.
+  ZCursor` interface — the merge oracle's point side and the merge
+  join's.
 
 Duplicate keys are allowed (two points may share a pixel).  Insertion
 sends duplicates to the right; the loose separator invariant
@@ -26,13 +30,26 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
-from typing import Any, Iterator, List, Optional, Tuple, Union
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Iterator,
+    List,
+    Optional,
+    Tuple,
+    Union,
+)
 
-from repro.core.rangesearch import PointRecord, ZCursor
+from repro.core.rangesearch import MergeStats, PointRecord, ZCursor
 from repro.storage.buffer import BufferManager
-from repro.storage.page import Page, PageStore
+from repro.storage.page import Page, PageStore, Record
 
-__all__ = ["shortest_separator", "BPlusTree", "BTreeCursor"]
+__all__ = ["shortest_separator", "BPlusTree", "BTreeCursor", "scan_ranges"]
+
+#: ``advance(floor)``: the next ``(zlo, zhi)`` range with ``zhi >= floor``
+#: in ascending order, or ``None`` when there is none.
+Advance = Callable[[int], Optional[Tuple[int, int]]]
 
 
 def shortest_separator(left_high: int, right_low: int, total_bits: int) -> int:
@@ -708,6 +725,26 @@ class BPlusTree:
         )
 
 
+def _descend(
+    tree: Any, key: int, load: Callable[[int], Page]
+) -> Tuple[Optional[Page], int]:
+    """The leaf and index of the first record with a key ``>= key``
+    (``(None, 0)`` past the chain's end): descend to the leftmost
+    eligible leaf, then walk the chain, loading leaves through ``load``.
+    """
+    page = load(tree._leftmost_leaf_for(key))
+    # ``(key,)`` sorts just before every ``(key, value)`` record, so
+    # this lands where bisecting a freshly built key list would.
+    probe = (key,)
+    index = bisect.bisect_left(page.records, probe)
+    while index >= len(page.records):
+        if page.next_page is None:
+            return None, 0
+        page = load(page.next_page)
+        index = bisect.bisect_left(page.records, probe)
+    return page, index
+
+
 class BTreeCursor(ZCursor[Any]):
     """Sequential/random access over the leaf chain.
 
@@ -724,21 +761,7 @@ class BTreeCursor(ZCursor[Any]):
         self._position(0 if start is None else start)
 
     def _position(self, key: int) -> None:
-        page_id = self._tree._leftmost_leaf_for(key)
-        page = self._tree._load_leaf(page_id)
-        # ``(key,)`` sorts just before every ``(key, value)`` record, so
-        # this lands where bisecting a freshly built key list would.
-        probe = (key,)
-        index = bisect.bisect_left(page.records, probe)
-        while index >= page.nrecords:
-            if page.next_page is None:
-                self._page = None
-                self._index = 0
-                return
-            page = self._tree._load_leaf(page.next_page)
-            index = bisect.bisect_left(page.records, probe)
-        self._page = page
-        self._index = index
+        self._page, self._index = _descend(self._tree, key, self._tree._load_leaf)
 
     @property
     def current(self) -> Optional[PointRecord[Any]]:
@@ -773,3 +796,79 @@ class BTreeCursor(ZCursor[Any]):
         # Random access: descend from the root.
         self._position(z)
         return self.current
+
+
+def scan_ranges(
+    tree: Any,
+    advance: Advance,
+    loaded: Dict[int, int],
+    stats: Optional[MergeStats] = None,
+) -> Iterator[List[Record]]:
+    """The records whose keys fall in the ranges ``advance`` hands out,
+    as one slice of a leaf's records per (range, leaf) pair, in key
+    order — the merge of Section 3.3 taken a range at a time.
+
+    ``tree`` is anything with ``_leftmost_leaf_for`` and ``_load_leaf``
+    (a :class:`BPlusTree`, or a snapshot view's frozen index).  For the
+    current range ``[zlo, zhi]`` and the key under the scan:
+
+    * key below ``zlo`` — seek: bisect the leaf when its high key reaches
+      ``zlo``, else descend from the root (a *point seek*);
+    * key above ``zhi`` — ``advance(key)`` (an *element seek*);
+    * otherwise bisect ``zhi + 1`` and take the slice, following the
+      chain past the leaf's end, then ``advance`` from the key that
+      ended it (an element seek, as the merge's next step would be).
+
+    These are :class:`BTreeCursor`'s page loads under the merge, so
+    ``loaded`` — page id to record count, filled as leaves load — and
+    ``stats``' seeks and matches equal the merge's; ``records_scanned``
+    is their sum, one merge step each.
+    """
+    load_leaf = tree._load_leaf
+    bisect_left = bisect.bisect_left
+
+    def load(page_id: int) -> Page:
+        page = load_leaf(page_id)
+        loaded[page_id] = len(page.records)
+        return page
+
+    page, index = _descend(tree, 0, load)
+    bounds = advance(0)
+    matches = point_seeks = element_seeks = 0
+    while page is not None and bounds is not None:
+        records = page.records
+        key = records[index][0]
+        zlo, zhi = bounds
+        if key < zlo:
+            point_seeks += 1
+            if records[-1][0] >= zlo:
+                index = bisect_left(records, (zlo,), index)
+            else:
+                page, index = _descend(tree, zlo, load)
+            continue
+        if key <= zhi:
+            probe = (zhi + 1,)
+            while True:
+                end = bisect_left(records, probe, index)
+                matches += end - index
+                if end > index:
+                    yield records[index:end]
+                if end < len(records):
+                    index = end
+                    break
+                if page.next_page is None:
+                    page = None
+                    break
+                page = load(page.next_page)  # an empty leaf slices empty
+                records, index = page.records, 0
+            if page is None:
+                break
+            key = records[index][0]
+        element_seeks += 1
+        bounds = advance(key)
+    if stats is not None:
+        stats.matches += matches
+        stats.points_examined += matches
+        stats.point_seeks += point_seeks
+        stats.element_seeks += element_seeks
+        stats.records_scanned += matches + point_seeks + element_seeks

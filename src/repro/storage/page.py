@@ -62,18 +62,21 @@ class Page:
     def keys(self) -> List[int]:
         return [key for key, _ in self.records]
 
+    # A one-element probe ``(key,)`` sorts just before every ``(key, v)``
+    # record, so bisecting the records with it never compares values.
+
     def insert(self, key: int, value: Any) -> None:
-        """Insert keeping key order (duplicates allowed, stable)."""
+        """Insert keeping key order (duplicates allowed, stable: after
+        the records already under ``key``)."""
         if self.is_full:
             raise ValueError(f"page {self.page_id} is full")
-        index = bisect.bisect_right(self.keys(), key)
+        index = bisect.bisect_left(self.records, (key + 1,))
         self.records.insert(index, (key, value))
 
     def remove(self, key: int, value: Any = None) -> bool:
         """Remove one record with ``key`` (and ``value`` when given).
         Returns whether a record was removed."""
-        keys = self.keys()
-        index = bisect.bisect_left(keys, key)
+        index = bisect.bisect_left(self.records, (key,))
         while index < len(self.records) and self.records[index][0] == key:
             if value is None or self.records[index][1] == value:
                 del self.records[index]
@@ -83,9 +86,8 @@ class Page:
 
     def find(self, key: int) -> List[Any]:
         """All values stored under ``key``."""
-        keys = self.keys()
-        lo = bisect.bisect_left(keys, key)
-        hi = bisect.bisect_right(keys, key)
+        lo = bisect.bisect_left(self.records, (key,))
+        hi = bisect.bisect_left(self.records, (key + 1,), lo)
         return [value for _, value in self.records[lo:hi]]
 
     def split(self, new_page_id: int) -> "Page":

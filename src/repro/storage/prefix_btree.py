@@ -19,9 +19,9 @@ from __future__ import annotations
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import (
     Any,
-    Callable,
     Dict,
     Iterable,
     Iterator,
@@ -29,26 +29,28 @@ from typing import (
     Optional,
     Sequence,
     Tuple,
+    Union,
 )
 
+from repro.core.deadline import check_deadline
+from repro.core.decompose import CoverMode, ElementCursor, _BoxKernel
 from repro.core.geometry import Box, ClassifyFn, Grid, circle_classifier
 from repro.core.fastz import interleave_many
-from repro.core.rangesearch import (
-    MergeStats,
-    ZCursor,
-    object_search,
-    range_search,
-    scan_intervals,
-)
+from repro.core.rangesearch import MergeStats
 from repro.obs.trace import current as _trace_current
 from repro.obs.trace import span as _trace_span
-from repro.storage.btree import BPlusTree, BTreeCursor
+from repro.storage.btree import BPlusTree, BTreeCursor, scan_ranges
 from repro.storage.buffer import BufferManager, ReplacementPolicy
-from repro.storage.page import PageStore
+from repro.storage.page import PageStore, Record
 
 __all__ = ["QueryResult", "ProximityReads", "LeafChainReads", "ZkdTree"]
 
 Point = Tuple[int, ...]
+
+#: What drives a scan: ``advance(floor)`` hands out z ranges in order
+#: (see :func:`~repro.storage.btree.scan_ranges`), and ``nodes_expanded``
+#: is the decomposition work behind them.
+Elements = Union[_BoxKernel, ElementCursor]
 
 
 @dataclass(frozen=True)
@@ -157,8 +159,14 @@ class ProximityReads:
         return [p for _, _, p in ranked[:k]]
 
 
-#: One merge over a fresh cursor, filling the stats it is handed.
-Search = Callable[[ZCursor[Point], MergeStats], Iterator[Point]]
+def _payloads(runs: Iterable[List[Record]]) -> List[Point]:
+    """The payloads of a scan's record slices, in order.  Only payloads
+    are kept: holding the record tuples would pin every leaf's records
+    until the last slice, though the buffer has long dropped the page."""
+    out: List[Point] = []
+    for run in runs:
+        out.extend(map(itemgetter(1), run))
+    return out
 
 
 class LeafChainReads(ProximityReads):
@@ -166,29 +174,48 @@ class LeafChainReads(ProximityReads):
 
     A provider — the live :class:`ZkdTree`, a frozen
     :class:`~repro.concurrency.view.SnapshotTreeView` — supplies
-    ``grid``, :meth:`cursor` and :meth:`_scan` (run one merge against a
-    fresh cursor and return its :class:`QueryResult` with the provider's
-    own cost accounting and trace span, which names the query ``box``
-    when there is one).
+    ``grid``, :meth:`_leaves` and :meth:`_scan` (run one
+    :meth:`_matches` over the provider's leaves and return its
+    :class:`QueryResult` with the provider's own cost accounting and
+    trace span, which names the query ``box`` when there is one).
+    Every read is :func:`~repro.storage.btree.scan_ranges`, driven by the
+    query's z ranges.
     """
 
-    def cursor(self) -> ZCursor[Point]:
-        """A fresh z-ordered cursor at the start of the leaf chain."""
+    def _leaves(self) -> Any:
+        """The leaf chain to scan: anything with ``_leftmost_leaf_for``
+        and ``_load_leaf``."""
         raise NotImplementedError
 
     def _scan(
-        self, name: str, box: Optional[Box], search: Search
+        self, name: str, box: Optional[Box], elements: Elements
     ) -> QueryResult:
         raise NotImplementedError
+
+    def cursor(self) -> BTreeCursor:
+        """A z-ordered record cursor at the start of the leaf chain (the
+        merge oracle's point side, and a merge join's input)."""
+        return BTreeCursor(self._leaves())
+
+    @staticmethod
+    def _matches(
+        leaves: Any,
+        elements: Elements,
+        loaded: Dict[int, int],
+        stats: MergeStats,
+    ) -> Tuple[Point, ...]:
+        """The payloads in ``elements``' ranges, with the merge's
+        counters in ``stats`` and its ``rangesearch.merge`` span."""
+        runs = scan_ranges(leaves, elements.advance, loaded, stats)
+        matches = tuple(_payloads(runs))
+        stats.elements_generated = elements.nodes_expanded
+        stats.publish()
+        return matches
 
     def range_query(self, box: Box) -> QueryResult:
         """All points inside ``box`` plus the paper's cost measures."""
         return self._scan(
-            "range_query",
-            box,
-            lambda cursor, stats: range_search(
-                cursor, self.grid, box, stats
-            ),
+            "range_query", box, _BoxKernel(self.grid, box, None, CoverMode.OUTER)
         )
 
     def object_query(
@@ -196,34 +223,46 @@ class LeafChainReads(ProximityReads):
     ) -> QueryResult:
         """Range search against an arbitrary query region given by its
         inside/outside/boundary oracle (Section 6: containment and
-        proximity queries reduce to the same merge)."""
+        proximity queries reduce to the same scan)."""
         return self._scan(
             "object_query",
             None,
-            lambda cursor, stats: object_search(
-                cursor, self.grid, classify, stats, max_depth
-            ),
+            ElementCursor(self.grid, classify, max_depth=max_depth),
         )
 
     def interval_query(
         self, intervals: Sequence[Tuple[int, int]]
-    ) -> Tuple[Tuple[Point, ...], ...]:
-        """Points whose z codes fall in each ``[zlo, zhi]`` interval,
-        one tuple per interval — the residual-scan primitive of the
-        semantic result cache.  Intervals must be ascending and
-        disjoint.  Deliberately untraced: the cache front-end owns the
-        span."""
-        return scan_intervals(self.cursor(), intervals)
+    ) -> Tuple[Tuple[Tuple[int, ...], Tuple[Point, ...]], ...]:
+        """The ``(keys, payloads)`` of the records whose z codes fall in
+        each ``[zlo, zhi]`` interval, one pair per interval — the
+        residual-scan primitive of the semantic result cache and the
+        batcher.  Intervals must be ascending and disjoint.
+        Deliberately untraced: the cache front-end owns the span.
+        Checks the deadline once per interval and once per leaf slice."""
+        current = -1
+        todo = iter(enumerate(intervals))
+
+        def advance(floor: int) -> Optional[Tuple[int, int]]:
+            nonlocal current
+            for current, (zlo, zhi) in todo:
+                check_deadline("scan_intervals")
+                if zhi >= floor:
+                    return zlo, zhi
+            return None
+
+        keys: List[List[int]] = [[] for _ in intervals]
+        payloads: List[List[Point]] = [[] for _ in intervals]
+        for run in scan_ranges(self._leaves(), advance, {}):
+            keys[current].extend(map(itemgetter(0), run))
+            payloads[current].extend(map(itemgetter(1), run))
+            check_deadline("scan_intervals")
+        return tuple((tuple(k), tuple(p)) for k, p in zip(keys, payloads))
 
     def points(self) -> List[Point]:
         """All stored points in z order (counts page accesses)."""
-        out: List[Point] = []
-        cursor = self.cursor()
-        record = cursor.current
-        while record is not None:
-            out.append(record.payload)
-            record = cursor.step()
-        return out
+        # One range over every key: the run ends only at the chain's end.
+        whole = (0, (1 << self.grid.total_bits) - 1)
+        return _payloads(scan_ranges(self._leaves(), lambda floor: whole, {}))
 
 
 class ZkdTree(LeafChainReads):
@@ -412,11 +451,11 @@ class ZkdTree(LeafChainReads):
     # Queries
     # ------------------------------------------------------------------
 
-    def cursor(self) -> BTreeCursor:
-        return BTreeCursor(self.tree)
+    def _leaves(self) -> BPlusTree:
+        return self.tree
 
     def _scan(
-        self, name: str, box: Optional[Box], search: Search
+        self, name: str, box: Optional[Box], elements: Elements
     ) -> QueryResult:
         # Per-query counter hygiene: clear the access log and descent
         # counters and snapshot the buffer's and the store's counters so
@@ -428,21 +467,19 @@ class ZkdTree(LeafChainReads):
         hits0, misses0 = buffer.hits, buffer.misses
         evictions0, reads0 = buffer.evictions, self.store.reads
         stats = MergeStats()
+        loaded: Dict[int, int] = {}
         with _trace_span(f"zkd.{name}") as span:
             if span is not None and box is not None:
                 span.set("box", repr(box))
-            matches = tuple(search(self.cursor(), stats))
-            touched = sorted(set(self.tree.leaf_accesses))
-            records = sum(
-                buffer.peek(page_id).nrecords for page_id in touched
-            )
+            matches = self._matches(self.tree, elements, loaded, stats)
+            records = sum(loaded.values())
             hits = buffer.hits - hits0
             misses = buffer.misses - misses0
             if span is not None:
                 span.set("npages", self.npages)
                 span.add_counters(
                     {
-                        "pages_accessed": len(touched),
+                        "pages_accessed": len(loaded),
                         "records_on_pages": records,
                         "leaf_loads": len(self.tree.leaf_accesses),
                         "node_visits": self.tree.node_visits,
@@ -454,7 +491,7 @@ class ZkdTree(LeafChainReads):
                 )
         return QueryResult(
             matches=matches,
-            pages_accessed=len(touched),
+            pages_accessed=len(loaded),
             records_on_pages=records,
             merge=stats,
             buffer_stats={

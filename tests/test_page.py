@@ -20,6 +20,20 @@ class TestPage:
         page.insert(3, "second")
         assert page.find(3) == ["first", "second"]
 
+    def test_equal_keys_never_compare_values(self):
+        """Records are bisected with one-element key probes: values that
+        do not order against each other still insert after their equal
+        keys, and find and remove among them."""
+        page = Page(0, capacity=6)
+        for key, value in ((4, "x"), (3, None), (2, 1.5), (3, {}), (3, "s")):
+            page.insert(key, value)
+        assert page.records == [
+            (2, 1.5), (3, None), (3, {}), (3, "s"), (4, "x")
+        ]
+        assert page.find(3) == [None, {}, "s"]
+        assert page.remove(3, "s") and page.remove(3)
+        assert page.find(3) == [{}]
+
     def test_full_page_rejects_insert(self):
         page = Page(0, capacity=2)
         page.insert(1, None)
