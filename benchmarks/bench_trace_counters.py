@@ -337,6 +337,28 @@ def collect(depth=DEPTH, npoints=NPOINTS, nobjects=NOBJECTS,
         if key.startswith(("knn.", "zones.")):
             counters[key] = counters.get(key, 0) + value
 
+    # The windowed eps-join: a window on the probes drives, and their
+    # points seek the catalog's index at their z-cells.  Only the
+    # join[eps-seek] span's own counters are kept; the window's range
+    # scan publishes the storage counters the ``range.`` fold gates.
+    db.create_table(
+        "probes", Schema.of(("id@", OID), ("x", INTEGER), ("y", INTEGER))
+    )
+    db.insert_many(
+        "probes",
+        [(f"q{i}", x, y) for i, (x, y) in enumerate(secondary.points)],
+    )
+    db.create_index("probes_xy", "probes", ("x", "y"))
+    with trace("xmatch") as t:
+        execute_sql(
+            db,
+            "SELECT * FROM points JOIN probes "
+            "ON POINT(points.x, points.y) WITHIN 2.5 OF POINT(probes.x, probes.y) "
+            f"WHERE BOX(0, {side // 2}, 0, {side // 2}) "
+            "CONTAINS POINT(probes.x, probes.y)",
+        )
+    fold("xmatch", t.find("join[eps-seek]").total_counters())
+
     # The serving lifecycle on a step clock: deadline and breaker
     # counters land in the same baseline as the operator counters.
     counters.update(collect_server(depth=depth, capacity=capacity,

@@ -32,7 +32,9 @@ __all__ = [
     "estimate_selectivity",
     "plan_range_query",
     "order_conjuncts",
+    "order_filters",
     "plan_select",
+    "plan_filters",
     "choose_join_strategy",
     "ball_selectivity",
 ]
@@ -293,6 +295,27 @@ def order_conjuncts(
         )
     moved = sum(1 for a, b in zip(written, filters) if a is not b)
     return window, filters, moved
+
+
+def order_filters(
+    conjuncts: Sequence[Conjunct], reorder: bool = True
+) -> Tuple[List[Conjunct], int]:
+    """Filters in execution order plus how many left their written rank
+    — :func:`order_conjuncts` where nothing competes for the access
+    path (join outputs, and the sought side of an eps-seek)."""
+    written = sorted(conjuncts, key=lambda c: c.written_pos)
+    if not reorder:
+        return written, 0
+    ordered = sorted(
+        written,
+        key=lambda c: (
+            c.selectivity if c.selectivity is not None else 1.0,
+            c.cost,
+            c.written_pos,
+        ),
+    )
+    moved = sum(1 for a, b in zip(written, ordered) if a is not b)
+    return ordered, moved
 
 
 def bump_planner_stat(stats: Optional[dict], key: str, n: float = 1) -> None:
@@ -582,6 +605,35 @@ def plan_select(
             estimated *= conjunct.selectivity or 1.0
     plan.estimated_rows = estimated
     return plan
+
+
+def plan_filters(
+    database,
+    table: str,
+    conjuncts: Sequence[Conjunct],
+    reorder: bool = True,
+) -> SelectPlan:
+    """A select whose conjuncts all run as filters over rows fetched
+    elsewhere — the partner side of an eps-seek, which the other side's
+    points read.  No access path is chosen, so nothing here decomposes
+    a box; the row estimate is the table's size times the filters'
+    selectivities."""
+    for conjunct in conjuncts:
+        _estimate_conjunct(database, table, conjunct)
+    filters, moved = order_filters(conjuncts, reorder)
+    estimated = float(len(database.catalog.relation(table)))
+    for conjunct in filters:
+        estimated *= conjunct.selectivity or 1.0
+    return SelectPlan(
+        table=table,
+        window=None,
+        filters=filters,
+        reorder=reorder,
+        moved=moved,
+        access_label="eps-seek",
+        estimated_rows=estimated,
+        _stats=getattr(database, "planner_stats", None),
+    )
 
 
 def choose_join_strategy(

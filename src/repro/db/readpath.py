@@ -9,16 +9,21 @@ rows are visible, which store answers, at which epoch*:
 :class:`SpatialReads` writes each read once over those three things,
 and the primitives under it — the coordinate→rows rejoin, the rank→rows
 gather of the k-NN operators, the row-scan fallback, the eps-join over
-two row sets — exist here and nowhere else.
+two row sets and the eps-seek of one row set into a store — exist here
+and nowhere else.
 """
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_left, bisect_right
+from itertools import product
 from operator import itemgetter
 from types import SimpleNamespace
 from typing import (
     Any,
     Callable,
+    Dict,
     Iterable,
     List,
     Optional,
@@ -28,13 +33,14 @@ from typing import (
 
 from repro.cache import cached_range_matches
 from repro.core.deadline import check_deadline
+from repro.core.fastz import interleave_many
 from repro.core.geometry import Box, Grid
 from repro.db.catalog import IndexEntry
 from repro.db.planner import bump_planner_stat
 from repro.db.relation import Relation, VersionedRelation
 from repro.db.schema import Schema
 from repro.obs.trace import span as _span
-from repro.proximity import zones_epsilon_join
+from repro.proximity import ball_filter, zones_epsilon_join
 from repro.storage.prefix_btree import ProximityReads
 
 __all__ = [
@@ -42,9 +48,11 @@ __all__ = [
     "SpatialReads",
     "coords_getter",
     "epsilon_join_rows",
+    "epsilon_seek_rows",
     "gather_ranked",
     "rejoin",
     "scan_rows",
+    "seek_cell_bits",
     "visible_rows",
 ]
 
@@ -158,10 +166,159 @@ def epsilon_join_rows(
     return rows
 
 
+def seek_cell_bits(eps: float) -> int:
+    """The eps-seek's cell size: the smallest ``m`` with ``2**m >=
+    2 * (2 * ceil(eps) + 1)``, so a point's ``ceil(eps)`` box spans at
+    most two aligned ``2**m``-wide cells per axis."""
+    return (2 * (2 * math.ceil(eps) + 1) - 1).bit_length()
+
+
+def _seek_matches(
+    store: Any, points: Sequence[Point], eps: float, span: Any
+) -> List[Tuple[int, Point]]:
+    """``(i, q)`` for every distinct point ``q`` of ``store`` within
+    ``eps`` of ``points[i]``.
+
+    Section 5's coarsening drives the read: each point's ``ceil(eps)``
+    box, clipped to the grid, is covered by aligned ``2**m``-wide cells
+    (:func:`seek_cell_bits`), and the cell with code ``c`` at depth
+    ``depth - m`` is the one z interval ``[c << d*m, ((c + 1) << d*m) -
+    1]``.  The cells, deduplicated and merged where adjacent, are one
+    ``interval_query``; each point then bisects the returned keys once
+    per cell of its own and runs the exact distance test (Gray et al.'s
+    coarse cover, then fine filter)."""
+    grid = store.grid
+    reach = math.ceil(eps)
+    m = min(seek_cell_bits(eps), grid.depth)
+    shift = grid.ndims * m
+    top = grid.side - 1
+    owned = [
+        list(
+            product(
+                *(
+                    range(max(c - reach, 0) >> m, (min(c + reach, top) >> m) + 1)
+                    for c in p
+                )
+            )
+        )
+        for p in points
+    ]
+    distinct = list(dict.fromkeys(cell for cells in owned for cell in cells))
+    code_of = dict(
+        zip(distinct, interleave_many(distinct, grid.depth - m, grid.ndims))
+    )
+    intervals: List[Tuple[int, int]] = []
+    for code in sorted(code_of.values()):
+        if intervals and intervals[-1][1] == code - 1:
+            intervals[-1] = (intervals[-1][0], code)
+        else:
+            intervals.append((code, code))
+    keys: List[int] = []
+    found: List[Point] = []
+    for run_keys, run in store.interval_query(
+        [(lo << shift, ((hi + 1) << shift) - 1) for lo, hi in intervals]
+    ):
+        for key, point in zip(run_keys, run):
+            if not keys or keys[-1] != key:  # rows sharing a point
+                keys.append(key)
+                found.append(point)
+    near = ball_filter(grid.ndims, eps)
+    slices: Dict[int, Tuple[int, int]] = {}
+    hits: List[Tuple[int, Point]] = []
+    candidates = 0
+    for i, (p, cells) in enumerate(zip(points, owned)):
+        if not i & 1023:
+            check_deadline("db.eps_seek")
+        for cell in cells:
+            code = code_of[cell]
+            at = slices.get(code)
+            if at is None:
+                at = slices[code] = (
+                    bisect_left(keys, code << shift),
+                    bisect_left(keys, (code + 1) << shift),
+                )
+            lo, hi = at
+            candidates += hi - lo
+            hits.extend((i, found[lo + k]) for k in near(p, found[lo:hi]))
+    if span is not None:
+        span.set("eps", eps)
+        span.set("cell_bits", m)
+        span.add_counters(
+            {
+                "cells": len(code_of),
+                "intervals": len(intervals),
+                "candidates": candidates,
+            }
+        )
+    return hits
+
+
+def epsilon_seek_rows(
+    reader: "SpatialReads",
+    rows: Sequence[Row],
+    coords: CoordsOf,
+    table: str,
+    cols: Sequence[str],
+    eps: float,
+    refine: Callable[[Relation], Relation],
+    rows_left: bool,
+) -> List[Row]:
+    """Concatenated row pairs of ``rows`` and the rows of ``table``
+    within ``eps`` — ``rows`` drive, ``table`` is sought — in
+    :func:`epsilon_join_rows`' canonical order, with ``rows`` the left
+    side when ``rows_left``.
+
+    ``table`` is read through the reader's answering store (a live
+    tree, a snapshot view, a sharded read, or the visible rows) by one
+    ``interval_query`` at the driving points' cells; only the matched
+    points are joined back to rows, visible at the reader's epoch, and
+    ``refine`` — the side's other pushed filters — runs over them."""
+    database, epoch = reader._reading()
+    relation = database.catalog.relation(table)
+    points = list(map(coords, rows))
+    with _span("join[eps-seek]") as span:
+        hits = _seek_matches(
+            reader._point_store(table, cols), points, eps, span
+        )
+        partner = refine(
+            Relation._derived(
+                f"seek({table})",
+                relation.schema,
+                rejoin(
+                    relation,
+                    epoch,
+                    {q for _, q in hits},
+                    reader._entry(table, cols),
+                    cols,
+                ),
+            )
+        ).rows
+        at = coords_getter(relation.schema, cols)
+        rows_at: Dict[Point, List[int]] = {}
+        for k, row in enumerate(partner):
+            rows_at.setdefault(at(row), []).append(k)
+        # (point_a, point_b, ordinal_a, ordinal_b) is unique per pair,
+        # so the sort never compares the rows themselves.
+        pairs = sorted(
+            (points[i], q, i, k, rows[i] + partner[k])
+            if rows_left
+            else (q, points[i], k, i, partner[k] + rows[i])
+            for i, q in hits
+            for k in rows_at.get(q, ())
+        )
+        out = [pair[-1] for pair in pairs]
+        if span is not None:
+            span.add("pairs", len(out))
+    bump_planner_stat(
+        getattr(database, "planner_stats", None), "planner.eps_joins"
+    )
+    return out
+
+
 class RowStore(ProximityReads):
     """A row set's distinct coordinates as a minimal point store — what
-    answers a session's proximity and k-NN reads when no index is
-    visible at its snapshot."""
+    answers a session's proximity, k-NN and eps-seek reads when no index
+    is visible at its snapshot."""
 
     def __init__(self, grid: Grid, points: Iterable[Point]) -> None:
         self.grid = grid
@@ -169,6 +326,27 @@ class RowStore(ProximityReads):
 
     def __len__(self) -> int:
         return len(self._points)
+
+    def interval_query(
+        self, intervals: Sequence[Tuple[int, int]]
+    ) -> Tuple[Tuple[Tuple[int, ...], Tuple[Point, ...]], ...]:
+        """The ``(keys, payloads)`` of the points whose z codes fall in
+        each ascending ``[zlo, zhi]`` interval, one pair per interval —
+        a leaf chain's :meth:`~repro.storage.prefix_btree.LeafChainReads.
+        interval_query` over the row set."""
+        points = list(self._points)
+        coded = sorted(
+            zip(interleave_many(points, self.grid.depth, self.grid.ndims), points)
+        )
+        keys = [code for code, _ in coded]
+        out = []
+        for zlo, zhi in intervals:
+            check_deadline("scan_intervals")
+            lo, hi = bisect_left(keys, zlo), bisect_right(keys, zhi)
+            out.append(
+                (tuple(keys[lo:hi]), tuple(p for _, p in coded[lo:hi]))
+            )
+        return tuple(out)
 
     def _matching(self, keep: Callable[[Point], bool]) -> SimpleNamespace:
         return SimpleNamespace(matches=[p for p in self._points if keep(p)])

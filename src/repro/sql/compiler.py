@@ -15,12 +15,9 @@ snapshot session (anything with ``table()`` and ``range_query()``).
 
 from __future__ import annotations
 
-import math
 from typing import Any, List, Optional, Tuple
 
 from repro.core.decompose import Element, decompose
-from repro.core.geometry import Box
-from repro.db.expr import box_contains_point
 from repro.db.operators import distinct as distinct_op
 from repro.db.operators import limit as limit_op
 from repro.db.operators import project, rename, sort
@@ -30,9 +27,16 @@ from repro.db.planner import (
     SelectPlan,
     ball_selectivity,
     choose_join_strategy,
+    order_filters,
+    plan_filters,
     plan_select,
 )
-from repro.db.readpath import coords_getter, epsilon_join_rows
+from repro.db.readpath import (
+    coords_getter,
+    epsilon_join_rows,
+    epsilon_seek_rows,
+    seek_cell_bits,
+)
 from repro.db.relation import Relation
 from repro.db.schema import Schema
 from repro.db.types import SpatialObject
@@ -44,27 +48,6 @@ from repro.sql.ast import Statement, render
 from repro.sql.binder import BoundQuery
 
 __all__ = ["CompiledQuery"]
-
-
-def _ordered(
-    conjuncts: List[Conjunct], reorder: bool
-) -> Tuple[List[Conjunct], int]:
-    """Filters in execution order plus how many left their written rank
-    (the pure-filter variant of :func:`repro.db.planner.order_conjuncts`
-    — nothing here competes for the access path)."""
-    written = sorted(conjuncts, key=lambda c: c.written_pos)
-    if not reorder:
-        return written, 0
-    ordered = sorted(
-        written,
-        key=lambda c: (
-            c.selectivity if c.selectivity is not None else 1.0,
-            c.cost,
-            c.written_pos,
-        ),
-    )
-    moved = sum(1 for a, b in zip(written, ordered) if a is not b)
-    return ordered, moved
 
 
 class CompiledQuery:
@@ -169,7 +152,7 @@ class CompiledQuery:
         target = self.db if target is None else target
         for conjunct in bound.conjuncts:
             self._estimate_post(conjunct)
-        post, pmoved = _ordered(bound.conjuncts, self.reorder)
+        post, pmoved = order_filters(bound.conjuncts, self.reorder)
         left = self._side_plan(bound.table, bound.left_push, target)
         right = self._side_plan(bound.join_table, bound.right_push, target)
 
@@ -355,12 +338,20 @@ class CompiledQuery:
         target = self.db if target is None else target
         for conjunct in bound.conjuncts:
             self._estimate_post(conjunct)
-        post, pmoved = _ordered(bound.conjuncts, self.reorder)
-        left_push, right_push = self._with_implied_window(
-            bound.left_push, bound.right_push
-        )
-        left = self._side_plan(bound.table, left_push, target)
-        right = self._side_plan(bound.join_table, right_push, target)
+        post, pmoved = order_filters(bound.conjuncts, self.reorder)
+        driver = self._seek_driver()
+        sides = [
+            self._side_plan(table, pushed, target)
+            if driver is None or at == driver
+            else plan_filters(self.db, table, pushed, self.reorder)
+            for at, (table, pushed) in enumerate(
+                (
+                    (bound.table, bound.left_push),
+                    (bound.join_table, bound.right_push),
+                )
+            )
+        ]
+        left, right = sides
 
         grid = self.db.grid
         side = float(2**grid.depth)
@@ -381,54 +372,85 @@ class CompiledQuery:
             estimated_rows=est_pairs,
             _stats=getattr(self.db, "planner_stats", None),
         )
-        plan._fetch = lambda: self._eps_join_fetch(left, right)
         self._note_sides(plan, left, right)
+        if driver is None:
+            plan._fetch = lambda: self._eps_join_fetch(left, right)
+            return plan
+        seeker, sought = sides[driver], sides[1 - driver]
+        plan.notes.append(
+            f"side access ({sought.table}): eps-seek at the "
+            f"{seeker.table} points' 2^{seek_cell_bits(bound.eps)}-wide "
+            f"z-cells  est. rows={est_pairs:.1f}"
+        )
+        plan._fetch = lambda: self._eps_seek_fetch(
+            seeker, sought, driver, target
+        )
         return plan
 
-    def _with_implied_window(
-        self, left_push: List[Conjunct], right_push: List[Conjunct]
-    ) -> Tuple[List[Conjunct], List[Conjunct]]:
-        """A window ``B`` on one side's join point bounds the other's:
-        a partner within ``eps`` of a point in ``B`` lies in ``B``
-        dilated by ``ceil(eps)`` (Gray et al.'s zones restrict a
-        cross-match to what the probe window can reach).  When exactly
-        one written window exists and the other side has an index on
-        its join columns, that side gains the dilated box as a pushed
-        z-window — an index access instead of the whole table."""
+    def _seek_driver(self) -> Optional[int]:
+        """The side (0 left, 1 right) that drives an eps-seek, or
+        ``None`` for the zones sweep.  A written window ``B`` on one
+        side's join point bounds the other's: a partner within ``eps``
+        of a point in ``B`` lies in ``B`` dilated by ``ceil(eps)``.  When
+        exactly one such window exists and the other side has an index
+        on its join columns, the windowed side's points seek that index
+        at their own z-cells instead of the other side being read
+        whole."""
         bound = self.bound
         sides = (
-            (bound.table, bound.left_coords, left_push),
-            (bound.join_table, bound.right_coords, right_push),
+            (bound.table, bound.left_coords, bound.left_push),
+            (bound.join_table, bound.right_coords, bound.right_push),
         )
         windows = [
-            (i, conjunct)
-            for i, (_, coords, pushed) in enumerate(sides)
+            at
+            for at, (_, coords, pushed) in enumerate(sides)
             for conjunct in pushed
             if conjunct.kind == "z-window" and conjunct.coord_cols == coords
         ]
         if len(windows) != 1:
-            return left_push, right_push
-        at, window = windows[0]
-        table, coords, pushed = sides[1 - at]
-        if self.db._index_for(table, coords) is None:
-            return left_push, right_push
-        reach = math.ceil(bound.eps)
-        box = Box(
-            tuple((lo - reach, hi + reach) for lo, hi in window.box.ranges)
+            return None
+        (at,) = windows
+        sought, coords = sides[1 - at][0], sides[1 - at][1]
+        if self.db._index_for(sought, coords) is None:
+            return None
+        return at
+
+    def _eps_seek_fetch(
+        self,
+        seeker: SelectPlan,
+        sought: SelectPlan,
+        driver: int,
+        target: Any,
+    ) -> Relation:
+        """The windowed eps-join: ``seeker``'s rows, fetched and
+        filtered by its side plan, seek the other table's index at
+        their points' z-cells (:func:`~repro.db.readpath.
+        epsilon_seek_rows`); ``sought``'s filters run over the matched
+        rows only."""
+        bound = self.bound
+        rows = self._side(seeker)
+        coords = (bound.left_coords, bound.right_coords)
+        out = epsilon_seek_rows(
+            target,
+            list(rows),
+            coords_getter(
+                rows.schema, [f"{seeker.table}_{n}" for n in coords[driver]]
+            ),
+            sought.table,
+            coords[1 - driver],
+            bound.eps,
+            sought.apply_filters,
+            rows_left=driver == 0,
         )
-        bounds = ", ".join(f"{lo}, {hi}" for lo, hi in box.ranges)
-        implied = Conjunct(
-            kind="z-window",
-            text=f"BOX({bounds}) CONTAINS POINT({', '.join(coords)})"
-            f"  <- {sides[at][0]} window dilated by {reach}",
-            predicate=box_contains_point(box, list(coords)),
-            written_pos=window.written_pos,
-            cost=window.cost,
-            box=box,
-            coord_cols=tuple(coords),
+        catalog = self.db.catalog
+        schema = catalog.relation(bound.table).schema.concat(
+            catalog.relation(bound.join_table).schema,
+            f"{bound.table}_",
+            f"{bound.join_table}_",
         )
-        pushed = list(pushed) + [implied]
-        return (left_push, pushed) if at == 0 else (pushed, right_push)
+        return Relation._derived(
+            f"epsjoin({bound.table},{bound.join_table})", schema, out
+        )
 
     def _eps_join_fetch(
         self, left_plan: SelectPlan, right_plan: SelectPlan

@@ -489,8 +489,9 @@ class TestIndexReadCostsWhatItReturns:
 
 
 class TestWindowedEpsJoin:
-    """A window on one eps-join side reaches the other through the
-    planner; the rows stay those of the unwindowed join, filtered."""
+    """A window on one eps-join side reaches the other: the windowed
+    side's points seek the other side's index at their z-cells; the rows
+    stay those of the unwindowed join, filtered."""
 
     EPS = 2
     WINDOW = (10, 30, 20, 44)  # xlo, xhi, ylo, yhi
@@ -549,27 +550,48 @@ class TestWindowedEpsJoin:
         assert "access: eps-join" in compiled.explain()
         assert compiled.run().rows == want and want
 
-    def test_the_other_side_gets_the_dilated_window(self):
+    def _filtered_full_join(self, database, at):
+        full = database.epsilon_join(
+            "stars", ("x", "y"), "gals", ("x", "y"), self.EPS
+        ).rows
+        x0, x1, y0, y1 = self.WINDOW
+        return [
+            row
+            for row in full
+            if x0 <= row[at] <= x1 and y0 <= row[at + 1] <= y1
+        ]
+
+    def test_the_windowed_side_seeks_the_other(self):
         database = self._catalogs()
-        text = compile_sql(database, self._sql("gals")).explain()
-        assert (
-            "pushed below join (stars): BOX(8, 32, 18, 46) CONTAINS "
-            "POINT(x, y)  <- gals window dilated by 2  [z-window]"
-        ) in text
-        assert "side access (stars): index-scan" in text
+        compiled = compile_sql(database, self._sql("gals"))
+        text = compiled.explain()
         assert "side access (gals): index-scan" in text
+        assert (
+            "side access (stars): eps-seek at the gals points' "
+            "2^4-wide z-cells"
+        ) in text
+        assert "pushed below join (stars)" not in text
+        with trace("seek") as t:
+            rows = compiled.run().rows
+        assert rows == self._filtered_full_join(database, 4) and rows
+        seek = t.find("join[eps-seek]")
+        assert seek.counters["pairs"] == len(rows)
+        assert 0 < seek.counters["intervals"] <= seek.counters["cells"]
+        assert t.find("join[eps-zones]") is None
 
-    def test_no_implied_window_without_an_index(self):
+    def test_no_seek_without_an_index(self):
         database = self._catalogs(index_a=False)
-        plan = compile_sql(database, self._sql("gals")).plan()
-        assert not any("dilated" in note for note in plan.notes)
+        compiled = compile_sql(database, self._sql("gals"))
+        plan = compiled.plan()
+        assert not any("eps-seek" in note for note in plan.notes)
         assert not any("(stars)" in note for note in plan.notes)
+        assert compiled.run().rows == self._filtered_full_join(database, 4)
 
-    def test_no_implied_window_with_two_windows(self):
+    def test_no_seek_with_two_windows(self):
         database = self._catalogs()
         extra = " AND BOX(0, 40, 0, 63) CONTAINS POINT(stars.x, stars.y)"
         compiled = compile_sql(database, self._sql("gals", extra))
-        assert "dilated" not in compiled.explain()
+        assert "eps-seek" not in compiled.explain()
         full = database.epsilon_join(
             "stars", ("x", "y"), "gals", ("x", "y"), self.EPS
         ).rows
@@ -579,3 +601,35 @@ class TestWindowedEpsJoin:
             for row in full
             if x0 <= row[4] <= x1 and y0 <= row[5] <= y1 and row[1] <= 40
         ]
+
+    @pytest.mark.parametrize("side", ["stars", "gals"])
+    def test_only_the_written_window_is_decomposed(self, side, monkeypatch):
+        """Planning and running a windowed eps-join decompose the
+        written window and nothing else: the sought side runs no
+        ``estimate_scan`` and no box kernel."""
+        from repro.core.decompose import _BoxKernel
+        from repro.db import statistics
+
+        database = self._catalogs()
+        scans, kernels = [], []
+        real_scan = statistics.estimate_scan
+        real_init = _BoxKernel.__init__
+
+        def estimate_scan(tree, box):
+            scans.append((tree, box))
+            return real_scan(tree, box)
+
+        def init(self, grid, box, *args, **kwargs):
+            kernels.append(box)
+            real_init(self, grid, box, *args, **kwargs)
+
+        monkeypatch.setattr(statistics, "estimate_scan", estimate_scan)
+        monkeypatch.setattr(_BoxKernel, "__init__", init)
+        rows = compile_sql(database, self._sql(side)).run().rows
+        x0, x1, y0, y1 = self.WINDOW
+        window = Box(((x0, x1), (y0, y1)))
+        windowed = database._index_for(side, ("x", "y")).tree
+        assert scans == [(windowed, window)]
+        assert kernels and all(box == window for box in kernels)
+        at = 1 if side == "stars" else 4
+        assert rows == self._filtered_full_join(database, at)

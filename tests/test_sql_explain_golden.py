@@ -194,7 +194,7 @@ class TestAttributeRangeWindowGolden:
     """Attribute ranges on indexed coordinate columns plan as a
     z-window (ROADMAP item 1): a full box from two BETWEENs, the
     paper's partial-match strip from one pinned column, and an
-    eps-join window reaching the other side dilated by ``ceil(eps)``."""
+    eps-join window whose points seek the other side's index."""
 
     def test_two_betweens_are_a_box(self, sky):
         compiled = compile_sql(
