@@ -2,8 +2,23 @@
 
 A tiny expression language over rows: column references, literals,
 comparisons, boolean connectives, and the element-domain predicates
-``precedes`` and ``contains`` (Section 4).  Expressions are bound to a
-schema once and then evaluated per row, so column lookups are O(1).
+``precedes`` and ``contains`` (Section 4).
+
+An expression is compiled against a schema once per statement: each
+node emits a Python source fragment over ``row``, with column names
+resolved to integer indices and every literal or opaque callable
+(``contains``, ``precedes``) bound by name as a constant ``k0, k1, ...``
+of the eval namespace, so no value is ever formatted into the source.
+``bind`` wraps the fragment as ``lambda row: ...``; ``filter`` as one
+list comprehension ``lambda rows: [row for row in rows if ...]``, so a
+filter costs one generated loop rather than a Python call per node per
+row.  Compiled code is cached by its source text: statements that
+differ only in their literals share one code object.
+
+``&``, ``|`` and ``~`` return exact ``bool`` values.  ``&`` and ``|``
+short-circuit: the right operand is not evaluated when the left one
+decides the result.  The binder type-checks comparisons and there are
+no NULLs, so no row of a SQL statement can observe the order.
 
 >>> from repro.db.schema import Schema
 >>> from repro.db.types import INTEGER
@@ -12,12 +27,16 @@ schema once and then evaluated per row, so column lookups are O(1).
 >>> bound = predicate.bind(schema)
 >>> bound((3, 1)), bound((3, 5))
 (True, False)
+>>> predicate.filter(schema)([(3, 1), (3, 5), (1, 0)])
+[(3, 1)]
 """
 
 from __future__ import annotations
 
+import functools
 import operator
-from typing import Any, Callable, Sequence, Tuple
+from types import CodeType
+from typing import Any, Callable, Iterable, List, Sequence, Tuple
 
 from repro.core.geometry import Box
 from repro.core.zvalue import ZValue
@@ -31,17 +50,77 @@ __all__ = [
     "point_within",
     "element_contains",
     "element_precedes",
+    "projection",
 ]
 
 Row = Tuple[Any, ...]
 BoundExpr = Callable[[Row], Any]
+RowsFn = Callable[[Iterable[Row]], List[Row]]
+
+
+def _and(a: Any, b: Any) -> bool:
+    return bool(a) and bool(b)
+
+
+def _or(a: Any, b: Any) -> bool:
+    return bool(a) or bool(b)
+
+
+def _not(a: Any) -> bool:
+    return not a
+
+
+_INFIX = {
+    operator.eq: "==",
+    operator.ne: "!=",
+    operator.lt: "<",
+    operator.le: "<=",
+    operator.gt: ">",
+    operator.ge: ">=",
+    operator.add: "+",
+    operator.sub: "-",
+    operator.mul: "*",
+}
+_CONNECTIVE = {_and: "and", _or: "or"}
+
+
+@functools.lru_cache(maxsize=256)
+def _code(source: str) -> CodeType:
+    return compile(source, "<repro.db.expr>", "eval")
+
+
+def _function(source: str, consts: Sequence[Any]) -> Callable:
+    """Evaluate the (cached) code of ``source`` with ``k<i>`` bound to
+    ``consts[i]``."""
+    return eval(_code(source), {f"k{i}": c for i, c in enumerate(consts)})
+
+
+def _const(consts: List[Any], value: Any) -> str:
+    consts.append(value)
+    return f"k{len(consts) - 1}"
 
 
 class Expr:
-    """A deferred expression; ``bind`` compiles it against a schema."""
+    """A deferred expression; ``bind``/``filter`` compile it against a
+    schema."""
+
+    def source(self, schema: Schema, consts: List[Any]) -> str:
+        """This node's Python expression over ``row``, appending the
+        values it names to ``consts``."""
+        raise NotImplementedError
 
     def bind(self, schema: Schema) -> BoundExpr:
-        raise NotImplementedError
+        """``row -> value``."""
+        consts: List[Any] = []
+        return _function("lambda row: " + self.source(schema, consts), consts)
+
+    def filter(self, schema: Schema) -> RowsFn:
+        """``rows -> [row for row in rows if self(row)]``."""
+        consts: List[Any] = []
+        body = self.source(schema, consts)
+        return _function(
+            f"lambda rows: [row for row in rows if {body}]", consts
+        )
 
     # -- comparisons ----------------------------------------------------
 
@@ -83,13 +162,13 @@ class Expr:
     # -- boolean connectives ----------------------------------------------
 
     def __and__(self, other):
-        return _Binary(self, _as_expr(other), lambda a, b: bool(a) and bool(b))
+        return _Binary(self, _as_expr(other), _and)
 
     def __or__(self, other):
-        return _Binary(self, _as_expr(other), lambda a, b: bool(a) or bool(b))
+        return _Binary(self, _as_expr(other), _or)
 
     def __invert__(self):
-        return _Unary(self, lambda a: not a)
+        return _Unary(self, _not)
 
     def between(self, low: Any, high: Any) -> "Expr":
         """Inclusive range predicate — one conjunct of a range query."""
@@ -100,9 +179,8 @@ class _Col(Expr):
     def __init__(self, name: str) -> None:
         self.name = name
 
-    def bind(self, schema: Schema) -> BoundExpr:
-        index = schema.index_of(self.name)
-        return lambda row: row[index]
+    def source(self, schema: Schema, consts: List[Any]) -> str:
+        return f"row[{schema.index_of(self.name)}]"
 
     def __repr__(self) -> str:
         return f"col({self.name!r})"
@@ -112,9 +190,8 @@ class _Lit(Expr):
     def __init__(self, value: Any) -> None:
         self.value = value
 
-    def bind(self, schema: Schema) -> BoundExpr:
-        value = self.value
-        return lambda row: value
+    def source(self, schema: Schema, consts: List[Any]) -> str:
+        return _const(consts, self.value)
 
     def __repr__(self) -> str:
         return f"lit({self.value!r})"
@@ -126,11 +203,16 @@ class _Binary(Expr):
         self.right = right
         self.op = op
 
-    def bind(self, schema: Schema) -> BoundExpr:
-        lf = self.left.bind(schema)
-        rf = self.right.bind(schema)
-        op = self.op
-        return lambda row: op(lf(row), rf(row))
+    def source(self, schema: Schema, consts: List[Any]) -> str:
+        opaque = self.op not in _INFIX and self.op not in _CONNECTIVE
+        name = _const(consts, self.op) if opaque else ""
+        left = self.left.source(schema, consts)
+        right = self.right.source(schema, consts)
+        if opaque:
+            return f"{name}({left}, {right})"
+        if self.op in _INFIX:
+            return f"({left} {_INFIX[self.op]} {right})"
+        return f"(not not ({left} {_CONNECTIVE[self.op]} {right}))"
 
 
 class _Unary(Expr):
@@ -138,10 +220,11 @@ class _Unary(Expr):
         self.inner = inner
         self.op = op
 
-    def bind(self, schema: Schema) -> BoundExpr:
-        f = self.inner.bind(schema)
-        op = self.op
-        return lambda row: op(f(row))
+    def source(self, schema: Schema, consts: List[Any]) -> str:
+        if self.op is _not:
+            return f"(not {self.inner.source(schema, consts)})"
+        op = _const(consts, self.op)
+        return f"{op}({self.inner.source(schema, consts)})"
 
 
 def col(name: str) -> Expr:
@@ -158,21 +241,32 @@ def _as_expr(value: Any) -> Expr:
     return value if isinstance(value, Expr) else _Lit(value)
 
 
+def projection(indices: Sequence[int]) -> RowsFn:
+    """``rows -> [(row[i], ...) for row in rows]`` over ``indices`` —
+    a tuple per row, also for one column."""
+    items = "".join(f"row[{i}], " for i in indices)
+    return _function(f"lambda rows: [({items}) for row in rows]", ())
+
+
 class _BoxContains(Expr):
     """``box CONTAINS POINT(coord_cols)`` as a row predicate — the
     filter form of a spatial window (used when a query carries more
-    windows than the one driving the access path)."""
+    windows than the one driving the access path).  Emits
+    ``lo <= row[i] <= hi`` per axis, as ``Box.contains_point`` tests."""
 
     def __init__(self, box: Box, coord_cols: Sequence[str]) -> None:
         self.box = box
         self.coord_cols = tuple(coord_cols)
 
-    def bind(self, schema: Schema) -> BoundExpr:
+    def source(self, schema: Schema, consts: List[Any]) -> str:
         indices = [schema.index_of(name) for name in self.coord_cols]
-        box = self.box
-        return lambda row: box.contains_point(
-            tuple(row[i] for i in indices)
-        )
+        if len(indices) != self.box.ndims:
+            return "False"
+        tests = [
+            f"{_const(consts, lo)} <= row[{i}] <= {_const(consts, hi)}"
+            for i, (lo, hi) in zip(indices, self.box.ranges)
+        ]
+        return "(" + (" and ".join(tests) or "True") + ")"
 
     def __repr__(self) -> str:
         return f"box_contains_point({self.box!r}, {self.coord_cols!r})"
@@ -187,7 +281,8 @@ class _PointWithin(Expr):
     """``POINT(coord_cols) WITHIN eps OF center`` as a row predicate —
     the exact Euclidean ball test, used both as the eps-refine filter
     behind an eps-window access path and as a plain filter when the
-    window loses the access slot."""
+    window loses the access slot.  The squared distance is summed left
+    to right, as ``sum`` would, so results are bit-identical to it."""
 
     def __init__(
         self,
@@ -199,14 +294,14 @@ class _PointWithin(Expr):
         self.center = tuple(center)
         self.radius = radius
 
-    def bind(self, schema: Schema) -> BoundExpr:
+    def source(self, schema: Schema, consts: List[Any]) -> str:
         indices = [schema.index_of(name) for name in self.coord_cols]
-        center = self.center
-        limit = self.radius * self.radius
-        return lambda row: (
-            sum((row[i] - c) ** 2 for i, c in zip(indices, center))
-            <= limit
-        )
+        terms = [
+            f"(row[{i}] - {_const(consts, c)}) ** 2"
+            for i, c in zip(indices, self.center)
+        ]
+        limit = _const(consts, self.radius * self.radius)
+        return f"({' + '.join(terms) or '0'} <= {limit})"
 
     def __repr__(self) -> str:
         return (

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, List, Sequence, Tuple
 
-from repro.db.expr import Expr
+from repro.db.expr import Expr, projection
 from repro.db.relation import Relation
 from repro.db.schema import Schema
 from repro.obs.trace import current as _trace_current
@@ -46,14 +46,14 @@ def _traced_build(
 
 def select(relation: Relation, predicate: Expr, name: str = "") -> Relation:
     """Rows satisfying ``predicate``."""
-    bound = predicate.bind(relation.schema)
+    keep = predicate.filter(relation.schema)
     return _traced_build(
         "op.select",
         len(relation),
         lambda: Relation._derived(
             name or f"select({relation.name})",
             relation.schema,
-            [row for row in relation if bound(row)],
+            keep(relation),
         ),
     )
 
@@ -63,14 +63,14 @@ def project(
 ) -> Relation:
     """Keep only ``names`` columns (bag semantics: duplicates remain,
     as in the paper's intermediate results)."""
-    indices = [relation.schema.index_of(n) for n in names]
+    rows_of = projection([relation.schema.index_of(n) for n in names])
     return _traced_build(
         "op.project",
         len(relation),
         lambda: Relation._derived(
             name or f"project({relation.name})",
             relation.schema.project(names),
-            [tuple(row[i] for i in indices) for row in relation],
+            rows_of(relation),
         ),
     )
 

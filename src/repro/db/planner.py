@@ -406,11 +406,9 @@ class SelectPlan:
         # Direct build (no op.select span): the filter[...] span above
         # already carries the cardinalities, and nesting both would
         # double-count rows_in/rows_out in total_counters().
-        bound = conjunct.predicate.bind(relation.schema)
+        keep = conjunct.predicate.filter(relation.schema)
         return Relation._derived(
-            f"filter({relation.name})",
-            relation.schema,
-            [row for row in relation if bound(row)],
+            f"filter({relation.name})", relation.schema, keep(relation)
         )
 
     def explain(self) -> str:
