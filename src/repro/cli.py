@@ -123,17 +123,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     query.add_argument(
-        "--cache",
-        action="store_true",
-        help=(
-            "attach a semantic z-prefix result cache to the index; the "
-            "demo range query runs twice (cold, then cached) and the "
-            "cache.hit/miss/partial counters print (with "
-            "--explain-analyze the cached run's span tree shows the "
-            "cache.lookup span and per-entry spans)"
-        ),
-    )
-    query.add_argument(
         "--explain-analyze",
         action="store_true",
         help=(
@@ -221,10 +210,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--shards", type=int, default=1,
         help="split the index into N z-range shards (default: 1)",
-    )
-    serve.add_argument(
-        "--cache", action="store_true",
-        help="attach the semantic z-prefix result cache to the index",
     )
     serve.add_argument(
         "--max-inflight", type=int, default=16,
@@ -370,11 +355,7 @@ def _cmd_query(args, out) -> None:
 
     grid = Grid(ndims=2, depth=args.depth)
     side = grid.side
-    db = SpatialDatabase(
-        grid,
-        page_capacity=args.capacity,
-        cache=getattr(args, "cache", False),
-    )
+    db = SpatialDatabase(grid, page_capacity=args.capacity)
     db.create_table(
         "points",
         Schema.of(("id@", OID), ("x", INTEGER), ("y", INTEGER)),
@@ -424,39 +405,20 @@ def _cmd_query(args, out) -> None:
 
     join_kwargs = dict(grid=grid, max_depth=join_depth)
 
-    def cache_summary() -> None:
-        if entry.cache is None:
-            return
-        stats = ", ".join(
-            f"{key}={value}"
-            for key, value in sorted(entry.cache.counters().items())
-            if value
-        )
-        out.write(f"result cache: {stats}\n")
-
     if not (args.explain_analyze or args.json_path):
         rows = Query(db, "points").within(("x", "y"), window).count()
         out.write(f"range query {window}: {rows} rows\n")
-        if entry.cache is not None:
-            again = Query(db, "points").within(("x", "y"), window).count()
-            out.write(f"range query (cached): {again} rows\n")
-            cache_summary()
         pairs = overlap_query(
             p_objects, q_objects, "geom", "id@", **join_kwargs
         )
         out.write(f"overlap join P x Q: {len(pairs)} pairs\n")
         return
 
-    if entry.cache is not None:
-        # Warm run: the traced query below then shows the cached path.
-        Query(db, "points").within(("x", "y"), window).count()
     _, range_trace = (
         Query(db, "points").within(("x", "y"), window).run_traced()
     )
     out.write("=== EXPLAIN ANALYZE: range query ===\n")
-    out.write(format_trace(range_trace) + "\n")
-    cache_summary()
-    out.write("\n")
+    out.write(format_trace(range_trace) + "\n\n")
 
     with trace("overlap_query(P,Q)") as join_trace:
         overlap_query(
@@ -728,7 +690,7 @@ def _run_concurrent_sessions(db, window, args, out) -> None:
 
 def _cmd_serve(args, out) -> int:
     """Serve a seeded database over TCP until Ctrl-C (or --duration),
-    then print the SERVER trace section: admission, batching and cache
+    then print the SERVER trace section: admission and batching
     counters plus one compact line per remembered client.
 
     With ``--chaos SEED`` no server is exposed: instead the seeded
@@ -755,7 +717,7 @@ def _cmd_serve(args, out) -> int:
         return 1 if failed else 0
 
     grid = Grid(ndims=2, depth=args.depth)
-    db = SpatialDatabase(grid, page_capacity=args.capacity, cache=args.cache)
+    db = SpatialDatabase(grid, page_capacity=args.capacity)
     db.create_table(
         "points", Schema.of(("id@", OID), ("x", INTEGER), ("y", INTEGER))
     )

@@ -105,17 +105,15 @@ class Session(SpatialReads):
         self._check_open()
         return self._db, self._epoch
 
-    def _answering(
-        self, table: str, cols: Sequence[str]
-    ) -> Tuple[Any, Any]:
-        """A fresh snapshot view (and the result cache) of a matching
-        index; ``(None, None)`` when there is none or it was created
-        after this snapshot was pinned (no capture exists for our epoch
-        — the visible rows answer instead)."""
+    def _answering(self, table: str, cols: Sequence[str]) -> Any:
+        """A fresh snapshot view of a matching index; ``None`` when
+        there is none or it was created after this snapshot was pinned
+        (no capture exists for our epoch — the visible rows answer
+        instead)."""
         entry = self._entry(table, cols)
         if entry is None:
-            return None, None
-        return entry.tree.snapshot_view(self._epoch), entry.cache
+            return None
+        return entry.tree.snapshot_view(self._epoch)
 
     def table(self, name: str) -> Relation:
         """The relation's visible rows as an immutable plain relation."""
@@ -134,8 +132,9 @@ class Session(SpatialReads):
         """Rows inside ``box`` as of the snapshot — index-backed when a
         matching index predates the pin, row scan otherwise."""
         self._check_open()
-        view, cache = self._answering(table, coord_cols)
-        return self._range_rows(table, coord_cols, box, view, cache)
+        return self._range_rows(
+            table, coord_cols, box, self._answering(table, coord_cols)
+        )
 
     def join_points(
         self,
@@ -150,8 +149,8 @@ class Session(SpatialReads):
         cursors *seek*, skipping whole subtrees between matches), a
         z-sorted set intersection otherwise."""
         self._check_open()
-        va, _ = self._answering(table_a, cols_a)
-        vb, _ = self._answering(table_b, cols_b)
+        va = self._answering(table_a, cols_a)
+        vb = self._answering(table_b, cols_b)
         # Sharded snapshot views have no single leaf chain to merge
         # over; fall through to the set intersection for those.
         if (

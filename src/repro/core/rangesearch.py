@@ -274,9 +274,9 @@ def scan_intervals(
     The intervals must be ascending and pairwise disjoint (as the
     elements of a box decomposition are), so the cursor only ever seeks
     forward.  Over a ``BTreeCursor`` this is the oracle of the leaf
-    chain's ``interval_query``, the residual-scan primitive of the
-    semantic result cache: the uncovered elements of a partially cached
-    query are exactly such an interval list.
+    chain's ``interval_query``, the shared scan of the batcher: the
+    merged elements of a batch of boxes are exactly such an interval
+    list.
     """
     out: List[Tuple[T, ...]] = []
     record = points.current

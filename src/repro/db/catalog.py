@@ -62,7 +62,6 @@ class IndexEntry:
         coord_cols: Tuple[str, ...],
         tree: ZkdTree,
         born_epoch: int = 0,
-        cache=None,
         positions: Optional[PositionMap] = None,
     ) -> None:
         self.index_name = index_name
@@ -74,9 +73,6 @@ class IndexEntry:
         # frozen captures only exist from born_epoch onwards, and its
         # map never saw rows that died before it).
         self.born_epoch = born_epoch
-        # Optional semantic result cache (repro.cache.QueryResultCache)
-        # attached when the database runs with cache= enabled.
-        self.cache = cache
         self.positions: PositionMap = {} if positions is None else positions
 
     def __repr__(self) -> str:

@@ -49,13 +49,21 @@ class SpatialDatabase(SpatialReads):
         grid: Grid,
         page_capacity: int = 20,
         concurrency: bool = True,
-        cache: Any = False,
+        cache: bool = False,
     ) -> None:
         # Kept for benchmarks/ledger/workloads.py, which passes True.
         if concurrency is not True:
             raise ValueError(
                 f"concurrency={concurrency!r}: every database is "
                 "versioned, only True is accepted"
+            )
+        # Kept only for benchmarks/ledger/workloads.py, which passes
+        # cache=True; there is no result cache, so the flag is ignored.
+        # ROADMAP item 1(f) removes it together with ``concurrency``.
+        if not isinstance(cache, bool):
+            raise TypeError(
+                f"cache={cache!r}: there is no result cache to tune, "
+                "only a bool is accepted (and ignored)"
             )
         self.grid = grid
         self.page_capacity = page_capacity
@@ -69,16 +77,6 @@ class SpatialDatabase(SpatialReads):
         from repro.concurrency import SnapshotManager
 
         self.snapshots = SnapshotManager()
-        # cache=True attaches a semantic result cache (repro.cache.
-        # QueryResultCache) to every index created afterwards; a dict
-        # passes tuning knobs (budget_points, max_entries, ...) through.
-        if isinstance(cache, dict):
-            self._cache_opts: Optional[dict] = dict(cache)
-        else:
-            self._cache_opts = {} if cache else None
-        # Pending dirty z codes of the open commit, keyed by index name;
-        # flushed into each index's cache with the commit epoch.
-        self._dirty_codes: dict = {}
         # Index operations the open commit has applied, in order:
         # (entry, coordinates, inserted position | None for a delete) —
         # what an aborted batch undoes.
@@ -114,17 +112,10 @@ class SpatialDatabase(SpatialReads):
         with the pending epoch would otherwise surface once a later
         transaction commits), every index operation already applied is
         undone in reverse — the tree entry and the coordinate map
-        position together — and the batch's dirty codes are discarded.
-        The trees' pages were rewritten under the pending epoch, so the
-        (now logically empty) transaction still commits: the epoch
-        advances over an unchanged state, and a later pin finds every
-        page image it needs.
-
-        Result-cache coherence rides on the same boundary: the batch's
-        dirty z codes flush into each index's cache *after* the commit
-        epoch is assigned (the handle's epoch is set at the outermost
-        transaction exit), so cache invalidation carries exactly the
-        epoch at which the writes became visible."""
+        position together.  The trees' pages were rewritten under the
+        pending epoch, so the (now logically empty) transaction still
+        commits: the epoch advances over an unchanged state, and a
+        later pin finds every page image it needs."""
         failure: Optional[Exception] = None
         try:
             with self.snapshots.write_transaction() as txn:
@@ -145,7 +136,6 @@ class SpatialDatabase(SpatialReads):
                         for entry, coords, position in self._applied:
                             if position is not None:
                                 entry.forget(coords, position)
-                        self._dirty_codes.clear()
                         # A CrashPoint is a dead process: its trees are
                         # abandoned, not repaired.
                         if not isinstance(exc, Exception):
@@ -162,27 +152,6 @@ class SpatialDatabase(SpatialReads):
             self._applied.clear()
         if failure is not None:
             raise failure
-        self._flush_dirty(txn.epoch)
-
-    def _log_dirty(self, entry: IndexEntry, coords: Tuple[int, ...]) -> None:
-        """Note a mutated point's z code against the open commit (only
-        for indexes that carry a cache)."""
-        if entry.cache is None:
-            return
-        self._dirty_codes.setdefault(entry.index_name, []).append(
-            self.grid.zvalue(coords).bits
-        )
-
-    def _flush_dirty(self, epoch: int) -> None:
-        """Publish the committed batch's dirty codes into each affected
-        index cache at the commit ``epoch``."""
-        if not self._dirty_codes:
-            return
-        pending, self._dirty_codes = self._dirty_codes, {}
-        for entry in self.catalog.indexes():
-            codes = pending.get(entry.index_name)
-            if codes and entry.cache is not None:
-                entry.cache.record_commit(codes, epoch)
 
     def insert(self, table: str, row: Sequence[Any]) -> None:
         with self._group_commit():
@@ -214,7 +183,6 @@ class SpatialDatabase(SpatialReads):
             entry.tree.insert(coords)
             entry.add(coords, position)
             self._applied.append((entry, coords, position))
-            self._log_dirty(entry, coords)
 
     def insert_many(self, table: str, rows: Sequence[Sequence[Any]]) -> None:
         with self._group_commit():
@@ -243,7 +211,6 @@ class SpatialDatabase(SpatialReads):
             # for the snapshots pinned before this commit.
             entry.tree.delete(coords)
             self._applied.append((entry, coords, None))
-            self._log_dirty(entry, coords)
         return True
 
     # ------------------------------------------------------------------
@@ -322,33 +289,20 @@ class SpatialDatabase(SpatialReads):
                 # is unchanged.
                 tree.insert_many(points)
             tree.attach_snapshots(self.snapshots)
-        result_cache = None
-        if self._cache_opts is not None:
-            from repro.cache import QueryResultCache
-
-            result_cache = QueryResultCache(
-                self.grid, snapshots=self.snapshots, **self._cache_opts
-            )
         entry = IndexEntry(
             index_name,
             table,
             cols,
             tree,
             txn.epoch,
-            cache=result_cache,
             positions=coordinate_map(points, positions),
         )
         self.catalog.register_index(entry)
         return entry
 
     def drop_index(self, index_name: str) -> None:
-        """Remove an index, releasing its result cache (schema changes
-        must not leave cached state behind)."""
-        entry = self.catalog.index(index_name)
+        """Remove an index."""
         self.catalog.drop_index(index_name)
-        self._dirty_codes.pop(index_name, None)
-        if entry.cache is not None:
-            entry.cache.evict(len(entry.cache))
 
     # ------------------------------------------------------------------
     # Sessions
@@ -407,13 +361,11 @@ class SpatialDatabase(SpatialReads):
     def _reading(self) -> Tuple[Any, Optional[int]]:
         return self, None
 
-    def _answering(
-        self, table: str, cols: Sequence[str]
-    ) -> Tuple[Any, Any]:
+    def _answering(self, table: str, cols: Sequence[str]) -> Any:
         entry = self._index_for(table, cols)
         if entry is None:
             raise ValueError(f"no index on {table}({', '.join(cols)})")
-        return entry.tree, entry.cache
+        return entry.tree
 
     def range_query(
         self,

@@ -66,7 +66,6 @@ class Plan:
     estimated_pages: float
     alternative_pages: float
     estimated_rows: float = 0.0
-    cached: bool = False  # index scan consults a semantic result cache
     _execute: Any = None
 
     def execute(self) -> Relation:
@@ -83,10 +82,6 @@ class Plan:
             span.set("selectivity", round(self.selectivity, 6))
             span.set("est_pages", self.estimated_pages)
             span.set("est_rows", self.estimated_rows)
-            # Only when a cache is attached, so cache-free traces (and
-            # the committed counter baseline) are unchanged.
-            if self.cached:
-                span.set("cached", True)
             out = self._execute()
             span.add("rows_out", len(out))
         return out
@@ -97,8 +92,7 @@ class Plan:
             f"  selectivity: {self.selectivity:.4f}",
             f"  est. rows:   {self.estimated_rows:.1f}",
             f"  chosen:      {self.method} "
-            f"(~{self.estimated_pages:.1f} pages)"
-            + (" [cached]" if self.cached else ""),
+            f"(~{self.estimated_pages:.1f} pages)",
             f"  rejected:    "
             f"{'table-scan' if self.method.endswith('index-scan') else 'index-scan'} "
             f"(~{self.alternative_pages:.1f} pages)",
@@ -163,9 +157,8 @@ def plan_range_query(
             estimated_pages=index_pages,
             alternative_pages=scan_pages,
             estimated_rows=estimated_rows,
-            cached=entry.cache is not None,
             _execute=lambda: database._range_rows(
-                table, entry.coord_cols, box, entry.tree, entry.cache
+                table, entry.coord_cols, box, entry.tree
             ),
         )
     return Plan(

@@ -31,7 +31,6 @@ from typing import (
     Tuple,
 )
 
-from repro.cache import cached_range_matches
 from repro.core.deadline import check_deadline
 from repro.core.fastz import interleave_many
 from repro.core.geometry import Box, Grid
@@ -352,7 +351,13 @@ class RowStore(ProximityReads):
         return SimpleNamespace(matches=[p for p in self._points if keep(p)])
 
     def range_query(self, box: Box) -> SimpleNamespace:
-        return self._matching(box.contains_point)
+        """The points inside ``box`` in z order, as a leaf chain's scan
+        returns them."""
+        hits = [p for p in self._points if box.contains_point(p)]
+        codes = interleave_many(hits, self.grid.depth, self.grid.ndims)
+        return SimpleNamespace(
+            matches=[p for _, p in sorted(zip(codes, hits))]
+        )
 
     def within_distance(
         self, center: Sequence[int], radius: float
@@ -371,18 +376,16 @@ class SpatialReads:
 
     A reader supplies two hooks: :meth:`_reading` — the database and
     the epoch whose rows it sees — and :meth:`_answering` — the point
-    store (with its result cache) that answers for an index.
+    store that answers for an index.
     """
 
     def _reading(self) -> Tuple[Any, Optional[int]]:
         """``(database, epoch)``; ``epoch=None`` reads the live rows."""
         raise NotImplementedError
 
-    def _answering(
-        self, table: str, cols: Sequence[str]
-    ) -> Tuple[Any, Any]:
-        """``(store, result cache)`` of the index on ``table(cols)``;
-        ``(None, None)`` when the reader may fall back to its rows."""
+    def _answering(self, table: str, cols: Sequence[str]) -> Any:
+        """The store of the index on ``table(cols)``; ``None`` when
+        the reader may fall back to its rows."""
         raise NotImplementedError
 
     def _entry(
@@ -428,25 +431,15 @@ class SpatialReads:
         cols: Sequence[str],
         box: Box,
         store: Any = None,
-        cache: Any = None,
     ) -> Relation:
         """Rows inside ``box``: a z-scan of ``store`` plus rejoin, or a
-        row scan without one.  A store carrying a semantic result
-        ``cache`` is read through it: the cache consults only entries
-        valid at the reader's epoch and scans the same store, so rows
-        equal the uncached read by construction."""
+        row scan without one."""
         if store is None:
             schema, rows, coords = self._visible(table, cols)
             return Relation._derived(
                 f"range({table})", schema, scan_rows(rows, coords, box)
             )
-        if cache is not None:
-            database, epoch = self._reading()
-            matched = cached_range_matches(
-                cache, store, database.grid, box, epoch=epoch
-            )
-        else:
-            matched = store.range_query(box).matches
+        matched = store.range_query(box).matches
         return self._matched_relation(f"range({table})", table, cols, matched)
 
     def _point_store(self, table: str, cols: Sequence[str]) -> Any:
@@ -454,7 +447,7 @@ class SpatialReads:
         session with no index visible at its pin — the visible rows'
         own coordinates."""
         database, _ = self._reading()  # a closed session raises here
-        store, _ = self._answering(table, cols)
+        store = self._answering(table, cols)
         if store is None:
             _, rows, coords = self._visible(table, cols)
             store = RowStore(database.grid, map(coords, rows))
@@ -466,7 +459,7 @@ class SpatialReads:
         """Index-only range query returning the paper's cost measures
         (requires an index the reader can see)."""
         self._reading()  # a closed session raises here
-        store, _ = self._answering(table, coord_cols)
+        store = self._answering(table, coord_cols)
         if store is None:
             raise ValueError(
                 f"no snapshot-visible index on "

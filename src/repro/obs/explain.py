@@ -92,16 +92,6 @@ def _render(node: Span, indent: int, out: List[str]) -> None:
             )
         out.append("  ".join(parts))
         return
-    if node.name.startswith("cache.entry[") and not node.children:
-        # Per-entry leaves of a cache.lookup span, same compact style.
-        served = node.counters.get("points_served", 0)
-        parts = [f"{pad}{node.name}  points_served={_fmt_num(served)}"]
-        if "zlo" in node.attrs and "zhi" in node.attrs:
-            parts.append(f"z=[{node.attrs['zlo']}..{node.attrs['zhi']}]")
-        if "build_epoch" in node.attrs:
-            parts.append(f"epoch={node.attrs['build_epoch']}")
-        out.append("  ".join(parts))
-        return
     timing = f"  [{node.elapsed_s * 1e3:.2f} ms]" if node.elapsed_s else ""
     out.append(f"{pad}{node.name}{timing}")
     detail_pad = pad + "    "

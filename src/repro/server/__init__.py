@@ -12,10 +12,9 @@ over one :class:`~repro.db.database.SpatialDatabase`:
   load with typed ``quota`` / ``overload`` / ``timeout`` rejections;
 * a batching layer (:mod:`repro.server.batching`) coalesces concurrent
   point lookups and overlapping range queries into shared
-  scatter–gather passes, byte-identical to per-request execution, with
-  the z-prefix result cache consulted per batch;
+  scatter–gather passes, byte-identical to per-request execution;
 * ``/stats`` and the ``SERVER`` trace section surface the counters
-  (queue depth, batch sizes, admissions/rejections, cache hits).
+  (queue depth, batch sizes, admissions/rejections).
 """
 
 from repro.server.admission import (

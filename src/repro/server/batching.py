@@ -7,13 +7,9 @@ batch executes, newly arriving requests accumulate; the next batch
 takes them all at once, and :func:`batched_range_matches` answers the
 whole group with **one** shared scatter–gather pass:
 
-1. when the index carries a :class:`~repro.cache.QueryResultCache`
-   every box is matched against it first — a repeated box is answered
-   from its cached run before anything decomposes it, any other box
-   decomposes into z elements for the cache's trie walk, and fully
-   covered boxes never touch the store; with no cache a box is asked
-   only for its bare z intervals;
-2. the surviving element intervals of *all* boxes merge into one
+1. every box is clipped to the grid and decomposed into the bare
+   ``(zlo, zhi)`` intervals of its z elements;
+2. the element intervals of *all* boxes merge into one
    ascending disjoint interval list (overlapping queries literally
    share their overlap), scanned in a single ``interval_query`` pass —
    one shard fan-out, one tree descent per merged interval, no matter
@@ -22,14 +18,13 @@ whole group with **one** shared scatter–gather pass:
    elements out of the merged runs' leaf keys (every element interval
    lies inside exactly one merged interval), concatenated in element
    order — which is global z order, **byte-identical** to running
-   ``target.range_query(box)`` per request; the sliced keys are what
-   the cache admits beside the points, so nothing is re-shuffled.
+   ``target.range_query(box)`` per request; the leaf keys locate each
+   element, so no point is re-shuffled.
 
-The identity in step 3 is the same full-depth-cover argument the
-semantic cache rests on: a scan of a z interval *is* the exact answer
-for any element contained in it.  ``tests/test_server_batching.py``
-differential-tests the equality over live trees, sharded stores and
-snapshot views.
+The identity in step 3 is the full-depth-cover argument: a scan of a
+z interval *is* the exact answer for any element contained in it.
+``tests/test_server_batching.py`` differential-tests the equality over
+live trees, sharded stores and snapshot views.
 """
 
 from __future__ import annotations
@@ -102,121 +97,46 @@ def merge_intervals(intervals: Sequence[Interval]) -> List[Interval]:
 
 def _cut(
     codes: Sequence[int], run: Sequence[Point], zlo: int, zhi: int
-) -> Tuple[Sequence[int], Sequence[Point]]:
-    """The codes and points of a z-sorted run inside ``[zlo, zhi]``."""
+) -> Sequence[Point]:
+    """The points of a z-sorted run whose codes lie in ``[zlo, zhi]``."""
     lo = bisect.bisect_left(codes, zlo)
     hi = bisect.bisect_right(codes, zhi, lo)
-    return codes[lo:hi], run[lo:hi]
-
-
-class _BoxPlan:
-    """One request's cache-lookup state and element intervals inside a
-    batch."""
-
-    __slots__ = ("clipped", "look", "read_epoch", "intervals")
-
-    def __init__(self, clipped, look, read_epoch, intervals):
-        self.clipped = clipped
-        self.look = look
-        self.read_epoch = read_epoch
-        #: ``(zlo, zhi)`` of every element of the box, in z order (not
-        #: needed, and empty, on an exact cache hit).
-        self.intervals = intervals
+    return run[lo:hi]
 
 
 def batched_range_matches(
-    target: Any,
-    grid: Grid,
-    boxes: Sequence[Box],
-    cache: Optional[Any] = None,
-    epoch: Optional[int] = None,
+    target: Any, grid: Grid, boxes: Sequence[Box]
 ) -> List[Tuple[Point, ...]]:
     """Answer every box in one shared pass over ``target``.
 
     ``target`` is anything with ``interval_query(intervals)`` — a live
     :class:`~repro.storage.prefix_btree.ZkdTree`, a sharded store, or
-    their snapshot views.  ``cache`` (a :class:`~repro.cache.
-    QueryResultCache`) is consulted per box before the scan and fed
-    afterwards, exactly like the per-request front-end
-    :func:`~repro.cache.cached_range_matches` — its ``lookup`` decides
-    whether the box is decomposed; ``epoch`` pins the read for snapshot
-    targets.
+    their snapshot views.
 
     Returns one match tuple per input box, each byte-identical to
     ``target.range_query(box).matches``.
     """
-    plans: List[Optional[_BoxPlan]] = []
+    per_box: List[List[Interval]] = []
     shared: List[Interval] = []
     for box in boxes:
         clipped = grid.clip(box)
-        if clipped is None:
-            plans.append(None)
-            continue
-        if cache is None:
-            # The scan and the slicing below read only ``(zlo, zhi)``
-            # pairs; ``Element``/``ZValue`` objects are the trie's need.
-            look, read_epoch = None, epoch
-            intervals = box_intervals(grid, clipped)
-            shared.extend(intervals)
-        else:
-            read_epoch = epoch if epoch is not None else cache.current_epoch
-            look = cache.lookup(clipped, read_epoch)
-            cache.stats[f"cache.{look.outcome}"] += 1
-            intervals = (
-                []
-                if look.exact is not None
-                else [(el.zlo, el.zhi) for el in look.elements]
-            )
-            # Every element on a miss, none on a hit.
-            shared.extend((el.zlo, el.zhi) for el in look.residual)
-        plans.append(_BoxPlan(clipped, look, read_epoch, intervals))
+        intervals = [] if clipped is None else box_intervals(grid, clipped)
+        shared.extend(intervals)
+        per_box.append(intervals)
 
     merged = merge_intervals(shared)
     runs = target.interval_query(merged) if merged else ()
     merged_los = [lo for lo, _ in merged]
 
     results: List[Tuple[Point, ...]] = []
-    for plan in plans:
-        if plan is None:
-            results.append(())
-            continue
-        look = plan.look
-        if look is not None and look.exact is not None:
-            results.append(look.exact.run)
-            continue
-        # An element is its ``zlo``: the decomposition is disjoint.
-        covered = (
-            {el.zlo: entry for el, entry in look.covered}
-            if look is not None
-            else {}
-        )
+    for intervals in per_box:
         out: List[Point] = []
-        out_z: List[int] = []
-        for zlo, zhi in plan.intervals:
-            entry = covered.get(zlo)
-            if entry is not None:
-                codes, run = _cut(entry.run_z, entry.run, zlo, zhi)
-            else:
-                # The element lies inside exactly one merged interval (it
-                # was one of the union's inputs).
-                index = bisect.bisect_right(merged_los, zlo) - 1
-                codes, run = _cut(*runs[index], zlo, zhi)
-            out.extend(run)
-            out_z.extend(codes)
-        matches = tuple(out)
-        if (
-            look is not None
-            and look.outcome != "hit"
-            and (epoch is not None or cache.current_epoch == plan.read_epoch)
-        ):
-            cache.admit(
-                plan.clipped,
-                look.elements,
-                matches,
-                tuple(out_z),
-                plan.read_epoch,
-            )
-        results.append(matches)
+        for zlo, zhi in intervals:
+            # The element lies inside exactly one merged interval (it
+            # was one of the union's inputs).
+            index = bisect.bisect_right(merged_los, zlo) - 1
+            out.extend(_cut(*runs[index], zlo, zhi))
+        results.append(tuple(out))
     return results
 
 

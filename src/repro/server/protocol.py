@@ -29,7 +29,7 @@ budget: a request that cannot finish inside it answers a typed
 ``refresh`` re-pin the connection's snapshot at the newest epoch
 ``sql``    ``query`` — one SQL statement; EXPLAIN [ANALYZE] answers
            with the plan/trace text, a SELECT with columns and rows
-``stats``  the server's counter sections (admission, batching, cache)
+``stats``  the server's counter sections (admission, batching, planner, snapshots)
 ======== ==========================================================
 """
 

@@ -179,11 +179,7 @@ class QueryService:
         entry = self.db.catalog.index(index_name)
         relation = self.db.catalog.relation(entry.relation_name)
         matches = batched_range_matches(
-            entry.tree.snapshot_view(epoch),
-            self.db.grid,
-            boxes,
-            cache=entry.cache,
-            epoch=epoch,
+            entry.tree.snapshot_view(epoch), self.db.grid, boxes
         )
         return [
             rejoin(relation, epoch, matched, entry, entry.coord_cols)
@@ -420,7 +416,7 @@ class QueryService:
     async def _handle_sql(
         self, client: ClientState, request: Dict[str, Any]
     ) -> Dict[str, Any]:
-        """One SQL statement.  A statement that reduces to a cacheable
+        """One SQL statement.  A statement that reduces to a batchable
         range scan rides the batcher (shared scatter-gather with the
         ``range``/``point`` traffic pinned at the same epoch), then the
         filters and operator tail finish on the coordinator; anything
@@ -530,16 +526,6 @@ class QueryService:
 
     # -- stats and the SERVER trace section ------------------------------
 
-    def cache_counters(self) -> Dict[str, int]:
-        """Aggregated result-cache counters across every index."""
-        out: Dict[str, int] = {}
-        for entry in self.db.catalog.indexes():
-            if entry.cache is None:
-                continue
-            for key, value in entry.cache.counters().items():
-                out[key] = out.get(key, 0) + value
-        return out
-
     def stats_snapshot(self) -> Dict[str, Dict[str, int]]:
         """The ``/stats`` payload: one section per subsystem."""
         sections: Dict[str, Dict[str, int]] = {
@@ -551,9 +537,6 @@ class QueryService:
         }
         if self.overload is not None:
             sections["breaker"] = self.overload.counters()
-        cache = self.cache_counters()
-        if cache:
-            sections["cache"] = cache
         planner = {
             key: value
             for key, value in getattr(

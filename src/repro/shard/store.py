@@ -251,9 +251,9 @@ class ShardedReads(ProximityReads):
         self, intervals: Sequence[Tuple[int, int]]
     ) -> Tuple[Tuple[Tuple[int, ...], Tuple[Point, ...]], ...]:
         """The ``(keys, payloads)`` in each inclusive z interval, one
-        pair per interval — the residual scatter of the semantic result
-        cache, untraced like the per-shard scans (the cache front-end
-        owns the span).  Each interval is clipped to the overlapping
+        pair per interval — the shared scatter of the batcher and of the
+        eps-seek, untraced like the per-shard scans (the caller owns
+        the span).  Each interval is clipped to the overlapping
         shards' ranges (an element can straddle a shard cut); the
         sub-runs reassemble per interval in ascending shard order, which
         is z order."""

@@ -84,8 +84,9 @@ class QueryResult:
 
 class ProximityReads:
     """Section 6's proximity queries for any point store with ``grid``,
-    ``__len__``, ``range_query`` and ``object_query``: a ball, or the
-    box around one, is just another query region for the merge."""
+    ``__len__``, ``range_query`` (matches in z order) and
+    ``object_query``: a ball, or the box around one, is just another
+    query region for the merge."""
 
     grid: Grid
 
@@ -118,7 +119,11 @@ class ProximityReads:
         doubling while fewer come back.  With >= ``k`` matches whose
         k-th distance ``d_k`` is at most ``r`` the L2 ball of the answer
         lies inside the probe box; otherwise one closing probe at
-        ``ceil(d_k)`` covers it."""
+        ``ceil(d_k)`` covers it.
+
+        A probe's matches arrive in z order, the order of the leaf keys,
+        so a stable sort by distance alone ranks ties by z code: no
+        point is shuffled back into its code."""
         if k < 1:
             raise ValueError("k must be positive")
         n = len(self)
@@ -130,15 +135,16 @@ class ProximityReads:
         k = min(k, n)
         side, top = grid.side, grid.side - 1
 
-        def probe(r: int) -> List[Tuple[int, int, Point]]:
+        def probe(r: int) -> List[Tuple[int, Point]]:
             box = Box(
                 tuple((max(c - r, 0), min(c + r, top)) for c in center)
             )
-            matches = self.range_query(box).matches
-            codes = interleave_many(matches, grid.depth, grid.ndims)
             return sorted(
-                (sum((a - b) ** 2 for a, b in zip(p, center)), code, p)
-                for p, code in zip(matches, codes)
+                (
+                    (sum((a - b) ** 2 for a, b in zip(p, center)), p)
+                    for p in self.range_query(box).matches
+                ),
+                key=itemgetter(0),
             )
 
         radius = max(1, math.ceil(side * (k / n) ** (1.0 / grid.ndims)))
@@ -156,7 +162,7 @@ class ProximityReads:
             trace.add("knn.queries", 1)
             trace.add("knn.probes", probes)
             trace.add("knn.candidates", candidates)
-        return [p for _, _, p in ranked[:k]]
+        return [p for _, p in ranked[:k]]
 
 
 def _payloads(runs: Iterable[List[Record]]) -> List[Point]:
@@ -235,9 +241,9 @@ class LeafChainReads(ProximityReads):
     ) -> Tuple[Tuple[Tuple[int, ...], Tuple[Point, ...]], ...]:
         """The ``(keys, payloads)`` of the records whose z codes fall in
         each ``[zlo, zhi]`` interval, one pair per interval — the
-        residual-scan primitive of the semantic result cache and the
-        batcher.  Intervals must be ascending and disjoint.
-        Deliberately untraced: the cache front-end owns the span.
+        shared scan of the batcher and of the eps-seek.  Intervals must
+        be ascending and disjoint.  Deliberately untraced: the caller
+        owns the span.
         Checks the deadline once per interval and once per leaf slice."""
         current = -1
         todo = iter(enumerate(intervals))

@@ -225,15 +225,13 @@ class TestAbortedGroupCommit:
     and — its pages stamped with an epoch that never arrived — the next
     pin dying with ``page N has no image at epoch E``.  One rollback
     now exists (``SpatialDatabase._group_commit``) and covers
-    relations, trees, dirty codes and the coordinate map."""
+    relations, trees and the coordinate map."""
 
     @staticmethod
     def _db():
         from repro.db import INTEGER, Schema, SpatialDatabase
 
-        db = SpatialDatabase(
-            Grid(2, 4), page_capacity=4, cache=True
-        )
+        db = SpatialDatabase(Grid(2, 4), page_capacity=4)
         db.create_table(
             "t",
             Schema.of(
@@ -265,7 +263,7 @@ class TestAbortedGroupCommit:
             entry = db.catalog.index(name)
             assert sorted(entry.tree.range_query(everywhere).matches) == before
             assert entry.positions == self._fresh_map(db, entry)
-        assert db._dirty_codes == {} and db._applied == []
+        assert db._applied == []
         # a new session pins and reads through both indexes
         with db.session() as reader:
             for cols in (("a", "b"), ("c", "d")):

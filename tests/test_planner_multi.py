@@ -418,7 +418,6 @@ class TestIndexReadCostsWhatItReturns:
     most once."""
 
     def test_counts(self, monkeypatch):
-        from repro.cache import result_cache
         from repro.db import ZHistogram, schema, statistics
         from repro.db.relation import VersionedRelation
 
@@ -451,12 +450,11 @@ class TestIndexReadCostsWhatItReturns:
         monkeypatch.setattr(
             ZHistogram, "of_tree", counting("histograms", ZHistogram.of_tree)
         )
-        for module, eager in (
-            (statistics, "box_intervals"), (result_cache, "decompose_box")
-        ):
-            monkeypatch.setattr(
-                module, eager, counting("boxes", getattr(module, eager))
-            )
+        monkeypatch.setattr(
+            statistics,
+            "box_intervals",
+            counting("boxes", statistics.box_intervals),
+        )
 
         statements = [
             "SELECT id@, x, y FROM points "

@@ -4,8 +4,7 @@ The server's batching layer rests on one identity: merging every
 request's z-element intervals, scanning the union once, and slicing
 each request's elements back out equals running ``range_query`` per
 request.  This suite differential-tests that identity over live trees,
-sharded stores, snapshot views and the semantic cache, plus the
-interval-merge algebra and the :class:`QueryBatcher` coalescing
+sharded stores and snapshot views, plus the interval-merge algebra and the :class:`QueryBatcher` coalescing
 machinery (grouping by (index, epoch) key, serial degeneration,
 exception propagation).
 """
@@ -18,7 +17,6 @@ import time
 
 import pytest
 
-from repro.cache import QueryResultCache
 from repro.core.geometry import Box, Grid
 from repro.core.rangesearch import brute_force_search
 from repro.db.database import SpatialDatabase
@@ -111,8 +109,8 @@ def _box_mix(grid, seed, count=12):
     return boxes
 
 
-def _assert_identity(target, grid, boxes, **kwargs):
-    got = batched_range_matches(target, grid, boxes, **kwargs)
+def _assert_identity(target, grid, boxes):
+    got = batched_range_matches(target, grid, boxes)
     want = [
         target.range_query(box).matches for box in boxes
     ]
@@ -169,19 +167,54 @@ def test_batched_matches_snapshot_views_per_epoch():
         assert batched_range_matches(old_view, GRID, boxes) == before
 
 
-def test_batched_with_cache_second_pass_hits_and_agrees():
+def test_batched_second_pass_agrees():
+    """A batch keeps no state: the same boxes batched twice answer
+    exactly as ``range_query`` per box both times."""
     tree = _tree(npoints=1500, seed=3)
-    cache = QueryResultCache(GRID)
     boxes = _box_mix(GRID, 5)
     expected = [
         tree.range_query(box).matches for box in boxes
     ]
-    first = batched_range_matches(tree, GRID, boxes, cache=cache)
-    assert first == expected
-    hits_before = cache.stats.get("cache.hit", 0)
-    second = batched_range_matches(tree, GRID, boxes, cache=cache)
-    assert second == expected
-    assert cache.stats.get("cache.hit", 0) > hits_before
+    assert batched_range_matches(tree, GRID, boxes) == expected
+    assert batched_range_matches(tree, GRID, boxes) == expected
+
+
+@pytest.mark.parametrize("shards", [1, 3])
+def test_batch_decomposes_each_box_once_into_bare_intervals(
+    monkeypatch, shards
+):
+    """One box kernel per box and no ``Element`` at all: the shared
+    interval scan reads bare ``(zlo, zhi)`` pairs, and no per-shard
+    re-decomposition happens under it."""
+    from repro.core.decompose import Element, _BoxKernel
+
+    points = make_dataset("C", GRID, 1500, seed=8).points
+    if shards == 1:
+        target = _tree(npoints=1500, seed=8)
+    else:
+        target = ShardedSpatialStore.build(GRID, points, nshards=shards)
+    boxes = _box_mix(GRID, 9, count=5)
+    want = [target.range_query(box).matches for box in boxes]
+    counts = {"kernels": 0, "elements": 0}
+    kernel_init, element_init = _BoxKernel.__init__, Element.__init__
+
+    def counted(name, init):
+        def wrapper(this, *args, **kwargs):
+            counts[name] += 1
+            init(this, *args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(_BoxKernel, "__init__", counted("kernels", kernel_init))
+    monkeypatch.setattr(Element, "__init__", counted("elements", element_init))
+    try:
+        got = batched_range_matches(target, GRID, boxes)
+    finally:
+        if shards > 1:
+            target.close()
+    assert got == want
+    inside = sum(GRID.clip(box) is not None for box in boxes)
+    assert counts == {"kernels": inside, "elements": 0}
 
 
 def test_batched_agrees_with_brute_force():
