@@ -24,7 +24,6 @@ from repro.db.planner import (
 from repro.db.query import Query
 from repro.db.statistics import (
     ColumnHistogram,
-    ZHistogram,
     estimate_matches,
     estimate_pages,
 )
@@ -120,7 +119,6 @@ __all__ = [
     "order_conjuncts",
     "choose_join_strategy",
     "estimate_selectivity",
-    "ZHistogram",
     "ColumnHistogram",
     "estimate_matches",
     "estimate_pages",

@@ -133,9 +133,10 @@ def plan_range_query(
         index_pages = 0.0
         estimated_rows = 0.0
     else:
-        # Distribution-aware estimates: the index's own leaf ranges form
-        # an equi-depth histogram (repro.db.statistics); far tighter
-        # than the uniform O(vN) formula on skewed data.
+        # Distribution-aware estimates: the index's separators and
+        # per-leaf counts form an equi-depth histogram
+        # (repro.db.statistics); far tighter than the uniform O(vN)
+        # formula on skewed data.
         from repro.db.statistics import estimate_scan
 
         estimated_rows, pages = estimate_scan(entry.tree, clipped)

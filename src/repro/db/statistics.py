@@ -2,104 +2,35 @@
 
 The leaf pages of a zkd B+-tree split the z codes into runs of ~page
 capacity records — i.e. the index *is* an equi-depth histogram of the
-data's spatial distribution, at zero extra maintenance cost.  Combined
-with box decomposition (each query is a set of z intervals), this gives
-distribution-aware estimates that the uniformity assumption of
-Section 5's analysis cannot:
+data's spatial distribution.  The B+-tree's in-memory inner nodes
+already hold every leaf's separator, and the tree records each leaf's
+count whenever it writes the leaf; :meth:`~repro.storage.btree.
+BPlusTree.overlap_stats` reads both, so the histogram has no upkeep of
+its own and reading it reads no page.  Combined with box decomposition
+(each query is a set of z intervals), this gives distribution-aware
+estimates that the uniformity assumption of Section 5's analysis
+cannot:
 
 * :func:`estimate_matches` — expected result size of a range query;
-* :func:`estimate_pages` — expected data pages, as the count of leaf
-  ranges the query's z intervals intersect.
-
-Both run in O(#leaves + #elements) without touching any data page.
+* :func:`estimate_pages` — expected data pages: the leaves whose
+  separator span the query's z intervals meet, plus the leftmost leaf,
+  where every scan starts.
 """
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass
 from typing import Any, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.decompose import box_intervals
 from repro.core.geometry import Box
-from repro.storage.prefix_btree import ZkdTree
 
 __all__ = [
-    "ZHistogram",
     "ColumnHistogram",
     "estimate_matches",
     "estimate_pages",
     "estimate_scan",
-    "histogram_of",
 ]
-
-
-@dataclass(frozen=True)
-class ZHistogram:
-    """An equi-depth histogram over z codes, lifted from leaf pages.
-
-    Bucket ``i`` owns codes ``[bounds[i], bounds[i+1])`` (the last
-    bucket extends to the end of the code space) and holds ``counts[i]``
-    records, assumed uniform within the bucket.
-    """
-
-    total_bits: int
-    bounds: Tuple[int, ...]
-    counts: Tuple[int, ...]
-
-    @classmethod
-    def of_tree(cls, tree: ZkdTree) -> "ZHistogram":
-        ranges = tree.tree.leaf_key_ranges()
-        if not ranges:
-            return cls(tree.grid.total_bits, (0,), (0,))
-        bounds = [0] + [lo for lo, _, _ in ranges[1:]]
-        counts = [count for _, _, count in ranges]
-        return cls(tree.grid.total_bits, tuple(bounds), tuple(counts))
-
-    @property
-    def nbuckets(self) -> int:
-        return len(self.counts)
-
-    @property
-    def nrecords(self) -> int:
-        return sum(self.counts)
-
-    def _bucket_span(self, index: int) -> Tuple[int, int]:
-        lo = self.bounds[index]
-        hi = (
-            self.bounds[index + 1] - 1
-            if index + 1 < len(self.bounds)
-            else (1 << self.total_bits) - 1
-        )
-        return lo, hi
-
-    def overlap_stats(
-        self, intervals: Sequence[Tuple[int, int]]
-    ) -> Tuple[float, int]:
-        """(expected records, distinct buckets touched) for disjoint
-        z-sorted inclusive intervals — one forward pass over both sorted
-        sequences, so a plan costs O(#intervals + #buckets touched)."""
-        bounds, counts = self.bounds, self.counts
-        nbuckets = len(counts)
-        end = 1 << self.total_bits
-        expected = 0.0
-        pages = 0
-        first = 0  # the bucket holding the current interval's zlo
-        counted = -1  # the last bucket already counted as a page
-        for zlo, zhi in intervals:
-            first = max(first, bisect.bisect_right(bounds, zlo, first) - 1)
-            index = first
-            while index < nbuckets and bounds[index] <= zhi:
-                blo = bounds[index]
-                bhi = (bounds[index + 1] if index + 1 < nbuckets else end) - 1
-                overlap = min(zhi, bhi) - max(zlo, blo) + 1
-                if overlap > 0:
-                    expected += counts[index] * overlap / (bhi - blo + 1)
-                    if index > counted:
-                        counted = index
-                        pages += 1
-                index += 1
-        return expected, pages
 
 
 @dataclass(frozen=True)
@@ -194,18 +125,6 @@ class ColumnHistogram:
         return 1.0 / self.ndistinct
 
 
-def histogram_of(tree: ZkdTree) -> ZHistogram:
-    """``ZHistogram.of_tree(tree)``, memoised on the tree until it next
-    mutates (``mutation_epoch``) — a plan must cost less than the query
-    it plans, and the leaf chain only changes when the tree does."""
-    stamp = tree.mutation_epoch
-    cached = getattr(tree, "_zhistogram", None)
-    if cached is None or cached[0] != stamp:
-        cached = (stamp, ZHistogram.of_tree(tree))
-        tree._zhistogram = cached  # type: ignore[attr-defined]
-    return cached[1]
-
-
 def _clip_intervals(
     intervals: Sequence[Tuple[int, int]], lo: int, hi: int
 ) -> List[Tuple[int, int]]:
@@ -224,12 +143,12 @@ def estimate_scan(tree, box: Box) -> Tuple[float, int]:
     ``tree`` may be a single :class:`~repro.storage.prefix_btree.
     ZkdTree` or a :class:`~repro.shard.store.ShardedSpatialStore`; for
     the latter the query's z intervals are clipped to each shard's
-    owned range and the per-shard histogram estimates summed — each
-    shard's leaf pages only describe its own slice of z space.
+    owned range and the per-shard estimates summed — each shard's leaf
+    pages only describe its own slice of z space.
 
-    Pages are the distinct leaf ranges the query's z intervals
-    intersect: slightly approximate, in practice within a page or two
-    of the measured count.
+    Pages are the leaves whose separator span the query's z intervals
+    meet, plus the leftmost leaf, where every scan starts: in practice
+    within a page of the measured count.
     """
     intervals = box_intervals(tree.grid, box)
     shards = getattr(tree, "shards", None)
@@ -244,7 +163,7 @@ def estimate_scan(tree, box: Box) -> Tuple[float, int]:
     expected = 0.0
     pages = 0
     for part, clipped in parts:
-        part_expected, part_pages = histogram_of(part).overlap_stats(clipped)
+        part_expected, part_pages = part.tree.overlap_stats(clipped)
         expected += part_expected
         pages += part_pages
     return expected, pages

@@ -25,21 +25,15 @@ Two placement policies are provided:
 
 * :meth:`ZRangePartitioner.equi_width` — equal-width z intervals
   (uniform-data default; zero knowledge required);
-* :meth:`ZRangePartitioner.from_histogram` /
-  :meth:`ZRangePartitioner.histogram_balanced` — equi-depth cuts driven
-  by the optimizer's :class:`repro.db.statistics.ZHistogram`, so skewed
-  data (the paper's clustered and diagonal experiments) still yields
-  balanced shards.
+* :meth:`ZRangePartitioner.from_codes` — equi-depth cuts at the
+  quantiles of the data's z codes, so skewed data (the paper's
+  clustered and diagonal experiments) still yields balanced shards.
 """
 
 from __future__ import annotations
 
 import bisect
-from typing import TYPE_CHECKING, Iterable, List, Sequence, Tuple
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
-    from repro.db.statistics import ZHistogram
-    from repro.storage.prefix_btree import ZkdTree
+from typing import Iterable, List, Sequence, Tuple
 
 __all__ = ["ZRangePartitioner"]
 
@@ -138,53 +132,6 @@ class ZRangePartitioner:
             if cut > (cuts[-1] if cuts else 0):
                 cuts.append(cut)
         return cls(total_bits, cuts)
-
-    @classmethod
-    def from_histogram(
-        cls,
-        histogram: "ZHistogram",
-        nshards: int,
-        align_bits: int = 0,
-    ) -> "ZRangePartitioner":
-        """Equi-depth cuts from the optimizer's leaf-page histogram
-        (:mod:`repro.db.statistics`): each cut lands where the running
-        record count crosses ``i/nshards`` of the total, interpolated
-        uniformly inside the crossing bucket, then aligned down to an
-        element boundary of ``2**align_bits`` pixels."""
-        if nshards < 1:
-            raise ValueError("nshards must be at least 1")
-        total = histogram.nrecords
-        if total == 0:
-            return cls.equi_width(histogram.total_bits, nshards)
-        cuts: List[int] = []
-        cumulative = 0
-        targets = [i * total / nshards for i in range(1, nshards)]
-        ti = 0
-        for index, count in enumerate(histogram.counts):
-            blo, bhi = histogram._bucket_span(index)
-            while ti < len(targets) and cumulative + count >= targets[ti]:
-                span = bhi - blo + 1
-                inside = (targets[ti] - cumulative) / max(count, 1)
-                cut = _align_down(blo + int(span * inside), align_bits)
-                if cut > (cuts[-1] if cuts else 0) and cut < (
-                    1 << histogram.total_bits
-                ):
-                    cuts.append(cut)
-                ti += 1
-            cumulative += count
-        return cls(histogram.total_bits, cuts)
-
-    @classmethod
-    def histogram_balanced(
-        cls, tree: "ZkdTree", nshards: int, align_bits: int = 0
-    ) -> "ZRangePartitioner":
-        """Balance against an existing zkd tree's equi-depth histogram —
-        the "re-shard a live store" entry point."""
-        from repro.db.statistics import ZHistogram
-
-        return cls.from_histogram(
-            ZHistogram.of_tree(tree), nshards, align_bits
-        )
 
     # -- inspection ------------------------------------------------------
 

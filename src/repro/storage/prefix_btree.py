@@ -291,7 +291,6 @@ class ZkdTree(LeafChainReads):
         snapshots=None,
     ) -> None:
         self.grid = grid
-        self._mutation_epoch = 0
         self.store = store if store is not None else PageStore(page_capacity)
         self.buffer = BufferManager(self.store, buffer_frames, policy)
         self._snapshots = None
@@ -320,7 +319,6 @@ class ZkdTree(LeafChainReads):
         an earlier session); the in-memory index is rebuilt."""
         tree = cls.__new__(cls)
         tree.grid = grid
-        tree._mutation_epoch = 0
         tree.store = store
         tree.buffer = BufferManager(store, buffer_frames, policy)
         tree._snapshots = None
@@ -399,22 +397,13 @@ class ZkdTree(LeafChainReads):
             yield self
             self.buffer.flush()
 
-    @property
-    def mutation_epoch(self) -> int:
-        """Counter bumped on every mutating call — derived read-side
-        structures (the planner's memoised histograms) key their
-        caches on it to stay coherent."""
-        return self._mutation_epoch
-
     def insert(self, point: Sequence[int]) -> None:
         point = tuple(point)
         self.grid.validate_point(point)
-        self._mutation_epoch += 1
         with self.transaction():
             self.tree.insert(self.grid.zvalue(point).bits, point)
 
     def insert_many(self, points: Iterable[Sequence[int]]) -> None:
-        self._mutation_epoch += 1
         pts = [tuple(p) for p in points]
         codes = interleave_many(pts, self.grid.depth, self.grid.ndims)
         with self.transaction():
@@ -428,7 +417,6 @@ class ZkdTree(LeafChainReads):
     ) -> None:
         """Sort the points by z value and pack them bottom-up — the
         fast load path for an initially empty tree."""
-        self._mutation_epoch += 1
         pts = [tuple(p) for p in points]
         codes = interleave_many(pts, self.grid.depth, self.grid.ndims)
         with self.transaction():
@@ -437,7 +425,6 @@ class ZkdTree(LeafChainReads):
     def delete(self, point: Sequence[int]) -> bool:
         point = tuple(point)
         self.grid.validate_point(point)
-        self._mutation_epoch += 1
         with self.transaction():
             return self.tree.delete(self.grid.zvalue(point).bits, point)
 

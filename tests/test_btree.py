@@ -309,11 +309,3 @@ class TestSeparators:
         assert bounds == sorted(bounds)
         assert bounds[0] == 0
 
-    def test_leaf_key_ranges(self):
-        tree = make_tree(page_capacity=4)
-        for k in range(20):
-            tree.insert(k, None)
-        ranges = tree.leaf_key_ranges()
-        assert sum(count for _, _, count in ranges) == 20
-        for (alo, ahi, _), (blo, bhi, _) in zip(ranges, ranges[1:]):
-            assert ahi <= blo

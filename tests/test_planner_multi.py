@@ -414,14 +414,15 @@ class TestAttributeRangesAreZWindows:
 class TestIndexReadCostsWhatItReturns:
     """Exact counts on a 20k-row table — no timing: an index-path
     SELECT validates nothing, fetches exactly the rows in the box,
-    rebuilds no histogram on a second plan and decomposes its box at
-    most once."""
+    decomposes its box at most once, and its plan reads no page, before
+    a write or right after one."""
 
     def test_counts(self, monkeypatch):
-        from repro.db import ZHistogram, schema, statistics
+        from repro.db import schema, statistics
         from repro.db.relation import VersionedRelation
+        from repro.storage.buffer import BufferManager
 
-        counts = {"validated": 0, "fetched": 0, "histograms": 0, "boxes": 0}
+        counts = {"validated": 0, "fetched": 0, "pages": 0, "boxes": 0}
 
         def counting(name, real):
             def wrapper(*args, **kwargs):
@@ -447,9 +448,12 @@ class TestIndexReadCostsWhatItReturns:
             return out
 
         monkeypatch.setattr(VersionedRelation, "fetch", fetch)
-        monkeypatch.setattr(
-            ZHistogram, "of_tree", counting("histograms", ZHistogram.of_tree)
-        )
+        for name in ("get", "peek"):
+            monkeypatch.setattr(
+                BufferManager,
+                name,
+                counting("pages", getattr(BufferManager, name)),
+            )
         monkeypatch.setattr(
             statistics,
             "box_intervals",
@@ -467,9 +471,10 @@ class TestIndexReadCostsWhatItReturns:
             (100, 199, 300, 399), (500, 599, 40, 139), (700, 703, 0, 1023)
         ]
         for n, (text, (x0, x1, y0, y1)) in enumerate(zip(statements, boxes)):
-            counts.update(validated=0, fetched=0, boxes=0)
+            counts.update(validated=0, fetched=0, pages=0, boxes=0)
             compiled = compile_sql(database, text)
             assert compiled.plan().access.method == "index-scan"
+            assert counts["pages"] == 0, (n, counts)
             counts["boxes"] = 0  # that plan was this test's, not the run's
             out = compiled.run()
             want = [
@@ -479,11 +484,12 @@ class TestIndexReadCostsWhatItReturns:
             assert counts["validated"] == 0
             assert counts["fetched"] == len(want)
             assert counts["boxes"] <= 1
-            # the first plan built the histogram; no later one does
-            assert counts["histograms"] == 1, (n, counts)
         database.insert("points", ("late", 1, 1, 0))
-        compile_sql(database, statements[0]).plan()
-        assert counts["histograms"] == 2  # rebuilt once the tree mutated
+        counts["pages"] = 0
+        assert compile_sql(database, statements[0]).plan().access.method == (
+            "index-scan"
+        )
+        assert counts["pages"] == 0
 
 
 class TestWindowedEpsJoin:

@@ -10,11 +10,7 @@ import random
 import pytest
 
 from repro.core.geometry import Grid
-from repro.db.statistics import ZHistogram
 from repro.shard.partition import ZRangePartitioner
-from repro.storage.prefix_btree import ZkdTree
-
-from conftest import random_points
 
 
 # ----------------------------------------------------------------------
@@ -146,39 +142,21 @@ def test_from_codes_balances_and_collapses_duplicates():
     assert empty.cuts == ZRangePartitioner.equi_width(12, 4).cuts
 
 
-def test_from_histogram_balances_skewed_tree(grid64):
+def test_from_codes_balances_skewed_tree(grid64):
     rng = random.Random(13)
     # Cluster everything in one corner: equi-width would starve 3 of
-    # 4 shards; the histogram cuts follow the data.
+    # 4 shards; the quantile cuts follow the data.
     pts = [
         (rng.randrange(16), rng.randrange(16))
         for _ in range(400)
     ]
-    tree = ZkdTree(grid64)
-    tree.bulk_load(pts)
-    part = ZRangePartitioner.from_histogram(ZHistogram.of_tree(tree), 4)
+    codes = [grid64.zvalue(p).bits for p in pts]
+    part = ZRangePartitioner.from_codes(codes, grid64.total_bits, 4)
     sizes = [0] * part.nshards
     for p in set(pts):
         sizes[part.route(grid64.zvalue(p).bits)] += 1
     assert part.nshards >= 2
     assert min(sizes) > 0
-
-
-def test_histogram_balanced_entry_point(grid64, rng):
-    pts = random_points(rng, grid64, 300)
-    tree = ZkdTree(grid64)
-    tree.bulk_load(pts)
-    part = ZRangePartitioner.histogram_balanced(tree, 3)
-    assert part.total_bits == grid64.total_bits
-    assert 1 <= part.nshards <= 3
-
-
-def test_from_histogram_empty_tree_falls_back(grid64):
-    tree = ZkdTree(grid64)
-    part = ZRangePartitioner.from_histogram(ZHistogram.of_tree(tree), 4)
-    assert part.cuts == ZRangePartitioner.equi_width(
-        grid64.total_bits, 4
-    ).cuts
 
 
 # ----------------------------------------------------------------------
