@@ -2,12 +2,14 @@
 
 One :class:`SnapshotManager` coordinates every store and index tree of
 a database.  Time is a single integer *commit epoch*: it starts at 0
-and advances by exactly one when the outermost
+and advances by exactly one when a
 :meth:`~SnapshotManager.write_transaction` commits (the group-commit
-boundary — all tree/WAL transactions opened inside belong to that one
-epoch).  A *snapshot* is a pinned epoch: sessions pin the current epoch
-and from then on read only state as of that commit, regardless of later
-writers.
+boundary).  A write transaction opened by a thread that already holds
+the write lock joins the one it is in: it takes no lock and bumps no
+epoch, so every tree/WAL transaction opened inside a database write
+belongs to that write's one epoch.  A *snapshot* is a pinned epoch:
+sessions pin the current epoch and from then on read only state as of
+that commit, regardless of later writers.
 
 Pinning is the only read-side operation that takes the
 :class:`~repro.concurrency.rwlock.RWLock` (shared side — so it cannot
@@ -44,9 +46,10 @@ __all__ = ["SnapshotManager", "TxnHandle"]
 class TxnHandle:
     """Yielded by :meth:`SnapshotManager.write_transaction`.
 
-    ``epoch`` is filled in when the *outermost* transaction commits, so
-    a writer can record exactly which snapshot boundary its batch
-    created (the linearizability harness keys its oracle on this).
+    ``epoch`` is filled in when the transaction commits, so a writer
+    can record exactly which snapshot boundary its batch created (the
+    linearizability harness keys its oracle on this).  A handle yielded
+    to a scope that joined an open transaction keeps ``epoch=None``.
     """
 
     __slots__ = ("epoch",)
@@ -63,7 +66,6 @@ class SnapshotManager:
         self._mutex = threading.Lock()
         self._capture_mutex = threading.Lock()
         self._epoch = 0
-        self._txn_depth = 0
         self._pins: Dict[int, int] = {}
         self._pinned_cache: Tuple[int, ...] = ()
         self._version_maps: List[PageVersionMap] = []
@@ -155,31 +157,28 @@ class SnapshotManager:
 
     @contextmanager
     def write_transaction(self) -> Iterator[TxnHandle]:
-        """Exclusive write scope; reentrant; one epoch per outermost exit.
+        """Exclusive write scope; one epoch per commit.
 
-        Every store/tree transaction opened inside commits its WAL
-        record within this scope, so the epoch bump at the outermost
-        exit is always a transaction boundary (group commit).  On an
-        exception the epoch does not advance: retained birth records
-        point at an epoch that never becomes visible, which is
+        A thread that already holds the write lock joins its open
+        transaction: the scope yields a handle and does nothing else.
+        Otherwise it takes the lock, and a clean exit advances the
+        epoch, so every store/tree transaction opened inside commits
+        its WAL record before that one epoch boundary (group commit).
+        On an exception the epoch does not advance: retained birth
+        records point at an epoch that never becomes visible, which is
         harmless because page ids are never reused.
         """
         handle = TxnHandle()
+        if self._lock.owned_by_me():
+            yield handle
+            return
         with self._lock.write():
-            self._txn_depth += 1
-            try:
-                yield handle
-            except BaseException:
-                self._txn_depth -= 1
-                raise
-            else:
-                self._txn_depth -= 1
-                if self._txn_depth == 0:
-                    with self._mutex:
-                        self._epoch += 1
-                        handle.epoch = self._epoch
-                    self.stats["snapshot.commits"] += 1
-                    _trace_add("snapshot.commits")
+            yield handle
+            with self._mutex:
+                self._epoch += 1
+                handle.epoch = self._epoch
+            self.stats["snapshot.commits"] += 1
+            _trace_add("snapshot.commits")
 
     # -- reclamation -----------------------------------------------------
 

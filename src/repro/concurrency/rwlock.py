@@ -8,12 +8,12 @@ they run against frozen index captures and copy-on-write page versions
 (see :mod:`repro.concurrency.manager`), which is what lets N reader
 threads proceed while a writer commits.
 
-The exclusive side is reentrant for its owning thread (nested
-transactions — a database-level group commit wrapping per-tree
-transactions — re-enter without deadlocking).  A thread that already
-holds the write lock passes straight through the read side.  Writers
-get mild preference: new readers queue behind a waiting writer, so a
-steady stream of pins cannot starve commits.
+Neither side is re-entrant.  A thread takes the exclusive side once per
+write transaction: the manager's nested scopes check
+:meth:`RWLock.owned_by_me` and join the transaction they are already
+in instead of locking again, and a pin refuses to run inside one.
+Writers get mild preference: new readers queue behind a waiting
+writer, so a steady stream of pins cannot starve commits.
 """
 
 from __future__ import annotations
@@ -26,13 +26,12 @@ __all__ = ["RWLock"]
 
 
 class RWLock:
-    """Shared/exclusive lock; exclusive side reentrant per thread."""
+    """Shared/exclusive lock with the exclusive holder's identity."""
 
     def __init__(self) -> None:
         self._cond = threading.Condition()
         self._readers = 0
         self._writer: Optional[int] = None
-        self._writer_depth = 0
         self._writers_waiting = 0
 
     def owned_by_me(self) -> bool:
@@ -41,10 +40,6 @@ class RWLock:
 
     @contextmanager
     def read(self) -> Iterator[None]:
-        if self.owned_by_me():
-            # Already exclusive: the shared side is implied.
-            yield
-            return
         with self._cond:
             self._cond.wait_for(
                 lambda: self._writer is None and self._writers_waiting == 0
@@ -60,25 +55,18 @@ class RWLock:
 
     @contextmanager
     def write(self) -> Iterator[None]:
-        me = threading.get_ident()
         with self._cond:
-            if self._writer == me:
-                self._writer_depth += 1
-            else:
-                self._writers_waiting += 1
-                try:
-                    self._cond.wait_for(
-                        lambda: self._writer is None and self._readers == 0
-                    )
-                finally:
-                    self._writers_waiting -= 1
-                self._writer = me
-                self._writer_depth = 1
+            self._writers_waiting += 1
+            try:
+                self._cond.wait_for(
+                    lambda: self._writer is None and self._readers == 0
+                )
+            finally:
+                self._writers_waiting -= 1
+            self._writer = threading.get_ident()
         try:
             yield
         finally:
             with self._cond:
-                self._writer_depth -= 1
-                if self._writer_depth == 0:
-                    self._writer = None
-                    self._cond.notify_all()
+                self._writer = None
+                self._cond.notify_all()

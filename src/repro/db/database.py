@@ -13,7 +13,8 @@ needs only "very minor modifications" to support spatial queries.
 
 from __future__ import annotations
 
-from contextlib import ExitStack, contextmanager
+from contextlib import contextmanager
+from itertools import repeat
 from typing import Any, Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.geometry import Box, Grid
@@ -102,10 +103,13 @@ class SpatialDatabase(SpatialReads):
 
     @contextmanager
     def _group_commit(self) -> Iterator[Any]:
-        """One atomic commit spanning the catalog's relations and every
-        index store: a single snapshot-manager write transaction holding
-        one storage transaction per index tree open; yields the
-        transaction handle (its ``epoch`` is set at exit).
+        """One atomic commit spanning the catalog's relations and index
+        trees: the snapshot manager's write transaction, the only scope
+        a database write opens; yields its handle (``epoch`` is set at
+        exit).  Each tree mutation inside opens the tree's own
+        transaction, which joins this one — no second lock, no second
+        epoch — and flushes that one tree, so a statement touches only
+        the trees it writes.
 
         A failing batch is rolled back *here and nowhere else*:
         relations return to their pre-transaction state (rows stamped
@@ -125,29 +129,24 @@ class SpatialDatabase(SpatialReads):
                         self.catalog.relation, self.catalog.relation_names()
                     )
                 ]
-                with ExitStack() as stack:
-                    for entry in self.catalog.indexes():
-                        stack.enter_context(entry.tree.transaction())
-                    try:
-                        yield txn
-                    except BaseException as exc:
-                        for relation, state in undo:
-                            relation._restore(state)
-                        for entry, coords, position in self._applied:
-                            if position is not None:
-                                entry.forget(coords, position)
-                        # A CrashPoint is a dead process: its trees are
-                        # abandoned, not repaired.
-                        if not isinstance(exc, Exception):
-                            raise
-                        for entry, coords, position in reversed(
-                            self._applied
-                        ):
-                            if position is None:
-                                entry.tree.insert(coords)
-                            else:
-                                entry.tree.delete(coords)
-                        failure = exc
+                try:
+                    yield txn
+                except BaseException as exc:
+                    for relation, state in undo:
+                        relation._restore(state)
+                    for entry, coords, position in self._applied:
+                        if position is not None:
+                            entry.forget(coords, position)
+                    # A CrashPoint is a dead process: its trees are
+                    # abandoned, not repaired.
+                    if not isinstance(exc, Exception):
+                        raise
+                    for entry, coords, position in reversed(self._applied):
+                        if position is None:
+                            entry.tree.insert(coords)
+                        else:
+                            entry.tree.delete(coords)
+                    failure = exc
         finally:
             self._applied.clear()
         if failure is not None:
@@ -169,30 +168,28 @@ class SpatialDatabase(SpatialReads):
 
     def _insert_unlocked(self, table: str, row: Sequence[Any]) -> None:
         relation = self.catalog.relation(table)
-        self._store_row(relation, self._maintained(relation), row)
-
-    def _store_row(
-        self,
-        relation: VersionedRelation,
-        maintained: List[Tuple[IndexEntry, CoordsOf]],
-        row: Sequence[Any],
-    ) -> None:
         position = relation.insert(row)
-        for entry, coords_of in maintained:
+        for entry, coords_of in self._maintained(relation):
             coords = coords_of(row)
             entry.tree.insert(coords)
             entry.add(coords, position)
             self._applied.append((entry, coords, position))
 
     def insert_many(self, table: str, rows: Sequence[Sequence[Any]]) -> None:
+        """Store ``rows`` and maintain each index with one batched tree
+        call: one shuffle and one flush per tree, rows entering it in
+        batch order.  The tree shuffles (and so checks) the whole batch
+        before its first write, so an off-grid row fails it whole."""
         with self._group_commit():
             relation = self.catalog.relation(table)
-            maintained = self._maintained(relation)
-            if not maintained:
-                relation.insert_many(rows)
-                return
-            for row in rows:
-                self._store_row(relation, maintained, row)
+            rows = list(rows)
+            positions = relation.insert_many(rows)
+            for entry, coords_of in self._maintained(relation):
+                points = list(map(coords_of, rows))
+                entry.tree.insert_many(points)
+                for point, position in zip(points, positions):
+                    entry.add(point, position)
+                self._applied.extend(zip(repeat(entry), points, positions))
 
     def delete(self, table: str, row: Sequence[Any]) -> bool:
         """Delete the first row equal to ``row`` and its entry in every

@@ -17,7 +17,7 @@ Per-query measurements match the paper's:
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import (
@@ -35,7 +35,7 @@ from typing import (
 from repro.core.deadline import check_deadline
 from repro.core.decompose import CoverMode, ElementCursor, _BoxKernel
 from repro.core.geometry import Box, ClassifyFn, Grid, circle_classifier
-from repro.core.fastz import interleave_many
+from repro.core.fastz import interleave_fast, interleave_many
 from repro.core.rangesearch import MergeStats
 from repro.obs.trace import current as _trace_current
 from repro.obs.trace import span as _trace_span
@@ -359,49 +359,39 @@ class ZkdTree(LeafChainReads):
     def transaction(self) -> Iterator["ZkdTree"]:
         """Group tree mutations into one atomic, durable unit.
 
-        On a WAL-backed :class:`~repro.storage.diskstore.FilePageStore`
-        this opens a store transaction and flushes the buffer pool's
-        dirty pages into it before commit, so a crash anywhere inside
-        the block leaves the on-disk tree at either the previous or the
-        new state — never a half-applied split.  On stores without
-        transaction support (the in-memory default) it is a no-op
-        wrapper, so callers need not care which store they run on.
+        One path: with a :class:`~repro.concurrency.manager.
+        SnapshotManager` attached the block runs inside the manager's
+        write transaction (joining the one its thread already holds, so
+        a database write and every tree mutation in it share one lock
+        acquisition and one epoch); on a store with transaction support
+        (a WAL-backed :class:`~repro.storage.diskstore.FilePageStore`)
+        it also runs inside a store transaction; either way the buffer
+        pool's dirty pages are flushed at exit, so the store is
+        snapshot-consistent at the epoch boundary and a crash anywhere
+        inside the block leaves the on-disk tree at either the previous
+        or the new state — never a half-applied split.  A plain
+        in-memory tree needs neither, and the block is a no-op wrapper
+        that flushes nothing.
 
         After a :class:`~repro.faults.CrashPoint` escapes the block the
         in-memory tree is stale; abandon it and ``ZkdTree.open`` the
         file again (recovery replays the committed prefix).
-
-        With a :class:`~repro.concurrency.manager.SnapshotManager`
-        attached the block additionally runs under the manager's
-        exclusive write lock and advances the commit epoch at the
-        outermost exit — nested transactions (a database-level group
-        commit spanning several trees) share one epoch.  The buffer is
-        flushed even on non-transactional stores so the store is always
-        snapshot-consistent at the epoch boundary.
         """
         snapshots = getattr(self, "_snapshots", None)
-        if snapshots is not None:
-            with snapshots.write_transaction():
-                if getattr(self.store, "supports_transactions", False):
-                    with self.store.transaction():
-                        yield self
-                        self.buffer.flush()
-                else:
-                    yield self
-                    self.buffer.flush()
-            return
-        if not getattr(self.store, "supports_transactions", False):
+        durable = getattr(self.store, "supports_transactions", False)
+        if snapshots is None and not durable:
             yield self
             return
-        with self.store.transaction():
-            yield self
-            self.buffer.flush()
+        with snapshots.write_transaction() if snapshots else nullcontext():
+            with self.store.transaction() if durable else nullcontext():
+                yield self
+                self.buffer.flush()
 
     def insert(self, point: Sequence[int]) -> None:
         point = tuple(point)
         self.grid.validate_point(point)
         with self.transaction():
-            self.tree.insert(self.grid.zvalue(point).bits, point)
+            self.tree.insert(interleave_fast(point, self.grid.depth), point)
 
     def insert_many(self, points: Iterable[Sequence[int]]) -> None:
         pts = [tuple(p) for p in points]
@@ -426,7 +416,9 @@ class ZkdTree(LeafChainReads):
         point = tuple(point)
         self.grid.validate_point(point)
         with self.transaction():
-            return self.tree.delete(self.grid.zvalue(point).bits, point)
+            return self.tree.delete(
+                interleave_fast(point, self.grid.depth), point
+            )
 
     def __len__(self) -> int:
         return len(self.tree)

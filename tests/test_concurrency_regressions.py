@@ -315,19 +315,31 @@ class TestAbortedGroupCommit:
             assert db.table("t").fetch(everything) == want
             assert len(entry.tree) == len(want)
 
-    def test_injected_fault_in_the_second_tree_rolls_back(self, monkeypatch):
+    @pytest.mark.parametrize(
+        "statement, rows",
+        [
+            ("insert", (5, 5, 5, 5)),
+            ("insert_many", [(5, 5, 5, 5), (6, 6, 6, 6)]),
+        ],
+        ids=["insert", "insert_many"],
+    )
+    def test_injected_fault_in_the_second_tree_rolls_back(
+        self, monkeypatch, statement, rows
+    ):
         """The same abort from a fault injected into the second index's
-        tree, through the database's own (non-session) write path."""
+        tree, through each of the database's own (non-session) write
+        paths: ``db.insert`` reaches the tree through ``insert``,
+        ``db.insert_many`` through one batched ``insert_many``."""
         db = self._db()
         rows_before, trees_before = self._state(db)
         second = db.catalog.index("cd").tree
 
-        def failing_insert(point):
+        def failing_write(points):
             raise OSError("injected: cd tree refuses the write")
 
-        monkeypatch.setattr(second, "insert", failing_insert)
+        monkeypatch.setattr(second, statement, failing_write)
         with pytest.raises(OSError, match="injected"):
-            db.insert_many("t", [(5, 5, 5, 5), (6, 6, 6, 6)])
+            getattr(db, statement)("t", rows)
         monkeypatch.undo()
         self._assert_rolled_back(db, rows_before, trees_before)
 

@@ -1,7 +1,8 @@
 """Stateful property-based testing of index coherence under epochs.
 
-Hypothesis interleaves session pin / insert-commit / delete-commit /
-aborted commit / query / page-version reclaim against one
+Hypothesis interleaves session pin / insert-commit / batch insert /
+delete-commit / aborted commit or batch / query / page-version reclaim
+against one
 snapshot-enabled database.  The model records, after every commit, the
 exact committed row set at that epoch.  Invariants:
 
@@ -36,6 +37,7 @@ from hypothesis.stateful import (
 import pytest
 
 from repro.core.geometry import Box, Grid
+from repro.db.catalog import IndexEntry
 from repro.db.database import SpatialDatabase
 from repro.db.readpath import rejoin
 from repro.db.schema import Schema
@@ -139,6 +141,62 @@ class IndexCoherenceMachine(RuleBasedStateMachine):
         assert before == [
             (entry.positions, len(entry.tree)) for entry in indexes
         ]
+
+    def _index_state(self):
+        """Every index's map positions and tree entries."""
+        return [
+            (
+                copy.deepcopy(entry.positions),
+                sorted(entry.tree.range_query(GRID.whole_space()).matches),
+            )
+            for entry in self.db.catalog.indexes_on("a")
+        ]
+
+    @rule(data=st.data(), x=COORD, y=COORD)
+    def commit_insert_many(self, data, x, y):
+        """One batch that repeats a point within itself and, when there
+        is one, a live row's point: each index gains exactly its rows'
+        tree entries and map positions."""
+        points = [(x, y), (x, y)]
+        if self.live:
+            _, lx, ly = data.draw(st.sampled_from(sorted(self.live)))
+            points.append((lx, ly))
+        batch = [(f"r{next(self.ids)}", px, py) for px, py in points]
+        before = self._index_state()
+        start = len(self.db.table("a")._rows)
+        self.db.insert_many("a", batch)
+        self.live.update(batch)
+        self._record_commit()
+        assert sorted(self.db.table("a").rows) == sorted(self.live)
+        for entry, (positions, matches) in zip(
+            self.db.catalog.indexes_on("a"), before
+        ):
+            flip = entry.coord_cols == ("y", "x")
+            added = [p[::-1] if flip else p for p in points]
+            want = IndexEntry(
+                "want", "a", entry.coord_cols, entry.tree, positions=positions
+            )
+            for position, point in enumerate(added, start):
+                want.add(point, position)
+            assert entry.positions == want.positions
+            assert sorted(
+                entry.tree.range_query(GRID.whole_space()).matches
+            ) == sorted(matches + added)
+
+    @rule(x=COORD, y=COORD)
+    def aborted_insert_many(self, x, y):
+        """Valid rows, then one off the grid: the batch fails whole and
+        nothing of it survives — rows, tree entries, map positions."""
+        before = self._index_state()
+        batch = [
+            (f"r{next(self.ids)}", x, y),
+            (f"r{next(self.ids)}", y, x),
+            (f"r{next(self.ids)}", x, SIDE + 3),
+        ]
+        with pytest.raises(ValueError):
+            self.db.insert_many("a", batch)
+        assert sorted(self.db.table("a").rows) == sorted(self.live)
+        assert self._index_state() == before
 
     @precondition(lambda self: self.live)
     @rule(data=st.data())
