@@ -56,10 +56,14 @@ class ColumnHistogram:
     def of_values(
         cls, values: Iterable[Any], nbuckets: int = 32
     ) -> "ColumnHistogram":
+        # NaN is left out: it satisfies no comparison, and in a sort it
+        # leaves the values around it out of order.
         numeric = sorted(
             v
             for v in values
-            if isinstance(v, (int, float)) and not isinstance(v, bool)
+            if isinstance(v, (int, float))
+            and not isinstance(v, bool)
+            and v == v
         )
         if not numeric:
             return cls((0.0, 0.0), (0,), 0)

@@ -369,3 +369,26 @@ class TestMemoisedStatistics:
         after = db.column_histogram("t", "v")
         assert after is not before
         assert after.bounds[-1] == 1000.0 and before.bounds[-1] == 19.0
+
+
+class TestColumnHistogramNaN:
+    def test_nan_is_left_out_and_the_bounds_stay_in_order(self):
+        """NaN satisfies no comparison; sorted among numbers it left the
+        bucket bounds out of order (``x <= 50`` read 0.25 here, with 0.49
+        true), so the histogram drops it as the column order does."""
+        from repro.db.statistics import ColumnHistogram
+
+        values = [float(v) for v in range(100)] + [float("nan")] * 5
+        random.Random(0).shuffle(values)
+        histogram = ColumnHistogram.of_values(values)
+        assert histogram.nrecords == 100
+        assert list(histogram.bounds) == sorted(histogram.bounds)
+        for low, high in ((None, 50), (10, 20), (90, None)):
+            true = sum(
+                1
+                for v in values
+                if (low is None or v >= low) and (high is None or v <= high)
+            ) / len(values)
+            assert histogram.estimate_range(low, high) == pytest.approx(
+                true, abs=0.05
+            )
