@@ -211,6 +211,10 @@ class CompiledQuery:
                     f"side access ({side.table}): {side.access_label}"
                     f"  est. rows={side.window.estimated_rows:.1f}"
                 )
+            elif side.column_range is not None:
+                plan.notes.append(
+                    f"side access ({side.table}): {side.access_text()}"
+                )
 
     def _elements_per_object(self, table: str, geom: str) -> float:
         """Average elements per object on one join side, from a small
