@@ -227,7 +227,8 @@ def collect(depth=DEPTH, npoints=NPOINTS, nobjects=NOBJECTS,
 
     Range-query counters are prefixed ``range.``, overlap-join counters
     ``join.``, SQL statements ``sql.`` (including the ``planner.*``
-    family), the attribute-only range ``attr.``; all values are
+    family), the attribute-only range ``attr.`` and the same range
+    after one insert ``attr_after_write.``; all values are
     integers (``elapsed_s`` lives in span timings, not counters, so
     nothing here is wall-clock-dependent).
     """
@@ -288,10 +289,17 @@ def collect(depth=DEPTH, npoints=NPOINTS, nobjects=NOBJECTS,
     # An attribute-only range on the index-less ``bare`` table reads
     # x's sorted order, so its filter sees only the covered rows: a
     # fall back to the table scan hands it all 16k and fails the gate.
+    # After one insert the same statement still reads the order (then
+    # rebuilt), not all 16k rows.
     _add_bare_table(db, grid, seed)
+    attr = "SELECT id@ FROM bare WHERE x BETWEEN 10 AND 12"
     with trace("attr") as t:
-        execute_sql(db, "SELECT id@ FROM bare WHERE x BETWEEN 10 AND 12")
+        execute_sql(db, attr)
     fold("attr", t.total_counters())
+    db.insert("bare", ("b-late", 11, 0))
+    with trace("attr_after_write") as t:
+        execute_sql(db, attr)
+    fold("attr_after_write", t.total_counters())
 
     # The sharded engine, same workload: scatter–gather range queries
     # through a 4-shard store.

@@ -22,11 +22,7 @@ from repro.db.planner import (
     plan_select,
 )
 from repro.db.query import Query
-from repro.db.statistics import (
-    ColumnHistogram,
-    estimate_matches,
-    estimate_pages,
-)
+from repro.db.statistics import estimate_matches, estimate_pages
 from repro.db.expr import (
     Expr,
     box_contains_point,
@@ -119,7 +115,6 @@ __all__ = [
     "order_conjuncts",
     "choose_join_strategy",
     "estimate_selectivity",
-    "ColumnHistogram",
     "estimate_matches",
     "estimate_pages",
     # spatial operators

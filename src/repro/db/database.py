@@ -60,7 +60,7 @@ class SpatialDatabase(SpatialReads):
             )
         # Kept only for benchmarks/ledger/workloads.py, which passes
         # cache=True; there is no result cache, so the flag is ignored.
-        # ROADMAP item 1(f) removes it together with ``concurrency``.
+        # ROADMAP item 1 removes it together with ``concurrency``.
         if not isinstance(cache, bool):
             raise TypeError(
                 f"cache={cache!r}: there is no result cache to tune, "
@@ -82,12 +82,9 @@ class SpatialDatabase(SpatialReads):
         # (entry, coordinates, inserted position | None for a delete) —
         # what an aborted batch undoes.
         self._applied: List[Tuple[IndexEntry, Tuple[int, ...], Any]] = []
-        # Multi-predicate planner bookkeeping: cumulative planner.*
-        # stats (the server's /stats planner section reads these) and a
-        # cache of per-column equi-depth histograms, invalidated by the
-        # relation's mutation counter.
+        # Cumulative planner.* stats of the multi-predicate planner
+        # (the server's /stats planner section reads these).
         self.planner_stats: dict = {}
-        self._column_histograms: dict = {}
 
     # ------------------------------------------------------------------
     # DDL / DML
@@ -320,26 +317,6 @@ class SpatialDatabase(SpatialReads):
         from repro.concurrency.session import Session
 
         return Session(self)
-
-    def column_histogram(self, table: str, column: str) -> "Any":
-        """The equi-depth histogram of one numeric column (None when the
-        column holds no numeric values), cached until the table next
-        mutates — the attribute-selectivity source of the
-        multi-predicate planner."""
-        from repro.db.statistics import ColumnHistogram
-
-        relation = self.catalog.relation(table)
-        stamp = (relation, relation.mutations)
-        cached = self._column_histograms.get((table, column))
-        if cached is None or cached[0] != stamp:
-            index = relation.schema.index_of(column)
-            cached = (
-                stamp,
-                ColumnHistogram.of_values(row[index] for row in relation),
-            )
-            self._column_histograms[(table, column)] = cached
-        histogram = cached[1]
-        return histogram if histogram.nrecords else None
 
     def _index_for(
         self, table: str, coord_cols: Sequence[str]

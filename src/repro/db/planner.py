@@ -24,7 +24,6 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.geometry import Box, Grid
 from repro.db.relation import Relation
-from repro.db.types import FLOAT, INTEGER
 from repro.obs.trace import current as _trace_current
 
 __all__ = [
@@ -37,6 +36,7 @@ __all__ = [
     "order_filters",
     "plan_select",
     "plan_filters",
+    "column_selectivity",
     "choose_join_strategy",
     "ball_selectivity",
 ]
@@ -203,8 +203,9 @@ class Conjunct:
     * ``"z-window"`` — ``BOX(...) CONTAINS POINT(cols)`` on the table's
       coordinate columns; candidate access path (z-index sargable);
     * ``"attr-range"`` — a comparison/BETWEEN pinning one numeric column
-      between literal bounds; selectivity from the column's equi-depth
-      histogram (attribute-index sargable);
+      between literal bounds (``=`` pins both to the literal);
+      selectivity read off the column's sorted order
+      (:func:`column_selectivity`), which is also its access path;
     * ``"eps-window"`` — ``POINT(cols) WITHIN eps OF POINT(literal)``;
       its eps-ball *bounding box* is z-index sargable exactly like a
       z-window (the box is necessary but not sufficient, so when it
@@ -231,9 +232,38 @@ class Conjunct:
     column: Optional[str] = None
     low: Optional[float] = None
     high: Optional[float] = None
-    equality: bool = False
     estimated_rows: float = 0.0
     eps: Optional[float] = None  # ball radius of an eps-window
+
+
+def _span(values: Sequence[Any], low: Any, high: Any) -> Tuple[int, int]:
+    """The slice of the ascending ``values`` that lies in ``[low,
+    high]`` (``None``: open); empty, not negative, when ``high < low``."""
+    lo = 0 if low is None else bisect_left(values, low)
+    hi = len(values) if high is None else bisect_right(values, high)
+    return lo, max(lo, hi)
+
+
+def column_selectivity(
+    database, table: str, column: str, low: Any, high: Any
+) -> float:
+    """The share of ``table``'s stored values of the numeric ``column``
+    that lie in ``[low, high]`` (``None``: open; ``=`` is ``low ==
+    high``): two bisects into the column's sorted order, the order the
+    column-range access reads — the count of "how many" from the same
+    seek as "which".  0.0 when the order is empty (no row, or only NaN).
+
+    Exact over the stored values, with two approximations: a strict
+    bound counts as inclusive, and rows a reader cannot see — deleted
+    ones, which the versioned relation keeps for older snapshots, and
+    pending ones — are counted although :meth:`~repro.db.relation.
+    VersionedRelation.fetch` drops them."""
+    relation = database.catalog.relation(table)
+    values, _ = relation.column_order(relation.schema.index_of(column))
+    if not values:
+        return 0.0
+    lo, hi = _span(values, low, high)
+    return (hi - lo) / len(values)
 
 
 def _estimate_conjunct(database, table: str, conjunct: Conjunct) -> None:
@@ -252,18 +282,10 @@ def _estimate_conjunct(database, table: str, conjunct: Conjunct) -> None:
         ) * ball_selectivity(database.grid.ndims)
         return
     if conjunct.kind == "attr-range" and conjunct.column is not None:
-        histogram = None
-        column_histogram = getattr(database, "column_histogram", None)
-        if column_histogram is not None:
-            histogram = column_histogram(table, conjunct.column)
-        if histogram is not None and histogram.nrecords:
-            if conjunct.equality and conjunct.low is not None:
-                conjunct.selectivity = histogram.estimate_eq(conjunct.low)
-            else:
-                conjunct.selectivity = histogram.estimate_range(
-                    conjunct.low, conjunct.high
-                )
-            return
+        conjunct.selectivity = column_selectivity(
+            database, table, conjunct.column, conjunct.low, conjunct.high
+        )
+        return
     conjunct.selectivity = RESIDUAL_SELECTIVITY
 
 
@@ -537,27 +559,19 @@ def _column_range(
 ) -> Optional[Tuple[str, Any, Any, float]]:
     """A numeric column's sorted order as the access path of a select
     with no window (the one-dimensional case of Section 4's sort, then
-    seek).  The ``attr-range`` conjuncts on one INTEGER or FLOAT column
-    bound it by the tightest low and high among them; the column whose
-    bounds the column histogram estimates most selective (first written
-    on a tie) is read when that estimate is below
+    seek).  The ``attr-range`` conjuncts on one column (the binder marks
+    only INTEGER and FLOAT ones) bound it by the tightest low and high
+    among them; the column whose bounds
+    :func:`column_selectivity` finds most selective (first written on a
+    tie) is read when that share is below
     :data:`COLUMN_RANGE_CROSSOVER`.  Returns ``(column, low, high,
     selectivity)``, else ``None``.  As with
     :func:`_window_from_ranges`, the bounds only have to *cover* the
     conjuncts — they stay in the filter chain, so strict, one-sided and
     fractional bounds and ``=`` need no care here."""
-    schema = database.catalog.relation(table).schema
     best: Optional[Tuple[str, Any, Any, float]] = None
     for column, (low, high) in _attr_bounds(conjuncts).items():
-        if schema.columns[schema.index_of(column)].domain not in (
-            INTEGER,
-            FLOAT,
-        ):
-            continue
-        histogram = database.column_histogram(table, column)
-        if histogram is None:
-            continue
-        selectivity = histogram.estimate_range(low, high)
+        selectivity = column_selectivity(database, table, column, low, high)
         if best is None or selectivity < best[3]:
             best = (column, low, high, selectivity)
     if best is None or best[3] >= COLUMN_RANGE_CROSSOVER:
@@ -577,8 +591,7 @@ def _column_range_rows(
     if epoch is None:
         epoch = relation._read_epoch()
     values, positions = relation.column_order(relation.schema.index_of(column))
-    lo = 0 if low is None else bisect_left(values, low)
-    hi = len(values) if high is None else bisect_right(values, high)
+    lo, hi = _span(values, low, high)
     return Relation._derived(
         f"range({table}.{column})",
         relation.schema,
@@ -718,7 +731,7 @@ def plan_select(
         # The window's row estimate already accounts for the ranges it
         # was synthesised from.
         if not any(conjunct is held for held in summarised):
-            estimated *= conjunct.selectivity or 1.0
+            estimated *= conjunct.selectivity
     plan.estimated_rows = estimated
     return plan
 
@@ -739,7 +752,7 @@ def plan_filters(
     filters, moved = order_filters(conjuncts, reorder)
     estimated = float(len(database.catalog.relation(table)))
     for conjunct in filters:
-        estimated *= conjunct.selectivity or 1.0
+        estimated *= conjunct.selectivity
     return SelectPlan(
         table=table,
         window=None,

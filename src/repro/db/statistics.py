@@ -19,114 +19,16 @@ cannot:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Iterable, List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from repro.core.decompose import box_intervals
 from repro.core.geometry import Box
 
 __all__ = [
-    "ColumnHistogram",
     "estimate_matches",
     "estimate_pages",
     "estimate_scan",
 ]
-
-
-@dataclass(frozen=True)
-class ColumnHistogram:
-    """An equi-depth histogram over one numeric column, for the
-    attribute-range selectivities of the multi-predicate planner.
-
-    Bucket ``i`` spans values ``[bounds[i], bounds[i+1]]`` and holds
-    ``counts[i]`` records; within a bucket values are assumed uniform,
-    the standard equi-depth interpolation.  ``ndistinct`` drives the
-    equality-selectivity guess (``1 / ndistinct``).
-    """
-
-    bounds: Tuple[float, ...]
-    counts: Tuple[int, ...]
-    ndistinct: int
-
-    #: Selectivity assigned to predicates the histogram cannot see
-    #: through (non-numeric columns, residual expressions).
-    DEFAULT_SELECTIVITY = 1.0 / 3.0
-
-    @classmethod
-    def of_values(
-        cls, values: Iterable[Any], nbuckets: int = 32
-    ) -> "ColumnHistogram":
-        # NaN is left out: it satisfies no comparison, and in a sort it
-        # leaves the values around it out of order.
-        numeric = sorted(
-            v
-            for v in values
-            if isinstance(v, (int, float))
-            and not isinstance(v, bool)
-            and v == v
-        )
-        if not numeric:
-            return cls((0.0, 0.0), (0,), 0)
-        n = len(numeric)
-        k = min(nbuckets, n)
-        bounds = [float(numeric[0])]
-        counts = []
-        previous = 0
-        for i in range(1, k + 1):
-            cut = round(i * n / k)
-            bounds.append(float(numeric[cut - 1]))
-            counts.append(cut - previous)
-            previous = cut
-        ndistinct = len(set(numeric))
-        return cls(tuple(bounds), tuple(counts), ndistinct)
-
-    @property
-    def nrecords(self) -> int:
-        return sum(self.counts)
-
-    def fraction_le(self, value: float) -> float:
-        """Estimated fraction of records with ``column <= value``."""
-        if self.nrecords == 0:
-            return 0.0
-        if value < self.bounds[0]:
-            return 0.0
-        if value >= self.bounds[-1]:
-            return 1.0
-        covered = 0.0
-        for i, count in enumerate(self.counts):
-            lo, hi = self.bounds[i], self.bounds[i + 1]
-            if value >= hi:
-                covered += count
-            elif value <= lo:
-                break
-            else:
-                covered += count * (value - lo) / (hi - lo)
-        return covered / self.nrecords
-
-    def estimate_range(
-        self, low: Optional[float], high: Optional[float]
-    ) -> float:
-        """Selectivity of ``low <= column <= high`` (either bound may be
-        ``None`` for a one-sided comparison); floored at one record so a
-        satisfiable range never sorts as free."""
-        if self.nrecords == 0:
-            return 0.0
-        if low is not None and high is not None and high < low:
-            return 0.0
-        lo_frac = 0.0 if low is None else self.fraction_le(low)
-        hi_frac = 1.0 if high is None else self.fraction_le(high)
-        if low is not None and high is not None and low == high:
-            return self.estimate_eq(low)
-        return max(1.0 / self.nrecords, hi_frac - lo_frac)
-
-    def estimate_eq(self, value: float) -> float:
-        """Selectivity of ``column = value`` — one distinct value's
-        share, zero outside the observed range."""
-        if self.nrecords == 0 or self.ndistinct == 0:
-            return 0.0
-        if value < self.bounds[0] or value > self.bounds[-1]:
-            return 1.0 / self.nrecords
-        return 1.0 / self.ndistinct
 
 
 def _clip_intervals(

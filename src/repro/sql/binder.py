@@ -473,7 +473,6 @@ class _Binder:
             conjunct.column = column
             if op == "=":
                 conjunct.low = conjunct.high = value
-                conjunct.equality = True
             elif op in ("<", "<="):
                 conjunct.high = value
             else:

@@ -121,38 +121,20 @@ class CompiledQuery:
                 f"({', '.join(cols)})  [ranked after filters]"
             )
 
-    def _estimate_post(self, conjunct: Conjunct) -> None:
-        """Selectivity for a post-join filter: strip the table prefix
-        off the qualified column and ask that table's histogram."""
-        if conjunct.selectivity is not None:
-            return
-        if conjunct.kind == "attr-range" and conjunct.column:
-            for table in (self.bound.table, self.bound.join_table):
-                prefix = f"{table}_"
-                if conjunct.column.startswith(prefix):
-                    histogram = self.db.column_histogram(
-                        table, conjunct.column[len(prefix):]
-                    )
-                    if histogram is not None:
-                        if conjunct.equality and conjunct.low is not None:
-                            conjunct.selectivity = histogram.estimate_eq(
-                                conjunct.low
-                            )
-                        else:
-                            conjunct.selectivity = (
-                                histogram.estimate_range(
-                                    conjunct.low, conjunct.high
-                                )
-                            )
-                        return
-        conjunct.selectivity = RESIDUAL_SELECTIVITY
+    def _post_filters(self) -> Tuple[List[Conjunct], int]:
+        """The conjuncts left above the join, ordered.  Each touches
+        both tables (the binder pushes every one-table term below the
+        join), so none is an ``attr-range`` and all are charged the
+        residual selectivity."""
+        for conjunct in self.bound.conjuncts:
+            if conjunct.selectivity is None:
+                conjunct.selectivity = RESIDUAL_SELECTIVITY
+        return order_filters(self.bound.conjuncts, self.reorder)
 
     def _plan_join(self, target: Any = None) -> SelectPlan:
         bound = self.bound
         target = self.db if target is None else target
-        for conjunct in bound.conjuncts:
-            self._estimate_post(conjunct)
-        post, pmoved = order_filters(bound.conjuncts, self.reorder)
+        post, pmoved = self._post_filters()
         left = self._side_plan(bound.table, bound.left_push, target)
         right = self._side_plan(bound.join_table, bound.right_push, target)
 
@@ -340,9 +322,7 @@ class CompiledQuery:
     def _plan_eps_join(self, target: Any = None) -> SelectPlan:
         bound = self.bound
         target = self.db if target is None else target
-        for conjunct in bound.conjuncts:
-            self._estimate_post(conjunct)
-        post, pmoved = order_filters(bound.conjuncts, self.reorder)
+        post, pmoved = self._post_filters()
         driver = self._seek_driver()
         sides = [
             self._side_plan(table, pushed, target)

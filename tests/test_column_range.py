@@ -54,10 +54,14 @@ def _database():
 
 def _both(database, text, columns=("v",), session=None):
     """``text``'s rows read off the column order and by the table scan,
-    after checking that each plan took the access it was forced to: the
-    column order needs a histogram, so a column with no number (or only
-    NaN) is scanned."""
-    ranged = any(database.column_histogram("t", c) for c in columns)
+    after checking that each plan took the access it was forced to: any
+    INTEGER or FLOAT column has an order, empty when the column holds
+    no number (or only NaN)."""
+    schema = database.catalog.relation("t").schema
+    ranged = any(
+        schema.columns[schema.index_of(c)].domain in (INTEGER, FLOAT)
+        for c in columns
+    )
     out = []
     for value, label in ((2.0, "column-range"), (0.0, "table-scan")):
         with crossover(value):
@@ -316,7 +320,9 @@ class TestColumnRangeBesideAWriter:
     def test_a_commit_between_the_order_and_the_fetch(self, monkeypatch):
         """A live read fixes its epoch before it reads the order: a
         commit landing between the two (one insert and one delete in
-        the range) is invisible to it, not half applied."""
+        the range) is invisible to it, not half applied.  The planner
+        reads the order too, for the range's share; the commit lands
+        after the fetch's read."""
         database = _database()
         database.insert_many("t", [(f"r{i}", i % 10, 0.0) for i in range(100)])
         text = "SELECT id@, v FROM t WHERE v = 4"
@@ -325,6 +331,8 @@ class TestColumnRangeBesideAWriter:
 
         def racing(self, index):
             out = column_order(self, index)
+            if sys._getframe(1).f_code.co_name != "_column_range_rows":
+                return out
             monkeypatch.setattr(VersionedRelation, "column_order", column_order)
             with database.session() as writer:
                 writer.insert("t", ("late", 4, 0.0))

@@ -208,7 +208,8 @@ class TestClassification:
     def test_equality_marked(self, db):
         bound = _bind(db, "SELECT * FROM points WHERE x = 10")
         (conjunct,) = bound.conjuncts
-        assert conjunct.kind == "attr-range" and conjunct.equality
+        assert conjunct.kind == "attr-range"
+        assert (conjunct.low, conjunct.high) == (10, 10)
 
     def test_inequality_is_residual(self, db):
         bound = _bind(db, "SELECT * FROM points WHERE x != 10")

@@ -352,43 +352,3 @@ class TestMemoisedStatistics:
         del reads[:]
         assert estimate_scan(tree, whole)[0] == pytest.approx(122)
         assert reads == []
-
-    def test_column_histogram_follows_mutations_not_cardinality(self):
-        """delete + insert keeps ``len(table)`` but changes the values:
-        the cached histogram must not survive it (it did, keyed on
-        cardinality — wrong selectivities, silently)."""
-        from repro.db import INTEGER, OID, Schema, SpatialDatabase
-
-        db = SpatialDatabase(Grid(2, 6))
-        db.create_table("t", Schema.of(("id@", OID), ("v", INTEGER)))
-        db.insert_many("t", [(i, i) for i in range(20)])
-        before = db.column_histogram("t", "v")
-        assert db.column_histogram("t", "v") is before
-        db.delete("t", (19, 19))
-        db.insert("t", (19, 1000))
-        after = db.column_histogram("t", "v")
-        assert after is not before
-        assert after.bounds[-1] == 1000.0 and before.bounds[-1] == 19.0
-
-
-class TestColumnHistogramNaN:
-    def test_nan_is_left_out_and_the_bounds_stay_in_order(self):
-        """NaN satisfies no comparison; sorted among numbers it left the
-        bucket bounds out of order (``x <= 50`` read 0.25 here, with 0.49
-        true), so the histogram drops it as the column order does."""
-        from repro.db.statistics import ColumnHistogram
-
-        values = [float(v) for v in range(100)] + [float("nan")] * 5
-        random.Random(0).shuffle(values)
-        histogram = ColumnHistogram.of_values(values)
-        assert histogram.nrecords == 100
-        assert list(histogram.bounds) == sorted(histogram.bounds)
-        for low, high in ((None, 50), (10, 20), (90, None)):
-            true = sum(
-                1
-                for v in values
-                if (low is None or v >= low) and (high is None or v <= high)
-            ) / len(values)
-            assert histogram.estimate_range(low, high) == pytest.approx(
-                true, abs=0.05
-            )
