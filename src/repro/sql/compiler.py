@@ -15,6 +15,7 @@ snapshot session (anything with ``table()`` and ``range_query()``).
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Any, List, Optional, Tuple
 
 from repro.core.decompose import Element, decompose
@@ -64,9 +65,14 @@ class CompiledQuery:
         self.statement = statement
         self.bound = bound
         self.reorder = reorder
-        self.canonical = render(statement.select)
         #: The plan :meth:`batch_window` built, for :meth:`finish_rows`.
         self._batch_plan: Optional[SelectPlan] = None
+
+    @cached_property
+    def canonical(self) -> str:
+        """The statement's canonical text, which EXPLAIN prints first —
+        rendered on first read: a plain SELECT never needs it."""
+        return render(self.statement.select)
 
     # -- planning --------------------------------------------------------
 
