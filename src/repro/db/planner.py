@@ -631,9 +631,22 @@ def plan_select(
     its rows in relation order, as a scan does.
     """
     target = database if target is None else target
+    access: Optional[Plan] = None
+    summarised: List[Conjunct] = []
+    ranged = None
+    if not any(c.kind in ("z-window", "eps-window") for c in conjuncts):
+        ranged = _window_from_ranges(database, table, conjuncts)
+    if ranged is not None:
+        for conjunct in ranged[2]:
+            # The window's box passes these rows but at strict or
+            # fractional edges: they filter last, and no column order
+            # is sorted to estimate them.
+            conjunct.selectivity = 1.0
     for conjunct in conjuncts:
         _estimate_conjunct(database, table, conjunct)
     window, filters, moved = order_conjuncts(conjuncts, reorder=reorder)
+    if ranged is not None:
+        window, access, summarised = ranged
     if window is not None and window.kind == "eps-window":
         # The access path only proves the bounding box; the exact ball
         # test re-runs first in the filter chain (its superset just got
@@ -650,13 +663,6 @@ def plan_select(
                 eps=window.eps,
             ),
         )
-
-    access: Optional[Plan] = None
-    summarised: List[Conjunct] = []
-    if window is None:
-        ranged = _window_from_ranges(database, table, filters)
-        if ranged is not None:
-            window, access, summarised = ranged
 
     nrows = len(database.catalog.relation(table))
     stats = getattr(database, "planner_stats", None)

@@ -218,6 +218,9 @@ class TestPlanSelect:
         assert plan.filters[0].selectivity == RESIDUAL_SELECTIVITY
 
     def test_attr_range_estimated_from_histogram(self, db):
+        # Without the (x, y) index the range is no z-window, so its
+        # selectivity is read off x's sorted order.
+        db.drop_index("points_xy")
         conjunct = Conjunct(
             kind="attr-range",
             text="x <= 31",
@@ -228,6 +231,25 @@ class TestPlanSelect:
         )
         plan = plan_select(db, "points", [conjunct])
         assert 0.3 < plan.filters[0].selectivity < 0.7
+
+    def test_ranges_a_window_summarises_sort_no_column(self, db):
+        """Ranges on the index's coordinates become the access box; they
+        filter last at selectivity 1.0 and no column order is built."""
+        plan = compile_sql(
+            db,
+            "SELECT id@ FROM points "
+            "WHERE x BETWEEN 4 AND 11 AND y BETWEEN 16 AND 23 AND x + y > 20",
+        ).plan()
+        assert plan.access_label == "index-scan"
+        assert [c.text for c in plan.filters] == [
+            "x + y > 20", "x BETWEEN 4 AND 11", "y BETWEEN 16 AND 23",
+        ]
+        assert [c.selectivity for c in plan.filters[1:]] == [1.0, 1.0]
+        execute_sql(
+            db, "SELECT id@ FROM points WHERE x BETWEEN 4 AND 11 "
+            "AND y BETWEEN 16 AND 23",
+        )
+        assert db.table("points")._orders == {}
 
     def test_an_empty_range_estimates_no_rows(self):
         """A range no stored value meets has selectivity exactly 0.0,
