@@ -3,12 +3,20 @@
 from __future__ import annotations
 
 import itertools
-from typing import Dict, Iterable, List, Optional, Tuple, Union
+import threading
+from collections import OrderedDict
+from typing import Any, Dict, Hashable, Iterable, List, Optional, Tuple, Union
 
 from repro.db.relation import VersionedRelation
 from repro.storage.prefix_btree import ZkdTree
 
-__all__ = ["Catalog", "IndexEntry", "PositionMap", "coordinate_map"]
+__all__ = [
+    "Catalog",
+    "IndexEntry",
+    "PositionMap",
+    "StatementCache",
+    "coordinate_map",
+]
 
 
 Point = Tuple[int, ...]
@@ -114,12 +122,78 @@ class IndexEntry:
         return hits
 
 
+class StatementCache:
+    """A bounded, lock-guarded LRU from a SQL statement's shape (its
+    tokens, literals replaced by their kind) to what parsing and
+    binding it learnt (:mod:`repro.sql.shapes`).
+
+    A binding holds only while the schemas it read do, so the catalog
+    clears the cache whenever a relation is registered or dropped; a
+    clear bumps :attr:`generation`, and :meth:`put` drops an entry
+    bound before the last clear.  ``hits`` and ``misses`` count
+    :meth:`get`; ``len()`` is the number of entries.
+    """
+
+    #: Entries kept; the least recently used one goes first.
+    CAPACITY = 128
+
+    def __init__(self) -> None:
+        self._entries: "OrderedDict[Hashable, Any]" = OrderedDict()
+        self._lock = threading.Lock()
+        self.hits = 0
+        self.misses = 0
+        self.generation = 0
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def get(self, key: Hashable) -> Any:
+        """The entry for ``key`` (now the most recently used), or
+        ``None``."""
+        with self._lock:
+            entry = self._entries.get(key)
+            if entry is None:
+                self.misses += 1
+            else:
+                self.hits += 1
+                self._entries.move_to_end(key)
+            return entry
+
+    def put(self, key: Hashable, entry: Any, generation: int) -> None:
+        """Keep ``entry``, bound while :attr:`generation` read
+        ``generation``, evicting the least recently used beyond
+        :attr:`CAPACITY`."""
+        with self._lock:
+            if generation != self.generation:
+                return
+            self._entries[key] = entry
+            self._entries.move_to_end(key)
+            while len(self._entries) > self.CAPACITY:
+                self._entries.popitem(last=False)
+
+    def clear(self) -> None:
+        with self._lock:
+            self._entries.clear()
+            self.generation += 1
+
+    def counters(self) -> Dict[str, int]:
+        """Hits, misses and entries, as the server's ``/stats`` shows
+        them."""
+        return {
+            "planner.shape_cache.hits": self.hits,
+            "planner.shape_cache.misses": self.misses,
+            "planner.shape_cache.entries": len(self._entries),
+        }
+
+
 class Catalog:
-    """Name -> relation / index registry with uniqueness enforcement."""
+    """Name -> relation / index registry with uniqueness enforcement,
+    and the SQL statement cache its schemas validate."""
 
     def __init__(self) -> None:
         self._relations: Dict[str, VersionedRelation] = {}
         self._indexes: Dict[str, IndexEntry] = {}
+        self.statements = StatementCache()
 
     # -- relations --------------------------------------------------------
 
@@ -127,6 +201,7 @@ class Catalog:
         if relation.name in self._relations:
             raise ValueError(f"relation {relation.name!r} already exists")
         self._relations[relation.name] = relation
+        self.statements.clear()
 
     def relation(self, name: str) -> VersionedRelation:
         try:
@@ -139,6 +214,7 @@ class Catalog:
     def drop_relation(self, name: str) -> None:
         self.relation(name)  # raise if absent
         del self._relations[name]
+        self.statements.clear()
         for index_name in [
             n
             for n, entry in self._indexes.items()

@@ -537,13 +537,13 @@ class QueryService:
         }
         if self.overload is not None:
             sections["breaker"] = self.overload.counters()
-        planner = {
-            key: value
-            for key, value in getattr(
-                self.db, "planner_stats", {}
-            ).items()
-            if value
+        # The statement cache's hits, misses and entries sit beside
+        # the planner.* tallies; no query trace counts them.
+        tallies = {
+            **getattr(self.db, "planner_stats", {}),
+            **self.db.catalog.statements.counters(),
         }
+        planner = {key: value for key, value in tallies.items() if value}
         if planner:
             sections["planner"] = planner
         sections["snapshots"] = dict(self.db.snapshots.counters())

@@ -43,6 +43,7 @@ from repro.sql.compiler import CompiledQuery
 from repro.sql.errors import BindError, ParseError, SqlError
 from repro.sql.lexer import tokenize
 from repro.sql.parser import parse
+from repro.sql.shapes import compile_cached
 
 __all__ = [
     "SqlError",
@@ -72,10 +73,12 @@ def compile_sql(
 ) -> CompiledQuery:
     """parse + bind + plan: text to an executable
     :class:`CompiledQuery`.  ``reorder=False`` keeps WHERE conjuncts in
-    written order (the naive baseline the benches compare against)."""
-    statement = parse(text)
-    bound = bind(database, statement, text)
-    return CompiledQuery(database, statement, bound, reorder=reorder)
+    written order (the naive baseline the benches compare against).
+
+    A statement whose shape (tokens but literals) the database saw
+    before skips parse and bind (:mod:`repro.sql.shapes`); the result
+    and any error are those of the full front end."""
+    return compile_cached(database, text, reorder)
 
 
 @dataclass

@@ -13,6 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Tuple, Union
 
+from repro.sql.errors import ParseError
+
 __all__ = [
     "Node",
     "ColumnRef",
@@ -39,6 +41,7 @@ __all__ = [
     "Statement",
     "render",
     "render_expr",
+    "with_literals",
 ]
 
 
@@ -365,3 +368,85 @@ def render(statement: Union[Statement, Select]) -> str:
     if sel.limit is not None:
         parts.append(f"LIMIT {sel.limit}")
     return " ".join(parts)
+
+
+# -- literal substitution -----------------------------------------------
+
+
+def with_literals(statement: Statement, values) -> Statement:
+    """``statement`` with its literal values replaced, in text order, by
+    ``values`` — one per literal token, already negated where a ``-``
+    folds into a BOX or POINT number.  Nodes without literals are
+    shared; positions are the old tree's.  The parser's value rules
+    hold again: a BOX axis with ``lo > hi`` or ``NEAREST 0`` raises
+    :class:`~repro.sql.errors.ParseError` (at the old tree's offset),
+    and leftover or missing values raise :class:`ValueError`."""
+    remaining = iter(values)
+    try:
+        out = _substitute(statement, remaining.__next__)
+    except StopIteration:
+        raise ValueError("fewer values than literals") from None
+    if next(remaining, remaining) is not remaining:
+        raise ValueError("more values than literals")
+    return out
+
+
+def _with(node: Node, **fields) -> Node:
+    """A copy of the frozen ``node`` with ``fields`` replaced — what
+    :func:`dataclasses.replace` returns, without re-running
+    ``__init__`` (the nodes validate nothing)."""
+    copy = object.__new__(type(node))
+    copy.__dict__.update(node.__dict__, **fields)
+    return copy
+
+
+def _substitute(node: Optional[Node], take) -> Optional[Node]:
+    """Rebuild ``node`` with each literal value from ``take()``, in the
+    order the parser read their tokens."""
+    kind = type(node)
+    if kind in (IntLit, FloatLit, StringLit):
+        return _with(node, value=take())
+    if node is None or kind in (ColumnRef, PointRef, Overlaps, OrderBy):
+        return node
+    if kind in (Arith, Compare, And, Or):
+        left = _substitute(node.left, take)
+        return _with(node, left=left, right=_substitute(node.right, take))
+    if kind in (Neg, Not):
+        return _with(node, operand=_substitute(node.operand, take))
+    if kind is Between:
+        expr = _substitute(node.expr, take)
+        low = _substitute(node.low, take)
+        return _with(node, expr=expr, low=low, high=_substitute(node.high, take))
+    if kind is BoxLit:
+        ranges = tuple((take(), take()) for _ in node.ranges)
+        if any(lo > hi for lo, hi in ranges):
+            raise ParseError("BOX axis: lo > hi", node.pos)
+        return _with(node, ranges=ranges)
+    if kind is PointLit:
+        return _with(node, coords=tuple(take() for _ in node.coords))
+    if kind is Contains:
+        return _with(node, box=_substitute(node.box, take))
+    if kind is Within:
+        left = _substitute(node.left, take)
+        eps = take()
+        return _with(
+            node, left=left, eps=eps, right=_substitute(node.right, take)
+        )
+    if kind is Join:
+        return _with(node, on=_substitute(node.on, take))
+    if kind is Nearest:
+        k = take()
+        if k < 1:
+            raise ParseError("NEAREST needs a positive integer", node.pos)
+        return _with(node, k=k, center=_substitute(node.center, take))
+    if kind is Select:
+        join = _substitute(node.join, take)
+        where = _substitute(node.where, take)
+        nearest = _substitute(node.nearest, take)
+        limit = None if node.limit is None else take()
+        return _with(
+            node, join=join, where=where, nearest=nearest, limit=limit
+        )
+    if kind is Statement:
+        return _with(node, select=_substitute(node.select, take))
+    raise TypeError(f"cannot substitute into {node!r}")
