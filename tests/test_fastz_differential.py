@@ -110,6 +110,56 @@ def test_batch_matches_scalar_reference(ndims, depth):
     assert fastz.deinterleave_many(expected, ndims, depth) == pts
 
 
+#: Every depth a z code of the system can have, so each branch of the
+#: batch kernel (one spread byte, two, more) and the 8/9 and 16/17
+#: boundaries between them are crossed for every dimension count.
+ALL_DEPTHS = list(range(1, 21))
+
+
+@pytest.mark.parametrize("ndims", [1, 2, 3, 4, 5])
+def test_batch_matches_scalar_at_every_depth(ndims):
+    rng = random.Random(4000 + ndims)
+    for depth in ALL_DEPTHS:
+        pts = sample_points(rng, ndims, depth, 6)
+        assert fastz.interleave_many(pts, depth) == [
+            interleave(p, depth) for p in pts
+        ], depth
+
+
+def _malformed(ndims, depth):
+    """(batch, message) pairs: one well-formed point, then a bad one,
+    with the error the batch kernel has always raised for it."""
+    limit = 1 << depth
+    rest = (0,) * (ndims - 1)
+    where = "on axis 0 outside [0, {}) for depth {}".format(limit, depth)
+    good = (0,) * ndims
+    return [
+        ([good, (-1,) + rest], f"point 1: coordinate -1 {where}"),
+        ([good, (limit,) + rest], f"point 1: coordinate {limit} {where}"),
+        (
+            [good, (1,) * (ndims + 1)],
+            f"point 1 has {ndims + 1} coordinates, expected {ndims}",
+        ),
+        (
+            [good, (1.5,) + rest],
+            "point 1: coordinate 1.5 on axis 0 is not an integer",
+        ),
+    ]
+
+
+@pytest.mark.parametrize("ndims", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("depth", [3, 8, 9, 10, 16, 17])
+def test_batch_errors_name_the_bad_point(ndims, depth):
+    for batch, message in _malformed(ndims, depth):
+        with pytest.raises(ValueError) as info:
+            fastz.interleave_many(batch, depth)
+        assert str(info.value) == message
+    if ndims > 1:
+        short = [(1,) * ndims, (1,) * (ndims - 1)]
+        with pytest.raises(ValueError, match=r"^point 1 has \d+ coordinates"):
+            fastz.interleave_many(short, depth)
+
+
 def test_batch_empty_and_generator_inputs():
     assert fastz.interleave_many([], 4) == []
     assert fastz.deinterleave_many(iter([]), 2, 4) == []
@@ -207,3 +257,18 @@ def test_slow_dense_random_sweep(ndims, depth):
     assert [
         fastz.deinterleave_fast(c, ndims, depth) for c in expected
     ] == pts
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("ndims", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("depth", ALL_DEPTHS)
+def test_slow_batch_every_depth_and_error(ndims, depth):
+    rng = random.Random(8_000_000 + 100 * ndims + depth)
+    pts = sample_points(rng, ndims, depth, 300)
+    assert fastz.interleave_many(pts, depth) == [
+        interleave(p, depth) for p in pts
+    ]
+    for batch, message in _malformed(ndims, depth):
+        with pytest.raises(ValueError) as info:
+            fastz.interleave_many(batch, depth)
+        assert str(info.value) == message
