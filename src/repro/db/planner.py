@@ -266,7 +266,15 @@ def column_selectivity(
     return (hi - lo) / len(values)
 
 
-def _estimate_conjunct(database, table: str, conjunct: Conjunct) -> None:
+def _column_share(database, table: str, shares: Dict, *key: Any) -> float:
+    """:func:`column_selectivity` of ``key = (column, low, high)``, read
+    once a plan: ``shares`` holds the plan's reads."""
+    if key not in shares:
+        shares[key] = column_selectivity(database, table, *key)
+    return shares[key]
+
+
+def _estimate_conjunct(database, table: str, conjunct: Conjunct, shares: Dict) -> None:
     """Fill ``conjunct.selectivity`` in place (no-op when preset)."""
     if conjunct.selectivity is not None:
         return
@@ -282,8 +290,8 @@ def _estimate_conjunct(database, table: str, conjunct: Conjunct) -> None:
         ) * ball_selectivity(database.grid.ndims)
         return
     if conjunct.kind == "attr-range" and conjunct.column is not None:
-        conjunct.selectivity = column_selectivity(
-            database, table, conjunct.column, conjunct.low, conjunct.high
+        conjunct.selectivity = _column_share(
+            database, table, shares, conjunct.column, conjunct.low, conjunct.high
         )
         return
     conjunct.selectivity = RESIDUAL_SELECTIVITY
@@ -520,6 +528,8 @@ def _window_from_ranges(
     bounds = _attr_bounds(conjuncts)
     best: Optional[Tuple[Conjunct, Plan, List[Conjunct]]] = None
     for entry in database.catalog.indexes_on(table):
+        if not any(column in bounds for column in entry.coord_cols):
+            continue
         used = [
             c
             for c in sorted(conjuncts, key=lambda c: c.written_pos)
@@ -534,7 +544,7 @@ def _window_from_ranges(
                     top if high is None else min(top, math.floor(high)),
                 )
             )
-        if not used or any(low > high for low, high in ranges):
+        if any(low > high for low, high in ranges):
             continue
         box = Box(tuple(ranges))
         access = plan_range_query(database, table, entry.coord_cols, box)
@@ -555,7 +565,7 @@ def _window_from_ranges(
 
 
 def _column_range(
-    database, table: str, conjuncts: Sequence[Conjunct]
+    database, table: str, conjuncts: Sequence[Conjunct], shares: Dict
 ) -> Optional[Tuple[str, Any, Any, float]]:
     """A numeric column's sorted order as the access path of a select
     with no window (the one-dimensional case of Section 4's sort, then
@@ -571,7 +581,7 @@ def _column_range(
     fractional bounds and ``=`` need no care here."""
     best: Optional[Tuple[str, Any, Any, float]] = None
     for column, (low, high) in _attr_bounds(conjuncts).items():
-        selectivity = column_selectivity(database, table, column, low, high)
+        selectivity = _column_share(database, table, shares, column, low, high)
         if best is None or selectivity < best[3]:
             best = (column, low, high, selectivity)
     if best is None or best[3] >= COLUMN_RANGE_CROSSOVER:
@@ -642,8 +652,9 @@ def plan_select(
             # fractional edges: they filter last, and no column order
             # is sorted to estimate them.
             conjunct.selectivity = 1.0
+    shares: Dict = {}
     for conjunct in conjuncts:
-        _estimate_conjunct(database, table, conjunct)
+        _estimate_conjunct(database, table, conjunct, shares)
     window, filters, moved = order_conjuncts(conjuncts, reorder=reorder)
     if ranged is not None:
         window, access, summarised = ranged
@@ -713,7 +724,7 @@ def plan_select(
                 )
             )
     else:
-        ranged = _column_range(database, table, filters)
+        ranged = _column_range(database, table, filters, shares)
         if ranged is None:
             plan.access_label = "table-scan"
 
@@ -754,7 +765,7 @@ def plan_filters(
     a box; the row estimate is the table's size times the filters'
     selectivities."""
     for conjunct in conjuncts:
-        _estimate_conjunct(database, table, conjunct)
+        _estimate_conjunct(database, table, conjunct, {})
     filters, moved = order_filters(conjuncts, reorder)
     estimated = float(len(database.catalog.relation(table)))
     for conjunct in filters:

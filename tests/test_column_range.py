@@ -344,3 +344,54 @@ class TestColumnRangeBesideAWriter:
         assert execute_sql(database, text).rows == before
         after = execute_sql(database, text).rows
         assert after == before[1:] + [("late", 4)]
+
+
+class TestOneShareReadPerPlan:
+    def test_an_attr_statement_reads_its_share_once(self, monkeypatch):
+        """The ledger's ``sql_attr`` shape, ``v BETWEEN a AND a + 99``
+        on a table indexed on (x, y): planning reads the column's share
+        once, for the filter estimate and the access choice both, and
+        the index on columns no conjunct names builds no window."""
+        database = SpatialDatabase(Grid(2, 6))
+        database.create_table(
+            "points",
+            Schema.of(("id@", OID), ("x", INTEGER), ("y", INTEGER), ("v", INTEGER)),
+        )
+        rng = random.Random(5)
+        database.insert_many(
+            "points",
+            [
+                (i, rng.randrange(64), rng.randrange(64), rng.randrange(5000))
+                for i in range(2000)
+            ],
+        )
+        database.create_index("points_xy", "points", ("x", "y"))
+        calls = []
+        share = planner.column_selectivity
+        monkeypatch.setattr(
+            planner,
+            "column_selectivity",
+            lambda *args: calls.append(args[2:]) or share(*args),
+        )
+        windows = []
+        window = planner.plan_range_query
+        monkeypatch.setattr(
+            planner,
+            "plan_range_query",
+            lambda *args: windows.append(args) or window(*args),
+        )
+        for low in (100, 2400):
+            text = (
+                f"SELECT id@, v FROM points WHERE v BETWEEN {low} AND {low + 99}"
+            )
+            calls.clear()
+            plan = compile_sql(database, text).plan()
+            assert plan.access_label == "column-range"
+            assert calls == [("v", low, low + 99)]
+            rows = execute_sql(database, text).rows
+            assert rows == [
+                (r[0], r[3])
+                for r in database.table("points").rows
+                if low <= r[3] <= low + 99
+            ]
+        assert windows == []
