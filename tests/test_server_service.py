@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import asyncio
 import random
-import time
+import threading
 
 import pytest
 
@@ -204,9 +204,13 @@ def test_pipelined_refresh_keeps_reads_at_their_snapshot(shards):
         db = _build_db(shards=shards)
         service = QueryService(db)
         real_execute = service._execute_batch
+        # Holds each round's first batch on the worker thread until this
+        # connection's reads are queued behind it and its refresh has
+        # been answered; every later batch finds it open.
+        gate = threading.Event()
 
         def busy_execute(key, boxes):
-            time.sleep(0.02)
+            assert gate.wait(timeout=30), "gate never opened"
             return real_execute(key, boxes)
 
         service.batcher._execute = busy_execute
@@ -257,6 +261,7 @@ def test_pipelined_refresh_keeps_reads_at_their_snapshot(shards):
                     record()
                     # Another connection's batch keeps the worker busy
                     # while this connection's reads queue behind it.
+                    gate.clear()
                     batches = stats["server.batches"]
                     busy = asyncio.ensure_future(
                         writer.request(range_request(boxes[0]))
@@ -275,6 +280,7 @@ def test_pipelined_refresh_keeps_reads_at_their_snapshot(shards):
                         == len(boxes)
                     )
                     refreshed = await client.refresh()
+                    gate.set()
                     responses = await asyncio.gather(*reads)
                     await busy
                     assert refreshed == db.snapshots.current_epoch
@@ -285,6 +291,7 @@ def test_pipelined_refresh_keeps_reads_at_their_snapshot(shards):
                         assert rows == oracle[pinned][i]
                     pinned = refreshed
         finally:
+            gate.set()
             await server.close()
         assert all(v == 0 for v in db.snapshots.leak_stats().values())
 
