@@ -372,12 +372,12 @@ class ShardedSpatialStore(ShardedReads):
         Remaining keyword arguments go to the constructor.
         """
         pts = [tuple(p) for p in points]
+        codes = interleave_many(pts, grid.depth, grid.ndims)
         if partition == "equi":
             partitioner = ZRangePartitioner.equi_width(
                 grid.total_bits, nshards
             )
         elif partition == "balanced":
-            codes = interleave_many(pts, grid.depth, grid.ndims)
             partitioner = ZRangePartitioner.from_codes(
                 codes, grid.total_bits, nshards, align_bits
             )
@@ -387,7 +387,7 @@ class ShardedSpatialStore(ShardedReads):
                 "expected 'equi' or 'balanced'"
             )
         store = cls(grid, partitioner, **kwargs)
-        store.bulk_load(pts, fill_factor=fill_factor)
+        store._load(store._group_by_shard(pts, codes), fill_factor)
         return store
 
     # ------------------------------------------------------------------
@@ -438,16 +438,27 @@ class ShardedSpatialStore(ShardedReads):
         return self.partitioner.route(self._zcode(point))
 
     def _group_by_shard(
-        self, points: Iterable[Sequence[int]]
-    ) -> List[List[Point]]:
+        self, points: Iterable[Sequence[int]], codes: Optional[List[int]] = None
+    ) -> List[List[Tuple[int, Point]]]:
+        """Each shard's ``(z code, point)`` records in batch order; the
+        shard trees take them as they are, so a point is shuffled once."""
         pts = [tuple(p) for p in points]
-        codes = interleave_many(pts, self.grid.depth, self.grid.ndims)
-        groups: List[List[Point]] = [[] for _ in range(self.nshards)]
-        for point, shard in zip(
-            pts, self.partitioner.route_many(codes)
+        if codes is None:
+            codes = interleave_many(pts, self.grid.depth, self.grid.ndims)
+        groups: List[List[Tuple[int, Point]]] = [[] for _ in self.shards]
+        for record, shard in zip(
+            zip(codes, pts), self.partitioner.route_many(codes)
         ):
-            groups[shard].append(point)
+            groups[shard].append(record)
         return groups
+
+    def _load(
+        self, groups: List[List[Tuple[int, Point]]], fill_factor: float
+    ) -> None:
+        for shard, group in zip(self.shards, groups):
+            if group:
+                with shard.transaction():
+                    shard.tree.bulk_load(group, fill_factor)
 
     def bulk_load(
         self,
@@ -455,9 +466,7 @@ class ShardedSpatialStore(ShardedReads):
         fill_factor: float = 1.0,
     ) -> None:
         """Route the batch and bottom-up load each shard's tree."""
-        for shard, group in zip(self.shards, self._group_by_shard(points)):
-            if group:
-                shard.bulk_load(group, fill_factor)
+        self._load(self._group_by_shard(points), fill_factor)
 
     def insert(self, point: Sequence[int]) -> None:
         self.shards[self.route_point(point)].insert(point)
@@ -465,7 +474,9 @@ class ShardedSpatialStore(ShardedReads):
     def insert_many(self, points: Iterable[Sequence[int]]) -> None:
         for shard, group in zip(self.shards, self._group_by_shard(points)):
             if group:
-                shard.insert_many(group)
+                with shard.transaction():
+                    for code, point in group:
+                        shard.tree.insert(code, point)
 
     def delete(self, point: Sequence[int]) -> bool:
         return self.shards[self.route_point(point)].delete(point)
