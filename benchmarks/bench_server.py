@@ -7,7 +7,7 @@ QueryService` over real sockets, measuring per-request latency
 
 The headline gate is the batching dividend: at 16 clients the
 coalescing dispatcher (concurrent queries against one index and epoch
-share a single scatter-gather pass) must deliver at least ``1.7x`` the
+share a single scan) must deliver at least ``1.7x`` the
 qps of serial request-at-a-time dispatch (``max_batch=1`` through the
 identical machinery).  Every request decomposes its own box
 (~0.8 ms of bare ``box_intervals`` for these ~770-element boxes), a
@@ -16,7 +16,12 @@ cost batching cannot share and nothing remembers.  The floor was
 started, hid that cost: ``--smoke`` read 2.59-3.54x then (16-client
 batched 1003-1218 qps, serial 337-387) and reads 2.03-2.15x now
 (563-602 qps, serial ~293), so ``1.7x`` is the same gate with the
-same kind of margin.
+same kind of margin.  Those figures were taken over a 6-shard index,
+where serial dispatch also paid the shard fan-out per request.  Over
+the one tree that replaced it, serial dispatch is faster and
+``--smoke`` reads 1.29-1.72x on a 2-vCPU host (6 of 7 runs under the
+floor): the floor is kept as it was, and stays failing, until the gate
+itself is replaced.
 
 ``--check benchmarks/baselines/server_latency.json`` additionally
 enforces the committed serving floors (min qps, max p95) so CI fails
@@ -40,7 +45,7 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent))
 from repro.core.geometry import Box, Grid  # noqa: E402
 from repro.db import INTEGER, OID, Schema, SpatialDatabase  # noqa: E402
 from repro.server import QueryClient, QueryService, serve  # noqa: E402
-from repro.shard.scatter import ResiliencePolicy  # noqa: E402
+from repro.core.deadline import ResiliencePolicy  # noqa: E402
 from repro.workloads.datasets import make_dataset  # noqa: E402
 
 NPOINTS = 8_000
@@ -53,7 +58,7 @@ SPEEDUP_FLOOR = 1.7
 BASELINE = pathlib.Path(__file__).parent / "baselines" / "server_latency.json"
 
 
-def build_database(npoints=NPOINTS, depth=DEPTH, seed=SEED, shards=6):
+def build_database(npoints=NPOINTS, depth=DEPTH, seed=SEED):
     grid = Grid(ndims=2, depth=depth)
     db = SpatialDatabase(grid, page_capacity=CAPACITY)
     db.create_table(
@@ -64,11 +69,7 @@ def build_database(npoints=NPOINTS, depth=DEPTH, seed=SEED, shards=6):
         "points",
         [(f"p{i}", x, y) for i, (x, y) in enumerate(dataset.points)],
     )
-    # Sharded scatter-gather index: every interval_query pays a 6-way
-    # fan-out, which the batched dispatcher amortizes across the group.
-    db.create_index(
-        "points_xy", "points", ("x", "y"), shards=shards,
-    )
+    db.create_index("points_xy", "points", ("x", "y"))
     return db
 
 
@@ -79,7 +80,7 @@ def workload_boxes(grid, count, seed=SEED):
     interval list covers the fleet's elements roughly once; jitter
     keeps the boxes distinct (no free cache-style identity).  The
     centre sits in a sparse region of the clustered dataset so scan
-    work (elements, shard fan-outs) dominates over answer size."""
+    work (elements, tree descents) dominates over answer size."""
     side = grid.side
     rng = random.Random(seed + 17)
     extent = side // 4

@@ -6,7 +6,7 @@ collects every counter the instrumented layers publish — elements
 generated, pages accessed, node visits, buffer misses, merge advances,
 rows in/out.  With fixed seeds these are *byte-stable*, so CI diffs
 them against ``benchmarks/baselines/trace_counters.json`` and fails on
-any increase: an algorithmic regression that wall-clock timing would
+any difference, either way: a change that wall-clock timing would
 bury in noise.
 
 Runs three ways:
@@ -41,7 +41,6 @@ from repro.db.relation import Relation
 from repro.db.spatial import overlap_query
 from repro.db.types import SpatialObject
 from repro.obs import compare_counters, trace
-from repro.shard import ShardedSpatialStore
 from repro.workloads.datasets import make_dataset
 from repro.workloads.queries import query_workload
 
@@ -301,16 +300,6 @@ def collect(depth=DEPTH, npoints=NPOINTS, nobjects=NOBJECTS,
         execute_sql(db, attr)
     fold("attr_after_write", t.total_counters())
 
-    # The sharded engine, same workload: scatter–gather range queries
-    # through a 4-shard store.
-    store = ShardedSpatialStore.build(
-        grid, make_dataset("C", grid, npoints, seed=seed).points, nshards=4
-    )
-    for spec in specs:
-        with trace("shard-range") as t:
-            store.range_query(spec.box)
-        fold("shard", t.total_counters())
-
     # The proximity operators: a k-NN sweep and one epsilon
     # cross-match.  Their counters already carry the ``knn.`` /
     # ``zones.`` prefixes, so they merge unprefixed — new baseline
@@ -434,7 +423,7 @@ def main(argv=None):
     )
     parser.add_argument(
         "--check", metavar="BASELINE",
-        help="diff against a baseline json; exit 1 on regression",
+        help="diff against a baseline json; exit 1 on any difference",
     )
     parser.add_argument(
         "--update-baseline", metavar="BASELINE",

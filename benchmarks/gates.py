@@ -4,7 +4,7 @@ Every ``bench_*.py`` CLI gate funnels its floor checks through
 :func:`gate` so CI can grep a single format::
 
     GATE PASS: kernels - 2-d batched shuffle speedup 3.4x (floor 3.0x)
-    GATE FAIL: sharding - selective box pruned no shard
+    GATE FAIL: server - 16-client batched dispatch 1.29x serial qps (floor 1.7x)
 
 A failing gate prints the line on stderr and returns exit code 1; a
 passing gate prints on stdout and returns 0.  Environment caveats that

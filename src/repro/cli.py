@@ -101,16 +101,6 @@ def build_parser() -> argparse.ArgumentParser:
     query.add_argument("--capacity", type=int, default=20)
     query.add_argument("--seed", type=int, default=0)
     query.add_argument(
-        "--shards",
-        type=int,
-        default=1,
-        metavar="N",
-        help=(
-            "split the index into N z-range shards queried "
-            "scatter-gather style (default: 1, unsharded)"
-        ),
-    )
-    query.add_argument(
         "--sessions",
         type=int,
         default=0,
@@ -160,10 +150,6 @@ def build_parser() -> argparse.ArgumentParser:
     sql.add_argument("--capacity", type=int, default=20)
     sql.add_argument("--seed", type=int, default=0)
     sql.add_argument(
-        "--shards", type=int, default=1, metavar="N",
-        help="split the points index into N z-range shards",
-    )
-    sql.add_argument(
         "--sessions", type=int, default=0, metavar="N",
         help=(
             "run the statement inside N snapshot-isolated sessions "
@@ -207,10 +193,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--depth", type=int, default=8)
     serve.add_argument("--capacity", type=int, default=20)
     serve.add_argument("--seed", type=int, default=0)
-    serve.add_argument(
-        "--shards", type=int, default=1,
-        help="split the index into N z-range shards (default: 1)",
-    )
     serve.add_argument(
         "--max-inflight", type=int, default=16,
         help="global in-flight query limit (default: 16)",
@@ -365,18 +347,7 @@ def _cmd_query(args, out) -> None:
         "points",
         [(f"p{i}", x, y) for i, (x, y) in enumerate(dataset.points)],
     )
-    entry = db.create_index(
-        "points_xy",
-        "points",
-        ("x", "y"),
-        shards=args.shards,
-    )
-    if args.shards > 1:
-        sizes = entry.tree.shard_sizes()
-        out.write(
-            f"sharded index: {args.shards} z-range shards, "
-            f"sizes {sizes}\n"
-        )
+    db.create_index("points_xy", "points", ("x", "y"))
     window = Box(((side // 8, 3 * side // 8), (side // 8, 3 * side // 8)))
 
     if getattr(args, "sessions", 0) > 0:
@@ -480,7 +451,7 @@ def _cmd_sql(args, out) -> int:
         "points",
         [(f"p{i}", x, y) for i, (x, y) in enumerate(dataset.points)],
     )
-    db.create_index("points_xy", "points", ("x", "y"), shards=args.shards)
+    db.create_index("points_xy", "points", ("x", "y"))
     rng = random.Random(args.seed + 1)
     extent = max(2, side // 16)
     for table, prefix in (("regions", "r"), ("zones", "z")):
@@ -726,7 +697,7 @@ def _cmd_serve(args, out) -> int:
         "points",
         [(f"p{i}", x, y) for i, (x, y) in enumerate(dataset.points)],
     )
-    db.create_index("points_xy", "points", ("x", "y"), shards=args.shards)
+    db.create_index("points_xy", "points", ("x", "y"))
 
     service = QueryService(
         db,

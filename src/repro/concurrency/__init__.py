@@ -10,9 +10,7 @@ writers keep group-committing underneath:
 * :class:`~repro.concurrency.versions.PageVersionMap` — copy-on-write
   page version chains per store, retained only while a pin needs them.
 * :class:`~repro.concurrency.view.SnapshotTreeView` — lock-free
-  historical queries over one frozen index graph, built per read; a
-  sharded store's snapshot is the store's own reads over one such view
-  per shard.
+  historical queries over one frozen index graph, built per read.
 * :class:`~repro.concurrency.session.Session` — the user-facing handle:
   ``with db.session() as s: ...``; :meth:`~repro.concurrency.session.
   Session.fork` gives one read its own pin on the same epoch.

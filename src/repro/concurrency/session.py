@@ -151,14 +151,7 @@ class Session(SpatialReads):
         self._check_open()
         va = self._answering(table_a, cols_a)
         vb = self._answering(table_b, cols_b)
-        # Sharded snapshot views have no single leaf chain to merge
-        # over; fall through to the set intersection for those.
-        if (
-            va is not None
-            and vb is not None
-            and hasattr(va, "cursor")
-            and hasattr(vb, "cursor")
-        ):
+        if va is not None and vb is not None:
             return self._merge_join(va, vb)
         points: List[set] = []
         for table, cols in ((table_a, cols_a), (table_b, cols_b)):

@@ -4,9 +4,7 @@ A view binds a pinned epoch to (a) the B+-tree inner graph frozen at
 pin time and (b) the store's ``read_at`` method, which resolves a leaf
 page id to the image it had at that epoch (retained copy-on-write
 version, or the live base when the page was not dirtied since).  A
-view holds nothing else, so readers build one per read.  A sharded
-store's view is its own :class:`~repro.shard.store.ShardedReads` over
-one such view per shard.
+view holds nothing else, so readers build one per read.
 
 The crucial trick is that the leaf scan
 (:func:`~repro.storage.btree.scan_ranges`) and
@@ -137,8 +135,8 @@ class SnapshotTreeView(LeafChainReads):
                     "node_visits": reader.node_visits,
                     "descents": reader.descents,
                 }
-                # Like shard.retries: publish only when nonzero so the
-                # committed trace-counter baseline is COW-invariant.
+                # Publish only when nonzero so the committed
+                # trace-counter baseline is COW-invariant.
                 for key, value in cow_stats.items():
                     if value:
                         counters[key] = value

@@ -6,9 +6,11 @@ admission slot, and keeps a snapshot pinned long after the client gave
 up.  This module provides the *budget* half of the fix — a
 :class:`Deadline` is an absolute expiry on a monotonic clock — and the
 *cooperation* half: long-running loops deep in the engine (interval
-scans, k-way gathers, scatter retry loops) call :func:`check_deadline`
+scans, row scans, the eps-seek) call :func:`check_deadline`
 periodically and abort with :class:`DeadlineExceeded` the moment the
-active budget is spent.
+active budget is spent.  :class:`ResiliencePolicy` is the retry half:
+how many further attempts a caller makes, and how long it backs off
+between them, within that budget.
 
 Design constraints (mirroring :mod:`repro.obs.trace` and
 :mod:`repro.faults`):
@@ -35,12 +37,14 @@ from __future__ import annotations
 import threading
 import time
 from contextlib import contextmanager
+from dataclasses import dataclass
 from typing import Callable, Iterator, Optional
 
 __all__ = [
     "MAX_BUDGET",
     "Deadline",
     "DeadlineExceeded",
+    "ResiliencePolicy",
     "check_deadline",
     "current_deadline",
     "deadline_scope",
@@ -55,7 +59,7 @@ MAX_BUDGET = 365.0 * 24 * 3600
 class DeadlineExceeded(Exception):
     """A cooperative cancellation: the active budget ran out mid-work.
 
-    Raised from inside scan/gather/retry loops; the serving layer maps
+    Raised from inside scan and retry loops; the serving layer maps
     it to a typed ``deadline`` rejection (slot and pin released), never
     a crashed worker or a wedged batch.
     """
@@ -117,6 +121,24 @@ class Deadline:
             f"Deadline(budget={self.budget:.3f}, "
             f"remaining={self.remaining():.3f})"
         )
+
+
+@dataclass(frozen=True)
+class ResiliencePolicy:
+    """How hard a caller fights before giving up: ``max_retries``
+    further attempts, sleeping ``backoff_base * backoff_factor**attempt``
+    between them.  The server's admission control and the client's
+    request retries both speak it; ``timeout`` bounds their waits (an
+    admitted request's queueing, a client's response).
+    """
+
+    max_retries: int = 2
+    backoff_base: float = 0.02
+    backoff_factor: float = 2.0
+    timeout: Optional[float] = None
+
+    def backoff(self, attempt: int) -> float:
+        return self.backoff_base * (self.backoff_factor ** attempt)
 
 
 _ACTIVE = threading.local()

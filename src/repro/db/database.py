@@ -28,7 +28,7 @@ from repro.storage.prefix_btree import ZkdTree
 
 __all__ = ["SpatialDatabase", "INDEX_FILL_FACTOR"]
 
-#: Leaf fill of a single-tree index ``create_index`` bulk-loads: 14 of
+#: Leaf fill of the index ``create_index`` bulk-loads: 14 of
 #: 20 records, the occupancy random inserts settle at (Yao's ln 2), so
 #: the first insert into a loaded leaf does not split it.
 INDEX_FILL_FACTOR = 0.7
@@ -223,30 +223,12 @@ class SpatialDatabase(SpatialReads):
         coord_cols: Sequence[str],
         buffer_frames: int = 8,
         policy: ReplacementPolicy = ReplacementPolicy.LRU,
-        shards: int = 1,
-        executor: str = "serial",
-        partition: str = "equi",
-        resilience: Any = None,
     ) -> IndexEntry:
         """Build a zkd B+-tree over coordinate columns of ``table``.
 
         The index stores coordinate tuples in z order; existing rows are
         bulk-loaded as one sorted run and later inserts are maintained.
-
-        With ``shards > 1`` the index is a :class:`~repro.shard.store.
-        ShardedSpatialStore` — ``shards`` z-range shards queried
-        scatter–gather style; ``partition`` picks the cut policy
-        (``equi`` or the data-balanced ``balanced``); ``resilience``
-        overrides the scatter's :class:`~repro.shard.scatter.
-        ResiliencePolicy` (retries and backoff).  Query results are
-        identical to the single-tree index.
         """
-        # Kept for benchmarks/ledger/workloads.py, which passes "serial".
-        if executor != "serial":
-            raise ValueError(
-                f"executor={executor!r}: shards are read in shard order, "
-                "only 'serial' is accepted"
-            )
         relation = self.catalog.relation(table)
         cols = tuple(coord_cols)
         if len(cols) != self.grid.ndims:
@@ -263,27 +245,13 @@ class SpatialDatabase(SpatialReads):
             positions, rows = relation._stored()
             points = list(map(coords_getter(relation.schema, cols), rows))
             del rows  # a copy of the row list: free it before the build
-            if shards > 1:
-                from repro.shard import ShardedSpatialStore
-
-                tree = ShardedSpatialStore.build(
-                    self.grid,
-                    points,
-                    nshards=shards,
-                    partition=partition,
-                    page_capacity=self.page_capacity,
-                    buffer_frames=buffer_frames,
-                    policy=policy,
-                    resilience=resilience,
-                )
-            else:
-                tree = ZkdTree(
-                    self.grid,
-                    page_capacity=self.page_capacity,
-                    buffer_frames=buffer_frames,
-                    policy=policy,
-                )
-                tree.bulk_load(points, INDEX_FILL_FACTOR)
+            tree = ZkdTree(
+                self.grid,
+                page_capacity=self.page_capacity,
+                buffer_frames=buffer_frames,
+                policy=policy,
+            )
+            tree.bulk_load(points, INDEX_FILL_FACTOR)
             tree.attach_snapshots(self.snapshots)
         entry = IndexEntry(
             index_name,

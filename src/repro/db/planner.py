@@ -143,17 +143,11 @@ def plan_range_query(
 
         estimated_rows, pages = estimate_scan(entry.tree, clipped)
         index_pages = float(pages)
-    sharded = getattr(entry.tree, "shards", None) is not None
-    if sharded:
-        # Shard descents run in parallel; the tallest shard bounds the
-        # extra cost.
-        index_pages += entry.tree.height
-    else:
-        index_pages += entry.tree.tree.height  # descent cost
+    index_pages += entry.tree.tree.height  # descent cost
 
     if index_pages <= scan_pages:
         return Plan(
-            method="sharded-index-scan" if sharded else "index-scan",
+            method="index-scan",
             table=table,
             box=box,
             selectivity=selectivity,

@@ -268,7 +268,7 @@ def epsilon_seek_rows(
     side when ``rows_left``.
 
     ``table`` is read through the reader's answering store (a live
-    tree, a snapshot view, a sharded read, or the visible rows) by one
+    tree, a snapshot view, or the visible rows) by one
     ``interval_query`` at the driving points' cells; only the matched
     points are joined back to rows, visible at the reader's epoch, and
     ``refine`` — the side's other pushed filters — runs over them."""

@@ -19,7 +19,7 @@ cannot:
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import Tuple
 
 from repro.core.decompose import box_intervals
 from repro.core.geometry import Box
@@ -31,48 +31,16 @@ __all__ = [
 ]
 
 
-def _clip_intervals(
-    intervals: Sequence[Tuple[int, int]], lo: int, hi: int
-) -> List[Tuple[int, int]]:
-    """Restrict z-sorted inclusive intervals to ``[lo, hi]``."""
-    return [
-        (max(zlo, lo), min(zhi, hi))
-        for zlo, zhi in intervals
-        if zlo <= hi and zhi >= lo
-    ]
-
-
 def estimate_scan(tree, box: Box) -> Tuple[float, int]:
     """``(expected matches, expected data pages)`` of a range query for
-    ``box`` — one decomposition of the box feeding both estimates.
-
-    ``tree`` may be a single :class:`~repro.storage.prefix_btree.
-    ZkdTree` or a :class:`~repro.shard.store.ShardedSpatialStore`; for
-    the latter the query's z intervals are clipped to each shard's
-    owned range and the per-shard estimates summed — each shard's leaf
-    pages only describe its own slice of z space.
+    ``box`` over the :class:`~repro.storage.prefix_btree.ZkdTree`
+    ``tree`` — one decomposition of the box feeding both estimates.
 
     Pages are the leaves whose separator span the query's z intervals
     meet, plus the leftmost leaf, where every scan starts: in practice
     within a page of the measured count.
     """
-    intervals = box_intervals(tree.grid, box)
-    shards = getattr(tree, "shards", None)
-    if shards is None:
-        parts = [(tree, intervals)]
-    else:
-        parts = [
-            (shard, clipped)
-            for shard, (lo, hi) in zip(shards, tree.partitioner.intervals())
-            if (clipped := _clip_intervals(intervals, lo, hi)) and len(shard)
-        ]
-    expected = 0.0
-    pages = 0
-    for part, clipped in parts:
-        part_expected, part_pages = part.tree.overlap_stats(clipped)
-        expected += part_expected
-        pages += part_pages
-    return expected, pages
+    return tree.tree.overlap_stats(box_intervals(tree.grid, box))
 
 
 def estimate_matches(tree, box: Box) -> float:

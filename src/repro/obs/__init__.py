@@ -24,7 +24,6 @@ from repro.obs.trace import (
     add,
     current,
     span,
-    suppress,
     trace,
 )
 
@@ -34,7 +33,6 @@ __all__ = [
     "add",
     "current",
     "span",
-    "suppress",
     "trace",
     "format_trace",
     "explain_analyze_text",

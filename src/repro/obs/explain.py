@@ -53,17 +53,6 @@ def _est_actual_lines(node: Span) -> List[str]:
 
 def _render(node: Span, indent: int, out: List[str]) -> None:
     pad = "  " * indent
-    if node.name.startswith("shard[") and not node.children:
-        # Per-shard leaves of a scatter–gather span: one compact line
-        # of actuals each, so a 16-shard fan-out stays readable.
-        rows = node.counters.get("rows_reported", 0)
-        parts = [f"{pad}{node.name}  rows={_fmt_num(rows)}"]
-        if "pages_accessed" in node.counters:
-            parts.append(f"pages={_fmt_num(node.counters['pages_accessed'])}")
-        if "zlo" in node.attrs and "zhi" in node.attrs:
-            parts.append(f"z=[{node.attrs['zlo']}..{node.attrs['zhi']}]")
-        out.append("  ".join(parts))
-        return
     if node.name.startswith("client[") and not node.children:
         # Per-client leaves of the SERVER trace section: one compact
         # served/rejected/errors line each so many clients stay readable.

@@ -2,12 +2,14 @@
 
 The deterministic trace counters (fixed seeds make them byte-stable)
 are the repo's measured cost ledger: elements generated, pages
-accessed, node visits, merge advances.  CI compares a fresh collection
-against the committed baseline and fails the build when any counter
-*increases* — an algorithmic regression that wall-clock noise would
-hide.  Decreases pass (they are improvements) but are reported so the
-baseline can be re-pinned; counters appearing or disappearing fail,
-because a stale baseline gates nothing.
+accessed, node visits, merge advances, buffer hits, rows out.  CI
+compares a fresh collection against the committed baseline and fails
+the build when any counter differs from its pinned value, in either
+direction: a counter has no single good direction (fewer buffer hits
+or result rows is no gain), and one that moved at all means the change
+did something the baseline did not see.  An intended change re-pins
+the baseline; counters appearing or disappearing fail too, because a
+stale baseline gates nothing.
 """
 
 from __future__ import annotations
@@ -24,25 +26,24 @@ Number = Union[int, float]
 class GateReport:
     """Outcome of one baseline comparison; ``ok`` is the CI verdict."""
 
-    regressions: List[str] = field(default_factory=list)
-    improvements: List[str] = field(default_factory=list)
+    changed: List[str] = field(default_factory=list)
     added: List[str] = field(default_factory=list)
     removed: List[str] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
-        return not (self.regressions or self.added or self.removed)
+        return not (self.changed or self.added or self.removed)
 
     def summary(self) -> str:
         lines: List[str] = []
-        for counter in self.regressions:
-            lines.append(f"REGRESSION {counter}")
+        for counter in self.changed:
+            lines.append(
+                f"CHANGED {counter} (re-pin the baseline if intended)"
+            )
         for counter in self.added:
             lines.append(f"NOT IN BASELINE {counter} (re-pin the baseline)")
         for counter in self.removed:
             lines.append(f"MISSING {counter} (present in baseline only)")
-        for counter in self.improvements:
-            lines.append(f"improved {counter} (consider re-pinning)")
         if not lines:
             lines.append("all counters match the baseline")
         verdict = "PASS" if self.ok else "FAIL"
@@ -54,8 +55,9 @@ def compare_counters(
 ) -> GateReport:
     """Diff measured counters against the committed baseline.
 
-    A counter whose current value exceeds its baseline value is a
-    regression; strict key equality is required in both directions.
+    Every counter is gated as an exact value: any difference from the
+    baseline fails, and strict key equality is required in both
+    directions.
     """
     report = GateReport()
     for key in sorted(set(current) | set(baseline)):
@@ -63,12 +65,6 @@ def compare_counters(
             report.added.append(f"{key}={current[key]}")
         elif key not in current:
             report.removed.append(f"{key}={baseline[key]}")
-        elif current[key] > baseline[key]:
-            report.regressions.append(
-                f"{key}: {baseline[key]} -> {current[key]}"
-            )
-        elif current[key] < baseline[key]:
-            report.improvements.append(
-                f"{key}: {baseline[key]} -> {current[key]}"
-            )
+        elif current[key] != baseline[key]:
+            report.changed.append(f"{key}: {baseline[key]} -> {current[key]}")
     return report

@@ -39,7 +39,6 @@ __all__ = [
     "trace",
     "add",
     "span",
-    "suppress",
 ]
 
 Number = Union[int, float]
@@ -264,23 +263,6 @@ def trace(
     try:
         with t:
             yield t
-    finally:
-        _STATE.active = previous
-
-
-@contextmanager
-def suppress() -> Iterator[None]:
-    """Run a block with tracing disabled, restoring the previous trace
-    on exit.
-
-    The sharded scatter–gather coordinator wraps shard sub-queries in
-    this so their internal spans never reach the user-visible trace —
-    the coordinator publishes one curated span per shard instead.
-    """
-    previous = current()
-    _STATE.active = None
-    try:
-        yield
     finally:
         _STATE.active = previous
 

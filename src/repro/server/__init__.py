@@ -11,8 +11,8 @@ over one :class:`~repro.db.database.SpatialDatabase`:
   in-flight limit and per-client quotas over a bounded queue, shedding
   load with typed ``quota`` / ``overload`` / ``timeout`` rejections;
 * a batching layer (:mod:`repro.server.batching`) coalesces concurrent
-  point lookups and overlapping range queries into shared
-  scatter–gather passes, byte-identical to per-request execution;
+  point lookups and overlapping range queries into shared scans,
+  byte-identical to per-request execution;
 * ``/stats`` and the ``SERVER`` trace section surface the counters
   (queue depth, batch sizes, admissions/rejections).
 """

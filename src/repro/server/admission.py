@@ -14,11 +14,11 @@ fault layer (retryable, typed, never a silent hang):
 * :class:`AdmissionTimeout` — the request queued but no slot freed
   within the policy timeout: the server is saturated at this depth.
 
-Retry/timeout semantics reuse :class:`~repro.shard.scatter.
-ResiliencePolicy` — the same knob set that governs shard scatter
-retries governs how long an admitted wait may block
+Retry/timeout semantics reuse :class:`~repro.core.deadline.
+ResiliencePolicy` — the same knob set that governs the client's
+request retries governs how long an admitted wait may block
 (``policy.timeout``) and the backoff hints sent to rejected clients
-(``policy.backoff(attempt)``), so server and storage speak one
+(``policy.backoff(attempt)``), so server and client speak one
 resilience dialect.
 
 The controller is asyncio-native and single-loop: all state mutation
@@ -35,8 +35,7 @@ from collections import deque
 from contextlib import asynccontextmanager
 from typing import AsyncIterator, Callable, Deque, Dict, Optional
 
-from repro.core.deadline import Deadline
-from repro.shard.scatter import ResiliencePolicy
+from repro.core.deadline import Deadline, ResiliencePolicy
 
 __all__ = [
     "AdmissionController",

@@ -5,15 +5,15 @@ same snapshot epoch rarely touch independent data — production read
 traffic clusters on hot regions.  The batcher exploits that: while one
 batch executes, newly arriving requests accumulate; the next batch
 takes them all at once, and :func:`batched_range_matches` answers the
-whole group with **one** shared scatter–gather pass:
+whole group with **one** shared scan:
 
 1. every box is clipped to the grid and decomposed into the bare
    ``(zlo, zhi)`` intervals of its z elements;
 2. the element intervals of *all* boxes merge into one
    ascending disjoint interval list (overlapping queries literally
    share their overlap), scanned in a single ``interval_query`` pass —
-   one shard fan-out, one tree descent per merged interval, no matter
-   how many requests contributed;
+   one tree descent per merged interval, no matter how many requests
+   contributed;
 3. each request's answer reassembles by binary-searching its own
    elements out of the merged runs' leaf keys (every element interval
    lies inside exactly one merged interval), concatenated in element
@@ -24,7 +24,7 @@ whole group with **one** shared scatter–gather pass:
 The identity in step 3 is the full-depth-cover argument: a scan of a
 z interval *is* the exact answer for any element contained in it.
 ``tests/test_server_batching.py`` differential-tests the equality over
-live trees, sharded stores and snapshot views.
+live trees and snapshot views.
 """
 
 from __future__ import annotations
@@ -110,8 +110,8 @@ def batched_range_matches(
     """Answer every box in one shared pass over ``target``.
 
     ``target`` is anything with ``interval_query(intervals)`` — a live
-    :class:`~repro.storage.prefix_btree.ZkdTree`, a sharded store, or
-    their snapshot views.
+    :class:`~repro.storage.prefix_btree.ZkdTree` or its snapshot
+    view.
 
     Returns one match tuple per input box, each byte-identical to
     ``target.range_query(box).matches``.
@@ -294,8 +294,8 @@ class QueryBatcher:
         deadline: Optional[Deadline],
     ) -> List[Any]:
         """Worker-thread entry: arm the group deadline around the
-        shared execution so the cooperative checks deep in the scan and
-        scatter loops observe it."""
+        shared execution so the cooperative checks deep in the scan
+        loops observe it."""
         with deadline_scope(deadline):
             return self._execute(key, payloads)
 

@@ -36,8 +36,8 @@ import time
 from collections import deque
 from typing import Callable, Deque, Dict, List, Optional, Tuple
 
+from repro.core.deadline import ResiliencePolicy
 from repro.server.admission import Rejection
-from repro.shard.scatter import ResiliencePolicy
 
 __all__ = [
     "BreakerOpen",

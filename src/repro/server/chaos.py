@@ -46,6 +46,7 @@ import sys
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+from repro.core.deadline import ResiliencePolicy
 from repro.core.geometry import Box, Grid
 from repro.faults import FaultInjector
 from repro.server.client import (
@@ -56,7 +57,6 @@ from repro.server.client import (
 from repro.server.protocol import MAX_FRAME
 from repro.server.service import SITE_DISPATCH, QueryService
 from repro.server.tcp import SITE_FRAME_READ, SITE_FRAME_WRITE, serve
-from repro.shard.scatter import ResiliencePolicy
 
 __all__ = ["ChaosReport", "run_chaos_episode", "run_chaos_sweep"]
 

@@ -9,8 +9,8 @@ Load-shed answers surface as :class:`ServerRejected` carrying the typed
 reason — unless retry is on (the default), in which case the client
 sleeps ``retry_after`` (or the policy backoff) and resubmits, up to
 ``policy.max_retries`` attempts.  The retry/timeout knobs are the same
-:class:`~repro.shard.scatter.ResiliencePolicy` the shard scatter and
-the server's admission layer use.
+:class:`~repro.core.deadline.ResiliencePolicy` the server's admission
+layer uses.
 """
 
 from __future__ import annotations
@@ -20,8 +20,8 @@ import itertools
 import socket
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+from repro.core.deadline import ResiliencePolicy
 from repro.server.protocol import MAX_FRAME, decode_frame, encode_frame
-from repro.shard.scatter import ResiliencePolicy
 
 __all__ = ["QueryClient", "ServerError", "ServerRejected"]
 

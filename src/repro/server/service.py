@@ -14,7 +14,7 @@ Request flow for a ``range``/``point`` op::
       -> admission.slot(client)       # typed rejection or a slot
       -> reader._entry(table, cols)   # an index visible at the epoch?
          -> batcher.submit((index, epoch), box)
-            # one shared scatter-gather scan over a snapshot view
+            # one shared scan over a snapshot view
             # built for the group, then readpath.rejoin per request
          -> else reader.range_query   # the session's row scan
 
@@ -23,7 +23,7 @@ is built, so a pipelined ``refresh`` re-pins the connection at once and
 never pulls the snapshot from under a read in flight; the response's
 ``epoch`` is the one the rows were read at.  Index scans batch across
 connections: the key is (index name, pinned epoch), so clients pinned
-at the same snapshot share one scatter–gather pass.  Execution runs on
+at the same snapshot share one scan.  Execution runs on
 the batcher's single worker thread; the event loop keeps accepting
 requests, which form the next batch.  A request that exceeds
 ``request_timeout`` answers with a typed ``timeout`` rejection and
@@ -37,7 +37,12 @@ import itertools
 import time
 from typing import Any, Callable, Dict, Hashable, List, Optional, Tuple
 
-from repro.core.deadline import Deadline, DeadlineExceeded, deadline_scope
+from repro.core.deadline import (
+    Deadline,
+    DeadlineExceeded,
+    ResiliencePolicy,
+    deadline_scope,
+)
 from repro.core.geometry import Box
 from repro.db.readpath import rejoin
 from repro.faults import CrashPoint, FaultInjector, register_site
@@ -56,7 +61,6 @@ from repro.server.protocol import (
     rejection_response,
     validate_request,
 )
-from repro.shard.scatter import ResiliencePolicy
 
 __all__ = ["ClientState", "QueryService", "SITE_DISPATCH"]
 
@@ -170,7 +174,7 @@ class QueryService:
     ) -> List[List[Tuple[Any, ...]]]:
         """One worker-thread pass for a group of boxes read through the
         same index at the same pinned epoch (each request holds its own
-        pin): a shared scatter-gather scan over a snapshot view built
+        pin): a shared scan over a snapshot view built
         for the group, then each request's matches rejoined through the
         index — so each request costs a single executor handoff."""
         index_name, epoch = key  # type: ignore[misc]
@@ -190,7 +194,7 @@ class QueryService:
         self, fn: Callable[..., Any], deadline: Optional[Deadline], *args: Any
     ) -> Any:
         """Worker-thread entry for unbatched work: arm the request's
-        deadline so the cooperative checks in scan/gather loops see it."""
+        deadline so the cooperative checks in scan loops see it."""
         with deadline_scope(deadline):
             return fn(*args)
 
@@ -417,7 +421,7 @@ class QueryService:
         self, client: ClientState, request: Dict[str, Any]
     ) -> Dict[str, Any]:
         """One SQL statement.  A statement that reduces to a batchable
-        range scan rides the batcher (shared scatter-gather with the
+        range scan rides the batcher (a scan shared with the
         ``range``/``point`` traffic pinned at the same epoch), then the
         filters and operator tail finish on the coordinator; anything
         else — joins, EXPLAIN ANALYZE — runs whole in the executor."""

@@ -163,11 +163,6 @@ class TestSql:
         assert code == 0
         assert "3 snapshot sessions agreed" in text
 
-    def test_shards(self):
-        code, text = run(["sql", self.QUERY, "--shards", "4"] + self.ARGS)
-        assert code == 0
-        assert "row(s))" in text
-
     def test_json_output(self, tmp_path):
         path = tmp_path / "result.json"
         code, text = run(

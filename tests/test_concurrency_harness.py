@@ -327,31 +327,3 @@ def test_harness_detects_violations() -> None:
     stale = Observation(1, "range", ("a", box), repr([]))
     assert len(_oracle_replay(commit_log, [stale])) == 1
 
-
-def test_sharded_index_sessions_see_stable_snapshots() -> None:
-    """The same isolation contract holds over a sharded index."""
-    db = _fresh_db()
-    rnd = random.Random(11)
-    rows = [
-        (f"a{i}", rnd.randrange(SIDE), rnd.randrange(SIDE))
-        for i in range(64)
-    ]
-    with db.session() as setup:
-        for row in rows:
-            setup.insert("a", row)
-        setup.commit()
-    db.create_index("a_xy", "a", ("x", "y"), shards=4)
-    box = Box(((0, SIDE - 1), (0, SIDE - 1)))
-    with db.session() as session:
-        before = session.range_query("a", ("x", "y"), box).rows
-        stats = session.range_query_stats("a", ("x", "y"), box)
-        for i in range(20):
-            db.insert("a", (f"n{i}", rnd.randrange(SIDE), rnd.randrange(SIDE)))
-        db.delete("a", rows[0])
-        assert session.range_query("a", ("x", "y"), box).rows == before
-        assert session.range_query_stats("a", ("x", "y"), box).matches == (
-            stats.matches
-        )
-    live = db.range_query("a", ("x", "y"), box).rows
-    assert sorted(live) != sorted(before)
-    assert db.snapshots.leak_stats()["snapshot.active_pins"] == 0

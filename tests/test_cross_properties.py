@@ -233,10 +233,9 @@ def test_element_stream_is_lazy_everywhere_and_nothing_remembers_it():
     """``range_query`` has one element stream: the box is decomposed
     lazily inside the merge and no store holds on to it — a repeat
     generates the same elements again and reads the same pages, with
-    identical matches, on a tree, a snapshot view and a sharded store.
+    identical matches, on a tree and a snapshot view.
     """
     from repro.concurrency import SnapshotManager
-    from repro.shard import ShardedSpatialStore
 
     grid = Grid(2, 6)
     rng = random.Random(16)
@@ -244,14 +243,13 @@ def test_element_stream_is_lazy_everywhere_and_nothing_remembers_it():
     manager = SnapshotManager()
     tree = ZkdTree(grid, page_capacity=8, snapshots=manager)
     tree.insert_many(points)
-    store = ShardedSpatialStore.build(grid, points, nshards=4, page_capacity=8)
     epoch = manager.pin()
     try:
         view = tree.snapshot_view(epoch)
         for _ in range(8):
             box = random_box(rng, grid)
             truth = tuple(brute_force_search(grid, points, box))
-            for target in (tree, view, store):
+            for target in (tree, view):
                 fresh = target.range_query(box)
                 again = target.range_query(box)
                 assert fresh.matches == again.matches == truth
@@ -263,4 +261,3 @@ def test_element_stream_is_lazy_everywhere_and_nothing_remembers_it():
                 assert again.pages_accessed == fresh.pages_accessed
     finally:
         manager.unpin(epoch)
-        store.close()

@@ -231,8 +231,7 @@ class TestOneMode:
     # ``cache`` is the perf ledger's ignored bool: either value must
     # give the same rollback.
     @pytest.mark.parametrize("cache", [False, True])
-    @pytest.mark.parametrize("shards", [1, 3])
-    def test_failed_insert_many_changes_nothing(self, rng, shards, cache):
+    def test_failed_insert_many_changes_nothing(self, rng, cache):
         db = SpatialDatabase(Grid(2, 6), cache=cache)
         db.create_table(
             "cities", Schema.of(("city@", OID), ("x", INTEGER), ("y", INTEGER))
@@ -244,9 +243,7 @@ class TestOneMode:
                 for i, (x, y) in enumerate(random_points(rng, db.grid, 60))
             ],
         )
-        entry = db.create_index(
-            "cities_xy", "cities", ("x", "y"), shards=shards
-        )
+        entry = db.create_index("cities_xy", "cities", ("x", "y"))
         cols, box = ("x", "y"), Box(((0, 40), (0, 40)))
         answer = db.range_query("cities", cols, box).rows
 
@@ -270,22 +267,30 @@ class TestOneMode:
         with pytest.raises(ValueError, match="versioned"):
             SpatialDatabase(Grid(2, 6), concurrency=False)
 
+    def test_create_index_takes_no_shard_options(self):
+        # The perf ledger asks for a 4-shard index and falls back to a
+        # plain one on exactly this TypeError.
+        db = make_db(Grid(2, 6))
+        with pytest.raises(TypeError):
+            db.create_index(
+                "cities_xy", "cities", ("x", "y"), shards=4, executor="serial"
+            )
+        assert db.catalog.indexes_on("cities") == []
+
 
 class TestOneWriteOneTransaction:
     """A database statement is one write transaction: it takes the write
     lock once, flushes only the trees it writes, shuffles with the fast
     kernels, and maintains an index for a batch with one tree call."""
 
-    @pytest.fixture(params=[1, 3], ids=["1shard", "3shards"])
-    def db(self, request, rng):
+    @pytest.fixture
+    def db(self, rng):
         db = make_db(Grid(2, 10))
         points = random_points(rng, db.grid, 600)
         db.insert_many(
             "cities", [(f"c{i}", x, y) for i, (x, y) in enumerate(points)]
         )
-        db.create_index(
-            "cities_xy", "cities", ("x", "y"), shards=request.param
-        )
+        db.create_index("cities_xy", "cities", ("x", "y"))
         return db
 
     @pytest.fixture
@@ -313,15 +318,11 @@ class TestOneWriteOneTransaction:
 
     def test_insert_many_is_one_tree_call_per_index(self, db, counts, rng):
         points = random_points(rng, db.grid, 100)
-        index = db.catalog.index("cities_xy").tree
-        trees = getattr(index, "shards", [index])
-        sizes = [len(tree) for tree in trees]
         db.insert_many(
             "cities", [(f"n{i}", x, y) for i, (x, y) in enumerate(points)]
         )
-        written = sum(len(tree) != n for tree, n in zip(trees, sizes))
         assert counts["write"] == 1
-        assert 1 <= counts["flush"] <= written < len(points)
+        assert counts["flush"] == 1
         assert counts["from_point"] == 0
         assert counts["insert"] == 0
 

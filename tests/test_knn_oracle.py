@@ -1,10 +1,10 @@
 """Brute-force oracle differential suite for the one k-NN.
 
 Every provider that serves a k-NN — :meth:`ProximityReads.
-nearest_neighbours` over a :class:`ZkdTree`, a
-:class:`ShardedSpatialStore`, both snapshot views and the ``RowStore``
-fallback, the database facade, snapshot sessions, the SQL
-``NEAREST`` clause on both of its plans, and the TCP server — must return rows *byte-identical* to an O(n) brute-force
+nearest_neighbours` over a :class:`ZkdTree`, its snapshot view and the
+``RowStore`` fallback, the database facade, snapshot sessions, the SQL
+``NEAREST`` clause on both of its plans, and the TCP server — must
+return rows *byte-identical* to an O(n) brute-force
 oracle that sorts by ``(distance^2, z code)`` and truncates.
 
 Also pins the edge treatment of the probe boxes: a probe near the domain
@@ -25,7 +25,6 @@ from repro.db.schema import Schema
 from repro.db.types import INTEGER, OID
 from repro.obs.trace import trace
 from repro.server import QueryClient, QueryService, serve
-from repro.shard.store import ShardedReads, ShardedSpatialStore
 from repro.sql import execute_sql
 from repro.storage.prefix_btree import ZkdTree
 from repro.workloads import knn_workload, sky_catalog
@@ -92,17 +91,6 @@ class TestStoreOracle:
                     GRID, points, center, k
                 )
 
-    def test_sharded_store_matches_oracle_and_tree(self):
-        rng = random.Random(12)
-        points = unique_points(rng, GRID, 150)
-        tree = ZkdTree(GRID, page_capacity=8)
-        tree.bulk_load(points)
-        store = ShardedSpatialStore.build(GRID, points, nshards=3)
-        for center in centers(rng, GRID, 10):
-            want = oracle_points(GRID, points, center, 6)
-            assert store.nearest_neighbours(center, 6) == want
-            assert tree.nearest_neighbours(center, 6) == want
-
     def test_first_knn_after_a_write_costs_probes_not_a_rebuild(self):
         """Nothing is built per store state: the k-NN right after an
         insert sees the new point through a handful of box probes that
@@ -153,7 +141,7 @@ class TestStoreOracle:
 # ---------------------------------------------------------------------
 
 
-def _indexed_db(grid, points, shards):
+def _indexed_db(grid, points):
     cols = tuple(f"c{axis}" for axis in range(grid.ndims))
     db = SpatialDatabase(grid, page_capacity=8)
     db.create_table(
@@ -162,7 +150,7 @@ def _indexed_db(grid, points, shards):
     db.insert_many(
         "points", [(f"p{i}",) + p for i, p in enumerate(points)]
     )
-    db.create_index("points_c", "points", cols, shards=shards)
+    db.create_index("points_c", "points", cols)
     return db, cols
 
 
@@ -197,19 +185,13 @@ def providers(request):
     points = sorted(corners | ring | set(unique_points(rng, grid, 90)))
     tree = ZkdTree(grid, page_capacity=8)
     tree.bulk_load(points)
-    db, cols = _indexed_db(grid, points, shards=1)
-    sharded_db, _ = _indexed_db(grid, points, shards=3)
-    with db.session() as session, sharded_db.session() as sharded_session:
+    db, cols = _indexed_db(grid, points)
+    with db.session() as session:
         view = session._point_store("points", cols)
-        sharded_view = sharded_session._point_store("points", cols)
         assert isinstance(view, SnapshotTreeView)
-        assert type(sharded_view) is ShardedReads
-        sharded = ShardedSpatialStore.build(grid, points, nshards=3)
         yield grid, points, {
             "tree": tree.nearest_neighbours,
-            "sharded": sharded.nearest_neighbours,
             "snapshot-view": view.nearest_neighbours,
-            "sharded-snapshot-view": sharded_view.nearest_neighbours,
             "row-store": RowStore(grid, points).nearest_neighbours,
             "sql": lambda c, k: _sql_points(db, cols, c, k),
         }
@@ -309,18 +291,17 @@ class TestDatabaseOracle:
         with pytest.raises(ValueError):
             db.knn_query("points", ("x", "y"), (0, 0), 1)
 
-    @pytest.mark.parametrize("shards", [1, 2])
-    def test_duplicates_and_k_beyond_distinct_points(self, shards):
+    def test_duplicates_and_k_beyond_distinct_points(self):
         """Two rows share a coordinate and ``k`` exceeds the number of
         distinct points: every row comes back, in rank order, from the
-        live database, a session and SQL — single tree or sharded."""
+        live database, a session and SQL."""
         grid = Grid(ndims=2, depth=5)
         db = SpatialDatabase(grid, page_capacity=8)
         db.create_table(
             "p", Schema.of(("id", INTEGER), ("x", INTEGER), ("y", INTEGER))
         )
         db.insert_many("p", [(1, 1, 1), (2, 1, 1), (3, 31, 31), (4, 0, 0)])
-        db.create_index("p_xy", "p", ("x", "y"), shards=shards)
+        db.create_index("p_xy", "p", ("x", "y"))
         want = [(1, 1, 1), (2, 1, 1), (4, 0, 0), (3, 31, 31)]
         query = "SELECT * FROM p NEAREST 10 TO POINT(1,1) BY POINT(x,y)"
         assert db.knn_query("p", ("x", "y"), (1, 1), 10).rows == want
@@ -483,12 +464,10 @@ class TestSaturation:
         points = sorted(set(low + high))
         tree = ZkdTree(GRID, page_capacity=8)
         tree.bulk_load(points)
-        store = ShardedSpatialStore.build(GRID, points, nshards=2)
         for center, cluster in (((0, 0), low), ((top, top), high)):
             want = oracle_points(GRID, points, center, len(cluster))
             assert set(want) == set(cluster)
             assert tree.nearest_neighbours(center, len(cluster)) == want
-            assert store.nearest_neighbours(center, len(cluster)) == want
 
 
 # ---------------------------------------------------------------------
@@ -504,11 +483,9 @@ class TestNightlySweep:
         points = sorted(set(catalog.points))
         tree = ZkdTree(grid, page_capacity=32)
         tree.bulk_load(points)
-        store = ShardedSpatialStore.build(grid, points, nshards=4)
         rows = RowStore(grid, points)
         for center in knn_workload(grid, catalog, 40, seed=52):
             for k in (1, 4, 16):
                 want = oracle_points(grid, points, center, k)
                 assert tree.nearest_neighbours(center, k) == want
-                assert store.nearest_neighbours(center, k) == want
                 assert rows.nearest_neighbours(center, k) == want

@@ -30,7 +30,6 @@ from repro.core.rangesearch import (
     range_search,
     scan_intervals,
 )
-from repro.shard.store import ShardedSpatialStore
 from repro.storage.btree import BTreeCursor
 from repro.storage.diskstore import FilePageStore
 from repro.storage.prefix_btree import ZkdTree
@@ -328,8 +327,8 @@ def test_empty_tree_scans_its_one_leaf():
 
 def test_no_read_steps_a_record_cursor(monkeypatch):
     """With ``BTreeCursor``'s record access and ``PointRecord``
-    booby-trapped, every leaf-chain read on a live tree, a snapshot
-    view and a sharded store must still answer."""
+    booby-trapped, every leaf-chain read on a live tree and a snapshot
+    view must still answer."""
     grid = Grid(2, 6)
     rng = random.Random(28)
     points = random_points(rng, grid, 400) + [(7, 7)] * 30
@@ -337,7 +336,6 @@ def test_no_read_steps_a_record_cursor(monkeypatch):
     tree = ZkdTree(grid, page_capacity=4, snapshots=manager)
     tree.insert_many(points)
     epoch = manager.pin()
-    sharded = ShardedSpatialStore.build(grid, points, nshards=3, page_capacity=4)
     box = Box(((5, 40), (3, 30)))
     want = sorted(p for p in points if box.contains_point(p))
     circle = circle_classifier((20, 20), 6.5)
@@ -352,7 +350,7 @@ def test_no_read_steps_a_record_cursor(monkeypatch):
         monkeypatch.setattr(BTreeCursor, name, trapped)
     monkeypatch.setattr(BTreeCursor, "current", property(trapped))
     monkeypatch.setattr(PointRecord, "__init__", trapped)
-    for reads in (tree, tree.snapshot_view(epoch), sharded):
+    for reads in (tree, tree.snapshot_view(epoch)):
         assert sorted(reads.range_query(box).matches) == want
         assert sorted(reads.object_query(circle).matches) == want_circle
         ((_, inside),) = reads.interval_query([(0, grid.npixels - 1)])

@@ -36,7 +36,7 @@ def _build_db(**kwargs):
     db.insert_many(
         "points", [(f"p{i}", x, y) for i, (x, y) in enumerate(points)]
     )
-    db.create_index("points_xy", "points", ("x", "y"), shards=2)
+    db.create_index("points_xy", "points", ("x", "y"))
     return db
 
 

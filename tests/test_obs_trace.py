@@ -157,7 +157,7 @@ class TestCacheTracing:
     No cache state appears, and nothing leaks from the untraced
     interval scans."""
 
-    def _build(self, shards=1):
+    def _build(self):
         import random
 
         from repro.core.geometry import Box, Grid
@@ -178,7 +178,7 @@ class TestCacheTracing:
                 for i in range(300)
             ],
         )
-        db.create_index("t_xy", "t", ("x", "y"), shards=shards)
+        db.create_index("t_xy", "t", ("x", "y"))
         return db, Box(((0, 15), (0, 15)))
 
     def _traced_query(self, db, box):
@@ -202,11 +202,11 @@ class TestCacheTracing:
 
     def test_interval_scans_publish_no_counters(self):
         """The interval scan the batcher and the eps-seek share is
-        untraced at every layer: per-shard counters and spans must not
-        leak from inside the store."""
+        untraced at every layer: no counter or span leaks from inside
+        the store."""
         from repro.core.decompose import box_intervals
 
-        db, box = self._build(shards=2)
+        db, box = self._build()
         store = db.catalog.index("t_xy").tree
         intervals = box_intervals(db.grid, box)
         with obs.trace("q") as t:
@@ -227,13 +227,16 @@ class TestCounterGate:
     def test_increase_fails(self):
         report = compare_counters({"a": 3}, {"a": 1})
         assert not report.ok
-        assert report.regressions == ["a: 1 -> 3"]
+        assert report.changed == ["a: 1 -> 3"]
         assert "FAIL" in report.summary()
 
-    def test_decrease_is_improvement(self):
+    def test_decrease_fails(self):
+        # Exact gate: a fall in buffer hits or rows out is no gain.
         report = compare_counters({"a": 1}, {"a": 3})
-        assert report.ok
-        assert report.improvements == ["a: 3 -> 1"]
+        assert not report.ok
+        assert report.changed == ["a: 3 -> 1"]
+        assert "re-pin" in report.summary()
+        assert "FAIL" in report.summary()
 
     def test_key_drift_fails_both_ways(self):
         added = compare_counters({"a": 1, "new": 5}, {"a": 1})

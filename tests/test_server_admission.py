@@ -15,6 +15,7 @@ import time
 
 import pytest
 
+from repro.core.deadline import ResiliencePolicy
 from repro.core.geometry import Box, Grid
 from repro.db.database import SpatialDatabase
 from repro.db.schema import Schema
@@ -28,7 +29,6 @@ from repro.server import (
     QuotaExceeded,
     serve,
 )
-from repro.shard.scatter import ResiliencePolicy
 from repro.workloads.datasets import make_dataset
 
 GRID = Grid(ndims=2, depth=6)

@@ -3,10 +3,10 @@
 The server's batching layer rests on one identity: merging every
 request's z-element intervals, scanning the union once, and slicing
 each request's elements back out equals running ``range_query`` per
-request.  This suite differential-tests that identity over live trees,
-sharded stores and snapshot views, plus the interval-merge algebra and the :class:`QueryBatcher` coalescing
-machinery (grouping by (index, epoch) key, serial degeneration,
-exception propagation).
+request.  This suite differential-tests that identity over live trees
+and snapshot views, plus the interval-merge algebra and the
+:class:`QueryBatcher` coalescing machinery (grouping by (index, epoch)
+key, serial degeneration, exception propagation).
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from repro.server import (
     batched_range_matches,
     merge_intervals,
 )
-from repro.shard import ShardedSpatialStore
 from repro.storage.prefix_btree import ZkdTree
 from repro.workloads.datasets import make_dataset
 
@@ -123,16 +122,6 @@ def test_batched_matches_live_tree():
         _assert_identity(tree, GRID, _box_mix(GRID, seed))
 
 
-def test_batched_matches_sharded_store():
-    points = make_dataset("C", GRID, 3000, seed=1).points
-    store = ShardedSpatialStore.build(GRID, points, nshards=4)
-    try:
-        for seed in range(3):
-            _assert_identity(store, GRID, _box_mix(GRID, seed + 10))
-    finally:
-        store.close()
-
-
 def test_batched_matches_snapshot_views_per_epoch():
     db = SpatialDatabase(GRID, page_capacity=16)
     db.create_table(
@@ -179,20 +168,12 @@ def test_batched_second_pass_agrees():
     assert batched_range_matches(tree, GRID, boxes) == expected
 
 
-@pytest.mark.parametrize("shards", [1, 3])
-def test_batch_decomposes_each_box_once_into_bare_intervals(
-    monkeypatch, shards
-):
+def test_batch_decomposes_each_box_once_into_bare_intervals(monkeypatch):
     """One box kernel per box and no ``Element`` at all: the shared
-    interval scan reads bare ``(zlo, zhi)`` pairs, and no per-shard
-    re-decomposition happens under it."""
+    interval scan reads bare ``(zlo, zhi)`` pairs."""
     from repro.core.decompose import Element, _BoxKernel
 
-    points = make_dataset("C", GRID, 1500, seed=8).points
-    if shards == 1:
-        target = _tree(npoints=1500, seed=8)
-    else:
-        target = ShardedSpatialStore.build(GRID, points, nshards=shards)
+    target = _tree(npoints=1500, seed=8)
     boxes = _box_mix(GRID, 9, count=5)
     want = [target.range_query(box).matches for box in boxes]
     counts = {"kernels": 0, "elements": 0}
@@ -207,11 +188,7 @@ def test_batch_decomposes_each_box_once_into_bare_intervals(
 
     monkeypatch.setattr(_BoxKernel, "__init__", counted("kernels", kernel_init))
     monkeypatch.setattr(Element, "__init__", counted("elements", element_init))
-    try:
-        got = batched_range_matches(target, GRID, boxes)
-    finally:
-        if shards > 1:
-            target.close()
+    got = batched_range_matches(target, GRID, boxes)
     assert got == want
     inside = sum(GRID.clip(box) is not None for box in boxes)
     assert counts == {"kernels": inside, "elements": 0}

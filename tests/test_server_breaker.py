@@ -10,6 +10,7 @@ import asyncio
 
 import pytest
 
+from repro.core.deadline import ResiliencePolicy
 from repro.core.geometry import Grid
 from repro.db.database import SpatialDatabase
 from repro.db.schema import Schema
@@ -22,7 +23,6 @@ from repro.server.breaker import (
     HealthWindow,
     OverloadController,
 )
-from repro.shard.scatter import ResiliencePolicy
 
 GRID = Grid(ndims=2, depth=6)
 

@@ -3,7 +3,7 @@ admission shedding, and the no-peer-poisoning batch invariant.
 
 The unit half exercises :mod:`repro.core.deadline` on fake clocks; the
 service half drives ``deadline_ms`` end to end through admission, the
-batcher and the scatter path, asserting that an expired request frees
+batcher and the scan path, asserting that an expired request frees
 its slot, answers a typed ``deadline`` rejection, and never fails the
 patient members of its batch.
 """
@@ -19,6 +19,7 @@ from repro.core.deadline import (
     MAX_BUDGET,
     Deadline,
     DeadlineExceeded,
+    ResiliencePolicy,
     check_deadline,
     current_deadline,
     deadline_scope,
@@ -32,7 +33,6 @@ from repro.server import (
     DeadlineExpired,
     QueryService,
 )
-from repro.shard.scatter import ResiliencePolicy, run_shard_calls
 
 GRID = Grid(ndims=2, depth=6)
 
@@ -134,16 +134,6 @@ def test_scan_intervals_aborts_cooperatively():
     assert excinfo.value.site == "scan_intervals"
     out = scan_intervals(SortedPointCursor(records), intervals)
     assert sum(len(m) for m in out) == len(records)
-
-
-def test_serial_scatter_honours_active_deadline():
-    calls = []
-    with deadline_scope(Deadline(0.0, clock=FakeClock(0.0))):
-        with pytest.raises(DeadlineExceeded):
-            run_shard_calls(
-                [(0, lambda: calls.append(0))], ResiliencePolicy()
-            )
-    assert calls == []  # aborted at the checkpoint, before the shard
 
 
 # ----------------------------------------------------------------------

@@ -30,7 +30,7 @@ GRID = Grid(ndims=2, depth=7)
 NPOINTS = 1500
 
 
-def _build_db(seed=0, shards=1):
+def _build_db(seed=0):
     db = SpatialDatabase(GRID, page_capacity=16)
     db.create_table(
         "points", Schema.of(("id@", OID), ("x", INTEGER), ("y", INTEGER))
@@ -39,7 +39,7 @@ def _build_db(seed=0, shards=1):
     db.insert_many(
         "points", [(f"p{i}", x, y) for i, (x, y) in enumerate(points)]
     )
-    db.create_index("points_xy", "points", ("x", "y"), shards=shards)
+    db.create_index("points_xy", "points", ("x", "y"))
     return db
 
 
@@ -192,8 +192,7 @@ def test_insert_commit_refresh_snapshot_semantics():
     asyncio.run(run())
 
 
-@pytest.mark.parametrize("shards", [1, 4])
-def test_pipelined_refresh_keeps_reads_at_their_snapshot(shards):
+def test_pipelined_refresh_keeps_reads_at_their_snapshot():
     """Reads queued behind a busy batch, then a ``refresh`` on the same
     connection: every read answers ``ok`` with exactly the rows
     committed at the epoch its response names — the one the connection
@@ -201,7 +200,7 @@ def test_pipelined_refresh_keeps_reads_at_their_snapshot(shards):
     capture or page version behind."""
 
     async def run():
-        db = _build_db(shards=shards)
+        db = _build_db()
         service = QueryService(db)
         real_execute = service._execute_batch
         # Holds each round's first batch on the worker thread until this

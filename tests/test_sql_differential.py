@@ -1,7 +1,7 @@
 """Differential tests: every compiled SQL query must be row-identical
-to a hand-built operator-tree equivalent — over a database read live,
-a sharded index, and a pinned snapshot session — and invariant under the
-optimizer's conjunct reordering."""
+to a hand-built operator-tree equivalent — over a database read live
+and a pinned snapshot session — and invariant under the optimizer's
+conjunct reordering."""
 
 import random
 
@@ -25,7 +25,7 @@ from repro.sql import compile_sql, execute_sql
 SIDE = 128  # Grid(2, 7)
 
 
-def make_db(seed, npoints=250, shards=1):
+def make_db(seed, npoints=250):
     grid = Grid(2, 7)
     db = SpatialDatabase(grid, page_capacity=16)
     db.create_table(
@@ -47,7 +47,7 @@ def make_db(seed, npoints=250, shards=1):
             for i in range(npoints)
         ],
     )
-    db.create_index("points_xy", "points", ("x", "y"), shards=shards)
+    db.create_index("points_xy", "points", ("x", "y"))
     return db
 
 
@@ -108,12 +108,6 @@ class TestSingleTable:
         naive = execute_sql(db, SQL, reorder=False)
         assert ordered.rows == naive.rows
         assert ordered.columns == naive.columns
-
-    @pytest.mark.parametrize("seed", [0, 1])
-    def test_sharded_matches_unsharded(self, seed):
-        plain = make_db(seed, shards=1)
-        sharded = make_db(seed, shards=4)
-        assert execute_sql(plain, SQL).rows == execute_sql(sharded, SQL).rows
 
     def test_session_snapshot_is_stable(self):
         db = make_db(7)

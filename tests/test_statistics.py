@@ -137,32 +137,6 @@ class TestZHistogram:
         )
         assert total == pytest.approx(len(tree))
 
-    def test_sharded_store_sums_its_shards(self, grid64, rng):
-        from repro.core.decompose import box_intervals
-        from repro.shard.store import ShardedSpatialStore
-
-        store = ShardedSpatialStore(grid64, nshards=4, page_capacity=4)
-        store.insert_many(random_points(rng, grid64, 400))
-        assert all(len(shard) for shard in store.shards)
-        for _ in range(25):
-            box = random_box(rng, grid64)
-            intervals = box_intervals(grid64, box)
-            want_expected, want_pages = 0.0, 0
-            for shard, (lo, hi) in zip(
-                store.shards, store.partitioner.intervals()
-            ):
-                clipped = [
-                    (max(zlo, lo), min(zhi, hi))
-                    for zlo, zhi in intervals
-                    if zlo <= hi and zhi >= lo
-                ]
-                if clipped:
-                    expected, pages = oracle(shard, clipped)
-                    want_expected += expected
-                    want_pages += pages
-            expected, pages = estimate_scan(store, box)
-            assert expected == pytest.approx(want_expected)
-            assert pages == want_pages
 
 
 class TestFusedHistogramPass:

@@ -31,7 +31,6 @@ from repro.proximity import (
     zones_epsilon_join,
 )
 from repro.server import QueryClient, QueryService, serve
-from repro.shard.store import ShardedSpatialStore
 from repro.sql import compile_sql, execute_sql
 from repro.workloads import cross_match_catalogs, sky_catalog
 
@@ -130,19 +129,6 @@ class TestStrategiesVsOracle:
                 zones_epsilon_join(pts_a, pts_b, 2.0, zone_height=height)
                 == want
             )
-
-    def test_sharded_store_point_sets_join_identically(self):
-        """The operators see only point sequences: feeding them a
-        sharded store's merged catalog gives the same pairs as the flat
-        list (the store's concatenation of shard runs is order-canonical)."""
-        rng = random.Random(65)
-        pts_a, pts_b = catalogs(rng, GRID, 50, 40, duplicates=False)
-        store = ShardedSpatialStore.build(GRID, set(pts_b), nshards=3)
-        flat = sorted(set(pts_b))
-        assert sorted(store.points()) == flat
-        want = oracle_pairs(pts_a, flat, 2.5)
-        for name, got in run_all(pts_a, flat, 2.5).items():
-            assert got == want, name
 
 
 class TestZonesIndex:
@@ -452,7 +438,7 @@ class SeekCase:
         )
         return [a[i] + b[j] for i, j in pairs]
 
-    def database(self, index=True, shards=1, cache=False):
+    def database(self, index=True, cache=False):
         db = SpatialDatabase(GRID, page_capacity=4, cache=cache)
         db.create_table(
             "points",
@@ -466,12 +452,12 @@ class SeekCase:
         db.insert_many("points", self.points)
         db.insert_many("probes", self.probes)
         if index:
-            _index_seek_db(db, shards)
+            _index_seek_db(db)
         return db
 
 
-def _index_seek_db(db, shards=1):
-    db.create_index("points_xy", "points", ("x", "y"), shards=shards)
+def _index_seek_db(db):
+    db.create_index("points_xy", "points", ("x", "y"))
     db.create_index("probes_xy", "probes", ("x", "y"))
 
 
@@ -526,11 +512,11 @@ class TestWindowedSeek:
 
     @SEEK_SETTINGS
     @given(windowed_joins())
-    def test_live_sharded_and_cached(self, case):
-        """Single tree, sharded, and the perf ledger's ignored
-        ``cache=True`` flag all seek and answer alike."""
+    def test_live_and_cached(self, case):
+        """The database, with and without the perf ledger's ignored
+        ``cache=True`` flag, seeks and answers alike."""
         want = case.oracle(case.points, case.probes)
-        for opts in ({}, {"shards": 4}, {"cache": True}):
+        for opts in ({}, {"cache": True}):
             db = case.database(**opts)
             assert _seeks(db, case.sql())
             assert execute_sql(db, case.sql()).rows == want, opts
