@@ -16,7 +16,8 @@ when a sequential or random access on sequence B is performed".
 An axis-aligned box — every range query — never reaches that generic
 machinery: :class:`_BoxKernel` runs the same recursion on plain ints
 under both :class:`BoxElementCursor` (lazy) and :func:`decompose_box` /
-:func:`box_intervals` (eager).  The generic path serves circles,
+:func:`box_intervals` (eager), and walks it only as far as a planner's
+estimate needs (:meth:`_BoxKernel.cover`).  The generic path serves circles,
 polygons and Section 6 objects, and is the kernel's test oracle.
 
 Boundary handling at the cut-off depth is selectable:
@@ -139,7 +140,7 @@ def box_intervals(
 ) -> List[Tuple[int, int]]:
     """The ``(zlo, zhi)`` intervals of :func:`decompose_box`'s elements,
     in z order, without building a ``ZValue`` or ``Element`` for any —
-    all a cost estimate or an interval scan reads of them."""
+    all an interval scan reads of them."""
     return list(iter(_BoxKernel(grid, box, max_depth, cover).advance, None))
 
 
@@ -384,6 +385,93 @@ class _BoxKernel:
                 if bhi >= mid - 1:
                     edges &= ~(2 << shift)
         return None
+
+    nodes_counted = 0  # by :meth:`cover`
+
+    def start_cover(self) -> List[Tuple[int, int, int, Tuple[int, ...]]]:
+        """The stack :meth:`cover` walks, its first node the box's first
+        element, found by :meth:`advance`; empty for a box off the grid."""
+        first = self.advance()
+        if first is not None:
+            pad = (first[1] - first[0]).bit_length()
+            length = self._ndims * self._depth - pad
+            self._stack.append((first[0] >> pad, length, 0, ()))
+        return self._stack
+
+    def cover(self, lo: int, hi: int) -> int:
+        """The box's pixels with codes in ``[lo, hi]``, the next of the
+        ascending spans a walk weighs (``BPlusTree.cover_stats``).
+
+        A pending node that ends before ``hi`` is counted and dropped:
+        by its codes in the span if the box holds it, else by its share
+        of the box on each axis the box cuts.  One that ``hi`` cuts is
+        split by :meth:`advance`'s split step, inlined here too: shared
+        as a call per split, it costs the lazy scan a third.  The first
+        node past ``hi``, or inside the box and reaching it, waits for
+        the next span."""
+        stack = self._stack
+        ndims, depth = self._ndims, self._depth
+        box_lo, box_hi, total = self._box_lo, self._box_hi, ndims * depth
+        pixels = expanded = counted = 0
+        while stack:
+            zbits, length, edges, los = stack.pop()
+            zlo = zbits << total - length
+            # From zlo, a node at least ``limit`` bits long ends before hi.
+            limit = total + 1 - (hi - zlo).bit_length() if zlo <= hi else 0
+            while edges and length < limit:
+                expanded += 1
+                axis = length % ndims
+                shift = 2 * axis
+                mid = los[axis] + (1 << depth - 1 - length // ndims)
+                zbits <<= 1  # the low child; the high one is zbits | 1
+                length += 1
+                if not (edges >> shift) & 3:
+                    stack.append((zbits | 1, length, edges, los))
+                    continue
+                blo, bhi = box_lo[axis], box_hi[axis]
+                if bhi >= mid:
+                    high = (
+                        zbits | 1,
+                        length,
+                        edges if blo > mid else edges & ~(1 << shift),
+                        los[:axis] + (mid,) + los[axis + 1 :],
+                    )
+                    if blo >= mid:  # the low half is OUTSIDE
+                        zbits, length, edges, los = high
+                        zlo = zbits << total - length
+                        if zlo > hi:
+                            break
+                        limit = total + 1 - (hi - zlo).bit_length()
+                        continue
+                    stack.append(high)
+                if bhi >= mid - 1:
+                    edges &= ~(2 << shift)
+            end = zlo + (1 << total - length)  # one past its last code
+            if zlo > hi or not edges and end > hi:
+                if zlo <= hi and end > lo:
+                    pixels += hi - max(zlo, lo) + 1
+                stack.append((zbits, length, edges, los))
+                break
+            counted += 1
+            if not edges:
+                if end > lo:
+                    pixels += end - max(zlo, lo)
+                continue
+            inside = end - zlo
+            for axis in range(ndims):
+                cut = (edges >> 2 * axis) & 3
+                if cut:
+                    side = 1 << depth - (length + ndims - 1 - axis) // ndims
+                    at = los[axis]
+                    inside = inside // side * (
+                        (box_hi[axis] if cut & 2 else at + side - 1)
+                        - (box_lo[axis] if cut & 1 else at)
+                        + 1
+                    )
+            pixels += inside
+        self.nodes_expanded += expanded
+        self.nodes_counted += counted
+        return pixels
 
 
 class BoxElementCursor(ElementCursor):

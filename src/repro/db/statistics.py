@@ -5,24 +5,28 @@ capacity records — i.e. the index *is* an equi-depth histogram of the
 data's spatial distribution.  The B+-tree's in-memory inner nodes
 already hold every leaf's separator, and the tree records each leaf's
 count whenever it writes the leaf; :meth:`~repro.storage.btree.
-BPlusTree.overlap_stats` reads both, so the histogram has no upkeep of
-its own and reading it reads no page.  Combined with box decomposition
-(each query is a set of z intervals), this gives distribution-aware
-estimates that the uniformity assumption of Section 5's analysis
-cannot:
+BPlusTree.cover_stats` reads both, so the histogram has no upkeep of
+its own and reading it reads no page.  Walking the box's splitting tree
+in step with the leaves, and splitting a node only where a separator
+cuts it, gives distribution-aware estimates that the uniformity
+assumption of Section 5's analysis cannot:
 
 * :func:`estimate_matches` — expected result size of a range query;
 * :func:`estimate_pages` — expected data pages: the leaves whose
-  separator span the query's z intervals meet, plus the leftmost leaf,
-  where every scan starts.
+  separator span the box meets, plus the leftmost leaf, where every
+  scan starts.
+
+They equal the estimates of the box's full decomposition: no cut finer
+than a leaf's span can change them.
 """
 
 from __future__ import annotations
 
 from typing import Tuple
 
-from repro.core.decompose import box_intervals
+from repro.core.decompose import CoverMode, _BoxKernel
 from repro.core.geometry import Box
+from repro.obs.trace import add as _trace_add
 
 __all__ = [
     "estimate_matches",
@@ -34,13 +38,18 @@ __all__ = [
 def estimate_scan(tree, box: Box) -> Tuple[float, int]:
     """``(expected matches, expected data pages)`` of a range query for
     ``box`` over the :class:`~repro.storage.prefix_btree.ZkdTree`
-    ``tree`` — one decomposition of the box feeding both estimates.
+    ``tree`` — one walk feeding both estimates; it publishes the box
+    nodes it visits as ``planner.estimate_nodes``.
 
-    Pages are the leaves whose separator span the query's z intervals
-    meet, plus the leftmost leaf, where every scan starts: in practice
-    within a page of the measured count.
+    Pages are the leaves whose separator span the box meets, plus the
+    leftmost leaf, where every scan starts: in practice within a page of
+    the measured count.
     """
-    return tree.tree.overlap_stats(box_intervals(tree.grid, box))
+    kernel = _BoxKernel(tree.grid, box, None, CoverMode.OUTER)
+    expected, pages, left = tree.tree.cover_stats(kernel)
+    visited = kernel.nodes_expanded + kernel.nodes_counted + left
+    _trace_add("planner.estimate_nodes", visited)
+    return expected, pages
 
 
 def estimate_matches(tree, box: Box) -> float:

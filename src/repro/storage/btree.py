@@ -37,7 +37,6 @@ from typing import (
     Iterator,
     List,
     Optional,
-    Sequence,
     Tuple,
     Union,
 )
@@ -679,76 +678,82 @@ class BPlusTree:
                 bounds.append(page.low_key)
         return bounds
 
-    def overlap_stats(
-        self, intervals: Sequence[Tuple[int, int]]
-    ) -> Tuple[float, int]:
-        """``(expected records, pages read)`` of a scan of disjoint
-        z-sorted inclusive ``intervals``, read off the in-memory index
-        alone.
+    def cover_stats(self, kernel: Any) -> Tuple[float, int, int]:
+        """``(expected records, pages read, box nodes left)`` of a scan
+        of the box whose :class:`~repro.core.decompose._BoxKernel` is
+        ``kernel``, read off the in-memory index alone.
 
         The leaves are an equi-depth histogram over z: a leaf owns the
         codes between the separators on either side of it, ``(left,
         right]`` as the descent routes them, and holds its ``_counts``
         records spread uniformly over them.  The pages are the leaves
-        the intervals meet, plus the leftmost leaf, where every
-        :func:`scan_ranges` starts.  One descent per inner node the
-        intervals meet, then a forward bisect of its keys; no page is
-        read.  A concurrent writer may reshape a node mid-walk, so
-        each node's lists are copied and clamped to a consistent length:
-        the estimate may be off, the walk never fails.
+        the box meets, plus the leftmost leaf, where every
+        :func:`scan_ranges` starts.  The leaves are visited in key order
+        — one descent per inner node the box meets, then a forward
+        bisect of its keys — and ``kernel.cover`` weighs the box against
+        each, so the box is split only where a separator cuts it.  No
+        page is read.  A concurrent writer may reshape a node mid-walk,
+        so each node's lists are copied and clamped to a consistent
+        length: the estimate may be off, the walk never fails.
         """
-        if not intervals:
-            return 0.0, 0
+        nodes = kernel.start_cover()
+        if not nodes:
+            return 0.0, 0, 0
+        cover = kernel.cover
         counts = self._counts
         leftmost = self._first_leaf
         bisect_left = bisect.bisect_left
-        nintervals = len(intervals)
-        at = 0  # the first interval not yet wholly counted
+        total = self._total_bits
         expected = 0.0
-        pages = 1  # the leftmost leaf, until the intervals meet it
+        pages = 1  # the leftmost leaf, until the box meets it
 
         def visit(node: Union[_InnerNode, int], lo: int, hi: int) -> None:
-            nonlocal at, expected, pages
+            nonlocal expected, pages
             if isinstance(node, _InnerNode):
                 keys, children = list(node.keys), list(node.children)
             else:  # a one-leaf tree
                 keys, children = [], [node]
             nkeys = min(len(keys), len(children) - 1)
             bottom = not isinstance(children[0], _InnerNode)
-            i = bisect_left(keys, intervals[at][0], 0, nkeys)
+            zbits, length, _, _ = nodes[-1]
+            i = bisect_left(keys, zbits << total - length, 0, nkeys)
             while True:
                 # Equal keys (a duplicate run over several leaves) leave
                 # the child between them just that one code.
                 chi = keys[i] if i < nkeys else hi
-                clo = min(keys[i - 1] + 1 if i else lo, chi)
+                clo = keys[i - 1] + 1 if i else lo
+                if clo > chi:
+                    clo = chi
                 if not bottom:
                     visit(children[i], clo, chi)
                 else:
-                    count = counts.get(children[i], 0)
-                    width = chi - clo + 1
-                    touched = False
-                    while at < nintervals:
-                        zlo, zhi = intervals[at]
-                        if zlo > chi:
-                            break
-                        if zhi >= clo:
-                            overlap = min(zhi, chi) - max(zlo, clo) + 1
-                            expected += count * overlap / width
-                            touched = True
-                        if zhi >= chi:
-                            break  # it may meet the next leaf too
-                        at += 1
-                    if touched and children[i] != leftmost:
-                        pages += 1
-                if at == nintervals or i == nkeys:
+                    pixels = cover(clo, chi)
+                    if pixels:
+                        leaf = children[i]
+                        expected += counts.get(leaf, 0) * pixels / (chi - clo + 1)
+                        pages += leaf != leftmost
+                if not nodes or i == nkeys:
                     return
-                zlo = intervals[at][0]
+                zbits, length, edges, _ = nodes[-1]
+                pad = total - length
+                zlo = zbits << pad
                 if zlo > hi:
                     return
-                i = i + 1 if zlo <= chi else bisect_left(keys, zlo, i + 1, nkeys)
+                if zlo > chi:
+                    i = bisect_left(keys, zlo, i + 1, nkeys)
+                    continue
+                zhi = ((zbits + 1) << pad) - 1
+                if bottom and not edges and zhi > chi:
+                    # Inside the box past this leaf: every leaf before the
+                    # one holding its last code is covered whole.
+                    j = bisect_left(keys, zhi, i + 1, nkeys)
+                    expected += sum(counts.get(c, 0) for c in children[i + 1 : j])
+                    pages += j - i - 1
+                    i = j - 1
+                i += 1
 
-        visit(self._root, 0, (1 << self._total_bits) - 1)
-        return expected, pages
+        visit(self._root, 0, (1 << total) - 1)
+        return expected, pages, len(nodes)
 
     def check_invariants(self) -> None:
         """Validate structure; raises ``AssertionError`` on violation.

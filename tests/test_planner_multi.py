@@ -528,15 +528,17 @@ class TestAttributeRangesAreZWindows:
 class TestIndexReadCostsWhatItReturns:
     """Exact counts on a 20k-row table — no timing: an index-path
     SELECT validates nothing, fetches exactly the rows in the box,
-    decomposes its box at most once, and its plan reads no page, before
+    decomposes its box exactly once, in the run — the plan walks the box
+    only down to the index's leaves — and its plan reads no page, before
     a write or right after one."""
 
     def test_counts(self, monkeypatch):
-        from repro.db import schema, statistics
+        from repro.core.decompose import _BoxKernel
+        from repro.db import schema
         from repro.db.relation import VersionedRelation
         from repro.storage.buffer import BufferManager
 
-        counts = {"validated": 0, "fetched": 0, "pages": 0, "boxes": 0}
+        counts = {"validated": 0, "fetched": 0, "pages": 0}
 
         def counting(name, real):
             def wrapper(*args, **kwargs):
@@ -568,11 +570,27 @@ class TestIndexReadCostsWhatItReturns:
                 name,
                 counting("pages", getattr(BufferManager, name)),
             )
-        monkeypatch.setattr(
-            statistics,
-            "box_intervals",
-            counting("boxes", statistics.box_intervals),
-        )
+        # A full decomposition is a box kernel whose elements are drawn
+        # by ``advance`` and that the plan's leaf walk (``cover``) never
+        # drives.
+        advanced, walked = [], []
+        real_advance, real_cover = _BoxKernel.advance, _BoxKernel.cover
+
+        def advance(self, floor=0):
+            if self not in advanced:
+                advanced.append(self)
+            return real_advance(self, floor)
+
+        def cover(self, lo, hi):
+            if self not in walked:
+                walked.append(self)
+            return real_cover(self, lo, hi)
+
+        monkeypatch.setattr(_BoxKernel, "advance", advance)
+        monkeypatch.setattr(_BoxKernel, "cover", cover)
+
+        def decompositions():
+            return sum(kernel not in walked for kernel in advanced)
 
         statements = [
             "SELECT id@, x, y FROM points "
@@ -585,11 +603,12 @@ class TestIndexReadCostsWhatItReturns:
             (100, 199, 300, 399), (500, 599, 40, 139), (700, 703, 0, 1023)
         ]
         for n, (text, (x0, x1, y0, y1)) in enumerate(zip(statements, boxes)):
-            counts.update(validated=0, fetched=0, pages=0, boxes=0)
+            counts.update(validated=0, fetched=0, pages=0)
+            del advanced[:], walked[:]
             compiled = compile_sql(database, text)
             assert compiled.plan().access.method == "index-scan"
             assert counts["pages"] == 0, (n, counts)
-            counts["boxes"] = 0  # that plan was this test's, not the run's
+            assert walked and decompositions() == 0, n
             out = compiled.run()
             want = [
                 r[:3] for r in rows if x0 <= r[1] <= x1 and y0 <= r[2] <= y1
@@ -597,7 +616,7 @@ class TestIndexReadCostsWhatItReturns:
             assert out.rows == want and want
             assert counts["validated"] == 0
             assert counts["fetched"] == len(want)
-            assert counts["boxes"] <= 1
+            assert decompositions() == 1, n
         database.insert("points", ("late", 1, 1, 0))
         counts["pages"] = 0
         assert compile_sql(database, statements[0]).plan().access.method == (

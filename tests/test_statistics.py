@@ -7,6 +7,7 @@ import threading
 
 import pytest
 
+from repro.core.decompose import box_intervals
 from repro.core.geometry import Box, Grid
 from repro.db.statistics import (
     estimate_matches,
@@ -87,6 +88,66 @@ def oracle(tree, intervals):
     )
 
 
+def overlap_stats(btree, intervals):
+    """``(expected records, pages read)`` of a scan of disjoint z-sorted
+    inclusive ``intervals``: one descent per inner node they meet, a
+    forward bisect of its keys, and a sweep of the intervals over each
+    leaf's span.  This is the estimate before the leaf walk, fed the
+    box's full decomposition — its oracle."""
+    if not intervals:
+        return 0.0, 0
+    counts = btree._counts
+    leftmost = btree._first_leaf
+    nintervals = len(intervals)
+    at = 0  # the first interval not yet wholly counted
+    expected = 0.0
+    pages = 1  # the leftmost leaf, until the intervals meet it
+
+    def visit(node, lo, hi):
+        nonlocal at, expected, pages
+        if isinstance(node, _InnerNode):
+            keys, children = list(node.keys), list(node.children)
+        else:  # a one-leaf tree
+            keys, children = [], [node]
+        nkeys = min(len(keys), len(children) - 1)
+        bottom = not isinstance(children[0], _InnerNode)
+        i = bisect.bisect_left(keys, intervals[at][0], 0, nkeys)
+        while True:
+            chi = keys[i] if i < nkeys else hi
+            clo = min(keys[i - 1] + 1 if i else lo, chi)
+            if not bottom:
+                visit(children[i], clo, chi)
+            else:
+                count = counts.get(children[i], 0)
+                width = chi - clo + 1
+                touched = False
+                while at < nintervals:
+                    zlo, zhi = intervals[at]
+                    if zlo > chi:
+                        break
+                    if zhi >= clo:
+                        overlap = min(zhi, chi) - max(zlo, clo) + 1
+                        expected += count * overlap / width
+                        touched = True
+                    if zhi >= chi:
+                        break  # it may meet the next leaf too
+                    at += 1
+                if touched and children[i] != leftmost:
+                    pages += 1
+            if at == nintervals or i == nkeys:
+                return
+            zlo = intervals[at][0]
+            if zlo > hi:
+                return
+            if zlo <= chi:
+                i += 1
+            else:
+                i = bisect.bisect_left(keys, zlo, i + 1, nkeys)
+
+    visit(btree._root, 0, (1 << btree._total_bits) - 1)
+    return expected, pages
+
+
 def churned(grid, rng, capacity, n, side=None, order=32):
     """A tree after inserts and then deletes of a random half, so leaves
     have split, borrowed and merged; ``side`` < the grid's side piles
@@ -114,7 +175,7 @@ class TestZHistogram:
     def test_empty_tree(self, grid64):
         tree = ZkdTree(grid64)
         assert estimate_scan(tree, grid64.whole_space()) == (0.0, 1)
-        assert tree.tree.overlap_stats([]) == (0.0, 0)
+        assert overlap_stats(tree.tree, []) == (0.0, 0)
 
     def test_whole_space_sums_to_n(self, grid64, rng):
         tree = churned(grid64, rng, 4, 500, order=4)
@@ -133,15 +194,16 @@ class TestZHistogram:
         cuts = [0] + sorted(rng.sample(range(1, grid64.npixels), 50))
         ends = [cut - 1 for cut in cuts[1:]] + [grid64.npixels - 1]
         total = sum(
-            tree.tree.overlap_stats([(lo, hi)])[0] for lo, hi in zip(cuts, ends)
+            overlap_stats(tree.tree, [(lo, hi)])[0] for lo, hi in zip(cuts, ends)
         )
         assert total == pytest.approx(len(tree))
 
 
 
 class TestFusedHistogramPass:
-    """One pass down the index returns the ``(expected, pages)`` of the
-    two bisect-per-interval loops over the flattened leaf spans."""
+    """The oracle's one pass down the index returns the ``(expected,
+    pages)`` of the two bisect-per-interval loops over the flattened
+    leaf spans."""
 
     @staticmethod
     def random_intervals(rng, npixels, n):
@@ -168,7 +230,7 @@ class TestFusedHistogramPass:
                 for _ in range(10)
             )
         for intervals in cases:
-            expected, pages = tree.tree.overlap_stats(intervals)
+            expected, pages = overlap_stats(tree.tree, intervals)
             assert expected == pytest.approx(
                 _old_overlap_expected(spans, intervals)
             )
@@ -188,14 +250,12 @@ class TestFusedHistogramPass:
             [(9, 10), (4000, 4095)],
         ):
             for tree in (piled, single):
-                expected, pages = tree.tree.overlap_stats(intervals)
+                expected, pages = overlap_stats(tree.tree, intervals)
                 want_expected, want_pages = oracle(tree, intervals)
                 assert expected == pytest.approx(want_expected)
                 assert pages == want_pages
 
     def test_estimate_scan_on_real_boxes(self, grid64, rng):
-        from repro.core.decompose import box_intervals
-
         tree = churned(grid64, rng, 8, 1000)
         for _ in range(25):
             box = random_box(rng, grid64)
@@ -205,6 +265,85 @@ class TestFusedHistogramPass:
             )
             assert expected == pytest.approx(want_expected)
             assert pages == want_pages
+
+
+def lattice(grid, rng, n):
+    """Points on a coarse lattice, each repeated many times: runs of
+    equal keys spill over pages, so equal separators leave one-code
+    leaves."""
+    step = grid.side // 4
+    return [
+        tuple(step * rng.randrange(4) for _ in range(grid.ndims))
+        for _ in range(n)
+    ]
+
+
+def differential_boxes(rng, grid, n):
+    """From one pixel to the whole grid: fixed corners, boxes wholly
+    off the grid and clipped by it, then random ones, some reaching
+    past the grid's faces."""
+    side, ndims = grid.side, grid.ndims
+
+    def cube(lo, hi):
+        return Box(((lo, hi),) * ndims)
+
+    boxes = [
+        grid.whole_space(),
+        cube(0, 0),
+        cube(side - 1, side - 1),
+        cube(-6, -1),
+        cube(side, side + 9),
+        cube(-3, side // 2),
+        cube(side // 3, side + 3),
+    ]
+    for _ in range(n):
+        ranges = []
+        for _ in range(ndims):
+            lo = rng.randrange(-3, side + 1)
+            width = rng.choice([0, 1, rng.randrange(side // 4 + 1), rng.randrange(side)])
+            ranges.append((lo, lo + width))
+        boxes.append(Box(tuple(ranges)))
+    return boxes
+
+
+class TestLeafWalkDifferential:
+    """``estimate_scan`` walks the box only down to the index's leaves;
+    its estimate is the sweep of the box's full decomposition over the
+    leaf spans (:func:`overlap_stats`): the same pages, and the same
+    rows up to float summation order.  Both sides read the same tree,
+    before and after deletes reshape it."""
+
+    @staticmethod
+    def check(tree, boxes):
+        for box in boxes:
+            expected, pages = estimate_scan(tree, box)
+            want_expected, want_pages = overlap_stats(
+                tree.tree, box_intervals(tree.grid, box)
+            )
+            assert pages == want_pages, box
+            assert expected == pytest.approx(want_expected, rel=1e-9), box
+
+    @pytest.mark.parametrize("ndims, depth", [(2, 6), (3, 4)])
+    @pytest.mark.parametrize("points", ["U", "C", "D", "lattice"])
+    def test_equals_the_full_decomposition(self, ndims, depth, points):
+        grid = Grid(ndims, depth)
+        rng = random.Random(f"{ndims}-{points}")
+        for capacity in (2, 4, 20):
+            for order in (3, 32):
+                if points == "lattice":
+                    data = lattice(grid, rng, 400)
+                else:
+                    data = make_dataset(points, grid, 400, seed=capacity).points
+                tree = ZkdTree(grid, page_capacity=capacity, order=order)
+                tree.insert_many(data)
+                if points == "lattice" and capacity == 2:
+                    # a leaf between two equal separators owns one code
+                    assert any(lo == hi for lo, hi, _ in leaf_spans(tree))
+                self.check(tree, differential_boxes(rng, grid, 30))
+                for point in rng.sample(data, len(data) // 2):
+                    tree.delete(point)
+                tree.tree.check_invariants()
+                self.check(tree, differential_boxes(rng, grid, 30))
 
 
 class TestEstimateMatches:
