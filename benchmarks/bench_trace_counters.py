@@ -344,6 +344,9 @@ def collect(depth=DEPTH, npoints=NPOINTS, nobjects=NOBJECTS,
             "CONTAINS POINT(probes.x, probes.y)",
         )
     fold("xmatch", t.find("join[eps-seek]").total_counters())
+    # The window's plan walks it down to the probes index's leaves.
+    nodes = t.total_counters()["planner.estimate_nodes"]
+    fold("xmatch", {"planner.estimate_nodes": nodes})
 
     # The serving lifecycle on a step clock: deadline and breaker
     # counters land in the same baseline as the operator counters.
