@@ -36,7 +36,6 @@ import time
 
 from repro.core.geometry import Box, Grid
 from repro.db import INTEGER, OID, SPATIAL_OBJECT, Schema, SpatialDatabase
-from repro.db.query import Query
 from repro.db.relation import Relation
 from repro.db.spatial import overlap_query
 from repro.db.types import SpatialObject
@@ -245,7 +244,7 @@ def collect(depth=DEPTH, npoints=NPOINTS, nobjects=NOBJECTS,
 
     for spec in specs:
         with trace("range") as t:
-            Query(db, "points").within(("x", "y"), spec.box).run()
+            db.range_query("points", ("x", "y"), spec.box)
         fold("range", t.total_counters())
 
     rng = random.Random(seed + 2)
@@ -370,11 +369,11 @@ def measure_overhead(repeats=3):
     def run_workload(traced):
         t0 = time.perf_counter()
         for spec in specs:
-            query = Query(db, "points").within(("x", "y"), spec.box)
             if traced:
-                query.run_traced()
+                with trace("query(points)"):
+                    db.range_query("points", ("x", "y"), spec.box)
             else:
-                query.run()
+                db.range_query("points", ("x", "y"), spec.box)
         return time.perf_counter() - t0
 
     run_workload(False)  # warm caches before timing

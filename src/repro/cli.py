@@ -329,7 +329,6 @@ def _cmd_query(args, out) -> None:
 
     from repro.core.geometry import Box
     from repro.db import OID, SPATIAL_OBJECT, INTEGER, Schema, SpatialDatabase
-    from repro.db.query import Query
     from repro.db.relation import Relation
     from repro.db.spatial import overlap_query
     from repro.db.types import SpatialObject
@@ -377,7 +376,7 @@ def _cmd_query(args, out) -> None:
     join_kwargs = dict(grid=grid, max_depth=join_depth)
 
     if not (args.explain_analyze or args.json_path):
-        rows = Query(db, "points").within(("x", "y"), window).count()
+        rows = len(db.range_query("points", ("x", "y"), window))
         out.write(f"range query {window}: {rows} rows\n")
         pairs = overlap_query(
             p_objects, q_objects, "geom", "id@", **join_kwargs
@@ -385,9 +384,9 @@ def _cmd_query(args, out) -> None:
         out.write(f"overlap join P x Q: {len(pairs)} pairs\n")
         return
 
-    _, range_trace = (
-        Query(db, "points").within(("x", "y"), window).run_traced()
-    )
+    with trace("query(points)") as range_trace:
+        db.range_query("points", ("x", "y"), window)
+    assert range_trace is not None
     out.write("=== EXPLAIN ANALYZE: range query ===\n")
     out.write(format_trace(range_trace) + "\n\n")
 

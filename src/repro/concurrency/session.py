@@ -22,7 +22,6 @@ from __future__ import annotations
 import copy
 from typing import Any, List, Optional, Sequence, Tuple
 
-from repro.core.geometry import Box
 from repro.db.readpath import SpatialReads, visible_rows
 from repro.db.relation import Relation
 
@@ -98,8 +97,9 @@ class Session(SpatialReads):
             raise RuntimeError("session is closed")
 
     # -- reads: pinned rows, snapshot views, pinned epoch -----------------
-    # (proximity_query, knn_query, epsilon_join and range_query_stats
-    # are SpatialReads' — the same code the database runs live.)
+    # (range_query, proximity_query, knn_query, epsilon_join and
+    # range_query_stats are SpatialReads' — the same code, and the same
+    # planner, the database runs live.)
 
     def _reading(self) -> Tuple[Any, Optional[int]]:
         self._check_open()
@@ -121,19 +121,6 @@ class Session(SpatialReads):
         relation = self._db.catalog.relation(name)
         return Relation._derived(
             name, relation.schema, visible_rows(relation, self._epoch)
-        )
-
-    def range_query(
-        self,
-        table: str,
-        coord_cols: Sequence[str],
-        box: Box,
-    ) -> Relation:
-        """Rows inside ``box`` as of the snapshot — index-backed when a
-        matching index predates the pin, row scan otherwise."""
-        self._check_open()
-        return self._range_rows(
-            table, coord_cols, box, self._answering(table, coord_cols)
         )
 
     def join_points(

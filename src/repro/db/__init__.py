@@ -21,7 +21,6 @@ from repro.db.planner import (
     plan_range_query,
     plan_select,
 )
-from repro.db.query import Query
 from repro.db.statistics import estimate_matches, estimate_pages
 from repro.db.expr import (
     Expr,
@@ -105,8 +104,7 @@ __all__ = [
     "MIN",
     "MAX",
     "AVG",
-    # query surface, planner + statistics
-    "Query",
+    # planner + statistics
     "Plan",
     "Conjunct",
     "SelectPlan",

@@ -17,7 +17,7 @@ from contextlib import contextmanager
 from itertools import repeat
 from typing import Any, Iterator, List, Optional, Sequence, Tuple
 
-from repro.core.geometry import Box, Grid
+from repro.core.geometry import Grid
 from repro.db.catalog import Catalog, IndexEntry, coordinate_map
 from repro.db.readpath import CoordsOf, SpatialReads, coords_getter
 from repro.db.relation import Relation, VersionedRelation
@@ -298,8 +298,9 @@ class SpatialDatabase(SpatialReads):
         return None
 
     # ------------------------------------------------------------------
-    # Queries: live rows, live index trees, no epoch.  proximity_query,
-    # knn_query, epsilon_join and range_query_stats are SpatialReads'.
+    # Queries: live rows, live index trees, no epoch.  range_query,
+    # proximity_query, knn_query, epsilon_join and range_query_stats
+    # are SpatialReads'.
     # ------------------------------------------------------------------
 
     def _reading(self) -> Tuple[Any, Optional[int]]:
@@ -310,34 +311,6 @@ class SpatialDatabase(SpatialReads):
         if entry is None:
             raise ValueError(f"no index on {table}({', '.join(cols)})")
         return entry.tree
-
-    def range_query(
-        self,
-        table: str,
-        coord_cols: Sequence[str],
-        box: Box,
-    ) -> Relation:
-        """Rows of ``table`` whose coordinates fall inside ``box``.
-
-        Planned by predicted page cost (Section 5.3.1's analysis as a
-        cost model): an index scan through a matching zkd index when it
-        is estimated cheaper, a row scan otherwise or without an index.
-        Use :meth:`explain_range_query` to see the decision.
-        """
-        from repro.db.planner import plan_range_query
-
-        return plan_range_query(self, table, coord_cols, box).execute()
-
-    def explain_range_query(
-        self,
-        table: str,
-        coord_cols: Sequence[str],
-        box: Box,
-    ) -> str:
-        """The access plan (and its cost estimates) as text."""
-        from repro.db.planner import plan_range_query
-
-        return plan_range_query(self, table, coord_cols, box).explain()
 
     def overlap_query(
         self,

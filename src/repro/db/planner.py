@@ -96,25 +96,31 @@ class Plan:
             f"  chosen:      {self.method} "
             f"(~{self.estimated_pages:.1f} pages)",
             f"  rejected:    "
-            f"{'table-scan' if self.method.endswith('index-scan') else 'index-scan'} "
+            f"{'table-scan' if self.method == 'index-scan' else 'index-scan'} "
             f"(~{self.alternative_pages:.1f} pages)",
         ]
         return "\n".join(lines)
 
 
 def plan_range_query(
-    database,
+    reader,
     table: str,
     coord_cols: Sequence[str],
     box: Box,
 ) -> Plan:
-    """Choose between the zkd index and a full scan by predicted pages.
+    """Choose between the zkd index and a full scan by predicted pages,
+    for any :class:`~repro.db.readpath.SpatialReads` reader — the
+    database, or a snapshot session at its epoch.
 
-    Without a matching index the plan is the row scan.
+    Only an index the reader may use (:meth:`~repro.db.readpath.
+    SpatialReads._entry`) is an access path; without one the plan is
+    the row scan.  The estimates read the live catalog and tree; the
+    plan runs on the reader's rows and store.
     """
+    database, _ = reader._reading()
     nrows = len(database.catalog.relation(table))
     grid = database.grid
-    entry = database._index_for(table, coord_cols)
+    entry = reader._entry(table, coord_cols)
     selectivity = estimate_selectivity(box, grid)
 
     scan_pages = max(1.0, math.ceil(nrows / database.page_capacity))
@@ -127,7 +133,7 @@ def plan_range_query(
             estimated_pages=scan_pages,
             alternative_pages=float("inf"),
             estimated_rows=selectivity * nrows,
-            _execute=lambda: database._range_rows(table, coord_cols, box),
+            _execute=lambda: reader._range_rows(table, coord_cols, box),
         )
 
     clipped = box.clipped_to(grid.whole_space())
@@ -154,8 +160,8 @@ def plan_range_query(
             estimated_pages=index_pages,
             alternative_pages=scan_pages,
             estimated_rows=estimated_rows,
-            _execute=lambda: database._range_rows(
-                table, entry.coord_cols, box, entry.tree
+            _execute=lambda: reader._range_rows(
+                table, coord_cols, box, reader._answering(table, coord_cols)
             ),
         )
     return Plan(
@@ -166,7 +172,7 @@ def plan_range_query(
         estimated_pages=scan_pages,
         alternative_pages=index_pages,
         estimated_rows=estimated_rows,
-        _execute=lambda: database._range_rows(table, coord_cols, box),
+        _execute=lambda: reader._range_rows(table, coord_cols, box),
     )
 
 
@@ -507,17 +513,19 @@ def _attr_bounds(conjuncts: Sequence[Conjunct]) -> Dict[str, Tuple[Any, Any]]:
 
 
 def _window_from_ranges(
-    database, table: str, conjuncts: Sequence[Conjunct]
+    reader, table: str, conjuncts: Sequence[Conjunct]
 ) -> Optional[Tuple[Conjunct, Plan, List[Conjunct]]]:
     """Attribute ranges on an index's coordinate columns *are* a
     z-window: the tightest integer bounds the ``attr-range`` conjuncts
     put on each coordinate column form the access box, a dimension
     nothing pins spanning the grid (the paper's partial-match query).
     Returns ``(window, access plan, the conjuncts it summarises)`` for
-    the cheapest index :func:`plan_range_query` prefers to a scan, else
-    ``None``.  The box only has to *cover* the conjuncts — they stay in
-    the filter chain, so strict, one-sided and fractional bounds need
-    no care here."""
+    the cheapest index :func:`plan_range_query` prefers to a scan for
+    ``reader``, else ``None`` — so an index the reader may not use (one
+    built after a session's pin) never makes a window.  The box only
+    has to *cover* the conjuncts — they stay in the filter chain, so
+    strict, one-sided and fractional bounds need no care here."""
+    database, _ = reader._reading()
     top = database.grid.side - 1
     bounds = _attr_bounds(conjuncts)
     best: Optional[Tuple[Conjunct, Plan, List[Conjunct]]] = None
@@ -541,8 +549,8 @@ def _window_from_ranges(
         if any(low > high for low, high in ranges):
             continue
         box = Box(tuple(ranges))
-        access = plan_range_query(database, table, entry.coord_cols, box)
-        if not access.method.endswith("index-scan"):
+        access = plan_range_query(reader, table, entry.coord_cols, box)
+        if access.method != "index-scan":
             continue
         if best is None or access.estimated_pages < best[1].estimated_pages:
             window = Conjunct(
@@ -612,19 +620,22 @@ def plan_select(
 ) -> SelectPlan:
     """Build a :class:`SelectPlan` over ``conjuncts``.
 
-    ``target`` is the executor — the database itself (default) or a
-    snapshot :class:`~repro.concurrency.session.Session`; both expose
-    ``table()`` and ``range_query()``.  Cost estimates always come from
-    the database's catalog and statistics.  ``reorder=False`` keeps the
-    filters in written order (the naive baseline).
+    ``target`` is the reader the plan runs for — the database itself
+    (default) or a snapshot :class:`~repro.concurrency.session.Session`,
+    any :class:`~repro.db.readpath.SpatialReads`.  Every reader is
+    planned the same way; only an index it may use at its epoch is an
+    access path.  Cost estimates come from the database's catalog,
+    statistics and live trees.  ``reorder=False`` keeps the filters in
+    written order (the naive baseline).
 
     The access path, first match wins:
 
-    1. the first written z-window or eps-window (an index range, or the
-       session's snapshot range);
-    2. a z-window synthesised from ``attr-range`` conjuncts on an
-       index's coordinate columns, when the index beats a scan
-       (:func:`_window_from_ranges`);
+    1. the first written z-window or eps-window, read as
+       :func:`plan_range_query` chooses for the reader (an index scan,
+       or a row scan);
+    2. a z-window synthesised from ``attr-range`` conjuncts on the
+       coordinate columns of an index the reader may use, when the
+       index beats a scan (:func:`_window_from_ranges`);
     3. ``column-range``: the sorted order of the INTEGER or FLOAT
        column whose ``attr-range`` bounds are estimated most selective,
        when that estimate is below :data:`COLUMN_RANGE_CROSSOVER`
@@ -639,7 +650,7 @@ def plan_select(
     summarised: List[Conjunct] = []
     ranged = None
     if not any(c.kind in ("z-window", "eps-window") for c in conjuncts):
-        ranged = _window_from_ranges(database, table, conjuncts)
+        ranged = _window_from_ranges(target, table, conjuncts)
     if ranged is not None:
         for conjunct in ranged[2]:
             # The window's box passes these rows but at strict or
@@ -681,26 +692,15 @@ def plan_select(
     )
 
     if window is not None:
-        window_rows = None
-        if target is database:
-            if access is None:
-                access = plan_range_query(
-                    database, table, window.coord_cols, window.box
-                )
-            plan.access = access
-            plan.access_label = access.method
-            plan._fetch = access.execute
-            window_rows = access.estimated_rows
-        else:
-            # Session snapshot: the epoch-pinned range_query of the
-            # session decides index vs scan itself.
-            plan.access_label = "snapshot-range"
-            cols, box = window.coord_cols, window.box
-            plan._fetch = lambda: target.range_query(table, cols, box)
-        if window_rows is None:
-            window_rows = (window.selectivity or 0.0) * nrows
-        window.estimated_rows = window_rows
-        estimated = float(window_rows)
+        if access is None:
+            access = plan_range_query(
+                target, table, window.coord_cols, window.box
+            )
+        plan.access = access
+        plan.access_label = access.method
+        plan._fetch = access.execute
+        window.estimated_rows = access.estimated_rows
+        estimated = float(access.estimated_rows)
         if summarised:
             unpinned = [
                 column

@@ -35,7 +35,7 @@ from repro.core.deadline import check_deadline
 from repro.core.fastz import interleave_many
 from repro.core.geometry import Box, Grid
 from repro.db.catalog import IndexEntry
-from repro.db.planner import bump_planner_stat
+from repro.db.planner import bump_planner_stat, plan_range_query
 from repro.db.relation import Relation, VersionedRelation
 from repro.db.schema import Schema
 from repro.obs.trace import span as _span
@@ -452,6 +452,20 @@ class SpatialReads:
             _, rows, coords = self._visible(table, cols)
             store = RowStore(database.grid, map(coords, rows))
         return store
+
+    def range_query(
+        self, table: str, coord_cols: Sequence[str], box: Box
+    ) -> Relation:
+        """Rows of ``table`` whose coordinates fall inside ``box``, as
+        this reader sees them.
+
+        Planned by predicted page cost (Section 5.3.1's analysis as a
+        cost model), the same for every reader: an index scan through a
+        zkd index the reader may use when it is estimated cheaper, a
+        row scan otherwise or without one.
+        ``plan_range_query(reader, ...).explain()`` shows the decision.
+        """
+        return plan_range_query(self, table, coord_cols, box).execute()
 
     def range_query_stats(
         self, table: str, coord_cols: Sequence[str], box: Box

@@ -16,7 +16,7 @@ Request flow for a ``range``/``point`` op::
          -> batcher.submit((index, epoch), box)
             # one shared scan over a snapshot view
             # built for the group, then readpath.rejoin per request
-         -> else reader.range_query   # the session's row scan
+         -> else reader.range_query   # planned for the session: a row scan
 
 A read holds its fork from the moment it is received until its answer
 is built, so a pipelined ``refresh`` re-pins the connection at once and

@@ -9,8 +9,9 @@ the cost model picks (z-merge sweep vs nested-loop interval test), then
 normalize — the join's output is always the *distinct* object pairs in
 one canonical order, so the strategy choice is invisible in the rows.
 
-``CompiledQuery.run(target=...)`` executes against the database or a
-snapshot session (anything with ``table()`` and ``range_query()``).
+``CompiledQuery.run(target=...)`` plans and executes for the database
+or a snapshot session — any :class:`~repro.db.readpath.SpatialReads`
+reader, planned the same way.
 """
 
 from __future__ import annotations

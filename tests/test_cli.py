@@ -1,10 +1,15 @@
 """Tests for the command-line interface."""
 
 import io
+import json
+import re
 
 import pytest
 
 from repro.cli import build_parser, main
+from repro.core.geometry import Grid
+from repro.obs import QueryTrace
+from repro.workloads.datasets import make_dataset
 
 
 def run(argv):
@@ -98,6 +103,60 @@ class TestSpace:
         assert "E(109, 91)" in text
         assert "cyclicity check" in text
         assert "coarsening" in text
+
+
+class TestQuery:
+    ARGS = ["query", "--points", "500", "--depth", "7", "--objects", "10"]
+    WINDOW = "Box([16..48] x [16..48])"  # the middle of a 128-wide grid
+
+    @staticmethod
+    def in_window():
+        """The seeded C points inside the window, counted directly."""
+        dataset = make_dataset("C", Grid(ndims=2, depth=7), 500, seed=0)
+        return sum(
+            16 <= x <= 48 and 16 <= y <= 48 for x, y in dataset.points
+        )
+
+    def test_plain_run(self):
+        code, text = run(self.ARGS)
+        assert code == 0
+        assert f"range query {self.WINDOW}: {self.in_window()} rows\n" in text
+        assert re.search(r"^overlap join P x Q: \d+ pairs$", text, re.M)
+
+    def test_explain_analyze_spans(self):
+        code, text = run(self.ARGS + ["--explain-analyze"])
+        assert code == 0
+        assert "=== EXPLAIN ANALYZE: range query ===" in text
+        assert "plan.index-scan" in text and "zkd.range_query" in text
+        assert "=== EXPLAIN ANALYZE: spatial join ===" in text
+        assert "op.spatial_join" in text
+
+    def test_session_read_is_planned(self):
+        code, text = run(self.ARGS + ["--sessions", "2", "--explain-analyze"])
+        assert code == 0
+        assert "2 snapshot sessions vs 1 hot writer" in text
+        assert text.count(" rows in window, stable\n") == 2
+        _, snapshot = text.split(
+            "=== EXPLAIN ANALYZE: snapshot range query ===\n"
+        )
+        assert re.search(r"^  plan\.(index|table)-scan ", snapshot, re.M)
+
+    def test_json_round_trips(self, tmp_path):
+        path = tmp_path / "traces.json"
+        code, text = run(self.ARGS + ["--json", str(path)])
+        assert code == 0
+        assert f"traces written to {path}" in text
+        payload = json.loads(path.read_text())
+        assert set(payload) == {"range_query", "spatial_join"}
+        traces = {
+            key: QueryTrace.from_json(json.dumps(doc))
+            for key, doc in payload.items()
+        }
+        for key, trace in traces.items():
+            assert json.loads(trace.to_json()) == payload[key]
+        plan = traces["range_query"].find("plan.index-scan")
+        assert plan is not None
+        assert plan.counters["rows_out"] == self.in_window()
 
 
 class TestSql:

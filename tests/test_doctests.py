@@ -14,7 +14,6 @@ MODULES = [
         "repro.core.interleave",
         "repro.db.database",
         "repro.db.expr",
-        "repro.db.query",
     )
 ]
 

@@ -18,6 +18,7 @@ import pytest
 
 from repro.core.geometry import Box, Grid
 from repro.db.database import SpatialDatabase
+from repro.db.planner import plan_range_query
 from repro.db.schema import Schema
 from repro.db.types import INTEGER, OID
 from repro.server import QueryClient, QueryService, serve
@@ -123,6 +124,6 @@ def test_drop_index_falls_back_to_the_row_scan():
     before = db.range_query("points", ("x", "y"), box).rows
     db.drop_index("points_xy")
     assert db._index_for("points", ("x", "y")) is None
-    plan = db.explain_range_query("points", ("x", "y"), box)
+    plan = plan_range_query(db, "points", ("x", "y"), box).explain()
     assert "table-scan" in plan
     assert db.range_query("points", ("x", "y"), box).rows == before

@@ -11,7 +11,6 @@ from repro import obs
 from repro.core.analysis import predicted_range_pages
 from repro.core.geometry import Box, Grid
 from repro.db import INTEGER, OID, Schema, SpatialDatabase
-from repro.db.query import Query
 from repro.db.statistics import estimate_pages
 from repro.storage.prefix_btree import ZkdTree
 from repro.workloads.datasets import make_dataset
@@ -38,11 +37,16 @@ def _window(fraction=4):
     return Box(((0, side // fraction), (0, side // fraction)))
 
 
+def _traced(db, box):
+    """``db.range_query`` over ``pts`` with a trace active."""
+    with obs.trace("query(pts)") as trace:
+        out = db.range_query("pts", ("x", "y"), box)
+    return out, trace
+
+
 class TestTracedRangeQuery:
     def test_actual_rows_match_relation(self, db):
-        out, trace = (
-            Query(db, "pts").within(("x", "y"), _window()).run_traced()
-        )
+        out, trace = _traced(db, _window())
         plan_span = trace.find("plan.index-scan") or trace.find(
             "plan.table-scan"
         )
@@ -52,15 +56,15 @@ class TestTracedRangeQuery:
 
     def test_results_identical_with_and_without_trace(self, db):
         box = _window()
-        plain = Query(db, "pts").within(("x", "y"), box).run()
-        traced, _ = Query(db, "pts").within(("x", "y"), box).run_traced()
+        plain = db.range_query("pts", ("x", "y"), box)
+        traced, _ = _traced(db, box)
         assert sorted(plain.rows) == sorted(traced.rows)
 
     def test_measured_pages_within_section5_bound(self, db):
         """O(vN): the measured page count stays under the analytical
         block-counting bound of Section 5.3.1."""
         box = _window()
-        _, trace = Query(db, "pts").within(("x", "y"), box).run_traced()
+        _, trace = _traced(db, box)
         zkd = trace.find("zkd.range_query")
         assert zkd is not None
         measured = zkd.counters["pages_accessed"]
@@ -73,7 +77,7 @@ class TestTracedRangeQuery:
 
     def test_measured_pages_within_2x_of_histogram_estimate(self, db):
         box = _window()
-        _, trace = Query(db, "pts").within(("x", "y"), box).run_traced()
+        _, trace = _traced(db, box)
         zkd = trace.find("zkd.range_query")
         measured = zkd.counters["pages_accessed"]
         tree = db.catalog.indexes_on("pts")[0].tree
@@ -81,17 +85,13 @@ class TestTracedRangeQuery:
         assert estimated / 2 <= max(measured, 1) <= max(2 * estimated, 2)
 
     def test_explain_analyze_text(self, db):
-        text = (
-            Query(db, "pts").within(("x", "y"), _window()).explain_analyze()
-        )
+        text = obs.format_trace(_traced(db, _window())[1])
         assert "estimated=" in text and "actual=" in text
         assert "zkd.range_query" in text
         assert "rangesearch" in text
 
     def test_trace_json_round_trip(self, db):
-        _, trace = (
-            Query(db, "pts").within(("x", "y"), _window()).run_traced()
-        )
+        _, trace = _traced(db, _window())
         restored = obs.QueryTrace.from_json(trace.to_json())
         assert restored.total_counters() == trace.total_counters()
 

@@ -101,7 +101,9 @@ class TestPlanChoice:
 class TestExplain:
     def test_explain_mentions_both_options(self, rng):
         db = make_db(rng)
-        text = db.explain_range_query("t", ("x", "y"), Box(((5, 10), (5, 10))))
+        text = plan_range_query(
+            db, "t", ("x", "y"), Box(((5, 10), (5, 10)))
+        ).explain()
         assert "index-scan" in text and "table-scan" in text
         assert "selectivity" in text
 
