@@ -18,6 +18,19 @@ Request flow for a ``range``/``point`` op::
             # built for the group, then readpath.rejoin per request
          -> else reader.range_query   # planned for the session: a row scan
 
+and for a single-table ``sql`` op::
+
+    client.session.fork()
+      -> admission.slot(client)
+      -> compiled.plan(reader)        # the one plan, for the fork
+         -> index-scan on reader._entry(table, cols):
+            batcher.submit((index, epoch), box)
+            -> compiled.finish(plan, rows)   # filters, NEAREST, tail
+         -> else compiled.finish(plan) in the executor
+
+A join or ``EXPLAIN ANALYZE`` runs whole in the executor, and the wire
+``EXPLAIN`` prints the plan built for the connection's session.
+
 A read holds its fork from the moment it is received until its answer
 is built, so a pipelined ``refresh`` re-pins the connection at once and
 never pulls the snapshot from under a read in flight; the response's
@@ -420,11 +433,8 @@ class QueryService:
     async def _handle_sql(
         self, client: ClientState, request: Dict[str, Any]
     ) -> Dict[str, Any]:
-        """One SQL statement.  A statement that reduces to a batchable
-        range scan rides the batcher (a scan shared with the
-        ``range``/``point`` traffic pinned at the same epoch), then the
-        filters and operator tail finish on the coordinator; anything
-        else — joins, EXPLAIN ANALYZE — runs whole in the executor."""
+        """One SQL statement, planned once for the connection's fork
+        (:meth:`_run_sql`); EXPLAIN plans for the connection's session."""
         from repro.sql import BindError, ParseError, compile_sql
 
         query = request.get("query")
@@ -478,33 +488,33 @@ class QueryService:
         compiled: Any,
         deadline: Optional[Deadline] = None,
     ) -> Any:
+        """Run ``compiled`` for ``reader``.  Joins and EXPLAIN ANALYZE
+        run whole in the executor.  A single-table statement is planned
+        once, for the reader: an index-scan plan's box rides the batcher
+        (a scan shared with the ``range``/``point`` traffic pinned at the
+        same epoch) and the plan finishes over the returned rows; any
+        other plan runs in the executor."""
         loop = asyncio.get_running_loop()
-        if compiled.statement.mode == "analyze":
+        analyze = compiled.statement.mode == "analyze"
+        if analyze or compiled.bound.join_table is not None:
+            whole = compiled.explain_analyze if analyze else compiled.run
             return await loop.run_in_executor(
-                self.batcher.pool,
-                self._scoped,
-                compiled.explain_analyze,
-                deadline,
-                reader,
+                self.batcher.pool, self._scoped, whole, deadline, reader
             )
-        window = compiled.batch_window()
-        if window is not None:
-            table, cols, box = window
-            entry = reader._entry(table, cols)
+        plan = compiled.plan(reader)
+        access = plan.access
+        if access is not None and access.method == "index-scan":
+            entry = reader._entry(access.table, plan.window.coord_cols)
             if entry is not None:
                 rows = await self._guarded_submit(
                     entry.index_name,
                     (entry.index_name, reader.epoch),
-                    box,
+                    access.box,
                     deadline,
                 )
-                return compiled.finish_rows(rows)
+                return compiled.finish(plan, rows)
         return await loop.run_in_executor(
-            self.batcher.pool,
-            self._scoped,
-            compiled.run,
-            deadline,
-            reader,
+            self.batcher.pool, self._scoped, compiled.finish, deadline, plan
         )
 
     def _handle_insert(

@@ -4,6 +4,7 @@ plan_select access-path choice, the join strategy cost model, and the
 planner.* stats plumbing."""
 
 import math
+import re
 import random
 
 import hypothesis.strategies as st
@@ -801,3 +802,101 @@ class TestWindowedEpsJoin:
         assert kernels and all(box == window for box in kernels)
         at = 1 if side == "stars" else 4
         assert rows == self._filtered_full_join(database, at)
+
+
+class TestPlannedForEachReader:
+    """One statement planned for the database and for a session pinned
+    before ``create_index``: neither plan leaves anything on the
+    statement that the other inherits, and the session's plan uses no
+    index born after its pin."""
+
+    TEXT = "SELECT id@, x, y FROM points WHERE x BETWEEN 10 AND 19 AND y <= 9"
+
+    @staticmethod
+    def _pinned_before_the_index(*tables):
+        """A database of ``tables`` (``(name, count)``), a session
+        pinned before each gets its ``(x, y)`` index, and the rows."""
+        rng = random.Random(2)
+        database = SpatialDatabase(Grid(2, 6), page_capacity=8)
+        rows = {}
+        for table, count in tables:
+            database.create_table(
+                table, Schema.of(("id@", OID), ("x", INTEGER), ("y", INTEGER))
+            )
+            rows[table] = [
+                (f"{table[0]}{i}", rng.randrange(64), rng.randrange(64))
+                for i in range(count)
+            ]
+            database.insert_many(table, rows[table])
+        session = database.session()
+        for table, _ in tables:
+            database.create_index(f"{table}_xy", table, ("x", "y"))
+            database.insert(table, ("late", 5, 5))
+        return database, session, rows
+
+    def test_a_database_plan_forces_no_selectivity_on_the_next(self):
+        database, session, rows = self._pinned_before_the_index(
+            ("points", 400)
+        )
+        with session:
+            compiled = compile_sql(database, self.TEXT)
+            assert "z-window from attribute ranges" in compiled.explain()
+            pinned = compiled.explain(session)
+            fresh = compile_sql(database, self.TEXT).explain(session)
+            assert pinned == fresh
+            sels = re.findall(r"sel=(\S+)", pinned)
+            assert len(sels) == 2 and "1.0000" not in sels
+            # ... and the session's estimates force nothing back.
+            assert compiled.explain() == compile_sql(
+                database, self.TEXT
+            ).explain()
+            assert execute_sql(database, self.TEXT, session=session).rows == [
+                r for r in rows["points"] if 10 <= r[1] <= 19 and r[2] <= 9
+            ]
+
+    def test_nearest_ranks_the_session_rows_without_a_probe(self):
+        database, session, rows = self._pinned_before_the_index(
+            ("points", 400)
+        )
+        text = "SELECT id@ FROM points NEAREST 3 TO POINT(5, 5) BY POINT(x, y)"
+        grid = database.grid
+        with session:
+            pinned = compile_sql(database, text).explain(session)
+            assert "[ranked after filters]" in pinned
+            assert "knn-probe" not in pinned
+            assert "knn-probe" in compile_sql(database, text).explain()
+            got = execute_sql(database, text, session=session).rows
+        assert got == [
+            (r[0],)
+            for r in sorted(
+                rows["points"],
+                key=lambda r: (
+                    (r[1] - 5) ** 2 + (r[2] - 5) ** 2,
+                    grid.zvalue((r[1], r[2])).bits,
+                ),
+            )[:3]
+        ]
+
+    def test_a_windowed_eps_join_seeks_no_index_the_session_lacks(self):
+        database, session, rows = self._pinned_before_the_index(
+            ("stars", 300), ("gals", 200)
+        )
+        text = (
+            "SELECT * FROM stars JOIN gals "
+            "ON POINT(stars.x, stars.y) WITHIN 2 OF POINT(gals.x, gals.y) "
+            "WHERE BOX(10, 30, 20, 44) CONTAINS POINT(gals.x, gals.y)"
+        )
+        with session:
+            pinned = compile_sql(database, text).explain(session)
+            assert "eps-seek" not in pinned
+            assert "eps-seek" in compile_sql(database, text).explain()
+            got = execute_sql(database, text, session=session).rows
+        pairs = sorted(
+            ((a[1], a[2]), (b[1], b[2]), i, j, a + b)
+            for i, a in enumerate(rows["stars"])
+            for j, b in enumerate(rows["gals"])
+            if (a[1] - b[1]) ** 2 + (a[2] - b[2]) ** 2 <= 4
+            and 10 <= b[1] <= 30
+            and 20 <= b[2] <= 44
+        )
+        assert got == [pair[-1] for pair in pairs] and got

@@ -19,7 +19,7 @@ from repro.db import (
 )
 from repro.db.spatial import overlap_query
 from repro.db.types import SpatialObject
-from repro.sql import compile_sql, execute_sql
+from repro.sql import execute_sql
 
 SIDE = 128  # Grid(2, 7)
 
@@ -205,16 +205,3 @@ class TestJoin:
                 lambda *a, forced=forced: (forced,) + real(*a)[1:],
             )
             assert execute_sql(db, self.JOIN_SQL).rows == baseline
-
-
-class TestServerBatchedPath:
-    def test_finish_rows_equals_run(self):
-        """The server's split execution (batcher fetches the window,
-        ``finish_rows`` applies filters + tail) must equal ``run()``."""
-        db = make_db(11)
-        compiled = compile_sql(db, SQL)
-        table, cols, box = compiled.batch_window()
-        assert (table, cols) == ("points", ("x", "y"))
-        fetched = db.range_query(table, cols, box)
-        split = compile_sql(db, SQL).finish_rows(list(fetched.rows))
-        assert split.rows == compiled.run().rows
